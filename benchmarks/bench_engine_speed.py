@@ -4,8 +4,9 @@ Uncoalesced traffic is the walker's worst case: 2M uniformly random
 references over a 768 KiB footprint produce one cache probe per
 reference (no run coalescing), miss the 8 KB L1 almost always and split
 the L2 roughly 2:1 between hits and DRAM fetches.  The seed tree
-sustained ~0.19 M accesses/s here; the fast engine must stay at least
-``GATE_MIN_SPEEDUP`` times above that, and the measured numbers are
+sustained ~0.19 M accesses/s here; the default engine
+(``HierarchyConfig().engine``) must stay at least ``GATE_MIN_SPEEDUP``
+times above that, and the measured numbers of every engine are
 persisted to ``benchmarks/results/BENCH_engine.json`` so the perf
 trajectory is tracked from PR 1 onward.
 
@@ -51,17 +52,15 @@ def build_microbench_batch(n_refs: int = N_REFS) -> AccessBatch:
     return AccessBatch.from_addresses(addrs, instructions=n_refs)
 
 
-def measure_engine(engine: str, batch: AccessBatch,
-                   force_python: bool = False) -> dict:
+def measure_engine(engine: str, batch: AccessBatch) -> dict:
     """Throughput of one engine tier over ``batch`` (fresh system)."""
     mem = MemorySystem(1, HierarchyConfig(engine=engine))
-    if force_python:
-        mem.c_walk_threshold = 1 << 62  # keep the compiled walker out
     start = time.perf_counter()
     result = mem.execute_batch(0, 1, batch, now=0.0)
     elapsed = time.perf_counter() - start
     return {
-        "engine": engine + ("-python" if force_python else ""),
+        "engine": engine,
+        "effective_engine": mem.effective_engine,
         "seconds": round(elapsed, 3),
         "accesses_per_sec": round(batch.n_accesses / elapsed, 1),
         "l1_misses": result.l1_misses,
@@ -78,37 +77,42 @@ def write_engine_artifact(measurements: dict) -> Path:
     return path
 
 
-def _collect(tiers) -> dict:
+def _collect() -> dict:
     batch = build_microbench_batch()
-    runs = []
-    for engine, force_python in tiers:
-        runs.append(measure_engine(engine, batch, force_python=force_python))
-    fast = runs[0]["accesses_per_sec"]
+    runs = {
+        engine: measure_engine(engine, batch)
+        for engine in HierarchyConfig.ENGINES
+    }
+    default = HierarchyConfig().engine
     return {
         "bench": "engine_speed_2M_uncoalesced",
         "n_refs": batch.n_accesses,
         "footprint_bytes": FOOTPRINT_LINES * 64,
         "seed_baseline_accesses_per_sec": SEED_BASELINE,
         "gate_min_speedup": GATE_MIN_SPEEDUP,
+        "default_engine": default,
         "c_walker_available": cwalker.load() is not None,
         "python": platform.python_version(),
-        "runs": runs,
-        "fast_speedup_vs_seed": round(fast / SEED_BASELINE, 2),
+        "runs": list(runs.values()),
+        "default_speedup_vs_seed": round(
+            runs[default]["accesses_per_sec"] / SEED_BASELINE, 2
+        ),
     }
 
 
 @pytest.mark.perf_smoke
 def test_engine_speed_gate():
-    """Fast engine must hold >= 2x the seed baseline on the microbench."""
-    report = _collect([("fast", False), ("reference", False)])
+    """The default engine must hold >= 2x the seed baseline on the
+    microbench."""
+    report = _collect()
     write_engine_artifact(report)
-    fast = report["runs"][0]["accesses_per_sec"]
-    reference = report["runs"][1]["accesses_per_sec"]
+    rates = {run["engine"]: run["accesses_per_sec"] for run in report["runs"]}
+    default = report["default_engine"]
     floor = GATE_MIN_SPEEDUP * SEED_BASELINE
-    assert fast >= floor, (
-        f"fast engine regressed: {fast:.0f} accesses/s is below the "
-        f"{floor:.0f} gate ({GATE_MIN_SPEEDUP}x seed baseline); "
-        f"reference tier ran {reference:.0f}"
+    assert rates[default] >= floor, (
+        f"default engine {default!r} regressed: {rates[default]:.0f} "
+        f"accesses/s is below the {floor:.0f} gate ({GATE_MIN_SPEEDUP}x "
+        f"seed baseline); all engines: {rates}"
     )
 
 
@@ -117,21 +121,21 @@ def test_engine_speed_identical_stats():
     """The microbench itself must see bit-identical engine statistics."""
     batch = build_microbench_batch(n_refs=200_000)
     systems = {}
-    for engine in ("fast", "reference"):
+    for engine in HierarchyConfig.ENGINES:
         mem = MemorySystem(1, HierarchyConfig(engine=engine))
         systems[engine] = (mem, mem.execute_batch(0, 1, batch, now=0.0))
-    fast_mem, fast_result = systems["fast"]
-    ref_mem, ref_result = systems["reference"]
-    assert fast_result == ref_result
-    assert fast_mem.l2_stats.per_owner == ref_mem.l2_stats.per_owner
-    assert (fast_mem.l2_stats.eviction_matrix
-            == ref_mem.l2_stats.eviction_matrix)
-    assert vars(fast_mem.memory.traffic) == vars(ref_mem.memory.traffic)
+    ref_mem, ref_result = systems.pop("reference")
+    for engine, (mem, result) in systems.items():
+        assert result == ref_result, engine
+        assert mem.l2_stats.per_owner == ref_mem.l2_stats.per_owner, engine
+        assert (mem.l2_stats.eviction_matrix
+                == ref_mem.l2_stats.eviction_matrix), engine
+        assert vars(mem.memory.traffic) == vars(ref_mem.memory.traffic), \
+            engine
 
 
 if __name__ == "__main__":
-    tiers = [("fast", False), ("fast", True), ("reference", False)]
-    report = _collect(tiers)
+    report = _collect()
     path = write_engine_artifact(report)
     print(json.dumps(report, indent=2))
     print(f"artifact: {path}")

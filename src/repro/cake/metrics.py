@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.mem.cache import OwnerStats
 
@@ -52,6 +52,11 @@ class RunMetrics:
     l2_cross_evictions: int = 0
     #: DRAM lines moved (for the power model).
     dram_lines: int = 0
+    #: The hierarchy engine that walked the run, after every fallback
+    #: (``MemorySystem.effective_engine``); ``None`` when restored from
+    #: a payload.  Execution metadata: engines are bit-identical, so it
+    #: takes no part in comparisons and no payload carries it.
+    effective_engine: Optional[str] = field(default=None, compare=False)
 
     # -- aggregates ----------------------------------------------------------
 

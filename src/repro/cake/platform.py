@@ -197,6 +197,7 @@ class Platform:
         metrics = RunMetrics(
             cpus=[cpu.metrics for cpu in self.cpus],
             elapsed_cycles=self.sim.now,
+            effective_engine=self.mem.effective_engine,
         )
         l2_stats = self.mem.l2_stats
         for owner_id, stats in l2_stats.per_owner.items():

@@ -206,6 +206,9 @@ def execute_scenario(
     if baseline is None:
         baseline = _compute_baseline(scenario)
     record["metrics"]["shared"] = _metrics_payload(baseline)
+    # The run the record is about: the baseline in shared mode, the
+    # partitioned (or dynamic) run otherwise.
+    measured = baseline
 
     if scenario.is_dynamic:
         resolved: Dict[str, ProfileResult] = dict(profiles or {})
@@ -215,6 +218,7 @@ def execute_scenario(
             if group not in resolved:
                 resolved[group] = _compute_profile(requirement)
         result = run_dynamic(scenario, resolved)
+        measured = result.metrics
         record["metrics"]["partitioned"] = _metrics_payload(result.metrics)
         record["plan"] = {
             "units_by_owner": {
@@ -236,9 +240,8 @@ def execute_scenario(
         if profile is None:
             profile = _compute_profile(scenario)
         report = method.run(profile=profile, shared_metrics=baseline)
-        record["metrics"]["partitioned"] = _metrics_payload(
-            report.partitioned_metrics
-        )
+        measured = report.partitioned_metrics
+        record["metrics"]["partitioned"] = _metrics_payload(measured)
         record["plan"] = {
             "units_by_owner": dict(sorted(report.plan.units_by_owner.items())),
             "total_units": report.plan.total_units,
@@ -272,8 +275,8 @@ def execute_scenario(
             network, cake, mode=PartitionMode.WAY_PARTITIONED
         )
         platform.cache_controller.program_way_partitions(assignment)
-        metrics = platform.run()
-        record["metrics"]["partitioned"] = _metrics_payload(metrics)
+        measured = platform.run()
+        record["metrics"]["partitioned"] = _metrics_payload(measured)
         record["way_assignment"] = {
             owner: list(ways_) for owner, ways_ in sorted(assignment.items())
         }
@@ -287,6 +290,9 @@ def execute_scenario(
         "wall_s": time.time() - started,
         "created_unix": started,
         "engine": scenario.effective_cake.hierarchy.engine,
+        # What actually walked the measured run after every fallback;
+        # None when that run came from a cache, not a simulation here.
+        "effective_engine": measured.effective_engine,
     }
     if replan_wall_s is not None:
         # Execution metadata like the wall times: ScenarioRecord's
@@ -615,12 +621,13 @@ class AsyncBackend(ExecutionBackend):
     exactly like the lazy inline/pool backends.  The loop runs on a
     private host thread, so the backend also works when the caller
     already has an event loop running (notebooks, coroutine-driven
-    apps).  The simulation core keeps all state per-platform (even the
-    C walker passes its whole state per call), so concurrent scenarios
-    do not interact -- and because records are pure functions of their
-    scenarios, the fingerprint matches the serial one.  This is the
-    asyncio face of the transport seam: a remote/queue backend can
-    replace ``run_in_executor`` with a network await and keep the rest.
+    apps).  The simulation core keeps all state per-platform (each
+    ``MemorySystem`` owns its own C walker state), so concurrent
+    scenarios do not interact -- and because records are pure
+    functions of their scenarios, the fingerprint matches the serial
+    one.  This is the asyncio face of the transport seam: a
+    remote/queue backend can replace ``run_in_executor`` with a network
+    await and keep the rest.
     """
 
     name = "async"
@@ -664,9 +671,16 @@ class AsyncBackend(ExecutionBackend):
             )
             host.start()
             gate = asyncio.Semaphore(self.concurrency)
+            # Set by the caller thread before it cancels anything:
+            # cancelling a running task frees its gate slot, and a
+            # waiter whose own cancellation has not reached the loop
+            # yet must not start.
+            closed = threading.Event()
 
             async def one(task: Dict[str, Any]) -> Dict[str, Any]:
                 async with gate:
+                    if closed.is_set():
+                        raise asyncio.CancelledError()
                     return await self._dispatch(worker, task)
 
             futures = [
@@ -680,6 +694,7 @@ class AsyncBackend(ExecutionBackend):
                 # On failure (or abandonment): cancel what has not
                 # started, drain what has, then retire the loop -- no
                 # pending-task warnings, no leaked threads.
+                closed.set()
                 for future in futures:
                     future.cancel()
                 for future in futures:

@@ -168,8 +168,9 @@ def _cake_from_dict(payload: Mapping[str, Any]) -> CakeConfig:
             dram=DramConfig(**hierarchy["dram"]),
             bus=BusConfig(**hierarchy["bus"]),
             l2_policy=hierarchy["l2_policy"],
-            # Canonical (record) dicts strip the engine; default it.
-            engine=hierarchy.get("engine", "fast"),
+            # Canonical (record) dicts strip the engine; take the
+            # dataclass default.
+            engine=hierarchy.get("engine", HierarchyConfig.engine),
         ),
         switch_cycles=payload["switch_cycles"],
         quantum_cycles=payload["quantum_cycles"],

@@ -22,9 +22,11 @@ Robustness contract:
   task, never mid-task (graceful shutdown).
 
 Each completion reports the profiling passes the task actually
-performed (ground truth from :func:`repro.core.profiling.profiling_passes`),
-which the server aggregates -- the "warm fleet re-profiles nothing"
-claim is observable at ``/status``.
+performed (ground truth from
+:func:`repro.core.profiling.thread_profiling_passes`, so workers that
+share a process do not count each other's passes), which the server
+aggregates -- the "warm fleet re-profiles nothing" claim is observable
+at ``/status``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional
 
-from repro.core.profiling import profiling_passes
+from repro.core.profiling import thread_profiling_passes
 from repro.errors import ConfigurationError, ServiceError
 from repro.exp.runner import _execute_task, _measure_task
 from repro.exp.service.client import ServiceClient
@@ -109,7 +111,7 @@ def _run_one(
         interval=max(0.05, leased["lease_ttl"] / 3.0),
     )
     started = time.time()
-    passes_before = profiling_passes()
+    passes_before = thread_profiling_passes()
     try:
         fn = TASK_FUNCTIONS.get(leased["fn"])
         if fn is None:
@@ -134,7 +136,8 @@ def _run_one(
             client.complete(
                 leased["task_id"], result, worker=worker_id,
                 stats={
-                    "profiling_passes": profiling_passes() - passes_before,
+                    "profiling_passes":
+                        thread_profiling_passes() - passes_before,
                     "wall_s": time.time() - started,
                 },
             )

@@ -9,10 +9,11 @@ contracts end to end:
   axis share one profile key) -- and on the second pass, with the memo
   tables cleared, ran *zero* times: everything resolves from the
   on-disk cache, and the store fingerprint is byte-identical,
-- a third pass re-runs the grid with ``engine="compiled"`` (the
-  schedule-compiled execution tier): cache keys and records exclude
-  the engine, so it must re-measure nothing and reproduce the cold
-  fingerprint bit for bit,
+- a third pass re-runs the grid with ``engine="fast"`` (the
+  pure-Python walker, where the first two passes ran the default
+  ``compiled`` engine): cache keys and records exclude the engine, so
+  it must re-measure nothing and reproduce the cold fingerprint bit
+  for bit,
 - every set-partitioned record removed cross-owner interference.
 
 The cache root honours ``$REPRO_PROFILE_CACHE``; without it a temp
@@ -207,30 +208,30 @@ def run_smoke(
             f"({second.fingerprint()} != {store.fingerprint()})"
         )
 
-    # Pass 3: the same grid on the schedule-compiled engine.  Engines
-    # are bit-identical and excluded from every identity, so this pass
+    # Pass 3: the same grid on the pure-Python fast engine (passes 1
+    # and 2 ran the default, schedule-compiled one).  Engines are
+    # bit-identical and excluded from every identity, so this pass
     # must (a) reuse every cached measurement -- profile and baseline
     # keys are engine-invariant -- and (b) reproduce the cold store
     # fingerprint record for record.  (Without a C toolchain the
-    # compiled engine degrades to the fast walker, which keeps both
-    # contracts; the gate holds either way.)
-    compiled_runner = ExperimentRunner(
-        workers=1, store_path=str(tmp / "smoke_compiled.jsonl"), cache=cache
+    # default engine already degrades to the fast walker; the gate
+    # holds either way.)
+    fast_runner = ExperimentRunner(
+        workers=1, store_path=str(tmp / "smoke_fast.jsonl"), cache=cache
     )
-    compiled = compiled_runner.run(
-        [scenario.with_engine("compiled") for scenario in scenarios]
+    fast = fast_runner.run(
+        [scenario.with_engine("fast") for scenario in scenarios]
     )
-    compiled_stats = compiled_runner.last_stats
-    if compiled_stats["profiles_computed"] or \
-            compiled_stats["baselines_computed"]:
+    fast_stats = fast_runner.last_stats
+    if fast_stats["profiles_computed"] or fast_stats["baselines_computed"]:
         problems.append(
-            f"engine='compiled' pass re-measured work (engine must be "
-            f"excluded from cache keys): {compiled_stats}"
+            f"engine='fast' pass re-measured work (engine must be "
+            f"excluded from cache keys): {fast_stats}"
         )
-    if compiled.fingerprint() != store.fingerprint():
+    if fast.fingerprint() != store.fingerprint():
         problems.append(
-            "engine='compiled' fingerprint differs from the cold run "
-            f"({compiled.fingerprint()} != {store.fingerprint()})"
+            "engine='fast' fingerprint differs from the cold run "
+            f"({fast.fingerprint()} != {store.fingerprint()})"
         )
 
     # Pass 4: one online transition.  The dynamic scenario's two
@@ -293,7 +294,7 @@ def run_smoke(
         return 1
     print(
         "smoke ok: schema round-trips, 1 profile pass, warm re-run "
-        "re-profiled nothing, compiled engine reproduced the "
+        "re-profiled nothing, fast engine reproduced the "
         "fingerprint from cache, online join admitted with zero "
         "re-profiling, interference-free"
     )

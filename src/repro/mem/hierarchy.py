@@ -20,36 +20,38 @@ this.
 
 Three engines implement the walk:
 
+- ``engine="compiled"`` (the default) -- the schedule-compiled tier.
+  A persistent C-side state handle (:class:`_CompiledState`) keeps
+  every L1, the shared L2 (including the way-partitioned column
+  cache), the DRAM bank timers and the bus demand model resident
+  between calls, so batches of *any* size run in C, and
+  :meth:`MemorySystem.execute_segment` prices a whole ordered schedule
+  segment -- ``(cpu, owner, batch)`` entries plus delays and
+  context-switch traffic -- in a single C call.  Between calls the C
+  arrays are the authoritative cache state: call
+  :meth:`MemorySystem.sync_state` before reading the Python cache
+  models directly.
+- ``engine="fast"`` -- the pure-Python walker, and the compiled
+  engine's fallback.  It vectorises everything that does not depend on
+  cache state (owner resolution, L1/L2 set indices, the run
+  decomposition itself), walks the runs with the cache and DRAM state
+  inlined as local dicts/lists, and defers all per-owner statistics to
+  a batched ``bincount`` flush after the walk.  Pure L1-hit runs cost
+  a single dict probe; only L1-miss runs enter the larger slow path.
 - ``engine="reference"`` -- one method call per run into the cache
   models.  Slow but obviously faithful; it is the differential-testing
   oracle.
-- ``engine="fast"`` (the default) -- vectorises everything that does
-  not depend on cache state (owner resolution, L1/L2 set indices, the
-  run decomposition itself), walks the runs with the cache and DRAM
-  state inlined as local dicts/lists, and defers all per-owner
-  statistics to a batched ``bincount`` flush after the walk.  Pure
-  L1-hit runs cost a single dict probe; only L1-miss runs enter the
-  larger slow path.  Batches above :data:`_C_WALK_THRESHOLD` runs go
-  through the stateless C kernel, which marshals the full cache state
-  per call.
-- ``engine="compiled"`` -- the schedule-compiled tier.  A persistent
-  C-side state handle (:class:`_CompiledState`) keeps every L1, the
-  shared L2 (including the way-partitioned column cache), the DRAM
-  bank timers and the bus demand model resident between calls, so
-  batches of *any* size run in C, and :meth:`MemorySystem.
-  execute_segment` prices a whole ordered schedule segment --
-  ``(cpu, owner, batch)`` entries plus delays and context-switch
-  traffic -- in a single C call.  Degrades to ``fast`` when no C
-  compiler is available.
 
 All engines produce bit-identical statistics, which the differential
-test suite asserts.  The fast and compiled engines silently fall back
-for the rare configurations they do not specialise: a ``random`` L2
-stays in the Python fast walker (which replays the reference RNG
-stream draw for draw), and a negative owner id degrades the system to
-the reference walk for good -- the owner registry never produces one,
-and once such lines are resident their evictions would poison the
-vectorised statistics flush.
+test suite asserts.  The compiled engine falls back to the fast walker
+when no C compiler is available (or ``REPRO_NO_CWALKER`` is set) and
+for a ``random`` L2, whose victim selection stays in Python (the fast
+walker replays the reference RNG stream draw for draw).  A negative
+owner id degrades either engine to the reference walk for good -- the
+owner registry never produces one, and once such lines are resident
+their evictions would poison the vectorised statistics flush.
+:attr:`MemorySystem.effective_engine` reports the engine that walks
+after every such fallback.
 """
 
 from __future__ import annotations
@@ -78,10 +80,6 @@ from repro.mem.trace import AccessBatch
 
 __all__ = ["BatchResult", "HierarchyConfig", "MemorySystem", "SegmentEntry"]
 
-#: Below this many runs the per-batch cache-state marshalling of the C
-#: walker costs more than the Python walk it saves.
-_C_WALK_THRESHOLD = 4096
-
 #: Shared empty owner list for the no-event stats flush.
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -103,11 +101,11 @@ class HierarchyConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     bus: BusConfig = field(default_factory=BusConfig)
     l2_policy: str = "lru"
-    #: ``"fast"`` (vectorised walker, the default), ``"reference"``
-    #: (per-run method calls; the differential-testing oracle) or
-    #: ``"compiled"`` (persistent C state + whole-segment batches; see
-    #: the module docstring).
-    engine: str = "fast"
+    #: ``"compiled"`` (persistent C state + whole-segment batches, the
+    #: default), ``"fast"`` (the pure-Python walker the compiled engine
+    #: falls back to) or ``"reference"`` (per-run method calls; the
+    #: differential-testing oracle).  See the module docstring.
+    engine: str = "compiled"
 
     ENGINES = ("reference", "fast", "compiled")
 
@@ -387,10 +385,6 @@ class _CompiledState:
 class MemorySystem:
     """L1s + shared L2 + bus + DRAM for an ``n_cpus`` tile."""
 
-    #: Minimum batch size (in runs) for the compiled walker; overridable
-    #: per instance (tests pin it to force or forbid the C path).
-    c_walk_threshold = _C_WALK_THRESHOLD
-
     def __init__(
         self,
         n_cpus: int,
@@ -533,27 +527,34 @@ class MemorySystem:
             self._compiled.close()
             self._compiled = None
 
+    @property
+    def effective_engine(self) -> str:
+        """The engine that walks the next batch, after every fallback.
+
+        ``"compiled"``, ``"fast"`` or ``"reference"``: the requested
+        :attr:`HierarchyConfig.engine` unless the compiled tier is down
+        (no C walker, a ``random`` L2, a failed state allocation) --
+        then ``"fast"`` -- or a negative owner id demoted the system to
+        the reference walk.
+        """
+        if not self._fast:
+            return "reference"
+        if (self._compiled_wanted and not self._compiled_failed
+                and (self.l2 is None or self.l2.policy != "random")
+                and cwalker.load() is not None):
+            return "compiled"
+        return "fast"
+
     def _compiled_state(self) -> Optional[_CompiledState]:
         """The live persistent C state, (re)built on demand.
 
-        ``None`` when the engine is not "compiled", no C toolchain is
-        available, or the L2 policy is ``random`` (the RNG replay stays
-        in the Python fast walker).
+        ``None`` unless :attr:`effective_engine` is ``"compiled"``.
         """
-        if not self._compiled_wanted or self._compiled_failed:
-            return None
-        if self.l2 is not None and self.l2.policy == "random":
-            return None
-        if self._compiled is None:
-            walker = cwalker.load()
-            if walker is None:
-                self._compiled_failed = True
-                return None
+        if self._compiled is None and self.effective_engine == "compiled":
             try:
-                self._compiled = _CompiledState(self, walker)
+                self._compiled = _CompiledState(self, cwalker.load())
             except MemoryError:
                 self._compiled_failed = True
-                return None
         return self._compiled
 
     @property
@@ -564,7 +565,7 @@ class MemorySystem:
         this: with the compiled tier down, the per-op event loop is not
         slower than the Python fallback segment walk.
         """
-        return self._compiled_wanted and self._compiled_state() is not None
+        return self._compiled_state() is not None
 
     def _set_translation_table(self):
         """Dense owner -> set-group table for the C walkers (memoized).
@@ -1170,17 +1171,6 @@ class MemorySystem:
         else:
             l2_idx_arr = line_arr & l2_mask
 
-        l2_random = self.l2 is not None and self.l2.policy == "random"
-        if (not way_partitioned and not l2_random
-                and n_runs >= self.c_walk_threshold):
-            walker = cwalker.load()
-            if walker is not None:
-                return self._execute_batch_fast_c(
-                    walker, cpu_id, result, now,
-                    line_arr, count_arr, wany_arr, wall_arr,
-                    owners_arr, l2_idx_arr,
-                )
-
         l2_idx_list = (
             l2_idx_arr.tolist() if not way_partitioned else None
         )
@@ -1222,7 +1212,9 @@ class MemorySystem:
             # draw per eviction, in eviction order, over a same-order
             # recency list -- so the victims (and the generator state)
             # match the oracle draw for draw.
-            l2_rng_integers = l2._rng.integers if l2_random else None
+            l2_rng_integers = (
+                l2._rng.integers if l2.policy == "random" else None
+            )
 
         # DRAM bank model inlined (same dict, same update order).
         dram = self.memory.config
@@ -1455,168 +1447,6 @@ class MemorySystem:
         )
         return result
 
-    def _execute_batch_fast_c(
-        self, walker, cpu_id, result, now,
-        line_arr, count_arr, wany_arr, wall_arr, owners_arr, l2_idx_arr,
-    ) -> BatchResult:
-        """Large-batch walk through the compiled kernel (see cwalker).
-
-        Cache and DRAM-bank state is flattened to arrays, the C routine
-        replays the reference sequence over them, and the per-run flag
-        and victim-owner outputs are reduced to statistics with numpy.
-        Cold misses never need kernel support: a line's first-ever
-        access always misses, so the cold runs are exactly the
-        batch-first occurrences of lines absent from the seen-sets.
-        """
-        import ctypes
-
-        config = self.config
-        l1 = self.l1s[cpu_id]
-        l2 = self.l2
-        n_runs = int(line_arr.shape[0])
-        l1_mask = config.l1_geometry.index_mask
-        l2_mask = config.l2_geometry.index_mask
-        full_line_count = config.l1_geometry.line_size // 4
-        set_partitioned = self.mode is PartitionMode.SET_PARTITIONED
-
-        l1_idx_arr = line_arr & l1_mask
-        sf_arr = (wall_arr & (count_arr >= full_line_count)).astype(np.uint8)
-        wany_u8 = wany_arr.astype(np.uint8)
-
-        l1_lines, l1_owners, l1_dirty, l1_lens = l1.export_state()
-        l2_lines, l2_owners, l2_dirty, l2_lens = l2.export_state()
-
-        # Dirty L1 victims re-index through the per-owner translation;
-        # ship the map as a dense table (row n_table = default mapping,
-        # covering every partitioned/aliased owner -- memoized on the
-        # partition map's version counter).
-        if set_partitioned:
-            use_table = 1
-            n_table, tbl_base, tbl_size, tbl_pow2 = \
-                self._set_translation_table()
-        else:
-            use_table = 0
-            n_table = 0
-            tbl_base = np.zeros(1, dtype=np.int64)
-            tbl_size = np.ones(1, dtype=np.int64)
-            tbl_pow2 = np.ones(1, dtype=np.uint8)
-
-        dram = self.memory.config
-        n_banks = dram.n_banks
-        bank_free = self.memory._bank_free_at
-        bank_arr = np.array(
-            [bank_free.get(b, 0.0) for b in range(n_banks)], dtype=np.float64
-        )
-
-        flags = np.zeros(n_runs, dtype=np.uint8)
-        l1_vo = np.zeros(n_runs, dtype=np.int64)
-        l2_vo = np.zeros(n_runs, dtype=np.int64)
-        counters = np.zeros(3, dtype=np.int64)
-
-        p_i64 = ctypes.POINTER(ctypes.c_int64)
-        p_i32 = ctypes.POINTER(ctypes.c_int32)
-        p_u8 = ctypes.POINTER(ctypes.c_uint8)
-        p_f64 = ctypes.POINTER(ctypes.c_double)
-
-        def i64p(arr):
-            return arr.ctypes.data_as(p_i64)
-
-        walker.walk_batch(
-            n_runs,
-            i64p(line_arr), i64p(l1_idx_arr), i64p(l2_idx_arr),
-            wany_u8.ctypes.data_as(p_u8), sf_arr.ctypes.data_as(p_u8),
-            l1.geometry.ways,
-            i64p(l1_lines), i64p(l1_owners),
-            l1_dirty.ctypes.data_as(p_u8), l1_lens.ctypes.data_as(p_i32),
-            l2.geometry.ways, 1 if l2.policy == "lru" else 0,
-            i64p(l2_lines), i64p(l2_owners),
-            l2_dirty.ctypes.data_as(p_u8), l2_lens.ctypes.data_as(p_i32),
-            i64p(owners_arr),
-            use_table, n_table,
-            i64p(tbl_base), i64p(tbl_size), tbl_pow2.ctypes.data_as(p_u8),
-            l2_mask,
-            float(now), n_banks - 1, dram.bank_busy_cycles,
-            bank_arr.ctypes.data_as(p_f64),
-            flags.ctypes.data_as(p_u8), i64p(l1_vo), i64p(l2_vo),
-            i64p(counters),
-        )
-
-        l1.import_state(l1_lines, l1_owners, l1_dirty, l1_lens)
-        l2.import_state(l2_lines, l2_owners, l2_dirty, l2_lens)
-        bank_values = bank_arr.tolist()
-        for bank in range(n_banks):
-            bank_free[bank] = bank_values[bank]
-
-        l1_miss_mask = (flags & cwalker.FLAG_L1_MISS) != 0
-        demand_miss_mask = (flags & cwalker.FLAG_L2_DEMAND_MISS) != 0
-        l1_evict_mask = (flags & cwalker.FLAG_L1_EVICT) != 0
-        l2_evict_mask = (flags & cwalker.FLAG_L2_EVICT) != 0
-        l1_wb_mask = (flags & cwalker.FLAG_L1_WB) != 0
-        l2_wb_mask = (flags & cwalker.FLAG_L2_WB) != 0
-
-        # Cold-miss classification.  Per level, a run is cold exactly
-        # when it is the batch's *first miss* of its line at that level
-        # and the line is not in the level's seen-set -- only misses
-        # mark a line seen, so this reproduces the reference
-        # bookkeeping even across forget_history() epochs (where lines
-        # can be resident yet unseen).  At the L2, the first missing
-        # probe marks the line seen but counts as cold only when it is
-        # a demand access, mirroring the store-fill cancellation.
-        l2_probe_miss_mask = (flags & cwalker.FLAG_L2_PROBE_MISS) != 0
-        cold1_runs, miss_lines1 = _first_misses(
-            walker, line_arr, l1_miss_mask, l1._seen
-        )
-        cold2_candidates, miss_lines2 = _first_misses(
-            walker, line_arr, l2_probe_miss_mask, l2._seen
-        )
-        cold2_runs = cold2_candidates[sf_arr[cold2_candidates] == 0]
-        l1._seen.update(miss_lines1)
-        l2._seen.update(miss_lines2)
-
-        _flush_weighted_stats(
-            l1.stats, owners_arr, count_arr,
-            owners_arr[l1_miss_mask], owners_arr[cold1_runs],
-            owners_arr[l1_evict_mask], l1_vo[l1_evict_mask],
-            l1_vo[l1_wb_mask],
-        )
-        _flush_probe_stats(
-            l2.stats,
-            owners_arr[l1_miss_mask], owners_arr[demand_miss_mask],
-            owners_arr[cold2_runs],
-            owners_arr[l2_evict_mask], l2_vo[l2_evict_mask],
-            l2_vo[l2_wb_mask],
-        )
-
-        l1_misses = int(np.count_nonzero(l1_miss_mask))
-        store_fills = int(np.count_nonzero(sf_arr[l1_miss_mask]))
-        dram_reads = int(np.count_nonzero(demand_miss_mask))
-        dram_writes = int(counters[0])
-        read_conflicts = int(counters[1])
-        write_conflicts = int(counters[2])
-        traffic = self.memory.traffic
-        traffic.line_reads += dram_reads
-        traffic.line_writes += dram_writes
-        traffic.bank_conflicts += read_conflicts + write_conflicts
-
-        result.l1_misses = l1_misses
-        result.l2_accesses = l1_misses
-        result.l2_misses = dram_reads
-        result.store_fills = store_fills
-        result.dram_lines = dram_reads + dram_writes
-        stall = (
-            (l1_misses - store_fills) * config.l2_hit_cycles
-            + dram_reads * dram.access_cycles
-            + read_conflicts * dram.bank_penalty_cycles
-        )
-        transfers = l1_misses + int(np.count_nonzero(l1_wb_mask))
-        bus_cycles = self.bus.price_transfers(cpu_id, transfers, now)
-        result.bus_cycles = bus_cycles
-        result.cycles = int(
-            round(result.instructions * config.issue_cpi)
-            + stall + bus_cycles
-        )
-        return result
-
     def _l2_store_fill(
         self,
         line: int,
@@ -1704,7 +1534,7 @@ def _bincount(owner_list, minlength=0) -> np.ndarray:
 
 
 def _first_misses(walker, line_arr, miss_mask, seen):
-    """Batch-first misses of not-yet-seen lines (C-path cold misses).
+    """Batch-first misses of not-yet-seen lines (compiled-tier cold misses).
 
     Returns ``(cold_runs, missed_lines)``: the run indices whose miss
     is the line's first at this level *and* whose line is absent from

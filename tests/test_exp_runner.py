@@ -224,6 +224,34 @@ def test_set_mode_record_contents():
     assert record.payload["axes"]["sizes"] == [1, 2]
 
 
+def test_records_report_requested_and_effective_engine(monkeypatch):
+    """timing.engine is the engine the scenario asked for;
+    timing.effective_engine is the one that walked its measured run
+    after every fallback.  Neither enters the fingerprint."""
+    from repro.mem import cwalker
+
+    c_tier = "compiled" if cwalker.load() is not None else "fast"
+    stores = []
+    for engine, effective in (("compiled", c_tier), ("fast", "fast"),
+                              ("reference", "reference")):
+        store = ExperimentRunner(workers=1).run(
+            [base_scenario().with_engine(engine)]
+        )
+        timing = store.records[0].payload["timing"]
+        assert (timing["engine"], timing["effective_engine"]) == \
+            (engine, effective)
+        stores.append(store)
+    monkeypatch.setattr(cwalker, "load", lambda: None)
+    store = ExperimentRunner(workers=1).run(
+        [base_scenario().with_engine("compiled")]
+    )
+    timing = store.records[0].payload["timing"]
+    assert (timing["engine"], timing["effective_engine"]) == \
+        ("compiled", "fast")
+    stores.append(store)
+    assert len({store.fingerprint() for store in stores}) == 1
+
+
 def test_runner_rejects_bad_worker_count():
     with pytest.raises(ConfigurationError):
         ExperimentRunner(workers=0)
@@ -369,30 +397,49 @@ def test_async_backend_failure_does_not_poison_reuse():
 
 def test_async_backend_cancellation_mid_sweep():
     """Closing the stream mid-sweep cancels the unstarted tail (the
-    concurrency gate never admits it) and leaves the backend usable."""
-    import time as time_module
+    concurrency gate never admits it) and leaves the backend usable.
+
+    Task 1 is admitted while result 0 is consumed and holds the only
+    gate slot until the close cancels it: the freed slot must not let
+    any tail task start.
+    """
+    import asyncio
+    import threading
 
     from repro.exp import AsyncBackend
 
-    backend = AsyncBackend(concurrency=1)
+    holding = threading.Event()  # task 1 runs and holds the gate
+    cancelled = threading.Event()  # the close reached the running task
+
+    class Observed(AsyncBackend):
+        async def _dispatch(self, worker, task):
+            try:
+                return await super()._dispatch(worker, task)
+            except asyncio.CancelledError:
+                cancelled.set()
+                raise
+
+    backend = Observed(concurrency=1)
     started = []
 
-    def slow(task):
+    def gated(task):
         started.append(task["index"])
-        time_module.sleep(0.05)
+        if task["index"] == 1:
+            holding.set()
+            cancelled.wait(timeout=60)
         return task["index"]
 
-    stream = backend.map(slow, [{"index": i} for i in range(6)])
+    stream = backend.map(gated, [{"index": i} for i in range(6)])
     assert next(stream) == 0
+    assert holding.wait(timeout=60)
     stream.close()  # abandon the sweep after one result
-    # With concurrency=1 only the task admitted while result 0 was
-    # being consumed can have started; the far tail never ran.
-    assert 0 in started and 5 not in started
+    assert cancelled.is_set()
+    assert started == [0, 1]
     started.clear()
     assert list(
-        backend.map(slow, [{"index": i} for i in range(3)])
-    ) == [0, 1, 2]
-    assert started == [0, 1, 2]
+        backend.map(gated, [{"index": i} for i in (0, 2, 3)])
+    ) == [0, 2, 3]
+    assert started == [0, 2, 3]
 
 
 def test_failed_task_does_not_poison_subsequent_runs(monkeypatch):

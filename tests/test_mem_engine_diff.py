@@ -1,18 +1,14 @@
 """Differential tests: the fast and compiled engines against the oracle.
 
-Every engine tier -- the fast Python walker, the stateless per-batch C
-kernel (``walk_batch``), and the schedule-compiled tier (persistent C
-state handle + ``walk_segment``) -- must produce *bit-identical*
-statistics to the reference engine: every ``BatchResult``, every
-per-owner ``OwnerStats`` at both cache levels, the
-eviction-attribution matrices, DRAM traffic and bus accounting.  The
-streams below mix reads and writes, random and streaming access
-(store-fill path), shared-buffer traffic (interval owners) and private
-task footprints, across all three partition modes and the inlined L2
-policies.  The compiled engine runs every batch -- the test streams
-are all far below the fast tier's 4096-run threshold, so these cases
-are exactly the persistent-handle small-batch path the stateless C
-kernel cannot serve.
+Both engine tiers -- the pure-Python fast walker and the
+schedule-compiled tier (persistent C state handle + ``walk_segment``)
+-- must produce *bit-identical* statistics to the reference engine:
+every ``BatchResult``, every per-owner ``OwnerStats`` at both cache
+levels, the eviction-attribution matrices, DRAM traffic and bus
+accounting.  The streams below mix reads and writes, random and
+streaming access (store-fill path), shared-buffer traffic (interval
+owners) and private task footprints, across all three partition modes
+and the inlined L2 policies.
 
 Task address regions are disjoint per task: the model requires a
 stable line-to-set mapping, so a line not covered by the interval
@@ -21,6 +17,7 @@ this contract -- violating it corrupts its bookkeeping too).
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -35,7 +32,7 @@ from repro.mem.trace import AccessBatch
 C_AVAILABLE = cwalker.load() is not None
 
 
-def build_system(engine, mode, l2_policy="lru", c_threshold=None):
+def build_system(engine, mode, l2_policy="lru"):
     config = HierarchyConfig(
         l1_geometry=CacheGeometry(sets=4, ways=2, line_size=64),
         l2_geometry=CacheGeometry(sets=32, ways=4, line_size=64),
@@ -43,8 +40,6 @@ def build_system(engine, mode, l2_policy="lru", c_threshold=None):
         l2_policy=l2_policy,
     )
     mem = MemorySystem(2, config, mode=mode)
-    if c_threshold is not None:
-        mem.c_walk_threshold = c_threshold
     mem.resolver.intervals.add(0, 4096, owner=7)
     mem.resolver.intervals.add(1 << 20, (1 << 20) + 8192, owner=8)
     if mode is PartitionMode.SET_PARTITIONED:
@@ -120,9 +115,9 @@ def assert_systems_identical(reference, fast, context):
                         == fast_way._stamp[si][way]), (context, si, way)
 
 
-def run_differential(mode, l2_policy, seed, c_threshold, engine="fast"):
+def run_differential(mode, l2_policy, seed, engine):
     reference = build_system("reference", mode, l2_policy)
-    fast = build_system(engine, mode, l2_policy, c_threshold=c_threshold)
+    fast = build_system(engine, mode, l2_policy)
     rng = np.random.default_rng(seed)
     for step in range(12):
         task = 1 + step % 2
@@ -135,6 +130,7 @@ def run_differential(mode, l2_policy, seed, c_threshold, engine="fast"):
         )
         assert ref_result == fast_result, (mode, l2_policy, seed, step)
     assert_systems_identical(reference, fast, (mode, l2_policy, seed))
+    assert fast.effective_engine == engine
 
 
 @pytest.mark.parametrize("mode", list(PartitionMode))
@@ -142,18 +138,7 @@ def run_differential(mode, l2_policy, seed, c_threshold, engine="fast"):
 @pytest.mark.parametrize("seed", [99, 7, 2024])
 def test_python_walker_matches_reference(mode, l2_policy, seed):
     """Fast Python walker vs oracle, every mode and inlined policy."""
-    run_differential(mode, l2_policy, seed, c_threshold=1 << 62)
-
-
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-@pytest.mark.parametrize(
-    "mode", [PartitionMode.SHARED, PartitionMode.SET_PARTITIONED]
-)
-@pytest.mark.parametrize("l2_policy", ["lru", "fifo"])
-@pytest.mark.parametrize("seed", [99, 7, 2024])
-def test_c_walker_matches_reference(mode, l2_policy, seed):
-    """Stateless C kernel (forced via threshold=1) vs oracle."""
-    run_differential(mode, l2_policy, seed, c_threshold=1)
+    run_differential(mode, l2_policy, seed, engine="fast")
 
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
@@ -163,15 +148,12 @@ def test_c_walker_matches_reference(mode, l2_policy, seed):
 def test_compiled_engine_matches_reference(mode, l2_policy, seed):
     """Persistent-handle tier vs oracle, every partition mode.
 
-    Unlike the stateless kernel, the compiled tier also walks the
-    way-partitioned column cache inline, and it serves *every* batch
-    size -- the streams here are hundreds of runs, far below the fast
-    tier's C threshold.
+    The compiled tier walks every batch in C, whatever its size,
+    including the way-partitioned column cache.
     """
     if mode is PartitionMode.WAY_PARTITIONED and l2_policy == "fifo":
         pytest.skip("way-managed L2 has no replacement-policy knob")
-    run_differential(mode, l2_policy, seed, c_threshold=None,
-                     engine="compiled")
+    run_differential(mode, l2_policy, seed, engine="compiled")
 
 
 # -- schedule segments ---------------------------------------------------------
@@ -326,6 +308,7 @@ def test_compiled_engine_survives_negative_owner_fallback():
         assert compiled.execute_batch(0, task, batch, step * 500.0) == \
             reference.execute_batch(0, task, batch, step * 500.0), step
     assert_systems_identical(reference, compiled, "negative owners")
+    assert compiled.effective_engine == "reference"
 
 
 def test_compiled_engine_degrades_for_random_l2():
@@ -338,6 +321,7 @@ def test_compiled_engine_degrades_for_random_l2():
     )
     system = MemorySystem(1, config, rng=np.random.default_rng(0))
     assert not system.segment_ready
+    assert system.effective_engine == "fast"
     reference = MemorySystem(
         1,
         HierarchyConfig(
@@ -355,6 +339,79 @@ def test_compiled_engine_degrades_for_random_l2():
         reference.execute_batch(0, 1, batch, 0.0)
 
 
+def test_compiled_engine_without_c_walker_runs_fast(monkeypatch):
+    """No C walker (no compiler, or REPRO_NO_CWALKER): the compiled
+    engine walks in Python -- bit-identically -- and says so."""
+    monkeypatch.setattr(cwalker, "load", lambda: None)
+    reference = build_system("reference", PartitionMode.SET_PARTITIONED)
+    compiled = build_system("compiled", PartitionMode.SET_PARTITIONED)
+    assert compiled.effective_engine == "fast"
+    assert not compiled.segment_ready
+    rng = np.random.default_rng(11)
+    for step in range(6):
+        task = 1 + step % 2
+        batch = generate_batch(rng, step, task)
+        assert compiled.execute_batch(step % 2, task, batch, step * 500.0) \
+            == reference.execute_batch(step % 2, task, batch, step * 500.0)
+    assert compiled._compiled is None
+    assert compiled.effective_engine == "fast"
+    assert_systems_identical(reference, compiled, "no C walker")
+
+
+class _ObservedLock:
+    """A lock that reports when a second caller has to wait for it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.contended = threading.Event()
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self.contended.set()
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_concurrent_first_load_waits_for_the_walker(monkeypatch):
+    """Regression: a thread calling cwalker.load() while another one is
+    still compiling must get the walker, not ``None`` -- which would
+    demote its MemorySystem to the Python walker for good."""
+    lock = _ObservedLock()
+    compiling = threading.Event()
+    real_compile = cwalker._compile
+
+    def held_compile():
+        compiling.set()
+        # Finish only once the second caller is waiting on the lock.
+        lock.contended.wait(timeout=60)
+        return real_compile()
+
+    monkeypatch.setattr(cwalker, "_walker", None)
+    monkeypatch.setattr(cwalker, "_load_attempted", False)
+    monkeypatch.setattr(cwalker, "_load_lock", lock)
+    monkeypatch.setattr(cwalker, "_compile", held_compile)
+    results = {}
+
+    def call(name):
+        results[name] = cwalker.load()
+
+    first = threading.Thread(target=call, args=("first",))
+    first.start()
+    assert compiling.wait(timeout=60)
+    second = threading.Thread(target=call, args=("second",))
+    second.start()
+    first.join(timeout=60)
+    second.join(timeout=60)
+    assert not first.is_alive() and not second.is_alive()
+    assert lock.contended.is_set()
+    assert results["first"] is not None
+    assert results["second"] is results["first"]
+
+
 def test_engine_config_validated():
     with pytest.raises(ConfigurationError):
         HierarchyConfig(engine="warp")
@@ -363,17 +420,16 @@ def test_engine_config_validated():
 
 
 @pytest.mark.parametrize(
-    "c_threshold",
-    [1 << 62] + ([1] if C_AVAILABLE else []),
+    "engine",
+    ["fast"] + (["compiled"] if C_AVAILABLE else []),
     ids=["python", "c"][: 1 + C_AVAILABLE],
 )
-def test_cold_misses_after_forget_history(c_threshold):
+def test_cold_misses_after_forget_history(engine):
     """Regression: across a forget_history() epoch, lines can be
     resident yet unseen; the C walker's cold classification must count
     the first *miss* of such lines, not their first occurrence."""
-    def run(engine, threshold):
+    def run(engine):
         mem = MemorySystem(1, HierarchyConfig(engine=engine))
-        mem.c_walk_threshold = threshold
         mem.execute_batch(
             0, 1, AccessBatch.from_addresses(np.arange(200) * 64), 0.0
         )
@@ -389,7 +445,7 @@ def test_cold_misses_after_forget_history(c_threshold):
             sorted(mem.l2._seen),
         )
 
-    assert run("fast", c_threshold) == run("reference", 1 << 62)
+    assert run(engine) == run("reference")
 
 
 def test_repartition_flushes_dirty_lines_to_dram():

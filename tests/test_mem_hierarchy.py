@@ -67,6 +67,7 @@ def test_write_validate_skips_l2_demand_miss():
     assert result.l2_misses == 0
     assert result.dram_lines == 0
     # The line is present in the L2 afterwards (communication point).
+    mem.sync_state()
     assert mem.l2.contains(0)
 
 
@@ -95,6 +96,7 @@ def test_set_partitioned_mode_translates():
     # Two lines with different natural indices fold into the partition.
     batch = AccessBatch.from_addresses([0, 64 * 4], instructions=4)
     mem.execute_batch(0, 1, batch, now=0)
+    mem.sync_state()
     contents = [mem.l2.set_contents(i) for i in range(16)]
     used_sets = [i for i, c in enumerate(contents) if c]
     assert used_sets == [0]  # both lines: natural idx 0 and 4 -> set 0

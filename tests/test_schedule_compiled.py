@@ -297,4 +297,5 @@ def test_canonical_dict_roundtrips_with_default_engine():
     )
     restored = Scenario.from_dict(base.to_dict(canonical=True))
     assert restored.scenario_id == base.scenario_id
-    assert restored.effective_cake.hierarchy.engine == "fast"
+    assert restored.effective_cake.hierarchy.engine == \
+        HierarchyConfig().engine
