@@ -1,14 +1,14 @@
-"""Schedule-compiled throughput: the multi-CPU companion of the 2M-ref
-microbench.
+"""Compiled-engine throughput on a multi-CPU schedule: the companion of
+the 2M-ref microbench.
 
 ``bench_engine_speed`` measures one giant batch on one CPU.  This bench
 measures a four-CPU tile running communicating task chains whose
-compute ops are a few thousand uncoalesced references each: the fast
-engine walks them in Python, op by op, through the event kernel, while
-the schedule-compiled tier (the default engine) keeps cache/bank/bus
-state resident in C and flushes whole segments of consecutive
-deterministic ops per call.  The gate requires the compiled tier to
-hold ``GATE_MIN_SPEEDUP`` x the pure-Python fast engine's throughput on
+compute ops are a few thousand uncoalesced references each.  Every
+engine runs the same per-op CPU loop through the event kernel; the
+fast engine walks each op's batch in Python, while the compiled engine
+(the default) keeps cache/bank/bus state resident in C and walks each
+batch in one C call.  The gate requires the compiled engine to hold
+``GATE_MIN_SPEEDUP`` x the pure-Python fast engine's throughput on
 this workload (recorded in ``BENCH_schedule.json``), with bit-identical
 RunMetrics.  A second gate runs one paper-scale MPEG-2 decode end to
 end on the default engine and on ``fast``: identical RunMetrics, and
@@ -26,6 +26,7 @@ or standalone (measures every engine tier and writes the artifact)::
 
 import json
 import platform as platform_mod
+import statistics
 import time
 from pathlib import Path
 from typing import Optional
@@ -45,9 +46,9 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 #: The bench instance: four source -> table-walker -> sink chains on a
 #: four-CPU paper tile.  Each walker op performs ``LOOKUPS``
-#: data-dependent (uncoalesced) table references, and ``BURSTS`` ops
-#: run back-to-back between FIFO synchronisations, the segment shape
-#: the compiled tier batches into single C calls.
+#: data-dependent (uncoalesced) table references, and ``BURSTS`` such
+#: ops run back-to-back between FIFO synchronisations, so the hierarchy
+#: walk, not FIFO handling, dominates the run.
 N_CHAINS = 4
 N_CPUS = 4
 N_TOKENS = 48
@@ -55,10 +56,10 @@ BURSTS = 4
 LOOKUPS = 3000
 TABLE_BYTES = 192 * 1024
 
-#: The perf_smoke gate fails when the compiled tier drops below this
-#: multiple of the pure-Python fast engine (six local runs on a shared
-#: 2-vCPU Linux host: 1.87-2.61x, median 1.99x; the gate sits at ~75%
-#: of the median to absorb CI machine noise).
+#: The perf_smoke gate fails when the compiled engine drops below this
+#: multiple of the pure-Python fast engine (eleven local runs on a
+#: shared 2-vCPU Linux host: 2.06-3.09x, median 2.58x; the gate sits
+#: well under the median to absorb CI machine noise).
 GATE_MIN_SPEEDUP = 1.5
 
 
@@ -68,9 +69,14 @@ GATE_MIN_SPEEDUP = 1.5
 PAPER_WORKLOAD = ("mpeg2", {"scale": "paper", "frames": 1})
 
 #: The default engine must run ``PAPER_WORKLOAD`` at least this much
-#: faster than the pure-Python fast engine (five local runs on the same
-#: host: 1.51-1.66x).
+#: faster than the pure-Python fast engine (23 local trials of the
+#: median-of-``PAPER_GATE_RUNS`` comparison on the same host:
+#: 1.27-1.97x, median 1.59x).
 PAPER_GATE_MIN_SPEEDUP = 1.3
+
+#: Timed ``PAPER_WORKLOAD`` runs per engine, interleaved after one
+#: untimed warm-up run per engine; the gate compares their medians.
+PAPER_GATE_RUNS = 3
 
 
 def _walker_program(ctx):
@@ -177,10 +183,6 @@ def _collect(engines, n_tokens: int = N_TOKENS) -> dict:
             by_engine["compiled"]["instructions_per_sec"]
             / by_engine["fast"]["instructions_per_sec"], 2,
         )
-        report["kernel_events_saved"] = (
-            by_engine["fast"]["kernel_events"]
-            - by_engine["compiled"]["kernel_events"]
-        )
     return report
 
 
@@ -210,15 +212,15 @@ def write_schedule_artifact(report: dict) -> Path:
 
 @pytest.mark.perf_smoke
 def test_schedule_speed_gate():
-    """Compiled tier must hold >= GATE_MIN_SPEEDUP x the fast engine
+    """Compiled engine must hold >= GATE_MIN_SPEEDUP x the fast engine
     on the multi-CPU schedule bench (bit-identical metrics asserted)."""
     if cwalker.load() is None:
-        pytest.skip("no C compiler: the compiled tier degrades to fast")
+        pytest.skip("no C compiler: the compiled engine degrades to fast")
     report = _collect(["fast", "compiled"])
     write_schedule_artifact(report)
     speedup = report["compiled_speedup_vs_fast"]
     assert speedup >= GATE_MIN_SPEEDUP, (
-        f"schedule-compiled tier regressed: {speedup}x over the fast "
+        f"compiled engine regressed: {speedup}x over the fast "
         f"engine is below the {GATE_MIN_SPEEDUP}x gate "
         f"({json.dumps(report['runs'], indent=2)})"
     )
@@ -234,7 +236,9 @@ def test_schedule_engines_identical_metrics():
 @pytest.mark.perf_smoke
 def test_paper_scale_default_engine_gate():
     """The default engine must price a paper-scale run bit-identically
-    to the fast engine and >= PAPER_GATE_MIN_SPEEDUP x faster."""
+    to the fast engine and >= PAPER_GATE_MIN_SPEEDUP x faster, median
+    against median over ``PAPER_GATE_RUNS`` interleaved timed runs."""
+    # The untimed warm-up runs carry the identity checks.
     default = measure_paper_run()
     fast = measure_paper_run("fast")
     assert default.pop("_payload") == fast.pop("_payload"), (
@@ -244,11 +248,17 @@ def test_paper_scale_default_engine_gate():
     if cwalker.load() is None:
         pytest.skip("no C compiler: the default engine degrades to fast")
     assert default["effective_engine"] == HierarchyConfig().engine, default
-    speedup = fast["seconds"] / default["seconds"]
+    seconds = {None: [], "fast": []}
+    for _ in range(PAPER_GATE_RUNS):
+        for engine, runs in seconds.items():
+            runs.append(measure_paper_run(engine)["seconds"])
+    speedup = (statistics.median(seconds["fast"])
+               / statistics.median(seconds[None]))
     assert speedup >= PAPER_GATE_MIN_SPEEDUP, (
         f"default engine regressed on the paper-scale run: {speedup:.2f}x "
         f"over the fast engine is below the {PAPER_GATE_MIN_SPEEDUP}x "
-        f"gate ({default}, {fast})"
+        f"gate (seconds per run: default {seconds[None]}, "
+        f"fast {seconds['fast']})"
     )
 
 

@@ -169,7 +169,6 @@ class Platform:
             if task in fifo.waiting_writers:
                 fifo.waiting_writers.remove(task)
         task.pending_op = None
-        task.pending_ops.clear()
         self.scheduler.detach(task)
 
     def run(self, max_cycles: Optional[float] = None) -> RunMetrics:

@@ -7,23 +7,6 @@ enforces the round-robin quantum.  FIFO blocking follows KPN semantics:
 a read from an empty FIFO (or write to a full one) parks the task on the
 channel; the runner that later completes the matching operation wakes
 it.
-
-With the compiled memory engine live
-(:attr:`~repro.mem.hierarchy.MemorySystem.segment_ready`), the runner
-additionally *collects schedule segments*: consecutive deterministic
-ops -- Compute, Delay and the dispatch's context-switch traffic -- are
-pulled ahead of execution and flushed through
-:meth:`~repro.mem.hierarchy.MemorySystem.execute_segment` as one C
-call, followed by a single kernel timeout for the whole stretch.  Two
-guards keep this bit-identical to the event-driven loop: the segment
-may not run past ``sim.peek()`` (the earliest foreign event -- see the
-quiet-horizon note on :meth:`~repro.sim.kernel.Simulator.peek`), and
-the quantum stops it at the same op boundary where the reference loop
-would preempt.  Ops cut off by either guard are handed back through
-``task.pending_ops``, so the op stream is replay-exact even across
-preemption and migration.  Pre-pulling is sound because task programs
-are Kahn processes: between yields they may only touch task-private
-state (their params and RNG stream), never the shared channels.
 """
 
 from __future__ import annotations
@@ -38,7 +21,7 @@ from repro.errors import SchedulingError
 from repro.kpn.fifo import FifoChannel
 from repro.kpn.ops import Compute, Delay, ReadToken, WriteToken
 from repro.mem.address import Region
-from repro.mem.hierarchy import MemorySystem, SegmentEntry
+from repro.mem.hierarchy import MemorySystem
 from repro.mem.trace import AccessBatch
 from repro.rtos.scheduler import Scheduler
 from repro.rtos.task import Task, TaskState
@@ -48,10 +31,6 @@ __all__ = ["CpuRunner"]
 
 #: Bytes of task-control-block state the RTOS touches per dispatch.
 TCB_BYTES = 128
-
-#: Cap on ops pulled ahead into one schedule segment (bounds the
-#: hand-back work when a segment is cut short).
-SEGMENT_MAX_OPS = 128
 
 
 class CpuRunner:
@@ -127,12 +106,7 @@ class CpuRunner:
         fifo.waiting_writers[:] = still_waiting
 
     def _pay_switch(self, task: Task):
-        """The event-driven dispatch cost: RTOS traffic + fixed stall.
-
-        One definition for both call sites in :meth:`_run`; the segment
-        path prices the same work as an ``ENTRY_SWITCH`` segment entry
-        instead (see :meth:`_run_segment`).
-        """
+        """The dispatch cost: RTOS traffic + fixed stall."""
         self.metrics.switch_cycles += self.config.switch_cycles
         if self._rt_bss is not None:
             self.mem.execute_batch(
@@ -142,90 +116,6 @@ class CpuRunner:
                 self.sim.now,
             )
         yield self.sim.timeout(self.config.switch_cycles)
-
-    # -- schedule-segment collection -----------------------------------------
-
-    def _collect_ops(self, task: Task, first) -> list:
-        """Pull the run of deterministic ops starting at ``first``.
-
-        Stops at the first FIFO op (handed back through
-        ``task.pending_ops``), at program end, or at the collection
-        cap.  Pre-pulling only runs task-private program code (KPN
-        processes cannot observe shared state between yields), so the
-        op stream is identical to the event-driven pull order.
-        """
-        ops = [first]
-        while len(ops) < SEGMENT_MAX_OPS:
-            op = task.next_op()
-            if op is None:
-                break
-            if type(op) not in (Compute, Delay):
-                task.pending_ops.appendleft(op)
-                break
-            ops.append(op)
-        return ops
-
-    def _run_segment(self, task: Task, ops: list, pending_switch: bool,
-                     quantum_left: int):
-        """Flush one collected segment; returns (quantum_left, elapsed).
-
-        Entry 0 is the dispatch's context-switch traffic when one is
-        pending.  The C walker executes as many entries as fit before
-        ``sim.peek()`` / the quantum; cut-off ops go back onto
-        ``task.pending_ops`` in order.
-        """
-        sim = self.sim
-        config = self.config
-        entries = []
-        ops_for_entry: list = []
-        if pending_switch:
-            self.metrics.switch_cycles += config.switch_cycles
-            batch = (
-                self._switch_batch(task) if self._rt_bss is not None
-                else None
-            )
-            entries.append(SegmentEntry(
-                SegmentEntry.SWITCH, cpu_id=self.cpu_id,
-                owner=task.owner_id, batch=batch,
-                advance=config.switch_cycles,
-            ))
-            ops_for_entry.append(None)
-        for op in ops:
-            if type(op) is Compute:
-                entries.append(SegmentEntry.compute(
-                    self.cpu_id, task.owner_id, op.batch
-                ))
-            else:
-                entries.append(SegmentEntry.delay(op.cycles))
-            ops_for_entry.append(op)
-
-        n_done, results, elapsed = self.mem.execute_segment(
-            entries, sim.now, sim.peek(),
-            quantum_left, self.scheduler.has_ready(self.cpu_id),
-        )
-
-        for index in range(n_done):
-            entry = entries[index]
-            if entry.kind == SegmentEntry.COMPUTE:
-                result = results[index]
-                task.stats.instructions += result.instructions
-                task.stats.cycles += result.cycles
-                task.stats.compute_ops += 1
-                self.metrics.busy_cycles += result.cycles
-                self.metrics.instructions += result.instructions
-                quantum_left -= result.cycles
-            elif entry.kind == SegmentEntry.DELAY:
-                cycles = ops_for_entry[index].cycles
-                self.metrics.busy_cycles += cycles
-                task.stats.cycles += cycles
-                quantum_left -= cycles
-            # SWITCH: wall cost accounted at collection; the TCB batch
-            # result is traffic only, as in the event-driven path.
-
-        leftovers = [op for op in ops_for_entry[n_done:] if op is not None]
-        if leftovers:
-            task.pending_ops.extendleft(reversed(leftovers))
-        return quantum_left, elapsed
 
     # -- the CPU loop --------------------------------------------------------
 
@@ -244,52 +134,20 @@ class CpuRunner:
                 self.metrics.idle_cycles += sim.now - idle_start
                 continue
 
-            segments = self.mem.segment_ready
-            pending_switch = (
-                task is not self._current
-                and self._current is not None
-                and bool(config.switch_cycles)
-            )
-            if pending_switch and not segments:
+            if (task is not self._current and self._current is not None
+                    and config.switch_cycles):
                 yield from self._pay_switch(task)
-                pending_switch = False
             self._current = task
             self.metrics.dispatches += 1
             if task.state is TaskState.DONE:
                 # Detached (online departure) while the dispatch switch
-                # was in flight: the segment path prices the switch and
-                # runs no op; match it -- drop without running an op.
+                # was in flight: drop it without running an op.
                 continue
             task.state = TaskState.RUNNING
             quantum_left = config.quantum_cycles
 
             while True:
                 op = task.next_op()
-
-                if segments and type(op) in (Compute, Delay):
-                    ops = self._collect_ops(task, op)
-                    quantum_left, elapsed = self._run_segment(
-                        task, ops, pending_switch, quantum_left
-                    )
-                    pending_switch = False
-                    if elapsed:
-                        yield sim.timeout(elapsed)
-                    if task.state is TaskState.DONE:
-                        break  # detached while the segment was in flight
-                    if scheduler.should_preempt(self.cpu_id, quantum_left):
-                        scheduler.make_ready(task)
-                        break
-                    continue
-
-                if pending_switch:
-                    # The first step is not batchable (FIFO op or an
-                    # immediate program end): pay the dispatch the
-                    # event-driven way before handling it.
-                    pending_switch = False
-                    yield from self._pay_switch(task)
-                    if task.state is TaskState.DONE:
-                        break  # detached while the switch was in flight
-
                 if op is None:
                     scheduler.task_done(task)
                     break

@@ -20,10 +20,9 @@ The engine composes three pieces:
    operational.
 2. **Transactional replan** -- the transition rides a
    :class:`~repro.sim.kernel.Replan` event: it is queued up front, so
-   the compiled engine's whole-schedule segments are bounded by it
-   (``Simulator.peek()``), and it fires at URGENT priority, so every op
-   at or after the transition time sees the new partition maps on all
-   three engines.  Map mutations go through
+   the run stays alive until it fires, and it fires at URGENT
+   priority, so every op at or after the transition time sees the new
+   partition maps on all three engines.  Map mutations go through
    :class:`~repro.rtos.cachectl.CacheController`, which quiesces the
    compiled tier, and departures flush only the leavers
    (:meth:`~repro.mem.hierarchy.MemorySystem.repartition_owners`) with
@@ -669,8 +668,8 @@ class DynamicScenario:
             # reservation they would exit the moment live tasks hit 0.
             self.platform.scheduler.expect_arrivals(joins)
         for spec in self.transitions:
-            # Queued now, before the run starts: Simulator.peek() then
-            # bounds every compiled whole-schedule segment at the
+            # Queued now, before the run starts, at URGENT priority:
+            # the action runs before any runner timeout at the
             # transition time, on all three engines identically.
             self.platform.sim.schedule_replan(
                 spec.at, lambda spec=spec: self._on_transition(spec)

@@ -209,7 +209,7 @@ def run_smoke(
         )
 
     # Pass 3: the same grid on the pure-Python fast engine (passes 1
-    # and 2 ran the default, schedule-compiled one).  Engines are
+    # and 2 ran the default, compiled one).  Engines are
     # bit-identical and excluded from every identity, so this pass
     # must (a) reuse every cached measurement -- profile and baseline
     # keys are engine-invariant -- and (b) reproduce the cold store

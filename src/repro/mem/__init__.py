@@ -20,7 +20,7 @@ This package models everything between the CPU and DRAM:
 
 from repro.mem.address import AddressSpace, MemoryMap, Region, RegionKind
 from repro.mem.cache import CacheGeometry, CacheStats, SetAssociativeCache
-from repro.mem.hierarchy import BatchResult, MemorySystem, SegmentEntry
+from repro.mem.hierarchy import BatchResult, MemorySystem
 from repro.mem.intervals import IntervalTable
 from repro.mem.partition import (
     OWNER_SHARED,
@@ -46,7 +46,6 @@ __all__ = [
     "OwnerRegistry",
     "OwnerResolver",
     "PartitionMode",
-    "SegmentEntry",
     "Region",
     "RegionKind",
     "SetAssociativeCache",

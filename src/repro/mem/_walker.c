@@ -7,11 +7,10 @@
  * handle that keeps the L1s of every CPU, the shared L2
  * (set-associative LRU/FIFO *or* the way-managed column cache), the
  * DRAM bank timers and the shared-bus demand model resident in C
- * between calls, so batches of any size -- and whole schedule segments
- * of consecutive deterministic ops -- run through `walk_segment`
- * without re-marshalling.
+ * between calls, so every batch, whatever its size, runs through one
+ * `walk_batch` call without re-marshalling.
  *
- * The replay body (`walk_entry_runs`) executes, run by run, exactly the
+ * The replay body (`walk_runs`) executes, run by run, exactly the
  * state sequence of the reference engine:
  *
  *   L1 probe -> (miss) L1 fill + eviction -> dirty-victim writeback
@@ -54,10 +53,6 @@
 #define FLAG_L1_WB 16
 #define FLAG_L2_WB 32
 #define FLAG_L2_PROBE_MISS 64
-
-#define ENTRY_COMPUTE 0
-#define ENTRY_DELAY 1
-#define ENTRY_SWITCH 2
 
 #define L2_MODE_LRU 0
 #define L2_MODE_FIFO 1
@@ -135,7 +130,7 @@ typedef struct {
     int64_t l2_hit_cycles;
 } walker_state;
 
-/* Per-entry walk outcome (feeds the cycle formula and BatchResult). */
+/* Per-batch walk outcome (feeds the cycle formula and BatchResult). */
 typedef struct {
     int64_t l1_misses;
     int64_t store_fills;
@@ -144,16 +139,15 @@ typedef struct {
     int64_t read_conflicts;
     int64_t write_conflicts;
     int64_t transfers;
-} entry_tally;
+} batch_tally;
 
-/* THE replay body: walk the runs [start, end) of one entry against the
+/* THE replay body: walk the n_runs runs of one batch against the
  * state.  The L1 is selected by cpu id; l2_mode picks the
  * set-associative LRU/FIFO walk or the way-managed column cache (hit
  * on any way, allocate only into the owner's columns, LRU by global
- * stamp).  `walk_segment` calls this once per compute or switch
- * entry. */
-static void walk_entry_runs(
-    walker_state *st, int64_t cpu, int64_t start, int64_t end,
+ * stamp). */
+static void walk_runs(
+    walker_state *st, int64_t cpu, int64_t n_runs,
     const int64_t *lines, const int64_t *l1_idx, const int64_t *l2_idx,
     const uint8_t *write_any, const uint8_t *store_fill,
     const int64_t *run_owners,
@@ -163,7 +157,7 @@ static void walk_entry_runs(
     const int64_t *way_table, int64_t way_rows,
     double now,
     uint8_t *flags, int64_t *l1_victim_owner, int64_t *l2_victim_owner,
-    entry_tally *tally)
+    batch_tally *tally)
 {
     const int64_t l1_ways = st->l1_ways;
     const int64_t l2_ways = st->l2_ways;
@@ -174,7 +168,7 @@ static void walk_entry_runs(
     uint8_t *l1_dirty = st->l1_dirty + cpu * st->l1_sets * l1_ways;
     int32_t *l1_len = st->l1_len + cpu * st->l1_sets;
 
-    for (int64_t i = start; i < end; i++) {
+    for (int64_t i = 0; i < n_runs; i++) {
         int64_t line = lines[i];
         int64_t si = l1_idx[i];
         int64_t *row = l1_lines + si * l1_ways;
@@ -382,7 +376,7 @@ static void walk_entry_runs(
 }
 
 /* ====================================================================
- * Schedule-compiled tier: persistent state handle + whole-segment walk
+ * Persistent state handle + per-batch walk
  * ====================================================================
  *
  * A walker_state aggregates pointers into numpy-owned arrays (the
@@ -391,12 +385,8 @@ static void walk_entry_runs(
  * authoritative cache/bank/bus state between calls, so no call
  * marshals cache state in or out.
  *
- * `walk_segment` executes an ordered sequence of schedule entries --
- * compute batches, pure delays, context-switch traffic -- advancing a
- * local clock entry by entry exactly as the event-driven reference
- * would, and stops early at a foreign-event horizon or on quantum
- * expiry so the caller can hand control back to the simulation kernel
- * with bit-identical interleaving.  Statistics are again flag-based:
+ * `walk_batch` walks one batch's runs and prices it with the cycle
+ * formula of the reference engine.  Statistics are again flag-based:
  * the caller reduces the per-run flag/victim outputs with numpy.
  */
 
@@ -491,31 +481,15 @@ static int64_t bus_price(walker_state *st, int64_t cpu, int64_t n,
     return (int64_t)((double)base + extra);
 }
 
-/* Execute up to n_entries schedule entries; returns how many ran.
+/* Walk one batch -- n_runs runs issued by `cpu` at time `now`, plus
+ * `instructions` of issue time -- and price it.
  *
- * Entry kinds: ENTRY_COMPUTE walks its runs and advances the clock by
- * the computed cycle cost; ENTRY_DELAY advances by entry_advance[e]
- * without touching memory; ENTRY_SWITCH walks its runs (context-switch
- * TCB traffic) but advances by the fixed entry_advance[e] and does not
- * count against the quantum -- exactly the CPU runner's dispatch path.
- *
- * Early exit, checked before starting entry e >= 1 (entry 0 always
- * runs -- the caller was just resumed and acts before anyone else):
- * - horizon: once any simulated time has elapsed, no entry may start
- *   at or after the earliest foreign event (`now >= horizon`); the
- *   pending entries are handed back so the event kernel interleaves
- *   them bit-identically with the other actors.
- * - quantum: with use_quantum set (the ready queue was non-empty when
- *   the segment was collected, and it cannot change before `horizon`),
- *   stop once the accumulated compute/delay cycles exhaust it --
- *   the runner's round-robin preemption point.
+ * out[0..7] = cycles, L1 misses, DRAM line reads (L2 demand misses),
+ * DRAM line writes, bus cycles, store fills, read bank conflicts,
+ * write bank conflicts.
  */
-int64_t walk_segment(
-    void *state_ptr,
-    int64_t n_entries,
-    const int64_t *entry_kind, const int64_t *entry_cpu,
-    const int64_t *entry_start, const int64_t *entry_end,
-    const int64_t *entry_instr, const int64_t *entry_advance,
+void walk_batch(
+    void *state_ptr, int64_t cpu, int64_t n_runs, int64_t instructions,
     const int64_t *lines, const int64_t *l1_idx, const int64_t *l2_idx,
     const uint8_t *write_any, const uint8_t *store_fill,
     const int64_t *run_owners,
@@ -523,69 +497,30 @@ int64_t walk_segment(
     const int64_t *table_base, const int64_t *table_size,
     const uint8_t *table_pow2,
     const int64_t *way_table, int64_t way_rows,
-    double now, double horizon,
-    int64_t quantum, int64_t use_quantum,
+    double now,
     uint8_t *flags, int64_t *l1_victim_owner, int64_t *l2_victim_owner,
-    int64_t *out_cycles, int64_t *out_l1_misses, int64_t *out_l2_misses,
-    int64_t *out_dram_lines, int64_t *out_bus_cycles,
-    int64_t *out_store_fills,
-    int64_t *counters)
+    int64_t *out)
 {
     walker_state *st = (walker_state *)state_ptr;
-    int64_t dram_writes = 0, read_conflicts = 0, write_conflicts = 0;
-    int64_t elapsed = 0;
-    int64_t e;
-
-    for (e = 0; e < n_entries; e++) {
-        if (e > 0) {
-            if (elapsed > 0 && now >= horizon) break;
-            if (use_quantum && quantum <= 0) break;
-        }
-        int64_t kind = entry_kind[e];
-        int64_t cycles, advance;
-        if (kind == ENTRY_DELAY) {
-            cycles = entry_advance[e];
-            advance = cycles;
-            out_cycles[e] = cycles;
-            out_l1_misses[e] = 0;
-            out_l2_misses[e] = 0;
-            out_dram_lines[e] = 0;
-            out_bus_cycles[e] = 0;
-            out_store_fills[e] = 0;
-        } else {
-            entry_tally tally = {0, 0, 0, 0, 0, 0, 0};
-            walk_entry_runs(
-                st, entry_cpu[e], entry_start[e], entry_end[e],
-                lines, l1_idx, l2_idx, write_any, store_fill, run_owners,
-                use_table, n_table, table_base, table_size, table_pow2,
-                way_table, way_rows, now,
-                flags, l1_victim_owner, l2_victim_owner, &tally);
-            int64_t stall =
-                (tally.l1_misses - tally.store_fills) * st->l2_hit_cycles
-                + tally.dram_reads * st->dram_access
-                + tally.read_conflicts * st->bank_penalty;
-            int64_t bus = bus_price(st, entry_cpu[e], tally.transfers, now);
-            cycles = (int64_t)llrint(
-                         (double)entry_instr[e] * st->issue_cpi)
-                     + stall + bus;
-            advance = kind == ENTRY_SWITCH ? entry_advance[e] : cycles;
-            out_cycles[e] = cycles;
-            out_l1_misses[e] = tally.l1_misses;
-            out_l2_misses[e] = tally.dram_reads;
-            out_dram_lines[e] = tally.dram_reads + tally.dram_writes;
-            out_bus_cycles[e] = bus;
-            out_store_fills[e] = tally.store_fills;
-            dram_writes += tally.dram_writes;
-            read_conflicts += tally.read_conflicts;
-            write_conflicts += tally.write_conflicts;
-        }
-        now += (double)advance;
-        elapsed += advance;
-        if (kind != ENTRY_SWITCH) quantum -= cycles;
-    }
-
-    counters[0] = dram_writes;
-    counters[1] = read_conflicts;
-    counters[2] = write_conflicts;
-    return e;
+    batch_tally tally = {0, 0, 0, 0, 0, 0, 0};
+    walk_runs(
+        st, cpu, n_runs,
+        lines, l1_idx, l2_idx, write_any, store_fill, run_owners,
+        use_table, n_table, table_base, table_size, table_pow2,
+        way_table, way_rows, now,
+        flags, l1_victim_owner, l2_victim_owner, &tally);
+    int64_t stall =
+        (tally.l1_misses - tally.store_fills) * st->l2_hit_cycles
+        + tally.dram_reads * st->dram_access
+        + tally.read_conflicts * st->bank_penalty;
+    int64_t bus = bus_price(st, cpu, tally.transfers, now);
+    out[0] = (int64_t)llrint((double)instructions * st->issue_cpi)
+             + stall + bus;
+    out[1] = tally.l1_misses;
+    out[2] = tally.dram_reads;
+    out[3] = tally.dram_writes;
+    out[4] = bus;
+    out[5] = tally.store_fills;
+    out[6] = tally.read_conflicts;
+    out[7] = tally.write_conflicts;
 }

@@ -27,8 +27,8 @@ from typing import Optional
 
 __all__ = ["load", "FLAG_L1_MISS", "FLAG_L2_DEMAND_MISS", "FLAG_L1_EVICT",
            "FLAG_L2_EVICT", "FLAG_L1_WB", "FLAG_L2_WB",
-           "FLAG_L2_PROBE_MISS", "ENTRY_COMPUTE", "ENTRY_DELAY",
-           "ENTRY_SWITCH", "L2_MODE_LRU", "L2_MODE_FIFO", "L2_MODE_WAY"]
+           "FLAG_L2_PROBE_MISS", "L2_MODE_LRU", "L2_MODE_FIFO",
+           "L2_MODE_WAY"]
 
 #: Flag bits emitted per run; must match ``_walker.c``.
 FLAG_L1_MISS = 1
@@ -87,12 +87,6 @@ def _compile() -> Optional[str]:
     return so_path
 
 
-#: Schedule-entry kinds accepted by ``walk_segment``; must match
-#: ``_walker.c``.
-ENTRY_COMPUTE = 0
-ENTRY_DELAY = 1
-ENTRY_SWITCH = 2
-
 #: L2 organisations of the persistent state handle.
 L2_MODE_LRU = 0
 L2_MODE_FIFO = 1
@@ -102,23 +96,23 @@ L2_MODE_WAY = 2
 class CWalker:
     """Bound routines of the compiled walker library.
 
-    ``state_new`` / ``state_free`` / ``walk_segment`` are the
+    ``state_new`` / ``state_free`` / ``walk_batch`` are the
     persistent-handle API of the ``compiled`` engine (see
     :mod:`repro.mem.hierarchy`); ``first_occurrence`` serves its
     cold-miss classification.
     """
 
-    #: Placeholder for the removed stateless per-batch kernel: the
+    #: Placeholder for the removed multi-entry segment walk: the
     #: repository benchmark's traced run (``perfbench/scenarios.py``)
     #: still wraps this attribute by name.  Nothing calls it.
-    walk_batch = None
+    walk_segment = None
 
     def __init__(self, first_occurrence, state_new, state_free,
-                 walk_segment):
+                 walk_batch):
         self.first_occurrence = first_occurrence
         self.state_new = state_new
         self.state_free = state_free
-        self.walk_segment = walk_segment
+        self.walk_batch = walk_batch
 
 
 def load() -> Optional[CWalker]:
@@ -153,7 +147,7 @@ def _bind() -> Optional[CWalker]:
         first = lib.first_occurrence
         state_new = lib.walker_state_new
         state_free = lib.walker_state_free
-        segment = lib.walk_segment
+        walk = lib.walk_batch
     except (OSError, AttributeError):
         return None
     i64 = ctypes.c_int64
@@ -161,9 +155,9 @@ def _bind() -> Optional[CWalker]:
     first.restype = ctypes.c_int
     first.argtypes = [ctypes.c_void_p, i64, ctypes.c_void_p]
     # Pointer arguments are declared as c_void_p and passed as raw
-    # ``ndarray.ctypes.data`` integers: the segment walker runs per
-    # schedule step, where building typed ctypes pointers per argument
-    # measurably dominates small calls.
+    # ``ndarray.ctypes.data`` integers: the walk runs once per op,
+    # where building typed ctypes pointers per argument measurably
+    # dominates small calls.
     ptr = ctypes.c_void_p
     state_new.restype = ctypes.c_void_p
     state_new.argtypes = [
@@ -181,24 +175,18 @@ def _bind() -> Optional[CWalker]:
     ]
     state_free.restype = None
     state_free.argtypes = [ctypes.c_void_p]
-    segment.restype = i64
-    segment.argtypes = [
+    walk.restype = None
+    walk.argtypes = [
         ctypes.c_void_p,            # state
-        i64,                        # n_entries
-        ptr, ptr,                   # entry kind / cpu
-        ptr, ptr,                   # entry run ranges [start, end)
-        ptr, ptr,                   # entry instructions / fixed advance
+        i64, i64, i64,              # cpu, n_runs, instructions
         ptr, ptr, ptr,              # lines, l1_idx, l2_idx
         ptr, ptr,                   # write_any, store_fill
         ptr,                        # run_owners
         i64, i64,                   # use_table, n_table
         ptr, ptr, ptr,              # table base/size/pow2
         ptr, i64,                   # way allocation table, way_rows
-        f64, f64,                   # now, horizon
-        i64, i64,                   # quantum, use_quantum
+        f64,                        # now
         ptr, ptr, ptr,              # flags, l1/l2 victim owners
-        ptr, ptr, ptr,              # per-entry cycles/l1_misses/l2_misses
-        ptr, ptr, ptr,              # per-entry dram_lines/bus/store_fills
-        ptr,                        # counters[3]
+        ptr,                        # out[8]
     ]
-    return CWalker(first, state_new, state_free, segment)
+    return CWalker(first, state_new, state_free, walk)

@@ -20,15 +20,12 @@ this.
 
 Three engines implement the walk:
 
-- ``engine="compiled"`` (the default) -- the schedule-compiled tier.
-  A persistent C-side state handle (:class:`_CompiledState`) keeps
-  every L1, the shared L2 (including the way-partitioned column
-  cache), the DRAM bank timers and the bus demand model resident
-  between calls, so batches of *any* size run in C, and
-  :meth:`MemorySystem.execute_segment` prices a whole ordered schedule
-  segment -- ``(cpu, owner, batch)`` entries plus delays and
-  context-switch traffic -- in a single C call.  Between calls the C
-  arrays are the authoritative cache state: call
+- ``engine="compiled"`` (the default) -- the C tier.  A persistent
+  C-side state handle (:class:`_CompiledState`) keeps every L1, the
+  shared L2 (including the way-partitioned column cache), the DRAM
+  bank timers and the bus demand model resident between calls, so
+  every batch, whatever its size, walks in one C call.  Between calls
+  the C arrays are the authoritative cache state: call
   :meth:`MemorySystem.sync_state` before reading the Python cache
   models directly.
 - ``engine="fast"`` -- the pure-Python walker, and the compiled
@@ -58,10 +55,9 @@ from __future__ import annotations
 
 import ctypes
 import gc
-import math
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -78,7 +74,7 @@ from repro.mem.partition import (
 )
 from repro.mem.trace import AccessBatch
 
-__all__ = ["BatchResult", "HierarchyConfig", "MemorySystem", "SegmentEntry"]
+__all__ = ["BatchResult", "HierarchyConfig", "MemorySystem"]
 
 #: Shared empty owner list for the no-event stats flush.
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -101,7 +97,7 @@ class HierarchyConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     bus: BusConfig = field(default_factory=BusConfig)
     l2_policy: str = "lru"
-    #: ``"compiled"`` (persistent C state + whole-segment batches, the
+    #: ``"compiled"`` (persistent C state, one C call per batch; the
     #: default), ``"fast"`` (the pure-Python walker the compiled engine
     #: falls back to) or ``"reference"`` (per-run method calls; the
     #: differential-testing oracle).  See the module docstring.
@@ -152,59 +148,6 @@ class BatchResult:
         self.store_fills += other.store_fills
 
 
-class SegmentEntry:
-    """One step of a schedule segment (see :meth:`MemorySystem.execute_segment`).
-
-    A segment is an *ordered* sequence of deterministic schedule steps:
-    compute batches, pure delays, and context-switch traffic.  Each
-    entry advances a local clock -- compute entries by their computed
-    cycle cost, delay and switch entries by a fixed ``advance`` -- so a
-    whole stretch of a CPU's schedule prices in one call with the same
-    per-step timestamps the event-driven loop would produce.
-    """
-
-    COMPUTE = cwalker.ENTRY_COMPUTE
-    DELAY = cwalker.ENTRY_DELAY
-    SWITCH = cwalker.ENTRY_SWITCH
-
-    __slots__ = ("kind", "cpu_id", "owner", "batch", "advance")
-
-    def __init__(self, kind, cpu_id=0, owner=0, batch=None, advance=0):
-        self.kind = kind
-        self.cpu_id = cpu_id
-        self.owner = owner
-        self.batch = batch
-        self.advance = advance
-
-    @classmethod
-    def compute(cls, cpu_id: int, owner: int, batch: AccessBatch):
-        """A compute batch; the clock advances by its cycle cost."""
-        return cls(cls.COMPUTE, cpu_id=cpu_id, owner=owner, batch=batch)
-
-    @classmethod
-    def delay(cls, cycles: int):
-        """A pure delay: no memory traffic, fixed clock advance."""
-        return cls(cls.DELAY, advance=cycles)
-
-    @classmethod
-    def switch(cls, cpu_id: int, owner: int, batch: AccessBatch,
-               cycles: int):
-        """Context-switch traffic: the TCB batch walks (caches, bus and
-        DRAM advance) but the clock moves by the RTOS's fixed switch
-        cost and the quantum is not charged -- the dispatch path of the
-        CPU runner."""
-        return cls(cls.SWITCH, cpu_id=cpu_id, owner=owner, batch=batch,
-                   advance=cycles)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        names = {self.COMPUTE: "compute", self.DELAY: "delay",
-                 self.SWITCH: "switch"}
-        return (
-            f"<SegmentEntry {names[self.kind]} cpu={self.cpu_id} "
-            f"owner={self.owner} advance={self.advance}>"
-        )
-
-
 class _CompiledState:
     """Persistent C-side state of one :class:`MemorySystem`.
 
@@ -214,9 +157,9 @@ class _CompiledState:
     *are* the authoritative cache state; :meth:`sync_down` materialises
     them back into the Python cache models when something needs the
     dict/list view (repartitioning, tests, diagnostics).  Per-owner
-    statistics stay on the Python side -- the segment walk emits
-    per-run flags that :meth:`MemorySystem.execute_segment` reduces
-    with the same bincount flush the fast engine uses.
+    statistics stay on the Python side -- the C walk emits per-run
+    flags that :meth:`MemorySystem._flush_compiled_stats` reduces with
+    the same bincount flush the fast engine uses.
     """
 
     def __init__(self, mem: "MemorySystem", walker):
@@ -295,34 +238,21 @@ class _CompiledState:
             raise MemoryError("walker_state_new failed")
         self.handle = ctypes.c_void_p(handle)
 
-        # Reusable per-call scratch (the segment walker runs per
-        # schedule step; allocating outputs per call dominates small
-        # segments).  Flags/victim slots need no zeroing between calls:
-        # the C walker assigns them for every executed run, and the
-        # flush only reads up to the last executed run.
-        self._entry_capacity = 0
+        # Reusable per-call scratch (the walk runs once per op;
+        # allocating outputs per call dominates small batches).
+        # Flags/victim slots need no zeroing between calls: the C
+        # walker assigns them for every run, and the flush only reads
+        # the batch's runs.
         self._run_capacity = 0
-        self._entry_scratch: tuple = ()
         self._run_scratch: tuple = ()
-        self.counters = np.zeros(3, dtype=np.int64)
+        #: The walk's eight scalar outputs (see ``walk_batch``).
+        self.out = np.zeros(8, dtype=np.int64)
+        self.out_ptr = self.out.ctypes.data
         self._no_table = (
             np.zeros(1, dtype=np.int64),
             np.ones(1, dtype=np.int64),
             np.ones(1, dtype=np.uint8),
         )
-
-    def entry_scratch(self, n: int) -> tuple:
-        """Twelve per-entry int64 arrays (plus their raw addresses)."""
-        if n > self._entry_capacity or not self._entry_scratch:
-            self._entry_capacity = max(2 * n, 64)
-            arrays = tuple(
-                np.zeros(self._entry_capacity, dtype=np.int64)
-                for _ in range(12)
-            )
-            self._entry_scratch = (
-                arrays, tuple(a.ctypes.data for a in arrays)
-            )
-        return self._entry_scratch
 
     def run_scratch(self, n: int) -> tuple:
         """Per-run ``(flags, l1_victim, l2_victim)`` plus addresses."""
@@ -557,16 +487,6 @@ class MemorySystem:
                 self._compiled_failed = True
         return self._compiled
 
-    @property
-    def segment_ready(self) -> bool:
-        """Whether :meth:`execute_segment` runs through the C tier.
-
-        The schedule collector in :mod:`repro.cake.processor` gates on
-        this: with the compiled tier down, the per-op event loop is not
-        slower than the Python fallback segment walk.
-        """
-        return self._compiled_state() is not None
-
     def _set_translation_table(self):
         """Dense owner -> set-group table for the C walkers (memoized).
 
@@ -640,173 +560,42 @@ class MemorySystem:
         if not 0 <= cpu_id < self.n_cpus:
             raise MemoryModelError(f"cpu {cpu_id} out of range")
         if self._compiled_wanted:
-            outcome = self._execute_segment_compiled(
-                [SegmentEntry.compute(cpu_id, task_owner, batch)],
-                now, math.inf, 0, False,
+            result = self._execute_batch_compiled(
+                cpu_id, task_owner, batch, now
             )
-            if outcome is not None:
-                return outcome[1][0]
+            if result is not None:
+                return result
         if self._fast:
             return self._execute_batch_fast(cpu_id, task_owner, batch, now)
         return self._execute_batch_reference(cpu_id, task_owner, batch, now)
 
-    def execute_segment(
-        self,
-        entries: Sequence[SegmentEntry],
-        now: float,
-        horizon: float = math.inf,
-        quantum: int = 0,
-        use_quantum: bool = False,
-    ) -> Tuple[int, List[Optional[BatchResult]], int]:
-        """Price an ordered schedule segment; returns what completed.
+    #: Placeholder for the removed multi-entry segment walk: the
+    #: repository benchmark's traced run (``perfbench/scenarios.py``)
+    #: still wraps this attribute by name.  Nothing calls it.
+    execute_segment = None
 
-        ``entries`` execute strictly in order against the shared state,
-        each at the simulated time the previous entries produced --
-        compute entries advance the clock by their computed cycle cost,
-        delay/switch entries by their fixed ``advance``.  Execution
-        stops early (before starting entry ``k >= 1``; the first entry
-        always runs) when
-
-        - any simulated time has elapsed and the clock reached
-          ``horizon`` -- the earliest foreign simulation event, whose
-          interleaving must be preserved, or
-        - ``use_quantum`` is set and the accumulated compute/delay
-          cycles exhausted ``quantum`` -- the round-robin preemption
-          point.
-
-        Returns ``(n_done, results, elapsed)``: how many entries ran,
-        one :class:`BatchResult` per completed batch entry (``None``
-        for delays), and the total simulated cycles consumed.  Runs
-        through the persistent C tier when live, else through a
-        sequential :meth:`execute_batch` walk with identical semantics
-        -- the engines are differentially tested against each other.
-        """
-        if not entries:
-            return 0, [], 0
-        outcome = self._execute_segment_compiled(
-            entries, now, horizon, quantum, use_quantum
-        )
-        if outcome is not None:
-            return outcome
-        return self._execute_segment_fallback(
-            entries, now, horizon, quantum, use_quantum
-        )
-
-    def _execute_segment_fallback(
-        self, entries, now, horizon, quantum, use_quantum
-    ):
-        """Segment semantics over per-batch execute_batch calls."""
-        results: List[Optional[BatchResult]] = []
-        elapsed = 0
-        done = 0
-        for index, entry in enumerate(entries):
-            if index > 0:
-                if elapsed > 0 and now >= horizon:
-                    break
-                if use_quantum and quantum <= 0:
-                    break
-            if entry.kind == SegmentEntry.DELAY:
-                cycles = advance = entry.advance
-                results.append(None)
-            elif entry.batch is None:
-                # A switch without TCB traffic: fixed advance only.
-                cycles = 0
-                advance = entry.advance
-                results.append(None)
-            else:
-                result = self.execute_batch(
-                    entry.cpu_id, entry.owner, entry.batch, now
-                )
-                results.append(result)
-                cycles = result.cycles
-                advance = (
-                    entry.advance if entry.kind == SegmentEntry.SWITCH
-                    else cycles
-                )
-            now += advance
-            elapsed += advance
-            if entry.kind != SegmentEntry.SWITCH:
-                quantum -= cycles
-            done += 1
-        return done, results, elapsed
-
-    def _execute_segment_compiled(
-        self, entries, now, horizon, quantum, use_quantum
-    ):
-        """One C call over the whole segment; ``None`` when unsupported.
+    def _execute_batch_compiled(
+        self, cpu_id: int, task_owner: int, batch: AccessBatch, now: float
+    ) -> Optional[BatchResult]:
+        """One C call over the batch; ``None`` when unsupported.
 
         Unsupported means: the compiled tier is down (engine, compiler,
-        random L2) or the segment resolves a negative owner id (the
+        random L2) or the batch resolves a negative owner id (the
         registry never produces one; the oracle path handles it).
         """
         state = self._compiled_state()
-        if state is None or not entries:
+        if state is None:
             return None
         config = self.config
         line_shift = config.l1_geometry.line_shift
-        l1_mask = config.l1_geometry.index_mask
-        l2_mask = config.l2_geometry.index_mask
-        full_line_count = config.l1_geometry.line_size // 4
-        way_partitioned = self.mode is PartitionMode.WAY_PARTITIONED
         set_partitioned = self.mode is PartitionMode.SET_PARTITIONED
 
-        n_entries = len(entries)
-        entry_arrays, entry_ptrs = state.entry_scratch(n_entries)
-        (kinds, cpus, starts, ends, instrs, advances,
-         out_cycles, out_l1_misses, out_l2_misses,
-         out_dram_lines, out_bus, out_sf) = entry_arrays
-
-        line_parts = []
-        count_parts = []
-        wany_parts = []
-        sf_parts = []
-        owner_parts = []
-        l2_idx_parts = []
-        position = 0
-        for index, entry in enumerate(entries):
-            kinds[index] = entry.kind
-            cpus[index] = entry.cpu_id
-            advances[index] = entry.advance
-            starts[index] = ends[index] = position
-            instrs[index] = 0
-            if entry.batch is None:
-                continue
-            instrs[index] = entry.batch.instructions
-            line_arr, count_arr, wany_arr, wall_arr = entry.batch.runs(
-                line_shift
-            )
-            n_runs = int(line_arr.shape[0])
-            if n_runs == 0:
-                continue
-            ends[index] = position + n_runs
-            position += n_runs
+        lines_arr, counts_arr, wany_arr, wall_arr = batch.runs(line_shift)
+        n_runs = int(lines_arr.shape[0])
+        if n_runs:
             owners_arr = self.resolver.resolve_many(
-                line_arr << line_shift, entry.owner
+                lines_arr << line_shift, task_owner
             )
-            line_parts.append(line_arr)
-            count_parts.append(count_arr)
-            wany_parts.append(wany_arr)
-            sf_parts.append(wall_arr & (count_arr >= full_line_count))
-            owner_parts.append(owners_arr)
-            if set_partitioned:
-                l2_idx_parts.append(
-                    self.set_map.map_index_many(owners_arr, line_arr)
-                )
-
-        if position:
-            if len(line_parts) == 1:
-                lines_arr = line_parts[0]
-                counts_arr = count_parts[0]
-                # numpy bools are one byte: reinterpret, do not copy.
-                wany_u8 = wany_parts[0].view(np.uint8)
-                sf_u8 = sf_parts[0].view(np.uint8)
-                owners_arr = owner_parts[0]
-            else:
-                lines_arr = np.concatenate(line_parts)
-                counts_arr = np.concatenate(count_parts)
-                wany_u8 = np.concatenate(wany_parts).view(np.uint8)
-                sf_u8 = np.concatenate(sf_parts).view(np.uint8)
-                owners_arr = np.concatenate(owner_parts)
             if int(owners_arr.min()) < 0:
                 # Negative owner ids take the oracle path -- stickily,
                 # because once such lines are resident any eviction
@@ -820,15 +609,20 @@ class MemorySystem:
                 self._compiled_failed = True
                 self._fast = False
                 return None
-            l1_idx_arr = lines_arr & l1_mask
+            # numpy bools are one byte: reinterpret, do not copy.
+            wany_u8 = wany_arr.view(np.uint8)
+            full_line_count = config.l1_geometry.line_size // 4
+            sf_u8 = (wall_arr & (counts_arr >= full_line_count)).view(
+                np.uint8
+            )
+            l1_idx_arr = lines_arr & config.l1_geometry.index_mask
             if set_partitioned:
                 l2_idx_arr = np.ascontiguousarray(
-                    l2_idx_parts[0] if len(l2_idx_parts) == 1
-                    else np.concatenate(l2_idx_parts),
+                    self.set_map.map_index_many(owners_arr, lines_arr),
                     dtype=np.int64,
                 )
             else:
-                l2_idx_arr = lines_arr & l2_mask
+                l2_idx_arr = lines_arr & config.l2_geometry.index_mask
         else:
             lines_arr = counts_arr = owners_arr = state._no_table[0]
             l1_idx_arr = l2_idx_arr = state._no_table[0]
@@ -842,20 +636,16 @@ class MemorySystem:
             use_table = 0
             n_table = 0
             tbl_base, tbl_size, tbl_pow2 = state._no_table
-        if way_partitioned:
+        if self.mode is PartitionMode.WAY_PARTITIONED:
             way_rows, way_table = self._way_allocation_table()
         else:
             way_rows = 0
             way_table = state._no_table[0]
 
-        run_arrays, run_ptrs = state.run_scratch(position)
-        flags, l1_vo, l2_vo = run_arrays
-        counters = state.counters
-
-        n_done = int(state.walker.walk_segment(
-            state.handle, n_entries,
-            entry_ptrs[0], entry_ptrs[1], entry_ptrs[2], entry_ptrs[3],
-            entry_ptrs[4], entry_ptrs[5],
+        (flags, l1_vo, l2_vo), run_ptrs = state.run_scratch(n_runs)
+        instructions = int(batch.instructions)
+        state.walker.walk_batch(
+            state.handle, cpu_id, n_runs, instructions,
             lines_arr.ctypes.data, l1_idx_arr.ctypes.data,
             l2_idx_arr.ctypes.data,
             wany_u8.ctypes.data, sf_u8.ctypes.data, owners_arr.ctypes.data,
@@ -863,155 +653,87 @@ class MemorySystem:
             tbl_base.ctypes.data, tbl_size.ctypes.data, tbl_pow2.ctypes.data,
             way_table.ctypes.data, way_rows,
             float(now),
-            horizon if horizon != math.inf else 1e308,
-            int(quantum), 1 if use_quantum else 0,
             run_ptrs[0], run_ptrs[1], run_ptrs[2],
-            entry_ptrs[6], entry_ptrs[7], entry_ptrs[8],
-            entry_ptrs[9], entry_ptrs[10], entry_ptrs[11],
-            state.counters.ctypes.data,
-        ))
+            state.out_ptr,
+        )
+        (cycles, l1_misses, dram_reads, dram_writes, bus_cycles,
+         store_fills, read_conflicts, write_conflicts) = state.out.tolist()
 
-        self._flush_segment_stats(
-            entries, n_done, ends, cpus,
-            lines_arr, counts_arr, owners_arr, sf_u8,
-            flags, l1_vo, l2_vo,
-            out_l2_misses, counters, state,
+        traffic = self.memory.traffic
+        traffic.line_reads += dram_reads
+        traffic.line_writes += dram_writes
+        traffic.bank_conflicts += read_conflicts + write_conflicts
+        if n_runs:
+            self._flush_compiled_stats(
+                cpu_id, state.walker, lines_arr, counts_arr, owners_arr,
+                sf_u8, flags[:n_runs], l1_vo[:n_runs], l2_vo[:n_runs],
+            )
+        return BatchResult(
+            cycles=cycles,
+            instructions=instructions,
+            accesses=batch.n_accesses,
+            l1_misses=l1_misses,
+            l2_accesses=l1_misses,
+            l2_misses=dram_reads,
+            dram_lines=dram_reads + dram_writes,
+            bus_cycles=bus_cycles,
+            store_fills=store_fills,
         )
 
-        results: List[Optional[BatchResult]] = []
-        elapsed = 0
-        for index in range(n_done):
-            entry = entries[index]
-            if entry.kind == SegmentEntry.DELAY or entry.batch is None:
-                results.append(None)
-                elapsed += entry.advance
-                continue
-            results.append(BatchResult(
-                cycles=int(out_cycles[index]),
-                instructions=int(instrs[index]),
-                accesses=entry.batch.n_accesses,
-                l1_misses=int(out_l1_misses[index]),
-                l2_accesses=int(out_l1_misses[index]),
-                l2_misses=int(out_l2_misses[index]),
-                dram_lines=int(out_dram_lines[index]),
-                bus_cycles=int(out_bus[index]),
-                store_fills=int(out_sf[index]),
-            ))
-            elapsed += (
-                entry.advance if entry.kind == SegmentEntry.SWITCH
-                else int(out_cycles[index])
-            )
-        return n_done, results, elapsed
-
-    def _flush_segment_stats(
-        self, entries, n_done, ends, cpus,
-        lines_arr, counts_arr, owners_arr, sf_u8,
-        flags, l1_vo, l2_vo, out_l2_misses, counters, state,
+    def _flush_compiled_stats(
+        self, cpu_id, walker, lines_arr, counts_arr, owners_arr, sf_u8,
+        flags, l1_vo, l2_vo,
     ) -> None:
-        """Reduce the segment's per-run flags into the Python stats.
+        """Reduce one C walk's per-run flags into the Python stats.
 
-        The same bincount flush as the fast engine, applied once per
-        segment: L1 accounting per CPU present in the completed
-        entries, L2 accounting over all completed runs, cold misses by
-        batch-first occurrence against the seen-sets, DRAM traffic from
-        the C counters.
+        The same bincount flush as the fast engine: L1 accounting on
+        the batch's CPU, L2 accounting over every run, cold misses by
+        batch-first occurrence against the seen-sets.
         """
-        run_end = int(ends[n_done - 1]) if n_done else 0
-        traffic = self.memory.traffic
-        dram_reads = int(out_l2_misses[:n_done].sum()) if n_done else 0
-        traffic.line_reads += dram_reads
-        traffic.line_writes += int(counters[0])
-        traffic.bank_conflicts += int(counters[1]) + int(counters[2])
-        if run_end == 0:
-            return
-        walker = state.walker
-        dflags = flags[:run_end]
-        downers = owners_arr[:run_end]
-        dlines = lines_arr[:run_end]
-        dcounts = counts_arr[:run_end]
-
-        # Which CPUs the completed batch entries ran on (the collector
-        # produces single-CPU segments; the general path stays correct
-        # for mixed ones).
-        done_cpus: List[int] = []
-        for i in range(n_done):
-            cpu = int(cpus[i])
-            if int(ends[i]) > (int(ends[i - 1]) if i else 0) \
-                    and cpu not in done_cpus:
-                done_cpus.append(cpu)
-        multi_cpu = len(done_cpus) > 1
-
-        if not dflags.any():
-            # Pure L1-hit stretch (the warm steady state): only the
+        l1 = self.l1s[cpu_id]
+        if not flags.any():
+            # Pure L1-hit batch (the warm steady state): only the
             # per-owner access/hit counts move.
             empty = _EMPTY_I64
-            for cpu in done_cpus:
-                if multi_cpu:
-                    lengths = np.diff(
-                        np.concatenate(([0], ends[:n_done]))
-                    )
-                    mask = np.repeat(cpus[:n_done], lengths) == cpu
-                    s_owners, s_counts = downers[mask], dcounts[mask]
-                else:
-                    s_owners, s_counts = downers, dcounts
-                _flush_weighted_stats(
-                    self.l1s[cpu].stats, s_owners, s_counts,
-                    empty, empty, empty, empty, empty,
-                )
+            _flush_weighted_stats(
+                l1.stats, owners_arr, counts_arr,
+                empty, empty, empty, empty, empty,
+            )
             return
 
-        dsf = sf_u8[:run_end]
-        dl1_vo = l1_vo[:run_end]
-        dl2_vo = l2_vo[:run_end]
-        l1_miss_mask = (dflags & cwalker.FLAG_L1_MISS) != 0
-        demand_mask = (dflags & cwalker.FLAG_L2_DEMAND_MISS) != 0
-        l2_evict_mask = (dflags & cwalker.FLAG_L2_EVICT) != 0
-        l2_wb_mask = (dflags & cwalker.FLAG_L2_WB) != 0
-        probe_miss_mask = (dflags & cwalker.FLAG_L2_PROBE_MISS) != 0
+        l1_miss_mask = (flags & cwalker.FLAG_L1_MISS) != 0
+        l1_evict_mask = (flags & cwalker.FLAG_L1_EVICT) != 0
+        l1_wb_mask = (flags & cwalker.FLAG_L1_WB) != 0
+        demand_mask = (flags & cwalker.FLAG_L2_DEMAND_MISS) != 0
+        l2_evict_mask = (flags & cwalker.FLAG_L2_EVICT) != 0
+        l2_wb_mask = (flags & cwalker.FLAG_L2_WB) != 0
+        probe_miss_mask = (flags & cwalker.FLAG_L2_PROBE_MISS) != 0
 
-        # -- L1 accounting, grouped by the CPU of each entry ----------------
-        if multi_cpu:
-            lengths = np.diff(np.concatenate(([0], ends[:n_done])))
-            run_cpu = np.repeat(cpus[:n_done], lengths)
-        for cpu in done_cpus:
-            if multi_cpu:
-                mask = run_cpu == cpu
-                s_owners = downers[mask]
-                s_counts = dcounts[mask]
-                s_lines = dlines[mask]
-                s_flags = dflags[mask]
-                s_vo = dl1_vo[mask]
-            else:
-                s_owners, s_counts, s_lines = downers, dcounts, dlines
-                s_flags, s_vo = dflags, dl1_vo
-            s_miss = (s_flags & cwalker.FLAG_L1_MISS) != 0
-            s_evict = (s_flags & cwalker.FLAG_L1_EVICT) != 0
-            s_wb = (s_flags & cwalker.FLAG_L1_WB) != 0
-            l1 = self.l1s[cpu]
-            cold_runs, miss_lines = _first_misses(
-                walker, np.ascontiguousarray(s_lines), s_miss, l1._seen
-            )
-            l1._seen.update(miss_lines)
-            _flush_weighted_stats(
-                l1.stats, s_owners, s_counts,
-                s_owners[s_miss], s_owners[cold_runs],
-                s_owners[s_evict], s_vo[s_evict], s_vo[s_wb],
-            )
+        # -- L1 accounting ------------------------------------------------
+        cold_runs, miss_lines = _first_misses(
+            walker, lines_arr, l1_miss_mask, l1._seen
+        )
+        l1._seen.update(miss_lines)
+        _flush_weighted_stats(
+            l1.stats, owners_arr, counts_arr,
+            owners_arr[l1_miss_mask], owners_arr[cold_runs],
+            owners_arr[l1_evict_mask], l1_vo[l1_evict_mask],
+            l1_vo[l1_wb_mask],
+        )
 
-        # -- L2 accounting over every completed run -------------------------
+        # -- L2 accounting: one probe per L1-missing run ------------------
         l2_cache = self.l2 if self.l2 is not None else self.l2_way
         cold2_candidates, miss_lines2 = _first_misses(
-            walker, np.ascontiguousarray(dlines), probe_miss_mask,
-            l2_cache._seen,
+            walker, lines_arr, probe_miss_mask, l2_cache._seen
         )
-        cold2_runs = cold2_candidates[dsf[cold2_candidates] == 0]
+        cold2_runs = cold2_candidates[sf_u8[cold2_candidates] == 0]
         l2_cache._seen.update(miss_lines2)
         _flush_probe_stats(
             l2_cache.stats,
-            downers[l1_miss_mask], downers[demand_mask],
-            downers[cold2_runs],
-            downers[l2_evict_mask], dl2_vo[l2_evict_mask],
-            dl2_vo[l2_wb_mask],
+            owners_arr[l1_miss_mask], owners_arr[demand_mask],
+            owners_arr[cold2_runs],
+            owners_arr[l2_evict_mask], l2_vo[l2_evict_mask],
+            l2_vo[l2_wb_mask],
         )
 
     def _execute_batch_reference(

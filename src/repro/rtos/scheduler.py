@@ -87,16 +87,10 @@ class Scheduler:
         return bool(self._cpu_queues[cpu])
 
     def should_preempt(self, cpu: int, quantum_left: int) -> bool:
-        """Round-robin preemption decision after one schedule step.
+        """Round-robin preemption decision after one op.
 
         The quantum only forces a yield when somebody is waiting --
-        with an empty ready queue the running task keeps the CPU.  The
-        single definition is shared by the CPU runner's event-driven op
-        loop and the schedule-compiled segment collector, which also
-        passes ``has_ready`` into the C segment walker as its quantum
-        stop condition (the queue cannot change before the collector's
-        event horizon, so the snapshot stays valid for the whole
-        segment).
+        with an empty ready queue the running task keeps the CPU.
         """
         return quantum_left <= 0 and self.has_ready(cpu)
 

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.errors import SchedulingError
 from repro.kpn.graph import TaskSpec
@@ -58,12 +57,6 @@ class Task:
         self.last_cpu: Optional[int] = None
         #: Blocking FIFO op to retry on wake-up.
         self.pending_op: Optional[Op] = None
-        #: Ops the schedule collector pulled ahead of execution but had
-        #: to hand back (segment cut short by a foreign event or the
-        #: quantum).  Consumed before the program advances, in order,
-        #: so the op stream is identical whether or not -- and on
-        #: whichever CPU -- the task resumes.
-        self.pending_ops: Deque[Op] = deque()
         self._generator: Optional[Generator[Op, Any, Any]] = None
 
     @property
@@ -93,17 +86,12 @@ class Task:
             return None
 
     def next_op(self) -> Optional[Op]:
-        """The next op to execute, in replay-exact order.
-
-        A blocked FIFO op to retry wins, then ops the schedule
-        collector handed back, then the program itself.
-        """
+        """The next op to execute: a blocked FIFO op to retry wins,
+        then the program itself."""
         if self.pending_op is not None:
             op = self.pending_op
             self.pending_op = None
             return op
-        if self.pending_ops:
-            return self.pending_ops.popleft()
         return self.advance()
 
     def __repr__(self) -> str:

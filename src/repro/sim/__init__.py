@@ -6,36 +6,16 @@ subsystem in the library.  The public surface is:
 - :class:`~repro.sim.kernel.Simulator` -- the event loop.
 - :class:`~repro.sim.kernel.Event`, :class:`~repro.sim.kernel.Timeout`,
   :class:`~repro.sim.kernel.Process` -- the event types processes yield.
-- :class:`~repro.sim.kernel.Interrupt` -- exception thrown into a process
-  by :meth:`Process.interrupt`.
-- :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Container`,
-  :class:`~repro.sim.resources.Store` -- synchronisation primitives.
 - :class:`~repro.sim.rng.RngHub` -- deterministic named random streams.
 """
 
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    Simulator,
-    Timeout,
-)
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.kernel import Event, Process, Simulator, Timeout
 from repro.sim.rng import RngHub
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
     "Event",
-    "Interrupt",
     "Process",
-    "Resource",
     "RngHub",
     "Simulator",
-    "Store",
     "Timeout",
 ]

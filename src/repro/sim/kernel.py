@@ -13,23 +13,20 @@ The kernel follows the classic event-loop design popularised by SimPy:
   events; whenever a yielded event is processed the generator is resumed
   with the event's value (or the event's exception is thrown into it).
 
-The kernel is intentionally small but complete enough for an operating
-system model: processes can be interrupted (:meth:`Process.interrupt`),
-composed (:class:`AllOf` / :class:`AnyOf`) and can wait on timeouts.
+The kernel is intentionally small: processes wait on timeouts, on
+manually triggered events and on each other, and a :class:`Replan`
+runs an action at an absolute time.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "Replan",
     "Simulator",
@@ -39,7 +36,7 @@ __all__ = [
 ]
 
 #: Scheduling priority for events that must run before ordinary events
-#: scheduled at the same time (used internally for interrupts).
+#: scheduled at the same time (process start-up and replans).
 URGENT = 0
 
 #: Default scheduling priority.
@@ -54,19 +51,6 @@ class _Pending:
 
 
 PENDING = _Pending()
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The interrupting party may attach an arbitrary ``cause`` describing
-    why the process was interrupted (for example a preemption notice from
-    a scheduler).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -172,11 +156,6 @@ class Event:
             assert self.callbacks is not None
             self.callbacks.append(callback)
 
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Remove a previously added callback (no-op if absent)."""
-        if self.callbacks and callback in self.callbacks:
-            self.callbacks.remove(callback)
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -206,17 +185,16 @@ class Replan(Event):
     """An absolute-time control event that runs an action when processed.
 
     The online scenario engine schedules one per task arrival/departure.
-    Two properties make it interact correctly with segment collection:
+    Two properties order it against the CPU runners:
 
-    - it is queued at *creation*, so :meth:`Simulator.peek` -- the quiet
-      horizon bounding every collected op segment -- never extends past
-      the next replan time, and
+    - it is queued at *creation*, so it keeps the run alive until it
+      fires even when every process idles, and
     - it fires with URGENT priority, so at its exact instant the action
       runs *before* any runner timeout scheduled for the same time: ops
-      issued at or after the replan time see the new platform state on
-      every execution engine, while ops issued earlier have already
-      applied their memory effects (both the per-op and the segment path
-      execute an op's accesses at its start time).
+      issued at or after the replan time see the new platform state,
+      while ops issued earlier have already applied their memory
+      effects (every engine executes an op's accesses at its start
+      time).
     """
 
     __slots__ = ("action",)
@@ -258,7 +236,7 @@ class Process(Event):
     the other process.
     """
 
-    __slots__ = ("generator", "name", "_target")
+    __slots__ = ("generator", "name")
 
     def __init__(
         self,
@@ -273,9 +251,6 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None when the
-        #: process is being resumed or has terminated).
-        self._target: Optional[Event] = None
         init = Initialize(sim)
         init.add_callback(self._resume)
 
@@ -284,33 +259,9 @@ class Process(Event):
         """True while the underlying generator has not terminated."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process.
-
-        The process is rescheduled immediately (urgent priority); the
-        event it was waiting on stays valid and may be re-yielded by the
-        process if it wants to resume waiting.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name!r}")
-        if self.generator is _current_generator(self.sim):
-            raise SimulationError("a process cannot interrupt itself")
-        # Stop listening on the current target; the interrupt supersedes.
-        if self._target is not None:
-            self._target.remove_callback(self._resume)
-            self._target = None
-        failure = Event(self.sim)
-        failure._ok = False
-        failure._value = Interrupt(cause)
-        failure._defused = True
-        self.sim._enqueue(failure, delay=0.0, priority=URGENT)
-        failure.add_callback(self._resume)
-
     # -- internal --------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        self.sim._active_process = self
-        self._target = None
         while True:
             try:
                 if event._ok:
@@ -346,88 +297,12 @@ class Process(Event):
                 # Already done: loop around synchronously with its value.
                 event = next_event
                 continue
-            self._target = next_event
             next_event.add_callback(self._resume)
             break
-        self.sim._active_process = None
 
     def __repr__(self) -> str:
         status = "alive" if self.is_alive else "dead"
         return f"<Process {self.name!r} {status}>"
-
-
-class _Condition(Event):
-    """Common machinery for :class:`AllOf` and :class:`AnyOf`."""
-
-    __slots__ = ("events", "_n_processed")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = tuple(events)
-        self._n_processed = 0
-        for event in self.events:
-            if event.sim is not sim:
-                raise SimulationError("condition mixes events from different simulators")
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            event.add_callback(self._check)
-
-    def _collect(self) -> dict:
-        return {
-            event: event._value
-            for event in self.events
-            if event._processed and event._ok
-        }
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _on_child(self, event: Event) -> bool:
-        """Handle a child completing; returns True if condition is live."""
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return False
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return False
-        self._n_processed += 1
-        return True
-
-
-class AllOf(_Condition):
-    """Succeeds when *all* child events succeed.
-
-    The value is a dict mapping each child event to its value.  Fails as
-    soon as any child fails.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._on_child(event) and self._n_processed == len(self.events):
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Succeeds when the *first* child event succeeds.
-
-    The value is a dict of the child events processed so far.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._on_child(event):
-            self.succeed(self._collect())
-
-
-def _current_generator(sim: "Simulator"):
-    active = sim._active_process
-    return active.generator if active is not None else None
 
 
 class Simulator:
@@ -451,7 +326,6 @@ class Simulator:
         self._queue: list = []
         self._sequence = 0
         self._events_processed = 0
-        self._active_process: Optional[Process] = None
 
     # -- properties --------------------------------------------------------
 
@@ -464,17 +338,13 @@ class Simulator:
     def events_processed(self) -> int:
         """Events popped and delivered since construction.
 
-        The event count is the kernel-side cost metric of a run: the
-        schedule-compiled execution tier exists to shrink it (one
-        timeout per flushed segment instead of one per op), and the
-        schedule benchmark reports it alongside wall time.
+        The event count is the kernel-side cost metric of a run.  The
+        CPU runners spend the same events per op on every execution
+        engine, so a run's count does not depend on the engine (the
+        differential tests assert this); the schedule benchmark
+        reports it alongside wall time.
         """
         return self._events_processed
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def pending_events(self) -> int:
@@ -500,18 +370,9 @@ class Simulator:
     def schedule_replan(self, at: float, action: Callable[[], None]) -> "Replan":
         """Schedule ``action()`` at absolute time ``at`` (urgent).
 
-        Keeps the run alive until it fires even if all processes idle,
-        and bounds collected segments via :meth:`peek`.
+        Keeps the run alive until it fires even if all processes idle.
         """
         return Replan(self, at, action)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition event succeeding when all ``events`` succeed."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition event succeeding at the first success in ``events``."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -584,19 +445,6 @@ class Simulator:
             self.step()
         self._now = horizon
         return None
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none.
-
-        This is also the *quiet horizon* the schedule-compiled
-        execution tier relies on: the process currently being resumed
-        runs synchronously, so until it yields, no state visible to it
-        can change before this time -- a collected run of deterministic
-        ops may therefore execute in one batch as long as each op
-        starts strictly before ``peek()`` (ties hand control back to
-        the kernel, which preserves the reference event order).
-        """
-        return self._queue[0][0] if self._queue else float("inf")
 
     def __repr__(self) -> str:
         return f"<Simulator now={self._now} queued={len(self._queue)}>"

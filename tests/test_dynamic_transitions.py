@@ -5,8 +5,7 @@ online: tasks join and leave a *running* platform, only the changed
 task set is re-optimized, and the three execution engines stay
 bit-identical through every transition -- including the awkward spots
 (a departure while FIFO-blocked, an arrival in the middle of another
-task's quantum, a replan landing exactly on a whole-schedule segment
-horizon).  Also covered here: the admission-control rejection reasons,
+task's quantum, a replan landing exactly on an op boundary).  Also covered here: the admission-control rejection reasons,
 the first-fit unit ledger, the zero-reprofile warm-arrival guarantee,
 the transitions axis of scenario identity, and the satellite
 regressions (way-vs-set plan divergence; compiled-state quiescing on
@@ -361,8 +360,8 @@ def test_arrival_during_another_tasks_quantum(profiles):
 
 
 def test_replan_on_exact_segment_horizon(profiles):
-    """Two replans at the same instant: the quiet horizon lands exactly
-    on the transition time, and both fire there, in schedule order."""
+    """Two replans at the same instant both fire there, in schedule
+    order, with an empty epoch between them."""
     metrics, epochs, transitions = run_all_engines(
         (
             TransitionSpec(at=60_000.0, action="mark"),

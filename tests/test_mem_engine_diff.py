@@ -1,7 +1,7 @@
 """Differential tests: the fast and compiled engines against the oracle.
 
-Both engine tiers -- the pure-Python fast walker and the
-schedule-compiled tier (persistent C state handle + ``walk_segment``)
+Both engine tiers -- the pure-Python fast walker and the compiled
+tier (persistent C state handle + one ``walk_batch`` call per batch)
 -- must produce *bit-identical* statistics to the reference engine:
 every ``BatchResult``, every per-owner ``OwnerStats`` at both cache
 levels, the eviction-attribution matrices, DRAM traffic and bus
@@ -16,7 +16,6 @@ table must always be issued by the same owner (the seed model shares
 this contract -- violating it corrupts its bookkeeping too).
 """
 
-import math
 import threading
 
 import numpy as np
@@ -25,7 +24,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.mem import cwalker
 from repro.mem.cache import CacheGeometry
-from repro.mem.hierarchy import HierarchyConfig, MemorySystem, SegmentEntry
+from repro.mem.hierarchy import HierarchyConfig, MemorySystem
 from repro.mem.partition import PartitionMode
 from repro.mem.trace import AccessBatch
 
@@ -156,100 +155,6 @@ def test_compiled_engine_matches_reference(mode, l2_policy, seed):
     run_differential(mode, l2_policy, seed, engine="compiled")
 
 
-# -- schedule segments ---------------------------------------------------------
-
-
-def build_segment(rng, n_cpus=2, n_computes=8, with_switch=True):
-    """A mixed compute/delay segment (plus context-switch traffic)."""
-    entries = []
-    if with_switch:
-        entries.append(SegmentEntry.switch(
-            0, 1, generate_batch(rng, 0, 1), 400
-        ))
-    for step in range(n_computes):
-        task = 1 + step % 2
-        entries.append(SegmentEntry.compute(
-            step % n_cpus, task, generate_batch(rng, step, task)
-        ))
-        if step % 3 == 0:
-            entries.append(SegmentEntry.delay(250 * (step % 2)))
-    return entries
-
-
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-@pytest.mark.parametrize("mode", list(PartitionMode))
-@pytest.mark.parametrize("seed", [13, 512])
-def test_segment_walk_matches_sequential_reference(mode, seed):
-    """One C segment call == the op-by-op reference walk."""
-    reference = build_system("reference", mode)
-    compiled = build_system("compiled", mode)
-    rng_a = np.random.default_rng(seed)
-    rng_b = np.random.default_rng(seed)
-    segment_a = build_segment(rng_a)
-    segment_b = build_segment(rng_b)
-    done_a, results_a, elapsed_a = reference.execute_segment(
-        segment_a, now=1000.0
-    )
-    done_b, results_b, elapsed_b = compiled.execute_segment(
-        segment_b, now=1000.0
-    )
-    assert compiled._compiled is not None  # really ran the C tier
-    assert (done_a, elapsed_a) == (done_b, elapsed_b)
-    assert results_a == results_b
-    assert done_a == len(segment_a)
-    assert_systems_identical(reference, compiled, (mode, seed))
-
-
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-@pytest.mark.parametrize("horizon_offset", [0.5, 1.0, 5000.0, math.inf])
-def test_segment_stops_at_the_event_horizon(horizon_offset):
-    """Entry k >= 1 may not start at/after the horizon; entry 0 always
-    runs; cut-off entries leave no trace on any state."""
-    reference = build_system("reference", PartitionMode.SHARED)
-    compiled = build_system("compiled", PartitionMode.SHARED)
-    rng = np.random.default_rng(77)
-    entries = [
-        SegmentEntry.compute(0, 1, generate_batch(rng, s, 1))
-        for s in range(6)
-    ]
-    horizon = 1000.0 + horizon_offset
-    ref = reference.execute_segment(entries, 1000.0, horizon=horizon)
-    comp = compiled.execute_segment(entries, 1000.0, horizon=horizon)
-    assert ref == comp
-    if horizon_offset == math.inf:
-        assert ref[0] == len(entries)
-    else:
-        assert ref[0] < len(entries)
-    assert_systems_identical(reference, compiled, horizon)
-
-
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-def test_segment_stops_on_quantum_expiry():
-    """use_quantum stops after the op that exhausts the quantum --
-    exactly the reference loop's preemption boundary."""
-    reference = build_system("reference", PartitionMode.SHARED)
-    compiled = build_system("compiled", PartitionMode.SHARED)
-    rng = np.random.default_rng(5)
-    entries = [
-        SegmentEntry.compute(0, 1, generate_batch(rng, s, 1))
-        for s in range(6)
-    ]
-    ref = reference.execute_segment(
-        entries, 0.0, quantum=1, use_quantum=True
-    )
-    comp = compiled.execute_segment(
-        entries, 0.0, quantum=1, use_quantum=True
-    )
-    assert ref == comp
-    assert ref[0] == 1  # the first op exhausts a 1-cycle quantum
-    # Without use_quantum the same budget is ignored.
-    ref_all = reference.execute_segment(entries, 1e6, quantum=1)
-    comp_all = compiled.execute_segment(entries, 1e6, quantum=1)
-    assert ref_all == comp_all
-    assert ref_all[0] == len(entries)
-    assert_systems_identical(reference, compiled, "quantum")
-
-
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 def test_random_l2_policy_replays_the_reference_rng(engine):
     """The fast walker replays the oracle's RNG stream draw for draw
@@ -320,7 +225,7 @@ def test_compiled_engine_degrades_for_random_l2():
         engine="compiled",
     )
     system = MemorySystem(1, config, rng=np.random.default_rng(0))
-    assert not system.segment_ready
+    assert system._compiled_state() is None
     assert system.effective_engine == "fast"
     reference = MemorySystem(
         1,
@@ -337,6 +242,7 @@ def test_compiled_engine_degrades_for_random_l2():
     batch = AccessBatch.from_addresses(addrs)
     assert system.execute_batch(0, 1, batch, 0.0) == \
         reference.execute_batch(0, 1, batch, 0.0)
+    assert system._compiled is None
 
 
 def test_compiled_engine_without_c_walker_runs_fast(monkeypatch):
@@ -346,7 +252,7 @@ def test_compiled_engine_without_c_walker_runs_fast(monkeypatch):
     reference = build_system("reference", PartitionMode.SET_PARTITIONED)
     compiled = build_system("compiled", PartitionMode.SET_PARTITIONED)
     assert compiled.effective_engine == "fast"
-    assert not compiled.segment_ready
+    assert compiled._compiled_state() is None
     rng = np.random.default_rng(11)
     for step in range(6):
         task = 1 + step % 2

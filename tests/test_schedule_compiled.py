@@ -1,15 +1,15 @@
-"""End-to-end differential matrix for the schedule-compiled tier.
+"""End-to-end differential matrix for the three execution engines.
 
-The collector in :mod:`repro.cake.processor` batches consecutive
-deterministic ops through one C call per segment; these tests pin the
-whole-platform contract: for **every registered workload**, partition
-mode, CPU count and scheduling knob exercised here, a run on the
-compiled engine produces a :class:`RunMetrics` payload byte-identical
-to the reference engine (and to the fast engine), including FIFO
-blocking, round-robin preemption with pre-pulled ops handed back, and
-context-switch traffic.  Without a C compiler the compiled engine
-degrades to the fast walker, so the identities still hold -- only the
-events-saved assertions need the real C tier.
+Every engine runs the same per-op CPU loop and differs only in how a
+batch is walked.  These tests pin the whole-platform contract: for
+**every registered workload**, partition mode, CPU count and
+scheduling knob exercised here, a run on the compiled engine produces
+a :class:`RunMetrics` payload byte-identical to the reference engine
+(and to the fast engine), including FIFO blocking, round-robin
+preemption and context-switch traffic, and processes exactly as many
+kernel events.  Without a C compiler the compiled engine degrades to
+the fast walker, so the identities still hold -- only the C-tier
+assertions need the real C tier.
 """
 
 import pytest
@@ -60,6 +60,15 @@ def run_platform(workload, kwargs, cake, mode, engine,
     return run_metrics_to_payload(metrics), platform
 
 
+def assert_same_kernel_events(platforms):
+    """One CPU loop for every engine: the event counts agree."""
+    events = {
+        engine: platform.sim.events_processed
+        for engine, platform in platforms.items()
+    }
+    assert len(set(events.values())) == 1, events
+
+
 def assert_engines_identical(workload, kwargs, cake, mode,
                              way_assignment=None, expect=None):
     payloads = {}
@@ -71,6 +80,7 @@ def assert_engines_identical(workload, kwargs, cake, mode,
         )
     assert payloads["fast"] == payloads["reference"], (workload, mode)
     assert payloads["compiled"] == payloads["reference"], (workload, mode)
+    assert_same_kernel_events(platforms)
     if expect is not None:
         expect(platforms["reference"], payloads["reference"])
     return platforms
@@ -104,7 +114,7 @@ def test_three_way_with_programmed_way_partitions():
 
 def test_three_way_under_fifo_blocking():
     """Capacity-1 FIFOs force blocked reads and writes on every task
-    boundary -- the segment breakers the collector must respect."""
+    boundary, so blocked ops retry through ``pending_op``."""
     kwargs = dict(WORKLOADS["pipeline"], capacity_tokens=1, n_tokens=24)
 
     def expect(platform, payload):
@@ -122,9 +132,8 @@ def test_three_way_under_fifo_blocking():
 
 @pytest.mark.parametrize("scheduling", ["migrate", "static"])
 def test_three_way_under_tiny_quantum(scheduling):
-    """A quantum far smaller than one op forces a preemption check at
-    every op boundary: pre-pulled ops must hand back through
-    ``pending_ops`` with replay-exact order, across migration too."""
+    """A quantum far smaller than one op forces a preemption at every
+    op boundary, across migration too."""
     cake = small_cake(2, quantum_cycles=500, scheduling=scheduling)
 
     def expect(platform, payload):
@@ -147,8 +156,7 @@ def test_three_way_without_switch_traffic():
 
 def _bursty_network():
     """Two chained tasks whose programs emit *runs* of deterministic
-    ops (computes and delays) between FIFO synchronisations -- the
-    shape the segment collector exists for."""
+    ops (computes and delays) between FIFO synchronisations."""
     from repro.kpn.graph import FifoSpec, ProcessNetwork, TaskSpec
 
     def producer(ctx):
@@ -195,23 +203,15 @@ def _run_bursty(engine, n_cpus=1):
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_three_way_with_bursty_segments(n_cpus):
-    """Multi-op segments (computes + delays) stay bit-identical."""
-    payloads = {
-        engine: _run_bursty(engine, n_cpus)[0] for engine in ENGINES
-    }
+    """Bursts of computes and delays stay bit-identical, with one
+    kernel event per op on every engine."""
+    runs = {engine: _run_bursty(engine, n_cpus) for engine in ENGINES}
+    payloads = {engine: run[0] for engine, run in runs.items()}
     assert payloads["fast"] == payloads["reference"]
     assert payloads["compiled"] == payloads["reference"]
-
-
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-def test_compiled_runs_fewer_kernel_events():
-    """Whole-segment batching must shrink the event-loop traffic: one
-    timeout per flushed segment instead of one per op."""
-    payload_fast, fast = _run_bursty("fast")
-    payload_compiled, compiled = _run_bursty("compiled")
-    assert payload_fast == payload_compiled
-    assert compiled.mem.segment_ready
-    assert compiled.sim.events_processed < fast.sim.events_processed
+    assert_same_kernel_events(
+        {engine: run[1] for engine, run in runs.items()}
+    )
 
 
 def _sleepy_network():
@@ -240,8 +240,8 @@ def _sleepy_network():
 
 def test_compiled_survives_runless_first_segment():
     """Regression: the very first compiled call may carry zero memory
-    runs (a delay-only op stretch, or an empty batch) -- the scratch
-    buffers must initialise anyway."""
+    runs (an empty batch) -- the scratch buffers must initialise
+    anyway.  A task whose first ops are delays stays identical too."""
     from repro.mem.hierarchy import HierarchyConfig, MemorySystem
     from repro.mem.trace import AccessBatch
 

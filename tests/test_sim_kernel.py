@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_timeout_advances_clock():
@@ -213,80 +213,6 @@ def test_yielding_non_event_is_an_error():
     assert len(caught) == 1 and "non-event" in caught[0]
 
 
-def test_interrupt_reaches_process():
-    sim = Simulator()
-    log = []
-
-    def victim(sim):
-        try:
-            yield sim.timeout(100)
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, sim.now))
-
-    def attacker(sim, victim_proc):
-        yield sim.timeout(10)
-        victim_proc.interrupt(cause="preempt")
-
-    victim_proc = sim.process(victim(sim))
-    sim.process(attacker(sim, victim_proc))
-    sim.run()
-    assert log == [("interrupted", "preempt", 10)]
-
-
-def test_interrupt_dead_process_rejected():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1)
-
-    p = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_all_of_collects_values():
-    sim = Simulator()
-
-    def proc(sim):
-        t1 = sim.timeout(1, value="a")
-        t2 = sim.timeout(2, value="b")
-        values = yield AllOf(sim, [t1, t2])
-        return sorted(values.values())
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == ["a", "b"]
-    assert sim.now == 2
-
-
-def test_any_of_fires_at_first():
-    sim = Simulator()
-
-    def proc(sim):
-        slow = sim.timeout(50, value="slow")
-        fast = sim.timeout(3, value="fast")
-        values = yield AnyOf(sim, [slow, fast])
-        return list(values.values())
-
-    p = sim.process(proc(sim))
-    sim.run(until=p)
-    assert p.value == ["fast"]
-    assert sim.now == 3
-
-
-def test_empty_all_of_succeeds_immediately():
-    sim = Simulator()
-
-    def proc(sim):
-        value = yield AllOf(sim, [])
-        return value
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == {}
-
-
 def test_process_is_alive_lifecycle():
     sim = Simulator()
 
@@ -297,13 +223,6 @@ def test_process_is_alive_lifecycle():
     assert p.is_alive
     sim.run()
     assert not p.is_alive
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(7)
-    assert sim.peek() == 7
 
 
 def test_step_on_empty_queue_rejected():
