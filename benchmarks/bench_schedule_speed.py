@@ -3,17 +3,18 @@ the 2M-ref microbench.
 
 ``bench_engine_speed`` measures one giant batch on one CPU.  This bench
 measures a four-CPU tile running communicating task chains whose
-compute ops are a few thousand uncoalesced references each.  Every
-engine runs the same per-op CPU loop through the event kernel; the
-fast engine walks each op's batch in Python, while the compiled engine
-(the default) keeps cache/bank/bus state resident in C and walks each
-batch in one C call.  The gate requires the compiled engine to hold
-``GATE_MIN_SPEEDUP`` x the pure-Python fast engine's throughput on
-this workload (recorded in ``BENCH_schedule.json``), with bit-identical
-RunMetrics.  A second gate runs one paper-scale MPEG-2 decode end to
-end on the default engine and on ``fast``: identical RunMetrics, and
-the default engine at least ``PAPER_GATE_MIN_SPEEDUP`` x faster -- it
-fails if the default engine silently demotes to the Python walker.
+compute ops are a few thousand uncoalesced references each.  Both
+engines run the same per-op CPU loop through the event kernel; the
+reference engine walks each op's batch with one cache-model call per
+run, while the compiled engine (the default) keeps cache/bank/bus
+state resident in C and walks each batch in one C call.  The gate
+requires the compiled engine to hold ``GATE_MIN_SPEEDUP`` x the
+reference engine's throughput on this workload (recorded in
+``BENCH_schedule.json``), with bit-identical RunMetrics.  A second gate
+runs one paper-scale MPEG-2 decode end to end on the default engine
+and on ``reference``: identical RunMetrics, and the default engine at
+least ``PAPER_GATE_MIN_SPEEDUP`` x faster -- it fails if the default
+engine silently demotes to its reference fallback.
 
 Run the gate with::
 
@@ -57,10 +58,13 @@ LOOKUPS = 3000
 TABLE_BYTES = 192 * 1024
 
 #: The perf_smoke gate fails when the compiled engine drops below this
-#: multiple of the pure-Python fast engine (eleven local runs on a
-#: shared 2-vCPU Linux host: 2.06-3.09x, median 2.58x; the gate sits
-#: well under the median to absorb CI machine noise).
-GATE_MIN_SPEEDUP = 1.5
+#: multiple of the reference engine.  It carries over the earlier 1.5x
+#: gate against the pure-Python walker that used to sit between the
+#: two engines: 1.5 x that walker's median speed-up over the reference
+#: engine (2.62x, seven interleaved runs on a shared 2-vCPU Linux
+#: host), rounded up.  The compiled engine read 5.7-8.2x the reference
+#: engine (median 7.2x) in the same runs.
+GATE_MIN_SPEEDUP = 4.0
 
 
 #: The end-to-end gate's instance: the paper's MPEG-2 decoder, one
@@ -69,10 +73,13 @@ GATE_MIN_SPEEDUP = 1.5
 PAPER_WORKLOAD = ("mpeg2", {"scale": "paper", "frames": 1})
 
 #: The default engine must run ``PAPER_WORKLOAD`` at least this much
-#: faster than the pure-Python fast engine (23 local trials of the
-#: median-of-``PAPER_GATE_RUNS`` comparison on the same host:
-#: 1.27-1.97x, median 1.59x).
-PAPER_GATE_MIN_SPEEDUP = 1.3
+#: faster than the reference engine: the earlier 1.3x gate against the
+#: pure-Python walker times that walker's median speed-up over the
+#: reference engine (2.30x, seven interleaved runs on the same host),
+#: rounded up.  The compiled engine read 3.1-4.0x the reference engine
+#: (median 3.6x) in the same runs, and 3.29-4.67x (median 3.69x) over
+#: 12 trials of this gate's median-of-``PAPER_GATE_RUNS`` comparison.
+PAPER_GATE_MIN_SPEEDUP = 3.0
 
 #: Timed ``PAPER_WORKLOAD`` runs per engine, interleaved after one
 #: untimed warm-up run per engine; the gate compares their medians.
@@ -177,12 +184,11 @@ def _collect(engines, n_tokens: int = N_TOKENS) -> dict:
         "c_walker_available": cwalker.load() is not None,
         "python": platform_mod.python_version(),
         "runs": runs,
-    }
-    if "fast" in by_engine and "compiled" in by_engine:
-        report["compiled_speedup_vs_fast"] = round(
+        "compiled_speedup_vs_reference": round(
             by_engine["compiled"]["instructions_per_sec"]
-            / by_engine["fast"]["instructions_per_sec"], 2,
-        )
+            / by_engine["reference"]["instructions_per_sec"], 2,
+        ),
+    }
     return report
 
 
@@ -212,15 +218,17 @@ def write_schedule_artifact(report: dict) -> Path:
 
 @pytest.mark.perf_smoke
 def test_schedule_speed_gate():
-    """Compiled engine must hold >= GATE_MIN_SPEEDUP x the fast engine
-    on the multi-CPU schedule bench (bit-identical metrics asserted)."""
+    """Compiled engine must hold >= GATE_MIN_SPEEDUP x the reference
+    engine on the multi-CPU schedule bench (bit-identical metrics
+    asserted)."""
     if cwalker.load() is None:
-        pytest.skip("no C compiler: the compiled engine degrades to fast")
-    report = _collect(["fast", "compiled"])
+        pytest.skip("no C compiler: the compiled engine degrades to "
+                    "reference")
+    report = _collect(["reference", "compiled"])
     write_schedule_artifact(report)
-    speedup = report["compiled_speedup_vs_fast"]
+    speedup = report["compiled_speedup_vs_reference"]
     assert speedup >= GATE_MIN_SPEEDUP, (
-        f"compiled engine regressed: {speedup}x over the fast "
+        f"compiled engine regressed: {speedup}x over the reference "
         f"engine is below the {GATE_MIN_SPEEDUP}x gate "
         f"({json.dumps(report['runs'], indent=2)})"
     )
@@ -229,41 +237,43 @@ def test_schedule_speed_gate():
 @pytest.mark.perf_smoke
 def test_schedule_engines_identical_metrics():
     """The bench workload itself must see bit-identical engine metrics
-    (including the reference oracle, on a reduced token count)."""
-    _collect(["reference", "fast", "compiled"], n_tokens=8)
+    (on a reduced token count; runs without a C compiler too)."""
+    _collect(["reference", "compiled"], n_tokens=8)
 
 
 @pytest.mark.perf_smoke
 def test_paper_scale_default_engine_gate():
     """The default engine must price a paper-scale run bit-identically
-    to the fast engine and >= PAPER_GATE_MIN_SPEEDUP x faster, median
-    against median over ``PAPER_GATE_RUNS`` interleaved timed runs."""
+    to the reference engine and >= PAPER_GATE_MIN_SPEEDUP x faster,
+    median against median over ``PAPER_GATE_RUNS`` interleaved timed
+    runs."""
     # The untimed warm-up runs carry the identity checks.
     default = measure_paper_run()
-    fast = measure_paper_run("fast")
-    assert default.pop("_payload") == fast.pop("_payload"), (
-        "RunMetrics of the default and fast engines diverge on the "
+    reference = measure_paper_run("reference")
+    assert default.pop("_payload") == reference.pop("_payload"), (
+        "RunMetrics of the default and reference engines diverge on the "
         "paper-scale run -- differential failure, not a perf question"
     )
     if cwalker.load() is None:
-        pytest.skip("no C compiler: the default engine degrades to fast")
+        pytest.skip("no C compiler: the default engine degrades to "
+                    "reference")
     assert default["effective_engine"] == HierarchyConfig().engine, default
-    seconds = {None: [], "fast": []}
+    seconds = {None: [], "reference": []}
     for _ in range(PAPER_GATE_RUNS):
         for engine, runs in seconds.items():
             runs.append(measure_paper_run(engine)["seconds"])
-    speedup = (statistics.median(seconds["fast"])
+    speedup = (statistics.median(seconds["reference"])
                / statistics.median(seconds[None]))
     assert speedup >= PAPER_GATE_MIN_SPEEDUP, (
         f"default engine regressed on the paper-scale run: {speedup:.2f}x "
-        f"over the fast engine is below the {PAPER_GATE_MIN_SPEEDUP}x "
+        f"over the reference engine is below the {PAPER_GATE_MIN_SPEEDUP}x "
         f"gate (seconds per run: default {seconds[None]}, "
-        f"fast {seconds['fast']})"
+        f"reference {seconds['reference']})"
     )
 
 
 if __name__ == "__main__":
-    report = _collect(["reference", "fast", "compiled"])
+    report = _collect(["reference", "compiled"])
     path = write_schedule_artifact(report)
     print(json.dumps(report, indent=2))
     print(f"artifact: {path}")

@@ -41,9 +41,10 @@ PROFILE_CACHE = ProfileCache(RESULTS_DIR / "profile_cache")
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "perf_smoke: throughput regression gate for the fast hierarchy "
-        "engine (run with: pytest benchmarks/bench_engine_speed.py "
-        "-m perf_smoke)",
+        "perf_smoke: hierarchy-engine regression gates -- the compiled "
+        "engine against the seed baseline and the reference engine, "
+        "and the online-transition survivor check (run with: pytest "
+        "benchmarks/bench_engine_speed.py -m perf_smoke)",
     )
 
 #: Allocation-size menu (units) used by every profiling sweep.

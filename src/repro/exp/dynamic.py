@@ -22,7 +22,7 @@ The engine composes three pieces:
    :class:`~repro.sim.kernel.Replan` event: it is queued up front, so
    the run stays alive until it fires, and it fires at URGENT
    priority, so every op at or after the transition time sees the new
-   partition maps on all three engines.  Map mutations go through
+   partition maps on both engines.  Map mutations go through
    :class:`~repro.rtos.cachectl.CacheController`, which quiesces the
    compiled tier, and departures flush only the leavers
    (:meth:`~repro.mem.hierarchy.MemorySystem.repartition_owners`) with
@@ -670,7 +670,7 @@ class DynamicScenario:
         for spec in self.transitions:
             # Queued now, before the run starts, at URGENT priority:
             # the action runs before any runner timeout at the
-            # transition time, on all three engines identically.
+            # transition time, on both engines identically.
             self.platform.sim.schedule_replan(
                 spec.at, lambda spec=spec: self._on_transition(spec)
             )

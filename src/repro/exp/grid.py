@@ -88,7 +88,7 @@ AXES: Dict[str, AxisApply] = {
             for t in v
         ),
     ),
-    # Execution engine (reference/fast/compiled).  Not part of the
+    # Execution engine (reference/compiled).  Not part of the
     # scenario identity: engines are bit-identical, so an engine axis
     # produces colliding scenario_ids on purpose -- it exists to prove
     # exactly that (the smoke gate and differential tests sweep it).

@@ -9,11 +9,10 @@ contracts end to end:
   axis share one profile key) -- and on the second pass, with the memo
   tables cleared, ran *zero* times: everything resolves from the
   on-disk cache, and the store fingerprint is byte-identical,
-- a third pass re-runs the grid with ``engine="fast"`` (the
-  pure-Python walker, where the first two passes ran the default
-  ``compiled`` engine): cache keys and records exclude the engine, so
-  it must re-measure nothing and reproduce the cold fingerprint bit
-  for bit,
+- a third pass re-runs the grid with ``engine="reference"`` (the
+  oracle walk, where the first two passes ran the default ``compiled``
+  engine): cache keys and records exclude the engine, so it must
+  re-measure nothing and reproduce the cold fingerprint bit for bit,
 - every set-partitioned record removed cross-owner interference.
 
 The cache root honours ``$REPRO_PROFILE_CACHE``; without it a temp
@@ -208,30 +207,32 @@ def run_smoke(
             f"({second.fingerprint()} != {store.fingerprint()})"
         )
 
-    # Pass 3: the same grid on the pure-Python fast engine (passes 1
-    # and 2 ran the default, compiled one).  Engines are
-    # bit-identical and excluded from every identity, so this pass
-    # must (a) reuse every cached measurement -- profile and baseline
-    # keys are engine-invariant -- and (b) reproduce the cold store
-    # fingerprint record for record.  (Without a C toolchain the
-    # default engine already degrades to the fast walker; the gate
-    # holds either way.)
-    fast_runner = ExperimentRunner(
-        workers=1, store_path=str(tmp / "smoke_fast.jsonl"), cache=cache
+    # Pass 3: the same grid on the reference engine (passes 1 and 2
+    # ran the default, compiled one).  Engines are bit-identical and
+    # excluded from every identity, so this pass must (a) reuse every
+    # cached measurement -- profile and baseline keys are
+    # engine-invariant -- and (b) reproduce the cold store fingerprint
+    # record for record.  (Without a C toolchain the default engine
+    # already degrades to the reference walk; the gate holds either
+    # way.)
+    reference_runner = ExperimentRunner(
+        workers=1, store_path=str(tmp / "smoke_reference.jsonl"),
+        cache=cache,
     )
-    fast = fast_runner.run(
-        [scenario.with_engine("fast") for scenario in scenarios]
+    reference = reference_runner.run(
+        [scenario.with_engine("reference") for scenario in scenarios]
     )
-    fast_stats = fast_runner.last_stats
-    if fast_stats["profiles_computed"] or fast_stats["baselines_computed"]:
+    reference_stats = reference_runner.last_stats
+    if (reference_stats["profiles_computed"]
+            or reference_stats["baselines_computed"]):
         problems.append(
-            f"engine='fast' pass re-measured work (engine must be "
-            f"excluded from cache keys): {fast_stats}"
+            f"engine='reference' pass re-measured work (engine must be "
+            f"excluded from cache keys): {reference_stats}"
         )
-    if fast.fingerprint() != store.fingerprint():
+    if reference.fingerprint() != store.fingerprint():
         problems.append(
-            "engine='fast' fingerprint differs from the cold run "
-            f"({fast.fingerprint()} != {store.fingerprint()})"
+            "engine='reference' fingerprint differs from the cold run "
+            f"({reference.fingerprint()} != {store.fingerprint()})"
         )
 
     # Pass 4: one online transition.  The dynamic scenario's two
@@ -294,7 +295,7 @@ def run_smoke(
         return 1
     print(
         "smoke ok: schema round-trips, 1 profile pass, warm re-run "
-        "re-profiled nothing, fast engine reproduced the "
+        "re-profiled nothing, reference engine reproduced the "
         "fingerprint from cache, online join admitted with zero "
         "re-profiling, interference-free"
     )

@@ -13,7 +13,7 @@ platform builder (:mod:`repro.cake.platform`) instantiates it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import networkx as nx
 
@@ -189,13 +189,6 @@ class ProcessNetwork:
                 seen_ports.add(key)
             if fifo.producer == fifo.consumer:
                 raise NetworkError(f"fifo {fifo.name!r} is a self-loop")
-
-    def communication_volume(self) -> List[Tuple[str, int]]:
-        """Per-FIFO buffer sizes, largest first (for reports)."""
-        return sorted(
-            ((f.name, f.buffer_bytes) for f in self.fifos.values()),
-            key=lambda item: -item[1],
-        )
 
     def __repr__(self) -> str:
         return (

@@ -1,9 +1,9 @@
 /* Compiled hierarchy walker: the L1/L2 walk of repro.mem.hierarchy in C.
  *
  * Compiled on demand by repro.mem.cwalker with the system C compiler
- * and loaded through ctypes; when no compiler is available the Python
- * fast walker in hierarchy.py runs instead.  This is the C tier of the
- * "compiled" engine: `walker_state_new` builds a persistent state
+ * and loaded through ctypes; when no compiler is available the
+ * reference walk in hierarchy.py runs instead.  This is the C tier of
+ * the "compiled" engine: `walker_state_new` builds a persistent state
  * handle that keeps the L1s of every CPU, the shared L2
  * (set-associative LRU/FIFO *or* the way-managed column cache), the
  * DRAM bank timers and the shared-bus demand model resident in C

@@ -139,11 +139,6 @@ class AddressSpace:
         """Regions in allocation order."""
         return tuple(self._regions)
 
-    @property
-    def used_bytes(self) -> int:
-        """Total bytes consumed (including alignment padding)."""
-        return self._cursor - self.base
-
     def allocate(
         self,
         name: str,

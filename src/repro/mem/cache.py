@@ -116,11 +116,6 @@ class OwnerStats:
     writebacks: int = 0
 
     @property
-    def conflict_misses(self) -> int:
-        """Misses that are not cold (capacity or conflict)."""
-        return self.misses - self.cold_misses
-
-    @property
     def miss_rate(self) -> float:
         """Misses per access (0.0 for an idle owner)."""
         return self.misses / self.accesses if self.accesses else 0.0

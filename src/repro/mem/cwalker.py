@@ -7,7 +7,8 @@ equivalent C routines (``_walker.c``, shipped next to this file) with
 the system compiler the first time they are needed and binds them
 through :mod:`ctypes`.  Everything degrades gracefully: no compiler, a
 failed compilation or an unwritable build directory simply mean
-:func:`load` returns ``None`` and the pure-Python fast walker runs.
+:func:`load` returns ``None`` and the compiled engine falls back to
+the reference walk.
 
 The compiled object is cached under ``<package>/_build/`` keyed by the
 source content hash, so recompilation happens only when ``_walker.c``
@@ -121,7 +122,7 @@ def load() -> Optional[CWalker]:
     The first call pays the (cached) compilation; later calls return
     the memoised binding.  Concurrent first calls all wait for that one
     compilation.  Set ``REPRO_NO_CWALKER=1`` to disable the C tier,
-    e.g. for benchmarking the pure-Python fast walker.
+    e.g. to run the default engine on its reference fallback.
     """
     global _walker, _load_attempted
     if _load_attempted:

@@ -18,43 +18,36 @@ per run, with the run length counted as accesses.  L1 and L2 must share
 a line size for the run semantics to be exact; the constructor enforces
 this.
 
-Three engines implement the walk:
+Two engines implement the walk:
 
 - ``engine="compiled"`` (the default) -- the C tier.  A persistent
   C-side state handle (:class:`_CompiledState`) keeps every L1, the
   shared L2 (including the way-partitioned column cache), the DRAM
   bank timers and the bus demand model resident between calls, so
-  every batch, whatever its size, walks in one C call.  Between calls
-  the C arrays are the authoritative cache state: call
-  :meth:`MemorySystem.sync_state` before reading the Python cache
-  models directly.
-- ``engine="fast"`` -- the pure-Python walker, and the compiled
-  engine's fallback.  It vectorises everything that does not depend on
-  cache state (owner resolution, L1/L2 set indices, the run
-  decomposition itself), walks the runs with the cache and DRAM state
-  inlined as local dicts/lists, and defers all per-owner statistics to
-  a batched ``bincount`` flush after the walk.  Pure L1-hit runs cost
-  a single dict probe; only L1-miss runs enter the larger slow path.
+  every batch, whatever its size, walks in one C call; per-owner
+  statistics follow in one batched ``bincount`` flush of the walk's
+  per-run flags.  Between calls the C arrays are the authoritative
+  cache state: call :meth:`MemorySystem.sync_state` before reading the
+  Python cache models directly.
 - ``engine="reference"`` -- one method call per run into the cache
   models.  Slow but obviously faithful; it is the differential-testing
-  oracle.
+  oracle and the compiled engine's fallback.
 
-All engines produce bit-identical statistics, which the differential
-test suite asserts.  The compiled engine falls back to the fast walker
-when no C compiler is available (or ``REPRO_NO_CWALKER`` is set) and
-for a ``random`` L2, whose victim selection stays in Python (the fast
-walker replays the reference RNG stream draw for draw).  A negative
-owner id degrades either engine to the reference walk for good -- the
-owner registry never produces one, and once such lines are resident
-their evictions would poison the vectorised statistics flush.
-:attr:`MemorySystem.effective_engine` reports the engine that walks
-after every such fallback.
+Both engines produce bit-identical statistics, which the differential
+test suite asserts.  The compiled engine falls back to the reference
+walk when no C compiler is available (or ``REPRO_NO_CWALKER`` is set),
+for a ``random`` L2, whose victim selection draws from the cache
+model's RNG, and when the C state cannot be allocated.  A negative
+owner id degrades it to the reference walk too -- the owner registry
+never produces one, and once such lines are resident their evictions
+would poison the vectorised statistics flush.  Every fallback is for
+good, and :attr:`MemorySystem.effective_engine` reports the engine
+that walks after it.
 """
 
 from __future__ import annotations
 
 import ctypes
-import gc
 
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -98,12 +91,12 @@ class HierarchyConfig:
     bus: BusConfig = field(default_factory=BusConfig)
     l2_policy: str = "lru"
     #: ``"compiled"`` (persistent C state, one C call per batch; the
-    #: default), ``"fast"`` (the pure-Python walker the compiled engine
-    #: falls back to) or ``"reference"`` (per-run method calls; the
-    #: differential-testing oracle).  See the module docstring.
+    #: default) or ``"reference"`` (per-run method calls; the
+    #: differential-testing oracle the compiled engine falls back to).
+    #: See the module docstring.
     engine: str = "compiled"
 
-    ENGINES = ("reference", "fast", "compiled")
+    ENGINES = ("reference", "compiled")
 
     def __post_init__(self) -> None:
         if self.l1_geometry.line_size != self.l2_geometry.line_size:
@@ -158,8 +151,8 @@ class _CompiledState:
     them back into the Python cache models when something needs the
     dict/list view (repartitioning, tests, diagnostics).  Per-owner
     statistics stay on the Python side -- the C walk emits per-run
-    flags that :meth:`MemorySystem._flush_compiled_stats` reduces with
-    the same bincount flush the fast engine uses.
+    flags that :meth:`MemorySystem._flush_compiled_stats` reduces in
+    one bincount flush.
     """
 
     def __init__(self, mem: "MemorySystem", walker):
@@ -345,14 +338,11 @@ class MemorySystem:
         self.way_map = WayPartitionMap(config.l2_geometry.ways)
         self.memory = MainMemory(config.dram)
         self.bus = SharedBus(config.bus, n_cpus=n_cpus)
-        # The fast walker inlines victim selection for every policy
-        # (random replays the reference RNG stream); "compiled" runs the
-        # same walk when its C tier is unavailable.
-        self._fast = config.engine in ("fast", "compiled")
         #: Lazily built persistent C state (engine="compiled" only).
         self._compiled: Optional[_CompiledState] = None
-        self._compiled_wanted = config.engine == "compiled"
-        self._compiled_failed = False
+        #: Whether batches try the C tier.  Cleared for good when the C
+        #: state cannot be allocated or a negative owner id turns up.
+        self._use_compiled = config.engine == "compiled"
         #: (version, table) memo of the dense set-translation table.
         self._set_table_memo: Optional[tuple] = None
         #: (version, table) memo of the way-allocation table.
@@ -402,7 +392,7 @@ class MemorySystem:
         Syncs compiled-tier state down into the Python models and drops
         the C handle, so the mutation starts from (and the next
         compiled call re-exports) an up-to-date view.  Idempotent, and
-        a no-op on the pure-Python engines.  Every map-mutating path in
+        a no-op on the reference engine.  Every map-mutating path in
         :class:`~repro.rtos.cachectl.CacheController` calls this: a
         partition change against a *stale* Python view would silently
         diverge the compiled engine from the reference.
@@ -461,19 +451,16 @@ class MemorySystem:
     def effective_engine(self) -> str:
         """The engine that walks the next batch, after every fallback.
 
-        ``"compiled"``, ``"fast"`` or ``"reference"``: the requested
+        ``"compiled"`` or ``"reference"``: the requested
         :attr:`HierarchyConfig.engine` unless the compiled tier is down
-        (no C walker, a ``random`` L2, a failed state allocation) --
-        then ``"fast"`` -- or a negative owner id demoted the system to
-        the reference walk.
+        (no C walker, a ``random`` L2, a failed state allocation, a
+        negative owner id) -- then ``"reference"``.
         """
-        if not self._fast:
-            return "reference"
-        if (self._compiled_wanted and not self._compiled_failed
+        if (self._use_compiled
                 and (self.l2 is None or self.l2.policy != "random")
                 and cwalker.load() is not None):
             return "compiled"
-        return "fast"
+        return "reference"
 
     def _compiled_state(self) -> Optional[_CompiledState]:
         """The live persistent C state, (re)built on demand.
@@ -484,7 +471,7 @@ class MemorySystem:
             try:
                 self._compiled = _CompiledState(self, cwalker.load())
             except MemoryError:
-                self._compiled_failed = True
+                self._use_compiled = False
         return self._compiled
 
     def _set_translation_table(self):
@@ -559,14 +546,12 @@ class MemorySystem:
         """
         if not 0 <= cpu_id < self.n_cpus:
             raise MemoryModelError(f"cpu {cpu_id} out of range")
-        if self._compiled_wanted:
+        if self._use_compiled:
             result = self._execute_batch_compiled(
                 cpu_id, task_owner, batch, now
             )
             if result is not None:
                 return result
-        if self._fast:
-            return self._execute_batch_fast(cpu_id, task_owner, batch, now)
         return self._execute_batch_reference(cpu_id, task_owner, batch, now)
 
     #: Placeholder for the removed multi-entry segment walk: the
@@ -579,9 +564,10 @@ class MemorySystem:
     ) -> Optional[BatchResult]:
         """One C call over the batch; ``None`` when unsupported.
 
-        Unsupported means: the compiled tier is down (engine, compiler,
-        random L2) or the batch resolves a negative owner id (the
-        registry never produces one; the oracle path handles it).
+        Unsupported means: the compiled tier is down (no C walker, a
+        random L2, a failed state allocation) or the batch resolves a
+        negative owner id (the registry never produces one; the oracle
+        path handles it).
         """
         state = self._compiled_state()
         if state is None:
@@ -606,8 +592,7 @@ class MemorySystem:
                 # arrays.
                 self.sync_state()
                 self._drop_compiled()
-                self._compiled_failed = True
-                self._fast = False
+                self._use_compiled = False
                 return None
             # numpy bools are one byte: reinterpret, do not copy.
             wany_u8 = wany_arr.view(np.uint8)
@@ -686,9 +671,9 @@ class MemorySystem:
     ) -> None:
         """Reduce one C walk's per-run flags into the Python stats.
 
-        The same bincount flush as the fast engine: L1 accounting on
-        the batch's CPU, L2 accounting over every run, cold misses by
-        batch-first occurrence against the seen-sets.
+        One bincount flush: L1 accounting on the batch's CPU, L2
+        accounting over every run, cold misses by batch-first
+        occurrence against the seen-sets.
         """
         l1 = self.l1s[cpu_id]
         if not flags.any():
@@ -836,339 +821,6 @@ class MemorySystem:
         )
         return result
 
-    def _execute_batch_fast(
-        self, cpu_id: int, task_owner: int, batch: AccessBatch, now: float
-    ) -> BatchResult:
-        """Vectorised walk producing bit-identical statistics.
-
-        Per-run work that does not depend on cache state -- owner
-        resolution, L1/L2 set indices -- is precomputed with numpy and
-        materialised as plain Python lists (scalar indexing into numpy
-        arrays is an order of magnitude slower than list indexing).  The
-        walk itself touches the caches' internal dicts/lists directly
-        through local bindings, records outcomes as run indices and
-        event tuples, and flushes all per-owner statistics in one
-        ``bincount`` pass at the end.  State mutations (cache contents,
-        DRAM bank timing) happen in exactly the reference order, so
-        every counter and every timing quantity matches the oracle.
-        """
-        config = self.config
-        result = BatchResult(
-            instructions=batch.instructions, accesses=batch.n_accesses
-        )
-        line_shift = config.l1_geometry.line_shift
-        line_arr, count_arr, wany_arr, wall_arr = batch.runs(line_shift)
-        n_runs = int(line_arr.shape[0])
-        if n_runs == 0:
-            result.cycles = int(round(batch.instructions * config.issue_cpi))
-            return result
-
-        owners_arr = self.resolver.resolve_many(
-            line_arr << line_shift, task_owner
-        )
-        if int(owners_arr.min()) < 0:
-            # Negative owner ids would break the bincount flush; the
-            # registry never produces them, so degrade to the oracle
-            # path -- *stickily*: once such lines are resident, any
-            # later eviction would feed their owner into the flush.
-            self._fast = False
-            return self._execute_batch_reference(
-                cpu_id, task_owner, batch, now
-            )
-
-        l1 = self.l1s[cpu_id]
-        l1_mask = config.l1_geometry.index_mask
-        l2_mask = config.l2_geometry.index_mask
-        full_line_count = config.l1_geometry.line_size // 4
-        l2_hit_cycles = config.l2_hit_cycles
-        mode = self.mode
-        way_partitioned = mode is PartitionMode.WAY_PARTITIONED
-        set_partitioned = mode is PartitionMode.SET_PARTITIONED
-        map_index = self.set_map.map_index
-
-        if set_partitioned:
-            l2_idx_arr = self.set_map.map_index_many(owners_arr, line_arr)
-        elif way_partitioned:
-            l2_idx_arr = None
-        else:
-            l2_idx_arr = line_arr & l2_mask
-
-        l2_idx_list = (
-            l2_idx_arr.tolist() if not way_partitioned else None
-        )
-        l1_idx_list = (line_arr & l1_mask).tolist()
-        lines_list = line_arr.tolist()
-        counts_list = count_arr.tolist()
-        wany_list = wany_arr.tolist()
-        wall_list = wall_arr.tolist()
-        owners_list = owners_arr.tolist()
-
-        # L1 internals as locals (the L1s are always LRU).
-        l1_sets = l1._sets
-        l1_where = l1._where
-        l1_where_get = l1_where.get
-        l1_owner_of = l1._owner_of
-        l1_dirty = l1._dirty
-        l1_dirty_add = l1_dirty.add
-        l1_seen = l1._seen
-        l1_seen_add = l1_seen.add
-        l1_ways = l1.geometry.ways
-
-        if way_partitioned:
-            l2_way = self.l2_way
-            l2_way_probe = l2_way.probe_writeback
-            ways_of = self.way_map.ways_of
-        else:
-            l2 = self.l2
-            l2_sets = l2._sets
-            l2_where = l2._where
-            l2_where_get = l2_where.get
-            l2_owner_of = l2._owner_of
-            l2_dirty = l2._dirty
-            l2_dirty_add = l2_dirty.add
-            l2_seen = l2._seen
-            l2_seen_add = l2_seen.add
-            l2_ways = l2.geometry.ways
-            l2_lru = l2.policy == "lru"
-            # Random replacement replays the reference RNG stream: one
-            # draw per eviction, in eviction order, over a same-order
-            # recency list -- so the victims (and the generator state)
-            # match the oracle draw for draw.
-            l2_rng_integers = (
-                l2._rng.integers if l2.policy == "random" else None
-            )
-
-        # DRAM bank model inlined (same dict, same update order).
-        dram = self.memory.config
-        bank_mask = dram.n_banks - 1
-        bank_busy = dram.bank_busy_cycles
-        bank_free = self.memory._bank_free_at
-        bank_free_get = bank_free.get
-        dram_writes = 0
-        write_conflicts = 0
-        read_conflicts = 0
-        way_dram_lines = 0
-        way_stall = 0
-
-        # Outcome recorders: owner-id lists the flush reduces with
-        # bincount.  Everything else is derived from their lengths.
-        l1_miss_owners: List[int] = []
-        l1_miss_append = l1_miss_owners.append
-        l1_cold_owners: List[int] = []
-        l1_evictor_owners: List[int] = []
-        l1_victim_owners: List[int] = []
-        l1_wb_owners: List[int] = []
-        l2_miss_owners: List[int] = []
-        l2_cold_owners: List[int] = []
-        l2_evictor_owners: List[int] = []
-        l2_victim_owners: List[int] = []
-        l2_wb_owners: List[int] = []
-        store_fills = 0
-
-        # The recorder lists retain millions of objects on big batches;
-        # with the generational GC enabled, every full collection walks
-        # them again and dominates the runtime.  Nothing in the walk can
-        # create reference cycles, so pause collection for its duration.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            for i, line in enumerate(lines_list):
-                si = l1_idx_list[i]
-                # -- L1 probe: one dict lookup --------------------------
-                if l1_where_get(line) == si:
-                    slist = l1_sets[si]
-                    if slist[0] != line:
-                        slist.remove(line)
-                        slist.insert(0, line)
-                    if wany_list[i]:
-                        l1_dirty_add(line)
-                    continue
-
-                # -- L1 miss --------------------------------------------
-                write = wany_list[i]
-                owner = owners_list[i]
-                l1_miss_append(owner)
-                if line not in l1_seen:
-                    l1_cold_owners.append(owner)
-                    l1_seen_add(line)
-                slist = l1_sets[si]
-                wb_line = None
-                if len(slist) >= l1_ways:
-                    victim = slist.pop()
-                    del l1_where[victim]
-                    victim_owner = l1_owner_of.pop(victim)
-                    if victim in l1_dirty:
-                        l1_dirty.remove(victim)
-                        l1_wb_owners.append(victim_owner)
-                        wb_line = victim
-                        wb_owner = victim_owner
-                    l1_evictor_owners.append(owner)
-                    l1_victim_owners.append(victim_owner)
-                slist.insert(0, line)
-                l1_where[line] = si
-                l1_owner_of[line] = owner
-                if write:
-                    l1_dirty_add(line)
-
-                # -- dirty L1 victim written back through the L2 --------
-                if wb_line is not None:
-                    if way_partitioned:
-                        wb_hit = l2_way_probe(
-                            wb_line, wb_line & l2_mask, wb_owner
-                        )
-                    else:
-                        if set_partitioned:
-                            wb_index = map_index(wb_owner, wb_line)
-                        else:
-                            wb_index = wb_line & l2_mask
-                        if l2_where_get(wb_line) == wb_index:
-                            l2_dirty_add(wb_line)
-                            wb_hit = True
-                        else:
-                            wb_hit = False
-                    if not wb_hit:
-                        bank = wb_line & bank_mask
-                        free_at = bank_free_get(bank, 0.0)
-                        if now < free_at:
-                            write_conflicts += 1
-                        bank_free[bank] = (
-                            free_at if free_at > now else now
-                        ) + bank_busy
-                        dram_writes += 1
-
-                store_fill = (
-                    wall_list[i] and counts_list[i] >= full_line_count
-                )
-                if store_fill:
-                    store_fills += 1
-
-                # -- way-partitioned L2: reference method path ----------
-                if way_partitioned:
-                    if store_fill:
-                        self._l2_store_fill(
-                            line, owner, l2_mask, False, True,
-                            map_index, ways_of, now, result,
-                        )
-                        continue
-                    l2_hit = self._l2_access(
-                        line, owner, write, l2_mask, False, True,
-                        map_index, ways_of, now, result,
-                    )
-                    way_stall += l2_hit_cycles
-                    if not l2_hit:
-                        way_stall += self.memory.access(line, False, now)
-                        way_dram_lines += 1
-                    continue
-
-                # -- set-associative L2, inlined ------------------------
-                l2i = l2_idx_list[i]
-                if l2_where_get(line) == l2i:
-                    slist2 = l2_sets[l2i]
-                    if l2_lru and slist2[0] != line:
-                        slist2.remove(line)
-                        slist2.insert(0, line)
-                    if write:
-                        l2_dirty_add(line)
-                    continue
-
-                # L2 miss (store fills allocate, but are not demand
-                # misses and fetch nothing).
-                if line not in l2_seen:
-                    if not store_fill:
-                        l2_cold_owners.append(owner)
-                    l2_seen_add(line)
-                if not store_fill:
-                    l2_miss_owners.append(owner)
-                slist2 = l2_sets[l2i]
-                if len(slist2) >= l2_ways:
-                    if l2_rng_integers is not None:
-                        victim = slist2.pop(
-                            int(l2_rng_integers(len(slist2)))
-                        )
-                    else:
-                        victim = slist2.pop()
-                    del l2_where[victim]
-                    victim_owner = l2_owner_of.pop(victim)
-                    l2_evictor_owners.append(owner)
-                    l2_victim_owners.append(victim_owner)
-                    if victim in l2_dirty:
-                        l2_dirty.remove(victim)
-                        l2_wb_owners.append(victim_owner)
-                        bank = victim & bank_mask
-                        free_at = bank_free_get(bank, 0.0)
-                        if now < free_at:
-                            write_conflicts += 1
-                        bank_free[bank] = (
-                            free_at if free_at > now else now
-                        ) + bank_busy
-                        dram_writes += 1
-                slist2.insert(0, line)
-                l2_where[line] = l2i
-                l2_owner_of[line] = owner
-                if write:
-                    l2_dirty_add(line)
-                if store_fill:
-                    continue
-                # Demand miss: the DRAM fetch (bank state now, latency
-                # derived in the flush below).
-                bank = line & bank_mask
-                free_at = bank_free_get(bank, 0.0)
-                if now < free_at:
-                    read_conflicts += 1
-                bank_free[bank] = (
-                    free_at if free_at > now else now
-                ) + bank_busy
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-        # -- batched statistics and counter flush ----------------------
-        #
-        # Everything below is a pure function of the recorders: stall
-        # cycles are ``l2_hit_cycles`` per demand probe plus the DRAM
-        # base latency per read plus the bank penalty per read conflict
-        # -- term for term what the reference walk accumulates.
-        l1_misses = len(l1_miss_owners)
-        _flush_weighted_stats(
-            l1.stats, owners_arr, count_arr,
-            l1_miss_owners, l1_cold_owners,
-            l1_evictor_owners, l1_victim_owners, l1_wb_owners,
-        )
-        traffic = self.memory.traffic
-        if way_partitioned:
-            stall = way_stall
-            dram_lines = way_dram_lines + dram_writes
-        else:
-            _flush_probe_stats(
-                self.l2.stats,
-                l1_miss_owners, l2_miss_owners, l2_cold_owners,
-                l2_evictor_owners, l2_victim_owners, l2_wb_owners,
-            )
-            dram_reads = len(l2_miss_owners)
-            result.l2_accesses = l1_misses
-            result.l2_misses = dram_reads
-            stall = (
-                (l1_misses - store_fills) * l2_hit_cycles
-                + dram_reads * dram.access_cycles
-                + read_conflicts * dram.bank_penalty_cycles
-            )
-            dram_lines = dram_reads + dram_writes
-            traffic.line_reads += dram_reads
-        traffic.line_writes += dram_writes
-        traffic.bank_conflicts += read_conflicts + write_conflicts
-
-        result.l1_misses = l1_misses
-        result.store_fills = store_fills
-        result.dram_lines += dram_lines
-        transfers = l1_misses + len(l1_wb_owners)
-        bus_cycles = self.bus.price_transfers(cpu_id, transfers, now)
-        result.bus_cycles = bus_cycles
-        result.cycles = int(
-            round(batch.instructions * config.issue_cpi) + stall + bus_cycles
-        )
-        return result
-
     def _l2_store_fill(
         self,
         line: int,
@@ -1240,18 +892,19 @@ class MemorySystem:
         return hit
 
 
-# -- fast-engine statistics flush -----------------------------------------
+# -- compiled-engine statistics flush -------------------------------------
 #
-# The fast walker records outcomes as flat owner-id lists; these helpers
-# reduce them to per-owner deltas in one vectorised pass.  The resulting
-# OwnerStats values are identical to what the per-run reference
-# accounting produces, because hit/miss/access counts are order-free sums.
+# The C walk reports per-run outcome flags and victim owners; these
+# helpers reduce the owner ids they select to per-owner deltas in one
+# vectorised pass.  The resulting OwnerStats values are identical to
+# what the per-run reference accounting produces, because
+# hit/miss/access counts are order-free sums.
 
 
-def _bincount(owner_list, minlength=0) -> np.ndarray:
-    """Per-owner occurrence counts of a flat owner-id list."""
+def _bincount(owners, minlength=0) -> np.ndarray:
+    """Per-owner occurrence counts of a flat owner-id array."""
     return np.bincount(
-        np.asarray(owner_list, dtype=np.int64), minlength=minlength
+        np.asarray(owners, dtype=np.int64), minlength=minlength
     )
 
 
@@ -1291,7 +944,7 @@ def _first_misses(walker, line_arr, miss_mask, seen):
 def _flush_events(stats, evictor_owners, victim_owners, wb_owners) -> None:
     """Apply eviction-attribution and writeback events to ``stats``.
 
-    Events arrive as parallel evictor/victim owner lists; the
+    Events arrive as parallel evictor/victim owner arrays; the
     ``(evictor, victim)`` matrix is aggregated by packing each pair into
     one integer key and running ``np.unique`` -- no per-event Python
     work.

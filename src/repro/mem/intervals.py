@@ -83,8 +83,8 @@ class IntervalTable:
         address falls in no interval (owner ids are non-negative by
         construction, see :class:`repro.mem.partition.OwnerRegistry`).
         One ``searchsorted`` replaces a per-access binary search -- this
-        is what lets the fast hierarchy engine resolve a whole batch of
-        runs in one call.
+        is what lets the compiled hierarchy engine resolve a whole batch
+        of runs in one call.
         """
         addrs = np.asarray(addrs)
         if not self._bases:

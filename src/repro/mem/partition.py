@@ -392,15 +392,6 @@ class WayPartitionMap:
         self._version += 1
         return way_tuple
 
-    def remove(self, owner: int) -> None:
-        """Drop ``owner``'s way allocation (online departure).
-
-        The freed ways become assignable to future arrivals; the owner
-        itself falls back to all-ways (shared) allocation rights.
-        """
-        if self._ways_of.pop(owner, None) is not None:
-            self._version += 1
-
     def assignments(self) -> Dict[int, Tuple[int, ...]]:
         """Snapshot of the current owner -> ways map."""
         return dict(self._ways_of)

@@ -159,11 +159,6 @@ class CacheController:
             owner = self.registry.register(owner_name)
             self.mem.way_map.assign(owner, ways)
 
-    def release_ways(self, owner_name: str) -> None:
-        """Drop one owner's way allocation (online departure)."""
-        self.mem.quiesce()
-        self.mem.way_map.remove(self.registry.register(owner_name))
-
     def program_set_layout(
         self,
         ranges_by_owner: Dict[str, Tuple[int, int]],

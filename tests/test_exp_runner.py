@@ -230,9 +230,9 @@ def test_records_report_requested_and_effective_engine(monkeypatch):
     after every fallback.  Neither enters the fingerprint."""
     from repro.mem import cwalker
 
-    c_tier = "compiled" if cwalker.load() is not None else "fast"
+    c_tier = "compiled" if cwalker.load() is not None else "reference"
     stores = []
-    for engine, effective in (("compiled", c_tier), ("fast", "fast"),
+    for engine, effective in (("compiled", c_tier),
                               ("reference", "reference")):
         store = ExperimentRunner(workers=1).run(
             [base_scenario().with_engine(engine)]
@@ -247,7 +247,7 @@ def test_records_report_requested_and_effective_engine(monkeypatch):
     )
     timing = store.records[0].payload["timing"]
     assert (timing["engine"], timing["effective_engine"]) == \
-        ("compiled", "fast")
+        ("compiled", "reference")
     stores.append(store)
     assert len({store.fingerprint() for store in stores}) == 1
 

@@ -210,7 +210,9 @@ def test_queue_validates_configuration():
 
 @pytest.fixture
 def server():
-    with SweepServer(port=0, lease_ttl=5.0) as live:
+    # A short retry backoff: the failure-path tests wait out every
+    # re-lease on the real clock.
+    with SweepServer(port=0, lease_ttl=5.0, backoff_base=0.05) as live:
         yield live
 
 
@@ -239,7 +241,7 @@ def test_http_failure_path_retries_then_fails(server):
     client = ServiceClient(server.url)
     ids = client.submit([{"fn": "execute", "task": {"x": 2}}])
     for attempt in range(1, 4):
-        # Wait out the retry backoff (base 0.5s, real clock).
+        # Wait out the retry backoff (base 0.05s, real clock).
         deadline = time.monotonic() + 10.0
         while True:
             leased = client.lease("w1")["task"]

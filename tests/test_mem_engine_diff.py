@@ -1,14 +1,14 @@
-"""Differential tests: the fast and compiled engines against the oracle.
+"""Differential tests: the compiled engine against the oracle.
 
-Both engine tiers -- the pure-Python fast walker and the compiled
-tier (persistent C state handle + one ``walk_batch`` call per batch)
--- must produce *bit-identical* statistics to the reference engine:
+The compiled engine (persistent C state handle + one ``walk_batch``
+call per batch) and its reference fallback must produce
+*bit-identical* statistics to the reference engine:
 every ``BatchResult``, every per-owner ``OwnerStats`` at both cache
 levels, the eviction-attribution matrices, DRAM traffic and bus
 accounting.  The streams below mix reads and writes, random and
 streaming access (store-fill path), shared-buffer traffic (interval
 owners) and private task footprints, across all three partition modes
-and the inlined L2 policies.
+and the L2 policies the C walk implements.
 
 Task address regions are disjoint per task: the model requires a
 stable line-to-set mapping, so a line not covered by the interval
@@ -24,7 +24,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.mem import cwalker
 from repro.mem.cache import CacheGeometry
-from repro.mem.hierarchy import HierarchyConfig, MemorySystem
+from repro.mem.hierarchy import HierarchyConfig, MemorySystem, _CompiledState
 from repro.mem.partition import PartitionMode
 from repro.mem.trace import AccessBatch
 
@@ -74,49 +74,50 @@ def generate_batch(rng, step, task):
     return AccessBatch.from_addresses(addrs, writes=writes)
 
 
-def assert_systems_identical(reference, fast, context):
-    fast.sync_state()  # materialise compiled-tier state (no-op otherwise)
+def assert_systems_identical(reference, other, context):
+    other.sync_state()  # materialise compiled-tier state (no-op otherwise)
     for cpu in range(reference.n_cpus):
-        ref_l1, fast_l1 = reference.l1s[cpu].stats, fast.l1s[cpu].stats
-        assert ref_l1.per_owner == fast_l1.per_owner, (context, "l1", cpu)
-        assert ref_l1.eviction_matrix == fast_l1.eviction_matrix, (
+        ref_l1, other_l1 = reference.l1s[cpu].stats, other.l1s[cpu].stats
+        assert ref_l1.per_owner == other_l1.per_owner, (context, "l1", cpu)
+        assert ref_l1.eviction_matrix == other_l1.eviction_matrix, (
             context, "l1 matrix", cpu,
         )
-    assert reference.l2_stats.per_owner == fast.l2_stats.per_owner, context
+    assert reference.l2_stats.per_owner == other.l2_stats.per_owner, context
     assert (reference.l2_stats.eviction_matrix
-            == fast.l2_stats.eviction_matrix), context
-    assert vars(reference.memory.traffic) == vars(fast.memory.traffic), context
-    assert reference.bus.total_transfers == fast.bus.total_transfers, context
+            == other.l2_stats.eviction_matrix), context
+    assert vars(reference.memory.traffic) == vars(other.memory.traffic), \
+        context
+    assert reference.bus.total_transfers == other.bus.total_transfers, context
     assert (reference.bus.total_surcharge_cycles
-            == fast.bus.total_surcharge_cycles), context
+            == other.bus.total_surcharge_cycles), context
     if reference.l2 is not None:
         # Same resident lines, owners and dirty bits, per set.
-        assert reference.l2._owner_of == fast.l2._owner_of, context
-        assert reference.l2._dirty == fast.l2._dirty, context
+        assert reference.l2._owner_of == other.l2._owner_of, context
+        assert reference.l2._dirty == other.l2._dirty, context
         for set_index in range(reference.l2.geometry.sets):
             assert (reference.l2.set_contents(set_index)
-                    == fast.l2.set_contents(set_index)), (context, set_index)
+                    == other.l2.set_contents(set_index)), (context, set_index)
     else:
         # Way-managed L2: same occupied slots, owners, stamps, clock.
         # (Owner/stamp of an *empty* slot is dead state the model never
         # reads; the engines may differ there.)
-        ref_way, fast_way = reference.l2_way, fast.l2_way
-        assert ref_way._line == fast_way._line, context
-        assert ref_way._dirty == fast_way._dirty, context
-        assert ref_way._clock == fast_way._clock, context
+        ref_way, other_way = reference.l2_way, other.l2_way
+        assert ref_way._line == other_way._line, context
+        assert ref_way._dirty == other_way._dirty, context
+        assert ref_way._clock == other_way._clock, context
         for si, slot_lines in enumerate(ref_way._line):
             for way, line in enumerate(slot_lines):
                 if line is None:
                     continue
                 assert (ref_way._owner[si][way]
-                        == fast_way._owner[si][way]), (context, si, way)
+                        == other_way._owner[si][way]), (context, si, way)
                 assert (ref_way._stamp[si][way]
-                        == fast_way._stamp[si][way]), (context, si, way)
+                        == other_way._stamp[si][way]), (context, si, way)
 
 
 def run_differential(mode, l2_policy, seed, engine):
     reference = build_system("reference", mode, l2_policy)
-    fast = build_system(engine, mode, l2_policy)
+    other = build_system(engine, mode, l2_policy)
     rng = np.random.default_rng(seed)
     for step in range(12):
         task = 1 + step % 2
@@ -124,20 +125,12 @@ def run_differential(mode, l2_policy, seed, engine):
         ref_result = reference.execute_batch(
             step % 2, task, batch, now=step * 500.0
         )
-        fast_result = fast.execute_batch(
+        other_result = other.execute_batch(
             step % 2, task, batch, now=step * 500.0
         )
-        assert ref_result == fast_result, (mode, l2_policy, seed, step)
-    assert_systems_identical(reference, fast, (mode, l2_policy, seed))
-    assert fast.effective_engine == engine
-
-
-@pytest.mark.parametrize("mode", list(PartitionMode))
-@pytest.mark.parametrize("l2_policy", ["lru", "fifo"])
-@pytest.mark.parametrize("seed", [99, 7, 2024])
-def test_python_walker_matches_reference(mode, l2_policy, seed):
-    """Fast Python walker vs oracle, every mode and inlined policy."""
-    run_differential(mode, l2_policy, seed, engine="fast")
+        assert ref_result == other_result, (mode, l2_policy, seed, step)
+    assert_systems_identical(reference, other, (mode, l2_policy, seed))
+    assert other.effective_engine == engine
 
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
@@ -155,10 +148,10 @@ def test_compiled_engine_matches_reference(mode, l2_policy, seed):
     run_differential(mode, l2_policy, seed, engine="compiled")
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("engine", ["compiled", "reference"])
 def test_random_l2_policy_replays_the_reference_rng(engine):
-    """The fast walker replays the oracle's RNG stream draw for draw
-    (PR 1 leftover: it used to fall back to the reference walk)."""
+    """A ``random`` L2 draws its victims from the oracle's RNG stream
+    draw for draw, on the compiled engine's fallback too."""
     config = HierarchyConfig(
         l1_geometry=CacheGeometry(sets=4, ways=2, line_size=64),
         l2_geometry=CacheGeometry(sets=16, ways=2, line_size=64),
@@ -217,7 +210,7 @@ def test_compiled_engine_survives_negative_owner_fallback():
 
 
 def test_compiled_engine_degrades_for_random_l2():
-    """random replacement keeps the RNG replay in the Python walker."""
+    """random replacement keeps the RNG draws in the reference walk."""
     config = HierarchyConfig(
         l1_geometry=CacheGeometry(sets=4, ways=2, line_size=64),
         l2_geometry=CacheGeometry(sets=16, ways=2, line_size=64),
@@ -226,7 +219,7 @@ def test_compiled_engine_degrades_for_random_l2():
     )
     system = MemorySystem(1, config, rng=np.random.default_rng(0))
     assert system._compiled_state() is None
-    assert system.effective_engine == "fast"
+    assert system.effective_engine == "reference"
     reference = MemorySystem(
         1,
         HierarchyConfig(
@@ -245,13 +238,13 @@ def test_compiled_engine_degrades_for_random_l2():
     assert system._compiled is None
 
 
-def test_compiled_engine_without_c_walker_runs_fast(monkeypatch):
+def test_compiled_engine_without_c_walker_runs_reference(monkeypatch):
     """No C walker (no compiler, or REPRO_NO_CWALKER): the compiled
-    engine walks in Python -- bit-identically -- and says so."""
+    engine takes the reference walk -- bit-identically -- and says so."""
     monkeypatch.setattr(cwalker, "load", lambda: None)
     reference = build_system("reference", PartitionMode.SET_PARTITIONED)
     compiled = build_system("compiled", PartitionMode.SET_PARTITIONED)
-    assert compiled.effective_engine == "fast"
+    assert compiled.effective_engine == "reference"
     assert compiled._compiled_state() is None
     rng = np.random.default_rng(11)
     for step in range(6):
@@ -260,8 +253,30 @@ def test_compiled_engine_without_c_walker_runs_fast(monkeypatch):
         assert compiled.execute_batch(step % 2, task, batch, step * 500.0) \
             == reference.execute_batch(step % 2, task, batch, step * 500.0)
     assert compiled._compiled is None
-    assert compiled.effective_engine == "fast"
+    assert compiled.effective_engine == "reference"
     assert_systems_identical(reference, compiled, "no C walker")
+
+
+def test_compiled_engine_after_failed_state_allocation_runs_reference(
+    monkeypatch,
+):
+    """A C state that cannot be allocated sends the compiled engine to
+    the reference walk for good -- bit-identically -- and says so."""
+    def no_memory(self, mem, walker):
+        raise MemoryError("walker_state_new failed")
+
+    monkeypatch.setattr(_CompiledState, "__init__", no_memory)
+    reference = build_system("reference", PartitionMode.SET_PARTITIONED)
+    compiled = build_system("compiled", PartitionMode.SET_PARTITIONED)
+    rng = np.random.default_rng(13)
+    for step in range(6):
+        task = 1 + step % 2
+        batch = generate_batch(rng, step, task)
+        assert compiled.execute_batch(step % 2, task, batch, step * 500.0) \
+            == reference.execute_batch(step % 2, task, batch, step * 500.0)
+    assert compiled._compiled is None
+    assert compiled.effective_engine == "reference"
+    assert_systems_identical(reference, compiled, "failed allocation")
 
 
 class _ObservedLock:
@@ -285,7 +300,7 @@ class _ObservedLock:
 def test_concurrent_first_load_waits_for_the_walker(monkeypatch):
     """Regression: a thread calling cwalker.load() while another one is
     still compiling must get the walker, not ``None`` -- which would
-    demote its MemorySystem to the Python walker for good."""
+    demote its MemorySystem to the reference walk for good."""
     lock = _ObservedLock()
     compiling = threading.Event()
     real_compile = cwalker._compile
@@ -325,11 +340,8 @@ def test_engine_config_validated():
         assert HierarchyConfig(engine=engine).engine == engine
 
 
-@pytest.mark.parametrize(
-    "engine",
-    ["fast"] + (["compiled"] if C_AVAILABLE else []),
-    ids=["python", "c"][: 1 + C_AVAILABLE],
-)
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("engine", ["compiled"], ids=["c"])
 def test_cold_misses_after_forget_history(engine):
     """Regression: across a forget_history() epoch, lines can be
     resident yet unseen; the C walker's cold classification must count
@@ -355,7 +367,7 @@ def test_cold_misses_after_forget_history(engine):
 
 
 def test_repartition_flushes_dirty_lines_to_dram():
-    mem = build_system("fast", PartitionMode.SHARED)
+    mem = build_system("compiled", PartitionMode.SHARED)
     writes = AccessBatch.from_addresses([0, 64, 1 << 21], writes=True)
     mem.execute_batch(0, 1, writes, now=0.0)
     before = mem.memory.traffic.line_writes
@@ -374,7 +386,7 @@ def test_repartition_flushes_dirty_lines_to_dram():
 
 
 def test_repartition_in_way_mode():
-    mem = build_system("fast", PartitionMode.WAY_PARTITIONED)
+    mem = build_system("compiled", PartitionMode.WAY_PARTITIONED)
     writes = AccessBatch.from_addresses([0, 64], writes=True)
     mem.execute_batch(0, 1, writes, now=0.0)
     assert mem.repartition() == 4  # two dirty lines per level
