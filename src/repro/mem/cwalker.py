@@ -2,13 +2,16 @@
 
 The per-run walk of :mod:`repro.mem.hierarchy` is bound by the
 interpreter, not by the data structures -- even a fully inlined Python
-loop costs a couple of microseconds per run.  This module compiles the
-equivalent C routines (``_walker.c``, shipped next to this file) with
-the system compiler the first time they are needed and binds them
-through :mod:`ctypes`.  Everything degrades gracefully: no compiler, a
-failed compilation or an unwritable build directory simply mean
-:func:`load` returns ``None`` and the compiled engine falls back to
-the reference walk.
+loop costs a couple of microseconds per run, and numpy bookkeeping
+around a C walk costs hundreds of microseconds per op.  This module
+compiles the C routines (``_walker.c``, shipped next to this file)
+with the system compiler the first time they are needed and binds them
+through :mod:`ctypes`.  One ``walk_batch`` call does a whole op:
+coalescing, owner resolution, set mapping, the walk and the per-owner
+statistics.  Everything degrades gracefully: no compiler, a failed
+compilation or an unwritable build directory simply mean :func:`load`
+returns ``None`` and the compiled engine falls back to the reference
+walk.
 
 The compiled object is cached under ``<package>/_build/`` keyed by the
 source content hash, so recompilation happens only when ``_walker.c``
@@ -26,19 +29,9 @@ import sysconfig
 import threading
 from typing import Optional
 
-__all__ = ["load", "FLAG_L1_MISS", "FLAG_L2_DEMAND_MISS", "FLAG_L1_EVICT",
-           "FLAG_L2_EVICT", "FLAG_L1_WB", "FLAG_L2_WB",
-           "FLAG_L2_PROBE_MISS", "L2_MODE_LRU", "L2_MODE_FIFO",
-           "L2_MODE_WAY"]
-
-#: Flag bits emitted per run; must match ``_walker.c``.
-FLAG_L1_MISS = 1
-FLAG_L2_DEMAND_MISS = 2
-FLAG_L1_EVICT = 4
-FLAG_L2_EVICT = 8
-FLAG_L1_WB = 16
-FLAG_L2_WB = 32
-FLAG_L2_PROBE_MISS = 64
+__all__ = ["load", "L2_MODE_LRU", "L2_MODE_FIFO", "L2_MODE_WAY",
+           "WALK_OK", "WALK_NEGATIVE_ADDRESS", "WALK_NEGATIVE_OWNER",
+           "WALK_GROW", "WALK_NO_MEMORY"]
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_walker.c")
 _BUILD_DIR = os.path.join(os.path.dirname(__file__), "_build")
@@ -93,14 +86,28 @@ L2_MODE_LRU = 0
 L2_MODE_FIFO = 1
 L2_MODE_WAY = 2
 
+#: ``walk_batch`` results; must match ``_walker.c``.  Every result but
+#: ``WALK_OK`` comes back before the call touched any state.
+WALK_OK = 0
+#: A batch address is negative.
+WALK_NEGATIVE_ADDRESS = 1
+#: A run resolves a negative owner id.
+WALK_NEGATIVE_OWNER = 2
+#: A run's owner id is beyond the counters; ``out[0]`` holds it.
+WALK_GROW = 3
+#: A seen-set could not grow.
+WALK_NO_MEMORY = 4
+
 
 class CWalker:
     """Bound routines of the compiled walker library.
 
-    ``state_new`` / ``state_free`` / ``walk_batch`` are the
-    persistent-handle API of the ``compiled`` engine (see
-    :mod:`repro.mem.hierarchy`); ``first_occurrence`` serves its
-    cold-miss classification.
+    The persistent-handle API of the ``compiled`` engine (see
+    :mod:`repro.mem.hierarchy`): ``state_new`` / ``state_free`` own the
+    C state, ``walk_batch`` walks and prices one op's raw batch and
+    counts its per-owner statistics, and ``seen_fresh`` /
+    ``seen_take`` hand back the lines the C seen-sets gained since the
+    last take.
     """
 
     #: Placeholder for the removed multi-entry segment walk: the
@@ -108,12 +115,13 @@ class CWalker:
     #: still wraps this attribute by name.  Nothing calls it.
     walk_segment = None
 
-    def __init__(self, first_occurrence, state_new, state_free,
-                 walk_batch):
-        self.first_occurrence = first_occurrence
+    def __init__(self, state_new, state_free, walk_batch, seen_fresh,
+                 seen_take):
         self.state_new = state_new
         self.state_free = state_free
         self.walk_batch = walk_batch
+        self.seen_fresh = seen_fresh
+        self.seen_take = seen_take
 
 
 def load() -> Optional[CWalker]:
@@ -145,16 +153,15 @@ def _bind() -> Optional[CWalker]:
         return None
     try:
         lib = ctypes.CDLL(so_path)
-        first = lib.first_occurrence
         state_new = lib.walker_state_new
         state_free = lib.walker_state_free
         walk = lib.walk_batch
+        seen_fresh = lib.walker_seen_fresh
+        seen_take = lib.walker_seen_take
     except (OSError, AttributeError):
         return None
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
-    first.restype = ctypes.c_int
-    first.argtypes = [ctypes.c_void_p, i64, ctypes.c_void_p]
     # Pointer arguments are declared as c_void_p and passed as raw
     # ``ndarray.ctypes.data`` integers: the walk runs once per op,
     # where building typed ctypes pointers per argument measurably
@@ -162,10 +169,10 @@ def _bind() -> Optional[CWalker]:
     ptr = ctypes.c_void_p
     state_new.restype = ctypes.c_void_p
     state_new.argtypes = [
-        i64,                        # n_cpus
+        i64, i64, i64,              # n_cpus, line_shift, full_line_count
         i64, i64,                   # l1 sets/ways
         ptr, ptr, ptr, ptr,         # L1 lines/owners/dirty/len (all cpus)
-        i64, i64, i64,              # l2 sets/ways/mode
+        i64, i64,                   # l2 ways/mode
         ptr, ptr, ptr, ptr,         # L2 lines/owners/dirty/len
         ptr, ptr,                   # l2 stamps, way clock slot
         i64, i64, i64, i64, ptr,    # bank mask/busy/access/penalty, banks
@@ -173,21 +180,23 @@ def _bind() -> Optional[CWalker]:
         ptr, ptr,                   # bus demand / last-update
         ptr, ptr,                   # bus transfers / surcharge totals
         f64, i64,                   # issue_cpi, l2_hit_cycles
+        ptr, ptr,                   # seen-set lines, per-cache counts
     ]
     state_free.restype = None
     state_free.argtypes = [ctypes.c_void_p]
-    walk.restype = None
+    walk.restype = ctypes.c_int
     walk.argtypes = [
         ctypes.c_void_p,            # state
-        i64, i64, i64,              # cpu, n_runs, instructions
-        ptr, ptr, ptr,              # lines, l1_idx, l2_idx
-        ptr, ptr,                   # write_any, store_fill
-        ptr,                        # run_owners
-        i64, i64,                   # use_table, n_table
-        ptr, ptr, ptr,              # table base/size/pow2
+        i64, i64, i64, f64,         # cpu, task_owner, instructions, now
+        ptr, ptr, i64,              # addrs, writes, n
+        ptr, i64,                   # interval table, n_intervals
+        ptr, i64,                   # set table, n_table
         ptr, i64,                   # way allocation table, way_rows
-        f64,                        # now
-        ptr, ptr, ptr,              # flags, l1/l2 victim owners
+        ptr, ptr, i64,              # counters, eviction matrices, n_owners
         ptr,                        # out[8]
     ]
-    return CWalker(first, state_new, state_free, walk)
+    seen_fresh.restype = i64
+    seen_fresh.argtypes = [ctypes.c_void_p, i64]
+    seen_take.restype = None
+    seen_take.argtypes = [ctypes.c_void_p, i64, ptr]
+    return CWalker(state_new, state_free, walk, seen_fresh, seen_take)

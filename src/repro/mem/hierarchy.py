@@ -16,19 +16,28 @@ accounting lives in the caches' :class:`~repro.mem.cache.CacheStats`.
 The walker consumes *runs* (see :mod:`repro.mem.trace`): one cache probe
 per run, with the run length counted as accesses.  L1 and L2 must share
 a line size for the run semantics to be exact; the constructor enforces
-this.
+this.  Addresses must be non-negative integers: both engines reject a
+batch with a negative address before it touches any state.
 
 Two engines implement the walk:
 
 - ``engine="compiled"`` (the default) -- the C tier.  A persistent
   C-side state handle (:class:`_CompiledState`) keeps every L1, the
   shared L2 (including the way-partitioned column cache), the DRAM
-  bank timers and the bus demand model resident between calls, so
-  every batch, whatever its size, walks in one C call; per-owner
-  statistics follow in one batched ``bincount`` flush of the walk's
-  per-run flags.  Between calls the C arrays are the authoritative
-  cache state: call :meth:`MemorySystem.sync_state` before reading the
-  Python cache models directly.
+  bank timers, the bus demand model, per-owner statistics counters and
+  one seen-set per cache resident between calls.  Every batch,
+  whatever its size, is one C call that takes the raw addresses and
+  write flags and coalesces them into runs, resolves each run's owner
+  through the interval table, translates the L2 set index, walks, and
+  counts the per-owner statistics.  The contract for reading state:
+
+  * :attr:`MemorySystem.l2_stats` is always current (reading it folds
+    the C-side L2 counters in);
+  * the L1 stats, every cache's contents and its ``_seen`` set are
+    current after :meth:`MemorySystem.sync_state`;
+  * Python-side mutations (``forget_history``, the partition maps,
+    direct cache edits) come after :meth:`MemorySystem.quiesce`, which
+    syncs and drops the C state so the next call re-exports it.
 - ``engine="reference"`` -- one method call per run into the cache
   models.  Slow but obviously faithful; it is the differential-testing
   oracle and the compiled engine's fallback.
@@ -37,17 +46,19 @@ Both engines produce bit-identical statistics, which the differential
 test suite asserts.  The compiled engine falls back to the reference
 walk when no C compiler is available (or ``REPRO_NO_CWALKER`` is set),
 for a ``random`` L2, whose victim selection draws from the cache
-model's RNG, and when the C state cannot be allocated.  A negative
-owner id degrades it to the reference walk too -- the owner registry
-never produces one, and once such lines are resident their evictions
-would poison the vectorised statistics flush.  Every fallback is for
-good, and :attr:`MemorySystem.effective_engine` reports the engine
-that walks after it.
+model's RNG, and when the C state cannot be allocated or grown.  A
+negative owner id degrades it to the reference walk too -- the owner
+registry never produces one -- and so does an owner id of
+:data:`MAX_DENSE_OWNERS` or more, which the dense C counters do not
+cover.  Each check runs before the C call touches any state.  Every
+fallback is for good, and :attr:`MemorySystem.effective_engine`
+reports the engine that walks after it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -69,8 +80,11 @@ from repro.mem.trace import AccessBatch
 
 __all__ = ["BatchResult", "HierarchyConfig", "MemorySystem"]
 
-#: Shared empty owner list for the no-event stats flush.
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
+#: Owner ids the compiled engine's dense per-owner counters cover: the
+#: eviction matrices take ``(n_cpus + 1) x MAX_DENSE_OWNERS**2`` int64
+#: counters at most (40 MiB for four CPUs).  A run resolving a larger
+#: id sends the engine to the reference walk.
+MAX_DENSE_OWNERS = 1024
 
 
 @dataclass(frozen=True)
@@ -145,15 +159,29 @@ class _CompiledState:
     """Persistent C-side state of one :class:`MemorySystem`.
 
     Owns the numpy arrays the C handle points into (cache contents of
-    every level, DRAM bank timers, bus demand/totals) and the opaque
-    ``walker_state`` capsule built over them.  Between calls the arrays
-    *are* the authoritative cache state; :meth:`sync_down` materialises
-    them back into the Python cache models when something needs the
-    dict/list view (repartitioning, tests, diagnostics).  Per-owner
-    statistics stay on the Python side -- the C walk emits per-run
-    flags that :meth:`MemorySystem._flush_compiled_stats` reduces in
-    one bincount flush.
+    every level, DRAM bank timers, bus demand/totals, per-owner
+    counters) and the opaque ``walker_state`` capsule built over them,
+    which also holds one seen-set per cache.  Between calls the arrays
+    *are* the authoritative cache state, and the counters hold the
+    statistics the C walk counted since they were last folded into the
+    caches' :class:`~repro.mem.cache.CacheStats`.  :meth:`flush_stats`
+    folds them (every :attr:`MemorySystem.l2_stats` read does so for the
+    L2); :meth:`sync_down` materialises everything -- contents, every
+    counter, the newly seen lines -- back into the Python models when
+    something needs that view (repartitioning, tests, diagnostics).
+    The C seen-sets start from the caches' ``_seen`` sets, so those
+    round-trip across a drop and rebuild like the contents do.
+
+    The counters are dense: per cache (every L1 by cpu id, then the
+    L2), ``counts[cache]`` has one row per field of :data:`_FIELDS` and
+    ``matrix[cache]`` is the ``(evictor, victim)`` eviction matrix,
+    both indexed by owner id below :attr:`n_owners`.
     """
+
+    #: Counter rows per cache; must match ``_walker.c``.  ``hits`` is
+    #: ``accesses - misses`` (only a run's first access can miss).
+    _FIELDS = ("accesses", "misses", "cold_misses", "evictions_suffered",
+               "writebacks")
 
     def __init__(self, mem: "MemorySystem", walker):
         self.walker = walker
@@ -178,10 +206,12 @@ class _CompiledState:
                 cwalker.L2_MODE_LRU if mem.l2.policy == "lru"
                 else cwalker.L2_MODE_FIFO
             )
+            l2_cache = mem.l2
         else:
             lines, owners, dirty, stamps, clock = mem.l2_way.export_state()
             lens = np.zeros(l2_geometry.sets, dtype=np.int32)
             mode = cwalker.L2_MODE_WAY
+            l2_cache = mem.l2_way
         self.l2_mode = mode
         self.l2_lines = lines
         self.l2_owners = owners
@@ -189,6 +219,8 @@ class _CompiledState:
         self.l2_len = lens
         self.l2_stamp = stamps
         self.way_clock = np.array([clock], dtype=np.int64)
+        #: Every cache in counter order: the L1s by cpu id, then the L2.
+        self.caches = [*mem.l1s, l2_cache]
 
         dram = config.dram
         bank_free = mem.memory._bank_free_at
@@ -209,12 +241,26 @@ class _CompiledState:
             [bus.total_surcharge_cycles], dtype=np.float64
         )
 
+        # Resident owners came from earlier walks, so they are in range.
+        self._alloc_counters(
+            max(int(self.l1_owners.max()), int(self.l2_owners.max()))
+        )
+
+        seen_counts = np.array(
+            [len(cache._seen) for cache in self.caches], dtype=np.int64
+        )
+        seen_lines = np.fromiter(
+            itertools.chain.from_iterable(
+                cache._seen for cache in self.caches
+            ),
+            dtype=np.int64, count=int(seen_counts.sum()),
+        )
         handle = walker.state_new(
-            n_cpus,
+            n_cpus, l1_geometry.line_shift, l1_geometry.line_size // 4,
             l1_geometry.sets, l1_geometry.ways,
             self.l1_lines.ctypes.data, self.l1_owners.ctypes.data,
             self.l1_dirty.ctypes.data, self.l1_len.ctypes.data,
-            l2_geometry.sets, l2_geometry.ways, mode,
+            l2_geometry.ways, mode,
             self.l2_lines.ctypes.data, self.l2_owners.ctypes.data,
             self.l2_dirty.ctypes.data, self.l2_len.ctypes.data,
             self.l2_stamp.ctypes.data, self.way_clock.ctypes.data,
@@ -226,43 +272,80 @@ class _CompiledState:
             self.bus_demand.ctypes.data, self.bus_last.ctypes.data,
             self.bus_transfers.ctypes.data, self.bus_surcharge.ctypes.data,
             config.issue_cpi, config.l2_hit_cycles,
+            seen_lines.ctypes.data, seen_counts.ctypes.data,
         )
         if not handle:
             raise MemoryError("walker_state_new failed")
         self.handle = ctypes.c_void_p(handle)
 
-        # Reusable per-call scratch (the walk runs once per op;
-        # allocating outputs per call dominates small batches).
-        # Flags/victim slots need no zeroing between calls: the C
-        # walker assigns them for every run, and the flush only reads
-        # the batch's runs.
-        self._run_capacity = 0
-        self._run_scratch: tuple = ()
         #: The walk's eight scalar outputs (see ``walk_batch``).
         self.out = np.zeros(8, dtype=np.int64)
         self.out_ptr = self.out.ctypes.data
-        self._no_table = (
-            np.zeros(1, dtype=np.int64),
-            np.ones(1, dtype=np.int64),
-            np.ones(1, dtype=np.uint8),
+        #: The set table of conventional indexing over the whole L2
+        #: (one default row), for every mode but set partitioning.
+        self.natural_table = np.array(
+            [[0, l2_geometry.sets]], dtype=np.int64
         )
+        self.natural_table_ptr = self.natural_table.ctypes.data
 
-    def run_scratch(self, n: int) -> tuple:
-        """Per-run ``(flags, l1_victim, l2_victim)`` plus addresses."""
-        if n > self._run_capacity or not self._run_scratch:
-            self._run_capacity = max(2 * n, 4096)
-            arrays = (
-                np.zeros(self._run_capacity, dtype=np.uint8),
-                np.zeros(self._run_capacity, dtype=np.int64),
-                np.zeros(self._run_capacity, dtype=np.int64),
-            )
-            self._run_scratch = (
-                arrays, tuple(a.ctypes.data for a in arrays)
-            )
-        return self._run_scratch
+    def _alloc_counters(self, max_owner: int) -> None:
+        """Fresh zeroed counters covering owner ids up to ``max_owner``."""
+        n_owners = 64
+        while n_owners <= max_owner:
+            n_owners *= 2
+        n_caches = len(self.caches)
+        self.n_owners = n_owners
+        self.counts = np.zeros(
+            (n_caches, len(self._FIELDS), n_owners), dtype=np.int64
+        )
+        self.matrix = np.zeros((n_caches, n_owners, n_owners), dtype=np.int64)
+        self.counts_ptr = self.counts.ctypes.data
+        self.matrix_ptr = self.matrix.ctypes.data
+
+    def grow(self, owner: int) -> None:
+        """Re-size the counters to cover ``owner``, keeping their counts."""
+        counts, matrix, n_owners = self.counts, self.matrix, self.n_owners
+        self._alloc_counters(owner)
+        self.counts[:, :, :n_owners] = counts
+        self.matrix[:, :n_owners, :n_owners] = matrix
+
+    def flush_stats(self, which) -> None:
+        """Fold the counters of caches ``which`` into their stats; zero them."""
+        n_owners = self.n_owners
+        for index in which:
+            stats = self.caches[index].stats
+            counts = self.counts[index]
+            active = np.flatnonzero(counts.any(axis=0))
+            if active.shape[0]:
+                for owner, (acc, miss, cold, evicted, wb) in zip(
+                    active.tolist(), counts[:, active].T.tolist()
+                ):
+                    owner_stats = stats.owner(owner)
+                    owner_stats.accesses += acc
+                    owner_stats.hits += acc - miss
+                    owner_stats.misses += miss
+                    owner_stats.cold_misses += cold
+                    owner_stats.evictions_suffered += evicted
+                    owner_stats.writebacks += wb
+                counts[:, active] = 0
+            matrix = self.matrix[index].reshape(-1)
+            pairs = np.flatnonzero(matrix)
+            if pairs.shape[0]:
+                evictions = stats.eviction_matrix
+                for key, n in zip(pairs.tolist(), matrix[pairs].tolist()):
+                    pair = divmod(key, n_owners)
+                    evictions[pair] = evictions.get(pair, 0) + n
+                matrix[pairs] = 0
 
     def sync_down(self, mem: "MemorySystem") -> None:
         """Write the C-resident state back into the Python models."""
+        self.flush_stats(range(len(self.caches)))
+        for index, cache in enumerate(self.caches):
+            fresh = self.walker.seen_fresh(self.handle, index)
+            if fresh:
+                lines = np.empty(fresh, dtype=np.int64)
+                self.walker.seen_take(self.handle, index, lines.ctypes.data)
+                cache._seen.update(lines.tolist())
         span = self.l1_sets * self.l1_ways
         for i, l1 in enumerate(mem.l1s):
             l1.import_state(
@@ -341,18 +424,30 @@ class MemorySystem:
         #: Lazily built persistent C state (engine="compiled" only).
         self._compiled: Optional[_CompiledState] = None
         #: Whether batches try the C tier.  Cleared for good when the C
-        #: state cannot be allocated or a negative owner id turns up.
+        #: state cannot be allocated or grown, or a run resolves an
+        #: owner id outside ``[0, MAX_DENSE_OWNERS)``.
         self._use_compiled = config.engine == "compiled"
-        #: (version, table) memo of the dense set-translation table.
+        #: (version, (n_table, table, pointer)) memo of the dense
+        #: set-translation table.
         self._set_table_memo: Optional[tuple] = None
-        #: (version, table) memo of the way-allocation table.
+        #: (version, (way_rows, table, pointer)) memo of the
+        #: way-allocation table.
         self._way_table_memo: Optional[tuple] = None
+        #: (table, version, (n, array, pointer)) memo of the interval
+        #: table as the C walk reads it.
+        self._interval_memo: Optional[tuple] = None
 
     # -- configuration -----------------------------------------------------
 
     @property
     def l2_stats(self):
-        """Per-owner stats of the L2 (whichever implementation is live)."""
+        """Per-owner stats of the L2 (whichever implementation is live).
+
+        Always current: on the compiled engine, reading it first folds
+        the C-side L2 counters into the returned stats.
+        """
+        if self._compiled is not None:
+            self._compiled.flush_stats((self.n_cpus,))
         cache = self.l2 if self.l2 is not None else self.l2_way
         return cache.stats
 
@@ -392,7 +487,10 @@ class MemorySystem:
         Syncs compiled-tier state down into the Python models and drops
         the C handle, so the mutation starts from (and the next
         compiled call re-exports) an up-to-date view.  Idempotent, and
-        a no-op on the reference engine.  Every map-mutating path in
+        a no-op on the reference engine.  Call it before any mutation
+        the C state mirrors: the partition maps, a cache's
+        ``forget_history()`` (the C seen-sets are rebuilt from
+        ``_seen``), direct cache edits.  Every map-mutating path in
         :class:`~repro.rtos.cachectl.CacheController` calls this: a
         partition change against a *stale* Python view would silently
         diverge the compiled engine from the reference.
@@ -426,11 +524,12 @@ class MemorySystem:
     def sync_state(self) -> None:
         """Materialise C-resident state back into the Python models.
 
-        A no-op unless the compiled tier is live.  Cache contents, DRAM
-        bank timers and bus demand live C-side between compiled calls;
-        anything that wants the Python dict/list view (repartitioning,
-        direct cache inspection, the differential tests) calls this
-        first.  Idempotent -- the arrays stay authoritative and further
+        A no-op unless the compiled tier is live.  Cache contents,
+        per-owner statistics, the caches' seen-sets, DRAM bank timers
+        and bus demand live C-side between compiled calls; anything
+        that wants the Python view (repartitioning, direct cache or L1
+        stats inspection, the differential tests) calls this first.
+        Idempotent -- the arrays stay authoritative and further
         compiled calls continue from them.
         """
         if self._compiled is not None:
@@ -441,11 +540,18 @@ class MemorySystem:
 
         The next compiled call re-exports the (mutated) Python state.
         Callers must :meth:`sync_state` *before* mutating, or the
-        mutation would start from a stale view.
+        mutation would start from a stale view (and the statistics
+        counted since the last sync would be lost).
         """
         if self._compiled is not None:
             self._compiled.close()
             self._compiled = None
+
+    def _fall_back(self) -> None:
+        """Walk on the reference engine for good, from up-to-date models."""
+        self.sync_state()
+        self._drop_compiled()
+        self._use_compiled = False
 
     @property
     def effective_engine(self) -> str:
@@ -453,8 +559,9 @@ class MemorySystem:
 
         ``"compiled"`` or ``"reference"``: the requested
         :attr:`HierarchyConfig.engine` unless the compiled tier is down
-        (no C walker, a ``random`` L2, a failed state allocation, a
-        negative owner id) -- then ``"reference"``.
+        (no C walker, a ``random`` L2, a failed state allocation, an
+        owner id outside ``[0, MAX_DENSE_OWNERS)``) -- then
+        ``"reference"``.
         """
         if (self._use_compiled
                 and (self.l2 is None or self.l2.policy != "random")
@@ -474,14 +581,33 @@ class MemorySystem:
                 self._use_compiled = False
         return self._compiled
 
-    def _set_translation_table(self):
-        """Dense owner -> set-group table for the C walkers (memoized).
+    def _interval_table(self):
+        """The interval table as the C walk reads it (memoized).
 
-        Row layout matches ``_walker.c``: rows ``0..n_table-1`` are the
-        per-owner effective partitions (default mapping where none),
-        row ``n_table`` is the default mapping itself; owners beyond
-        the table use the default row, which is correct because every
-        partitioned or aliased owner is covered by construction.
+        ``(n, array, pointer)``: the interval count, the table's
+        :meth:`~repro.mem.intervals.IntervalTable.as_array` form and its
+        address.
+        """
+        table = self.resolver.intervals
+        memo = self._interval_memo
+        if memo is None or memo[0] is not table \
+                or memo[1] != table.version:
+            array = table.as_array()
+            memo = (table, table.version,
+                    (array.shape[1], array, array.ctypes.data))
+            self._interval_memo = memo
+        return memo[2]
+
+    def _set_translation_table(self):
+        """Dense owner -> set-group table for the C walk (memoized).
+
+        ``(n_table, table, pointer)``.  Row layout matches
+        ``_walker.c``: ``(base, n_sets)`` per row; rows
+        ``0..n_table-1`` are the per-owner effective partitions
+        (default mapping where none), row ``n_table`` is the default
+        mapping itself; owners beyond the table use the default row,
+        which is correct because every partitioned or aliased owner is
+        covered by construction.
         """
         version = self.set_map.version
         if self._set_table_memo is not None \
@@ -491,30 +617,29 @@ class MemorySystem:
         n_table = (max(covered) + 1) if covered else 0
         pool = self.set_map.default_pool
         if pool is not None:
-            default_row = (pool.base, pool.n_sets, pool.is_power_of_two)
+            default_row = (pool.base, pool.n_sets)
         else:
-            default_row = (0, self.config.l2_geometry.sets, True)
-        tbl_base = np.empty(n_table + 1, dtype=np.int64)
-        tbl_size = np.empty(n_table + 1, dtype=np.int64)
-        tbl_pow2 = np.empty(n_table + 1, dtype=np.uint8)
+            default_row = (0, self.config.l2_geometry.sets)
+        rows = []
         for owner in range(n_table):
             partition = self.set_map.effective_partition(owner)
-            row = (
-                (partition.base, partition.n_sets, partition.is_power_of_two)
+            rows.append(
+                (partition.base, partition.n_sets)
                 if partition is not None else default_row
             )
-            tbl_base[owner], tbl_size[owner], tbl_pow2[owner] = row
-        tbl_base[n_table], tbl_size[n_table], tbl_pow2[n_table] = default_row
-        table = (n_table, tbl_base, tbl_size, tbl_pow2)
+        rows.append(default_row)
+        array = np.array(rows, dtype=np.int64)
+        table = (n_table, array, array.ctypes.data)
         self._set_table_memo = (version, table)
         return table
 
     def _way_allocation_table(self):
         """Dense owner -> allocation-way table for the C walker (memoized).
 
-        ``way_rows + 1`` rows of ``l2_ways`` slots, -1 padded, in the
-        owner's allocation-preference order; the last row (and every
-        uncovered owner) gets all ways -- the unpartitioned default.
+        ``(way_rows, table, pointer)``: ``way_rows + 1`` rows of
+        ``l2_ways`` slots, -1 padded, in the owner's allocation-preference
+        order; the last row (and every uncovered owner) gets all ways --
+        the unpartitioned default.
         """
         version = self.way_map._version
         if self._way_table_memo is not None \
@@ -529,7 +654,7 @@ class MemorySystem:
                 else tuple(range(ways))
             for k, way in enumerate(row):
                 table[owner * ways + k] = way
-        result = (way_rows, table)
+        result = (way_rows, table, table.ctypes.data)
         self._way_table_memo = (version, result)
         return result
 
@@ -565,82 +690,61 @@ class MemorySystem:
         """One C call over the batch; ``None`` when unsupported.
 
         Unsupported means: the compiled tier is down (no C walker, a
-        random L2, a failed state allocation) or the batch resolves a
-        negative owner id (the registry never produces one; the oracle
-        path handles it).
+        random L2, a failed state allocation) or the C call declined
+        the batch before touching any state -- a run resolves an owner
+        id outside ``[0, MAX_DENSE_OWNERS)`` or a seen-set cannot grow.
+        Both send this system to the reference walk for good.  An owner
+        id beyond the current counters grows them and walks again.
         """
         state = self._compiled_state()
         if state is None:
             return None
-        config = self.config
-        line_shift = config.l1_geometry.line_shift
-        set_partitioned = self.mode is PartitionMode.SET_PARTITIONED
-
-        lines_arr, counts_arr, wany_arr, wall_arr = batch.runs(line_shift)
-        n_runs = int(lines_arr.shape[0])
-        if n_runs:
-            owners_arr = self.resolver.resolve_many(
-                lines_arr << line_shift, task_owner
-            )
-            if int(owners_arr.min()) < 0:
-                # Negative owner ids take the oracle path -- stickily,
-                # because once such lines are resident any eviction
-                # would feed their owner into the vectorised flush.
-                # Hand the authoritative state back to the Python
-                # models first, otherwise the fallback would walk a
-                # stale view and its mutations would never reach the C
-                # arrays.
-                self.sync_state()
-                self._drop_compiled()
-                self._use_compiled = False
-                return None
-            # numpy bools are one byte: reinterpret, do not copy.
-            wany_u8 = wany_arr.view(np.uint8)
-            full_line_count = config.l1_geometry.line_size // 4
-            sf_u8 = (wall_arr & (counts_arr >= full_line_count)).view(
-                np.uint8
-            )
-            l1_idx_arr = lines_arr & config.l1_geometry.index_mask
-            if set_partitioned:
-                l2_idx_arr = np.ascontiguousarray(
-                    self.set_map.map_index_many(owners_arr, lines_arr),
-                    dtype=np.int64,
-                )
-            else:
-                l2_idx_arr = lines_arr & config.l2_geometry.index_mask
+        if state.n_owners <= task_owner < MAX_DENSE_OWNERS:
+            state.grow(task_owner)
+        # The C walk reads contiguous int64 addresses and one flag byte
+        # per access; both conversions are no-ops for the usual batch.
+        addrs = np.ascontiguousarray(batch.addrs, dtype=np.int64)
+        writes = batch.writes
+        if writes.dtype != np.bool_ or not writes.flags.c_contiguous:
+            writes = np.ascontiguousarray(writes, dtype=np.bool_)
+        n_intervals, _, intervals_ptr = self._interval_table()
+        if self.mode is PartitionMode.SET_PARTITIONED:
+            n_table, _, set_table_ptr = self._set_translation_table()
         else:
-            lines_arr = counts_arr = owners_arr = state._no_table[0]
-            l1_idx_arr = l2_idx_arr = state._no_table[0]
-            wany_u8 = sf_u8 = state._no_table[2]
-
-        if set_partitioned:
-            use_table = 1
-            n_table, tbl_base, tbl_size, tbl_pow2 = \
-                self._set_translation_table()
-        else:
-            use_table = 0
-            n_table = 0
-            tbl_base, tbl_size, tbl_pow2 = state._no_table
+            n_table, set_table_ptr = 0, state.natural_table_ptr
         if self.mode is PartitionMode.WAY_PARTITIONED:
-            way_rows, way_table = self._way_allocation_table()
+            way_rows, _, way_table_ptr = self._way_allocation_table()
         else:
-            way_rows = 0
-            way_table = state._no_table[0]
-
-        (flags, l1_vo, l2_vo), run_ptrs = state.run_scratch(n_runs)
+            way_rows, way_table_ptr = 0, None  # read in way mode only
         instructions = int(batch.instructions)
-        state.walker.walk_batch(
-            state.handle, cpu_id, n_runs, instructions,
-            lines_arr.ctypes.data, l1_idx_arr.ctypes.data,
-            l2_idx_arr.ctypes.data,
-            wany_u8.ctypes.data, sf_u8.ctypes.data, owners_arr.ctypes.data,
-            use_table, n_table,
-            tbl_base.ctypes.data, tbl_size.ctypes.data, tbl_pow2.ctypes.data,
-            way_table.ctypes.data, way_rows,
-            float(now),
-            run_ptrs[0], run_ptrs[1], run_ptrs[2],
-            state.out_ptr,
-        )
+        addrs_ptr = addrs.ctypes.data
+        writes_ptr = writes.ctypes.data
+        n = addrs.shape[0]
+        while True:
+            status = state.walker.walk_batch(
+                state.handle, cpu_id, task_owner, instructions, float(now),
+                addrs_ptr, writes_ptr, n,
+                intervals_ptr, n_intervals,
+                set_table_ptr, n_table,
+                way_table_ptr, way_rows,
+                state.counts_ptr, state.matrix_ptr, state.n_owners,
+                state.out_ptr,
+            )
+            if status != cwalker.WALK_GROW:
+                break
+            owner = int(state.out[0])
+            if owner >= MAX_DENSE_OWNERS:
+                self._fall_back()
+                return None
+            state.grow(owner)
+        if status == cwalker.WALK_NEGATIVE_ADDRESS:
+            raise MemoryModelError(
+                f"negative address in a batch on cpu {cpu_id}"
+            )
+        if status != cwalker.WALK_OK:
+            # A negative owner id or a failed seen-set allocation.
+            self._fall_back()
+            return None
         (cycles, l1_misses, dram_reads, dram_writes, bus_cycles,
          store_fills, read_conflicts, write_conflicts) = state.out.tolist()
 
@@ -648,11 +752,6 @@ class MemorySystem:
         traffic.line_reads += dram_reads
         traffic.line_writes += dram_writes
         traffic.bank_conflicts += read_conflicts + write_conflicts
-        if n_runs:
-            self._flush_compiled_stats(
-                cpu_id, state.walker, lines_arr, counts_arr, owners_arr,
-                sf_u8, flags[:n_runs], l1_vo[:n_runs], l2_vo[:n_runs],
-            )
         return BatchResult(
             cycles=cycles,
             instructions=instructions,
@@ -663,62 +762,6 @@ class MemorySystem:
             dram_lines=dram_reads + dram_writes,
             bus_cycles=bus_cycles,
             store_fills=store_fills,
-        )
-
-    def _flush_compiled_stats(
-        self, cpu_id, walker, lines_arr, counts_arr, owners_arr, sf_u8,
-        flags, l1_vo, l2_vo,
-    ) -> None:
-        """Reduce one C walk's per-run flags into the Python stats.
-
-        One bincount flush: L1 accounting on the batch's CPU, L2
-        accounting over every run, cold misses by batch-first
-        occurrence against the seen-sets.
-        """
-        l1 = self.l1s[cpu_id]
-        if not flags.any():
-            # Pure L1-hit batch (the warm steady state): only the
-            # per-owner access/hit counts move.
-            empty = _EMPTY_I64
-            _flush_weighted_stats(
-                l1.stats, owners_arr, counts_arr,
-                empty, empty, empty, empty, empty,
-            )
-            return
-
-        l1_miss_mask = (flags & cwalker.FLAG_L1_MISS) != 0
-        l1_evict_mask = (flags & cwalker.FLAG_L1_EVICT) != 0
-        l1_wb_mask = (flags & cwalker.FLAG_L1_WB) != 0
-        demand_mask = (flags & cwalker.FLAG_L2_DEMAND_MISS) != 0
-        l2_evict_mask = (flags & cwalker.FLAG_L2_EVICT) != 0
-        l2_wb_mask = (flags & cwalker.FLAG_L2_WB) != 0
-        probe_miss_mask = (flags & cwalker.FLAG_L2_PROBE_MISS) != 0
-
-        # -- L1 accounting ------------------------------------------------
-        cold_runs, miss_lines = _first_misses(
-            walker, lines_arr, l1_miss_mask, l1._seen
-        )
-        l1._seen.update(miss_lines)
-        _flush_weighted_stats(
-            l1.stats, owners_arr, counts_arr,
-            owners_arr[l1_miss_mask], owners_arr[cold_runs],
-            owners_arr[l1_evict_mask], l1_vo[l1_evict_mask],
-            l1_vo[l1_wb_mask],
-        )
-
-        # -- L2 accounting: one probe per L1-missing run ------------------
-        l2_cache = self.l2 if self.l2 is not None else self.l2_way
-        cold2_candidates, miss_lines2 = _first_misses(
-            walker, lines_arr, probe_miss_mask, l2_cache._seen
-        )
-        cold2_runs = cold2_candidates[sf_u8[cold2_candidates] == 0]
-        l2_cache._seen.update(miss_lines2)
-        _flush_probe_stats(
-            l2_cache.stats,
-            owners_arr[l1_miss_mask], owners_arr[demand_mask],
-            owners_arr[cold2_runs],
-            owners_arr[l2_evict_mask], l2_vo[l2_evict_mask],
-            l2_vo[l2_wb_mask],
         )
 
     def _execute_batch_reference(
@@ -746,6 +789,10 @@ class MemorySystem:
         full_line_count = config.l1_geometry.line_size // 4
 
         line_addrs, counts, write_any, write_all = batch.runs(line_shift)
+        if line_addrs.shape[0] and int(line_addrs.min()) < 0:
+            raise MemoryModelError(
+                f"negative address in a batch on cpu {cpu_id}"
+            )
         for i in range(line_addrs.shape[0]):
             line = int(line_addrs[i])
             count = int(counts[i])
@@ -891,137 +938,3 @@ class MemorySystem:
             result.dram_lines += 1
         return hit
 
-
-# -- compiled-engine statistics flush -------------------------------------
-#
-# The C walk reports per-run outcome flags and victim owners; these
-# helpers reduce the owner ids they select to per-owner deltas in one
-# vectorised pass.  The resulting OwnerStats values are identical to
-# what the per-run reference accounting produces, because
-# hit/miss/access counts are order-free sums.
-
-
-def _bincount(owners, minlength=0) -> np.ndarray:
-    """Per-owner occurrence counts of a flat owner-id array."""
-    return np.bincount(
-        np.asarray(owners, dtype=np.int64), minlength=minlength
-    )
-
-
-def _first_misses(walker, line_arr, miss_mask, seen):
-    """Batch-first misses of not-yet-seen lines (compiled-tier cold misses).
-
-    Returns ``(cold_runs, missed_lines)``: the run indices whose miss
-    is the line's first at this level *and* whose line is absent from
-    ``seen`` (the reference marks a line seen at every miss, never at a
-    hit), plus the distinct missed lines to add to the seen-set.
-    """
-    miss_runs = np.flatnonzero(miss_mask)
-    n_misses = int(miss_runs.shape[0])
-    if n_misses == 0:
-        return miss_runs, []
-    missed = line_arr[miss_runs]
-    first_mask = np.zeros(n_misses, dtype=np.uint8)
-    if walker.first_occurrence(
-        missed.ctypes.data, n_misses, first_mask.ctypes.data,
-    ):
-        _, first_sub = np.unique(missed, return_index=True)
-    else:
-        first_sub = np.flatnonzero(first_mask)
-    first_runs = miss_runs[first_sub]
-    missed_lines = line_arr[first_runs].tolist()
-    if seen.issuperset(missed_lines):
-        # Warm steady state: every missed line was seen before, so no
-        # run is cold -- skip the per-line membership scan.
-        return first_runs[:0], missed_lines
-    pre_seen = np.fromiter(
-        (line in seen for line in missed_lines),
-        dtype=bool, count=len(missed_lines),
-    )
-    return first_runs[~pre_seen], missed_lines
-
-
-def _flush_events(stats, evictor_owners, victim_owners, wb_owners) -> None:
-    """Apply eviction-attribution and writeback events to ``stats``.
-
-    Events arrive as parallel evictor/victim owner arrays; the
-    ``(evictor, victim)`` matrix is aggregated by packing each pair into
-    one integer key and running ``np.unique`` -- no per-event Python
-    work.
-    """
-    if len(victim_owners):
-        victims = np.asarray(victim_owners, dtype=np.int64)
-        suffered = np.bincount(victims)
-        for o in np.flatnonzero(suffered):
-            stats.owner(int(o)).evictions_suffered += int(suffered[o])
-        evictors = np.asarray(evictor_owners, dtype=np.int64)
-        key_mod = int(victims.max()) + 1
-        packed = evictors * key_mod + victims
-        matrix = stats.eviction_matrix
-        if int(evictors.max()) * key_mod < (1 << 22):
-            # Dense owner ids (the normal case): bincount beats the
-            # sort inside np.unique by an order of magnitude.
-            counts = np.bincount(packed)
-            for key in np.flatnonzero(counts):
-                pair = (int(key) // key_mod, int(key) % key_mod)
-                matrix[pair] = matrix.get(pair, 0) + int(counts[key])
-        else:
-            keys, counts = np.unique(packed, return_counts=True)
-            for key, n in zip(keys.tolist(), counts.tolist()):
-                pair = (key // key_mod, key % key_mod)
-                matrix[pair] = matrix.get(pair, 0) + n
-    if len(wb_owners):
-        flushed = _bincount(wb_owners)
-        for o in np.flatnonzero(flushed):
-            stats.owner(int(o)).writebacks += int(flushed[o])
-
-
-def _apply_owner_counts(stats, acc, miss_owners, cold_owners) -> None:
-    """Fold per-owner access/miss/cold counts into ``stats``.
-
-    ``hits`` is derived as ``accesses - misses`` -- exactly the
-    reference model's ``hits += n`` / ``hits += n - 1`` bookkeeping,
-    summed (only a run's first access can miss).
-    """
-    n_owners = len(acc)
-    miss = _bincount(miss_owners, n_owners)
-    cold = _bincount(cold_owners, n_owners)
-    for o in np.flatnonzero(acc):
-        owner_stats = stats.owner(int(o))
-        a = int(acc[o])
-        m = int(miss[o])
-        owner_stats.accesses += a
-        owner_stats.hits += a - m
-        owner_stats.misses += m
-        c = int(cold[o])
-        if c:
-            owner_stats.cold_misses += c
-
-
-def _flush_weighted_stats(
-    stats, owners_arr, count_arr, miss_owners, cold_owners,
-    evictor_owners, victim_owners, wb_owners,
-) -> None:
-    """L1-style accounting: every run accesses with its full run length."""
-    n_owners = int(owners_arr.max()) + 1
-    acc = np.bincount(owners_arr, weights=count_arr, minlength=n_owners)
-    _apply_owner_counts(stats, acc, miss_owners, cold_owners)
-    _flush_events(stats, evictor_owners, victim_owners, wb_owners)
-
-
-def _flush_probe_stats(
-    stats, probe_owners, miss_owners, cold_owners,
-    evictor_owners, victim_owners, wb_owners,
-) -> None:
-    """L2-style accounting: one single-access probe per L1-missing run.
-
-    Store fills are probes that never count as demand misses (the
-    reference path books then cancels the miss; the net effect is an
-    access plus a hit, which is what omitting them from ``miss_owners``
-    produces here).
-    """
-    if len(probe_owners):
-        probes = np.asarray(probe_owners, dtype=np.int64)
-        acc = np.bincount(probes, minlength=int(probes.max()) + 1)
-        _apply_owner_counts(stats, acc, miss_owners, cold_owners)
-    _flush_events(stats, evictor_owners, victim_owners, wb_owners)

@@ -31,6 +31,9 @@ class IntervalTable:
         self._bases: List[int] = []
         self._ends: List[int] = []
         self._owners: List[int] = []
+        #: Bumped on every mutation; lets callers (the compiled
+        #: walker's copy of the table) memoize derived arrays cheaply.
+        self._version = 0
 
     def __len__(self) -> int:
         return len(self._bases)
@@ -38,6 +41,20 @@ class IntervalTable:
     def __iter__(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(base, end, owner)`` triples in address order."""
         return iter(zip(self._bases, self._ends, self._owners))
+
+    @property
+    def version(self) -> int:
+        """Mutation counter (memoization key for derived arrays)."""
+        return self._version
+
+    def as_array(self) -> np.ndarray:
+        """The table as one ``(3, n)`` ``int64`` array.
+
+        Rows are the sorted bases, the ends and the owners.
+        """
+        return np.array(
+            [self._bases, self._ends, self._owners], dtype=np.int64
+        )
 
     def add(self, base: int, end: int, owner: int) -> None:
         """Register ``[base, end)`` as belonging to ``owner``.
@@ -61,6 +78,7 @@ class IntervalTable:
         self._bases.insert(idx, base)
         self._ends.insert(idx, end)
         self._owners.insert(idx, owner)
+        self._version += 1
 
     def remove(self, base: int) -> None:
         """Drop the interval starting at ``base``."""
@@ -68,6 +86,7 @@ class IntervalTable:
         if idx < 0 or self._bases[idx] != base:
             raise MemoryModelError(f"no interval starts at {base:#x}")
         del self._bases[idx], self._ends[idx], self._owners[idx]
+        self._version += 1
 
     def lookup(self, addr: int) -> Optional[int]:
         """Owner id of ``addr`` or ``None`` when not in any interval."""
@@ -82,16 +101,15 @@ class IntervalTable:
         Returns an ``int64`` array of owner ids with ``-1`` where an
         address falls in no interval (owner ids are non-negative by
         construction, see :class:`repro.mem.partition.OwnerRegistry`).
-        One ``searchsorted`` replaces a per-access binary search -- this
-        is what lets the compiled hierarchy engine resolve a whole batch
-        of runs in one call.
+        One ``searchsorted`` replaces a per-access binary search.  The
+        compiled hierarchy engine no longer calls this -- its C walk
+        searches :meth:`as_array` itself -- so this is the vectorised
+        oracle behind :meth:`~repro.mem.partition.OwnerResolver.resolve_many`.
         """
         addrs = np.asarray(addrs)
         if not self._bases:
             return np.full(addrs.shape, -1, dtype=np.int64)
-        bases = np.asarray(self._bases, dtype=np.int64)
-        ends = np.asarray(self._ends, dtype=np.int64)
-        owners = np.asarray(self._owners, dtype=np.int64)
+        bases, ends, owners = self.as_array()
         idx = np.searchsorted(bases, addrs, side="right") - 1
         clipped = np.maximum(idx, 0)
         inside = (idx >= 0) & (addrs < ends[clipped])
@@ -102,3 +120,4 @@ class IntervalTable:
         self._bases.clear()
         self._ends.clear()
         self._owners.clear()
+        self._version += 1

@@ -36,7 +36,8 @@ class AccessBatch:
     Attributes
     ----------
     addrs:
-        Byte addresses, in program order.
+        Byte addresses, in program order: an integer array (any integer
+        dtype); the memory system rejects negative addresses.
     writes:
         Boolean array, ``True`` where the reference is a store.
     instructions:
@@ -55,6 +56,12 @@ class AccessBatch:
     MEM_REF_FRACTION = 0.35
 
     def __post_init__(self) -> None:
+        if self.addrs.dtype.kind not in "iu":
+            # A dtype check, not a scan: the engines read integer line
+            # addresses, and casting floats would silently truncate.
+            raise MemoryModelError(
+                f"addresses must be integers, got dtype {self.addrs.dtype}"
+            )
         if self.addrs.shape != self.writes.shape:
             raise MemoryModelError("addrs and writes must have the same shape")
         if self.addrs.ndim != 1:

@@ -21,10 +21,15 @@ import threading
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MemoryModelError
 from repro.mem import cwalker
 from repro.mem.cache import CacheGeometry
-from repro.mem.hierarchy import HierarchyConfig, MemorySystem, _CompiledState
+from repro.mem.hierarchy import (
+    MAX_DENSE_OWNERS,
+    HierarchyConfig,
+    MemorySystem,
+    _CompiledState,
+)
 from repro.mem.partition import PartitionMode
 from repro.mem.trace import AccessBatch
 
@@ -115,7 +120,13 @@ def assert_systems_identical(reference, other, context):
                         == other_way._stamp[si][way]), (context, si, way)
 
 
-def run_differential(mode, l2_policy, seed, engine):
+def run_differential(mode, l2_policy, seed, engine, between=None,
+                     convert=None):
+    """Twelve mixed batches on both engines, compared batch by batch.
+
+    ``between(reference, other, step)`` runs after every step;
+    ``convert(batch)`` re-lays out each batch for ``other`` only.
+    """
     reference = build_system("reference", mode, l2_policy)
     other = build_system(engine, mode, l2_policy)
     rng = np.random.default_rng(seed)
@@ -126,9 +137,13 @@ def run_differential(mode, l2_policy, seed, engine):
             step % 2, task, batch, now=step * 500.0
         )
         other_result = other.execute_batch(
-            step % 2, task, batch, now=step * 500.0
+            step % 2, task,
+            convert(batch) if convert is not None else batch,
+            now=step * 500.0,
         )
         assert ref_result == other_result, (mode, l2_policy, seed, step)
+        if between is not None:
+            between(reference, other, step)
     assert_systems_identical(reference, other, (mode, l2_policy, seed))
     assert other.effective_engine == engine
 
@@ -146,6 +161,155 @@ def test_compiled_engine_matches_reference(mode, l2_policy, seed):
     if mode is PartitionMode.WAY_PARTITIONED and l2_policy == "fifo":
         pytest.skip("way-managed L2 has no replacement-policy knob")
     run_differential(mode, l2_policy, seed, engine="compiled")
+
+
+def _quiesce_and_forget(reference, compiled, step):
+    """Drop the C state after every batch; restart history every 4th."""
+    compiled.quiesce()
+    if step % 4 == 3:
+        for mem in (reference, compiled):
+            for cache in [*mem.l1s, mem.l2 or mem.l2_way]:
+                cache.forget_history()
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("mode", list(PartitionMode))
+def test_compiled_state_round_trips_through_quiesce(mode):
+    """quiesce() after every batch syncs the C state down and drops it;
+    the next batch rebuilds it from the Python models.  The C-side
+    counters and seen-sets must survive that round trip, across
+    forget_history() epochs too."""
+    run_differential(mode, "lru", 5, "compiled",
+                     between=_quiesce_and_forget)
+
+
+def _same_l2_stats(reference, compiled, step):
+    """No sync_state(): l2_stats alone must be current."""
+    assert compiled.l2_stats.per_owner == reference.l2_stats.per_owner, step
+    assert (compiled.l2_stats.eviction_matrix
+            == reference.l2_stats.eviction_matrix), step
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("mode", list(PartitionMode))
+def test_l2_stats_current_mid_run_without_sync(mode):
+    run_differential(mode, "lru", 17, "compiled", between=_same_l2_stats)
+
+
+def _as_int32(batch):
+    return AccessBatch(addrs=batch.addrs.astype(np.int32),
+                       writes=batch.writes, instructions=batch.instructions)
+
+
+def _as_strided(batch):
+    """Every array a non-contiguous view; writes as truthy int8s."""
+    n = batch.n_accesses
+    addrs = np.empty(2 * n, dtype=np.int64)
+    addrs[::2] = batch.addrs
+    writes = np.zeros(3 * n, dtype=np.int8)
+    writes[::3] = batch.writes * 7
+    return AccessBatch(addrs=addrs[::2], writes=writes[::3],
+                       instructions=batch.instructions)
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("mode", list(PartitionMode))
+@pytest.mark.parametrize("convert", [_as_int32, _as_strided],
+                         ids=["int32", "strided"])
+def test_compiled_engine_reads_any_integer_layout(mode, convert):
+    """Regression: the C walk read the addresses as contiguous int64
+    whatever their dtype, so an int32 batch crashed the interpreter.
+    Any integer dtype and any layout must walk bit-identically."""
+    run_differential(mode, "lru", 3, "compiled", convert=convert)
+
+
+@pytest.mark.parametrize("engine", HierarchyConfig.ENGINES)
+def test_negative_addresses_rejected_before_any_state_changes(engine):
+    """Regression: the engines disagreed on negative addresses (the C
+    writeback index truncated where SetPartition.translate floors, and
+    could index outside the L2).  Both engines now reject the batch --
+    also when the negative address comes last -- before it touches
+    any state."""
+    config = HierarchyConfig(
+        l1_geometry=CacheGeometry(sets=4, ways=2, line_size=64),
+        l2_geometry=CacheGeometry(sets=16, ways=4, line_size=64),
+        engine=engine,
+    )
+    mem = MemorySystem(1, config, mode=PartitionMode.SET_PARTITIONED)
+    mem.set_map.assign(1, base=8, n_sets=3)
+    dirty = AccessBatch.from_addresses(-64 * np.arange(1, 9), writes=True)
+    late = AccessBatch.from_addresses(
+        np.concatenate([64 * np.arange(40), [-64]]), writes=True
+    )
+    for batch in (dirty, late):
+        with pytest.raises(MemoryModelError):
+            mem.execute_batch(0, 1, batch, 0.0)
+    mem.sync_state()
+    assert mem.l2_stats.per_owner == {}
+    assert mem.l1s[0].stats.per_owner == {}
+    assert mem.l1s[0].resident_lines == 0 and mem.l2.resident_lines == 0
+    assert mem.memory.traffic.total_lines == 0
+    assert mem.effective_engine == engine
+
+
+def _private_batch(rng, base):
+    addrs = base + (rng.integers(0, 1 << 16, 400) & ~3)
+    return AccessBatch.from_addresses(addrs, writes=rng.random(400) < 0.4)
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("mode", [PartitionMode.SHARED,
+                                  PartitionMode.WAY_PARTITIONED])
+def test_owner_ids_beyond_the_first_counter_capacity(mode):
+    """Owners 1 and 2 size the C counters; task owner 300, then an
+    interval owner 700 turn up mid-run.  The counters grow (the task
+    owner before the call, the interval owner through the walk's
+    grow-and-retry) and the run stays bit-identical on the C tier."""
+    reference = build_system("reference", mode)
+    compiled = build_system("compiled", mode)
+    rng = np.random.default_rng(8)
+    for step in range(12):
+        if step == 6:
+            for mem in (reference, compiled):
+                mem.resolver.intervals.add(3 << 20, (3 << 20) + 8192, 700)
+        task = (1, 2, 300)[step % 3]
+        base = {1: 1 << 22, 2: 2 << 22, 300: 3 << 22}[task]
+        if step >= 6 and step % 2:
+            base = 3 << 20  # the new interval
+        batch = _private_batch(rng, base)
+        assert compiled.execute_batch(step % 2, task, batch, step * 500.0) \
+            == reference.execute_batch(step % 2, task, batch, step * 500.0)
+    assert compiled._compiled.n_owners > 700
+    assert compiled.effective_engine == "compiled"
+    assert_systems_identical(reference, compiled, "grown counters")
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("owner", [MAX_DENSE_OWNERS, 10**9])
+@pytest.mark.parametrize("source", ["task", "interval"])
+def test_owner_ids_beyond_the_dense_counters_take_the_reference_walk(
+    owner, source,
+):
+    """Ids no dense counter table covers send the compiled engine to
+    the reference walk for good -- bit-identically, and it says so."""
+    reference = build_system("reference", PartitionMode.SHARED)
+    compiled = build_system("compiled", PartitionMode.SHARED)
+    if source == "interval":
+        for mem in (reference, compiled):
+            mem.resolver.intervals.add(3 << 20, (3 << 20) + 8192, owner)
+    rng = np.random.default_rng(4)
+    for step in range(8):
+        if step % 4 == 3:
+            task = owner if source == "task" else 1
+            base = 3 << 22 if source == "task" else 3 << 20
+        else:
+            task, base = 1 + step % 2, (1 + step % 2) << 22
+        batch = _private_batch(rng, base)
+        assert compiled.execute_batch(0, task, batch, step * 500.0) \
+            == reference.execute_batch(0, task, batch, step * 500.0)
+    assert compiled.effective_engine == "reference"
+    assert compiled._compiled is None
+    assert_systems_identical(reference, compiled, (owner, source))
 
 
 @pytest.mark.parametrize("engine", ["compiled", "reference"])
@@ -351,11 +515,15 @@ def test_cold_misses_after_forget_history(engine):
         mem.execute_batch(
             0, 1, AccessBatch.from_addresses(np.arange(200) * 64), 0.0
         )
+        # Python-side mutations come after quiesce(); L1 stats and the
+        # seen-sets are current after sync_state().
+        mem.quiesce()
         mem.l1s[0].forget_history()
         mem.l2.forget_history()
         rng = np.random.default_rng(3)
         batch = AccessBatch.from_addresses(rng.integers(0, 300, 5000) * 64)
         mem.execute_batch(0, 1, batch, 100.0)
+        mem.sync_state()
         return (
             mem.l1s[0].stats.per_owner,
             mem.l2_stats.per_owner,

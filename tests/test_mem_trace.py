@@ -45,6 +45,16 @@ def test_shape_mismatch_rejected():
         )
 
 
+def test_non_integer_addresses_rejected():
+    """Casting float addresses would silently truncate them."""
+    with pytest.raises(MemoryModelError):
+        AccessBatch(
+            addrs=np.arange(4) * 64.0,
+            writes=np.zeros(4, dtype=bool),
+            instructions=1,
+        )
+
+
 def test_runs_basic():
     # 64-byte lines: addresses 0..60 are line 0; 64 is line 1.
     addrs = np.array([0, 4, 8, 64, 68, 0], dtype=np.int64)
