@@ -23,10 +23,12 @@ The engine composes three pieces:
    the run stays alive until it fires, and it fires at URGENT
    priority, so every op at or after the transition time sees the new
    partition maps on both engines.  Map mutations go through
-   :class:`~repro.rtos.cachectl.CacheController`, which quiesces the
-   compiled tier, and departures flush only the leavers
+   :class:`~repro.rtos.cachectl.CacheController`.  Both engines read
+   the maps on every batch, so an arrival leaves the compiled engine's
+   C state in place.  Departures flush only the leavers
    (:meth:`~repro.mem.hierarchy.MemorySystem.repartition_owners`) with
-   dirty-victim writeback accounting.
+   dirty-victim writeback accounting; that flush is the one step that
+   syncs the C state down.
 3. **Admission control** -- an arrival is rejected, with a recorded
    reason, when its MCKP has no feasible allocation in the free units
    (``"capacity"``), when no contiguous free fragment can host one of
@@ -448,11 +450,8 @@ class DynamicScenario:
     # -- epoch bookkeeping -------------------------------------------------
 
     def _snapshot(self) -> Tuple[Dict, Dict, Dict]:
-        """Current cumulative counters (compiled tier synced first)."""
+        """Current cumulative counters (``l2_stats`` is always current)."""
         platform = self.platform
-        # l2_stats reads the Python-side models; the compiled engine
-        # keeps them C-side between calls, so sync explicitly.
-        platform.mem.sync_state()
         cycles = {task.name: task.stats.cycles for task in platform.tasks}
         instructions = {
             task.name: task.stats.instructions for task in platform.tasks

@@ -41,8 +41,10 @@ import asyncio
 import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.cake.metrics import RunMetrics
@@ -580,6 +582,10 @@ class ProcessPoolBackend(ExecutionBackend):
     finished -- with fork, workers therefore inherit the parent's memo
     tables as of that moment, and execute workers usually resolve their
     measurements without touching the disk cache at all.
+
+    A caller that abandons the stream (closes or drops the generator)
+    waits only for the at most ``workers`` calls in flight; no other
+    task starts.
     """
 
     name = "process-pool"
@@ -604,8 +610,28 @@ class ProcessPoolBackend(ExecutionBackend):
         tasks = list(tasks)
         if not tasks:
             return
+        pending = iter(tasks)
+        # Submitted calls in task order, until their result is yielded.
+        # The pool moves a submitted call to its workers' queue at once,
+        # and from there it cannot be cancelled; so at most ``workers``
+        # are left unfinished at a time, each with a worker to run it.
+        window = deque()
         with self._make_pool() as pool:
-            yield from pool.map(worker, tasks)
+            try:
+                while True:
+                    running = [f for f in window if not f.done()]
+                    for task in islice(pending, self.workers - len(running)):
+                        window.append(pool.submit(worker, task))
+                        running.append(window[-1])
+                    if not window:
+                        return
+                    if window[0].done():
+                        yield window.popleft().result()
+                    else:
+                        wait(running, return_when=FIRST_COMPLETED)
+            finally:
+                for future in window:
+                    future.cancel()
 
     def __repr__(self) -> str:
         return f"<ProcessPoolBackend workers={self.workers}>"

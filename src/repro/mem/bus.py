@@ -88,11 +88,3 @@ class SharedBus:
         self.total_transfers += n_transfers
         self.total_surcharge_cycles += extra
         return int(base + extra)
-
-    def reset(self) -> None:
-        """Forget all recorded demand and counters."""
-        for cpu in self._demand:
-            self._demand[cpu] = 0.0
-            self._last_update[cpu] = 0.0
-        self.total_transfers = 0
-        self.total_surcharge_cycles = 0.0

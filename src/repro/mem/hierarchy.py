@@ -35,9 +35,12 @@ Two engines implement the walk:
     the C-side L2 counters in);
   * the L1 stats, every cache's contents and its ``_seen`` set are
     current after :meth:`MemorySystem.sync_state`;
-  * Python-side mutations (``forget_history``, the partition maps,
-    direct cache edits) come after :meth:`MemorySystem.quiesce`, which
-    syncs and drops the C state so the next call re-exports it.
+  * the interval table and the partition maps are per-call inputs
+    (memoized on their ``version``), so changing them between two
+    calls needs no sync;
+  * edits to Python-side cache state (``forget_history``, direct cache
+    edits) come after :meth:`MemorySystem.quiesce`, which syncs and
+    drops the C state so the next call re-exports it.
 - ``engine="reference"`` -- one method call per run into the cache
   models.  Slow but obviously faithful; it is the differential-testing
   oracle and the compiled engine's fallback.
@@ -141,18 +144,6 @@ class BatchResult:
     dram_lines: int = 0
     bus_cycles: int = 0
     store_fills: int = 0
-
-    def merge(self, other: "BatchResult") -> None:
-        """Accumulate another result into this one."""
-        self.cycles += other.cycles
-        self.instructions += other.instructions
-        self.accesses += other.accesses
-        self.l1_misses += other.l1_misses
-        self.l2_accesses += other.l2_accesses
-        self.l2_misses += other.l2_misses
-        self.dram_lines += other.dram_lines
-        self.bus_cycles += other.bus_cycles
-        self.store_fills += other.store_fills
 
 
 class _CompiledState:
@@ -451,16 +442,6 @@ class MemorySystem:
         cache = self.l2 if self.l2 is not None else self.l2_way
         return cache.stats
 
-    def reset_stats(self) -> None:
-        """Zero all statistics without touching cache contents."""
-        self.sync_state()
-        for l1 in self.l1s:
-            l1.stats.reset()
-        self.l2_stats.reset()
-        self.memory.reset_traffic()
-        self.bus.reset()
-        self._drop_compiled()
-
     def repartition(self, now: float = 0.0) -> int:
         """Flush and invalidate every cache level; returns the writebacks.
 
@@ -470,8 +451,7 @@ class MemorySystem:
         traffic.  Every dirty victim is written back to DRAM (traffic
         only -- reprogramming is not on the CPUs' critical path).
         """
-        self.sync_state()
-        self._drop_compiled()
+        self.quiesce()
         flushed = 0
         caches = list(self.l1s)
         caches.append(self.l2 if self.l2 is not None else self.l2_way)
@@ -482,21 +462,22 @@ class MemorySystem:
         return flushed
 
     def quiesce(self) -> None:
-        """Prepare for a Python-side map/state mutation.
+        """Hand the cache state back to the Python models.
 
-        Syncs compiled-tier state down into the Python models and drops
-        the C handle, so the mutation starts from (and the next
-        compiled call re-exports) an up-to-date view.  Idempotent, and
-        a no-op on the reference engine.  Call it before any mutation
-        the C state mirrors: the partition maps, a cache's
-        ``forget_history()`` (the C seen-sets are rebuilt from
-        ``_seen``), direct cache edits.  Every map-mutating path in
-        :class:`~repro.rtos.cachectl.CacheController` calls this: a
-        partition change against a *stale* Python view would silently
-        diverge the compiled engine from the reference.
+        Syncs the C-resident state down (:meth:`sync_state`) and frees
+        the C handle, so an edit to the Python-side cache state starts
+        from an up-to-date view and the next compiled call re-exports
+        the edited models.  Idempotent, and a no-op on the reference
+        engine.  Only edits to what the C state holds need it: cache
+        contents (:meth:`repartition`, :meth:`repartition_owners`,
+        direct cache edits) and seen-sets (``forget_history()``).  The
+        interval table and the partition maps are read on every call,
+        so changing them needs no quiesce.
         """
         self.sync_state()
-        self._drop_compiled()
+        if self._compiled is not None:
+            self._compiled.close()
+            self._compiled = None
 
     def repartition_owners(self, owners, now: float = 0.0) -> int:
         """Selectively flush+invalidate the given owner ids; returns writebacks.
@@ -527,30 +508,17 @@ class MemorySystem:
         A no-op unless the compiled tier is live.  Cache contents,
         per-owner statistics, the caches' seen-sets, DRAM bank timers
         and bus demand live C-side between compiled calls; anything
-        that wants the Python view (repartitioning, direct cache or L1
-        stats inspection, the differential tests) calls this first.
-        Idempotent -- the arrays stay authoritative and further
-        compiled calls continue from them.
+        that wants their Python view (direct cache or L1 stats
+        inspection, the differential tests) calls this first.
+        :attr:`l2_stats` needs no sync.  Idempotent -- the arrays stay
+        authoritative and further compiled calls continue from them.
         """
         if self._compiled is not None:
             self._compiled.sync_down(self)
 
-    def _drop_compiled(self) -> None:
-        """Invalidate the C handle after a Python-side state mutation.
-
-        The next compiled call re-exports the (mutated) Python state.
-        Callers must :meth:`sync_state` *before* mutating, or the
-        mutation would start from a stale view (and the statistics
-        counted since the last sync would be lost).
-        """
-        if self._compiled is not None:
-            self._compiled.close()
-            self._compiled = None
-
     def _fall_back(self) -> None:
         """Walk on the reference engine for good, from up-to-date models."""
-        self.sync_state()
-        self._drop_compiled()
+        self.quiesce()
         self._use_compiled = False
 
     @property

@@ -7,9 +7,11 @@ the operating system.  Then for every access the cache can lookup if the
 address has an associated buffer id."*
 
 :class:`IntervalTable` is that table: a sorted set of non-overlapping
-``[base, end)`` intervals, each tagged with an owner id.  Lookup is a
-binary search; the hot path is called for every L2 access, so the table
-keeps plain parallel lists.
+``[base, end)`` intervals, each tagged with an owner id, kept as plain
+parallel lists.  The reference walk calls :meth:`IntervalTable.lookup`
+(a binary search) once per run; the compiled engine passes
+:meth:`IntervalTable.as_array` to its C call, memoized on
+:attr:`IntervalTable.version`, and searches it there.
 """
 
 from __future__ import annotations

@@ -74,7 +74,3 @@ class MainMemory:
             self.traffic.bank_conflicts += 1
         self._bank_free_at[bank] = max(now, free_at) + config.bank_busy_cycles
         return latency
-
-    def reset_traffic(self) -> None:
-        """Zero the traffic counters."""
-        self.traffic = MemoryTraffic()

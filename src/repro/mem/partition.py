@@ -260,10 +260,6 @@ class SetPartitionMap:
         self._aliases.clear()
         self._version += 1
 
-    def partition_of(self, owner: int) -> Optional[SetPartition]:
-        """The partition of ``owner`` or ``None``."""
-        return self._partitions.get(owner)
-
     def effective_partition(self, owner: int) -> Optional[SetPartition]:
         """The partition ``owner`` actually maps through, aliases resolved.
 
@@ -339,10 +335,6 @@ class SetPartitionMap:
                 mask = owners == owner
                 result[mask] = partition.translate_many(line_addrs[mask])
         return result
-
-    def allocated_sets(self) -> int:
-        """Total sets claimed by all partitions."""
-        return sum(p.n_sets for p in self._partitions.values())
 
     def validate_disjoint(self) -> None:
         """Check pairwise disjointness (assign() enforces it; belt+braces)."""

@@ -8,11 +8,12 @@ instruction and stall cycles per miss).
 The cache walker consumes batches as *runs*: maximal stretches of
 back-to-back accesses that touch the same cache line.  For streaming
 multimedia traffic this coalesces roughly ``line_size / element_size``
-accesses into one cache probe, which is what keeps a pure-Python
-simulation of tens of millions of references tractable.  Coalescing is
-exact with respect to hit/miss counting: within a run, the first access
-decides hit or miss and the remaining ``n - 1`` accesses are guaranteed
-hits in the same cache level.
+accesses into one cache probe.  The reference walk coalesces with
+:meth:`AccessBatch.runs`; the compiled engine's C call coalesces the
+raw addresses itself, the same way.  Coalescing is exact with respect
+to hit/miss counting: within a run, the first access decides hit or
+miss and the remaining ``n - 1`` accesses are guaranteed hits in the
+same cache level.
 """
 
 from __future__ import annotations
@@ -137,10 +138,6 @@ class AccessBatch:
         no-fetch-on-write-allocate in the hierarchy walker.
         """
         return coalesce_runs(self.addrs, self.writes, line_shift)
-
-    def touched_lines(self, line_shift: int) -> np.ndarray:
-        """Sorted unique line addresses the batch touches."""
-        return np.unique(self.addrs >> line_shift)
 
     def __len__(self) -> int:
         return self.n_accesses

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import PartitionError
 from repro.mem.hierarchy import MemorySystem
-from repro.mem.partition import OwnerRegistry, PartitionMode
+from repro.mem.partition import OwnerRegistry
 from repro.rtos.shmalloc import MemoryLayout, SHARED_REGION_NAMES
 
 __all__ = ["CacheController"]
@@ -50,7 +50,6 @@ class CacheController:
         self.layout = layout
         self.unit_sets = unit_sets
         self.total_units = total_sets // unit_sets
-        self._programmed: Dict[str, int] = {}
 
     # -- owner id helpers ---------------------------------------------------
 
@@ -98,63 +97,32 @@ class CacheController:
 
     # -- set partitioning -----------------------------------------------------
 
-    def program_set_partitions(
-        self, units_by_owner: Dict[str, int], flush: bool = False
-    ) -> None:
+    def program_set_partitions(self, units_by_owner: Dict[str, int]) -> None:
         """Program the L2 translation table from a unit allocation.
 
         ``units_by_owner`` maps owner *names* to unit counts.  Units are
-        packed contiguously in iteration order; the total must fit.
-        Owners not mentioned keep conventional (shared) indexing.
+        packed contiguously from unit 0 in iteration order; the total
+        must fit.  Leftover units become the shared pool for
+        unpartitioned owners, so strays can never evict an exclusive
+        partition.
 
-        With ``flush=True`` the caches are flushed and invalidated
-        first (:meth:`~repro.mem.hierarchy.MemorySystem.repartition`):
-        required when reprogramming a *live* system, because index
-        translation moves lines between sets and dirty residents would
-        otherwise be lost.  Platforms that program partitions once,
-        before any traffic, can skip it (the caches are still empty).
+        Translation moves lines between sets, so a *live* system must
+        flush its caches first
+        (:meth:`~repro.mem.hierarchy.MemorySystem.repartition`).
+        Platforms program partitions once, before any traffic.
         """
-        total = sum(units_by_owner.values())
-        if total > self.total_units:
-            raise PartitionError(
-                f"allocation of {total} units exceeds {self.total_units}"
-            )
-        for owner_name, units in units_by_owner.items():
-            if units <= 0:
-                raise PartitionError(
-                    f"owner {owner_name!r} allocated {units} units"
-                )
-        if flush:
-            self.mem.repartition()
-        # Always quiesce the compiled tier before mutating the maps:
-        # a translation-table change against stale C-resident state
-        # would diverge the engines (idempotent after repartition()).
-        self.mem.quiesce()
-        self.mem.set_map.clear()
-        self.mem.set_map.clear_default_pool()
+        ranges: Dict[str, Tuple[int, int]] = {}
         base_unit = 0
         for owner_name, units in units_by_owner.items():
-            owner = self.registry.register(owner_name)
-            self.mem.set_map.assign(
-                owner,
-                base=base_unit * self.unit_sets,
-                n_sets=units * self.unit_sets,
-            )
+            ranges[owner_name] = (base_unit, units)
             base_unit += units
-        # Leftover units become the shared pool for unpartitioned
-        # owners, so strays can never evict an exclusive partition.
         spare = self.total_units - base_unit
-        if spare > 0:
-            self.mem.set_map.set_default_pool(
-                base=base_unit * self.unit_sets,
-                n_sets=spare * self.unit_sets,
-            )
-        self.mem.set_map.validate_disjoint()
-        self._programmed = dict(units_by_owner)
+        self.program_set_layout(
+            ranges, pool=(base_unit, spare) if spare > 0 else None
+        )
 
     def program_way_partitions(self, ways_by_owner: Dict[str, Tuple[int, ...]]) -> None:
         """Program way (column-caching) allocations by owner name."""
-        self.mem.quiesce()
         for owner_name, ways in ways_by_owner.items():
             owner = self.registry.register(owner_name)
             self.mem.way_map.assign(owner, ways)
@@ -175,55 +143,25 @@ class CacheController:
         it too survives transitions unmoved.
         """
         for owner_name, (base_unit, units) in ranges_by_owner.items():
-            if units <= 0:
-                raise PartitionError(
-                    f"owner {owner_name!r} allocated {units} units"
-                )
-            if base_unit < 0 or base_unit + units > self.total_units:
-                raise PartitionError(
-                    f"owner {owner_name!r} range ({base_unit}, {units}) "
-                    f"outside 0..{self.total_units}"
-                )
-        self.mem.quiesce()
-        self.mem.set_map.clear()
-        self.mem.set_map.clear_default_pool()
+            self._check_range(owner_name, base_unit, units)
+        set_map = self.mem.set_map
+        set_map.clear()
+        set_map.clear_default_pool()
         for owner_name, (base_unit, units) in ranges_by_owner.items():
-            owner = self.registry.register(owner_name)
-            self.mem.set_map.assign(
-                owner,
-                base=base_unit * self.unit_sets,
-                n_sets=units * self.unit_sets,
-            )
+            self._assign(owner_name, base_unit, units)
         if pool is not None:
             pool_base, pool_units = pool
-            self.mem.set_map.set_default_pool(
+            set_map.set_default_pool(
                 base=pool_base * self.unit_sets,
                 n_sets=pool_units * self.unit_sets,
             )
-        self.mem.set_map.validate_disjoint()
-        self._programmed = {
-            owner_name: units
-            for owner_name, (_base, units) in ranges_by_owner.items()
-        }
+        set_map.validate_disjoint()
 
     def assign_units(self, owner_name: str, base_unit: int, units: int) -> None:
         """Add one owner's partition at an explicit base (online arrival)."""
-        if units <= 0:
-            raise PartitionError(f"owner {owner_name!r} allocated {units} units")
-        if base_unit < 0 or base_unit + units > self.total_units:
-            raise PartitionError(
-                f"owner {owner_name!r} range ({base_unit}, {units}) "
-                f"outside 0..{self.total_units}"
-            )
-        self.mem.quiesce()
-        owner = self.registry.register(owner_name)
-        self.mem.set_map.assign(
-            owner,
-            base=base_unit * self.unit_sets,
-            n_sets=units * self.unit_sets,
-        )
+        self._check_range(owner_name, base_unit, units)
+        self._assign(owner_name, base_unit, units)
         self.mem.set_map.validate_disjoint()
-        self._programmed[owner_name] = units
 
     def release_units(self, owner_name: str) -> None:
         """Drop one owner's set partition (online departure).
@@ -232,9 +170,25 @@ class CacheController:
         first (:meth:`~repro.mem.hierarchy.MemorySystem.repartition_owners`);
         afterwards the owner falls back to default-pool indexing.
         """
-        self.mem.quiesce()
         self.mem.set_map.remove(self.registry.register(owner_name))
-        self._programmed.pop(owner_name, None)
+
+    def _check_range(self, owner_name: str, base_unit: int, units: int) -> None:
+        """Reject an empty unit range or one that leaves the L2."""
+        if units <= 0:
+            raise PartitionError(f"owner {owner_name!r} allocated {units} units")
+        if base_unit < 0 or base_unit + units > self.total_units:
+            raise PartitionError(
+                f"owner {owner_name!r} range ({base_unit}, {units}) "
+                f"outside 0..{self.total_units}"
+            )
+
+    def _assign(self, owner_name: str, base_unit: int, units: int) -> None:
+        """Map ``owner_name`` to its units' sets."""
+        self.mem.set_map.assign(
+            self.registry.register(owner_name),
+            base=base_unit * self.unit_sets,
+            n_sets=units * self.unit_sets,
+        )
 
     # -- §4.2 extensions -------------------------------------------------
 
@@ -281,20 +235,4 @@ class CacheController:
         """
         owner = self.registry.register(owner_name)
         target = self.registry.register(with_owner_name)
-        self.mem.quiesce()
         self.mem.set_map.alias(owner, target)
-
-    def clear_partitions(self) -> None:
-        """Back to a fully shared L2."""
-        self.mem.quiesce()
-        self.mem.set_map.clear()
-        self._programmed = {}
-
-    @property
-    def programmed_units(self) -> Dict[str, int]:
-        """The last allocation programmed (owner name -> units)."""
-        return dict(self._programmed)
-
-    def units_free(self) -> int:
-        """Units not claimed by the current allocation."""
-        return self.total_units - sum(self._programmed.values())

@@ -126,8 +126,7 @@ class Event:
 
         The exception propagates into every process waiting on the event.
         If nothing ever waits on a failed event the simulator re-raises it
-        at processing time (errors never pass silently); call
-        :meth:`defused` handling to opt out.
+        at processing time (errors never pass silently).
         """
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
@@ -137,10 +136,6 @@ class Event:
         self._value = exception
         self.sim._enqueue(self, delay=0.0, priority=priority)
         return self
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so the kernel won't re-raise."""
-        self._defused = True
 
     # -- wiring ----------------------------------------------------------
 

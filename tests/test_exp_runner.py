@@ -9,6 +9,9 @@ The acceptance contract of the sweep layer lives here:
 - profiling executes at most once per unique profile key.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.exp.runner as runner_module
@@ -318,6 +321,51 @@ def test_backend_map_yields_results_in_task_order():
 def _index_worker(task):
     """Module-level so the process pool can pickle it."""
     return task["index"]
+
+
+#: Set by the abandonment test before its pool forks: tasks signal
+#: ``_STARTED`` as they start, and every task but the first then waits
+#: for ``_RELEASE``.
+_STARTED = None
+_RELEASE = None
+
+
+def _counted_worker(task):
+    """Leave a marker file per executed task (the count survives the
+    worker process)."""
+    (Path(task["dir"]) / str(task["index"])).touch()
+    _STARTED.release()
+    if task["index"] and not _RELEASE.wait(timeout=60):
+        raise TimeoutError("the test never released the task")
+    return task["index"]
+
+
+def test_process_pool_abandoned_stream_starts_no_queued_task(
+    tmp_path, monkeypatch,
+):
+    """Regression: closing the stream after the first result left every
+    call the pool had already queued to run, one whole scenario each.
+    Only the calls in flight may finish: with 2 workers, task 0 (done)
+    and tasks 1 and 2 (started while result 0 was handed over)."""
+    import multiprocessing
+
+    from repro.exp import ProcessPoolBackend
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the pool inherits the test's events through fork")
+    context = multiprocessing.get_context("fork")
+    started = context.Semaphore(0)
+    release = context.Event()
+    monkeypatch.setattr(sys.modules[__name__], "_STARTED", started)
+    monkeypatch.setattr(sys.modules[__name__], "_RELEASE", release)
+    tasks = [{"index": i, "dir": str(tmp_path)} for i in range(12)]
+    stream = ProcessPoolBackend(workers=2).map(_counted_worker, tasks)
+    assert next(stream) == 0
+    for _ in range(3):  # tasks 0, 1 and 2 have started
+        assert started.acquire(timeout=60)
+    release.set()
+    stream.close()
+    assert sorted(int(path.name) for path in tmp_path.iterdir()) == [0, 1, 2]
 
 
 def test_async_backend_streams_results_before_a_failure():

@@ -183,6 +183,37 @@ def test_compiled_state_round_trips_through_quiesce(mode):
                      between=_quiesce_and_forget)
 
 
+def _program_a_fresh_owner(reference, compiled, step):
+    """From step 5 on, owner 20 walks a batch of its own after every
+    step.  At step 5, with no quiesce, it first gets a partition: the
+    five free sets 11..15 (a set partition the walk ignores in shared
+    mode), or way 3 in way mode.  Owner 20 has issued nothing before,
+    so none of its lines is resident: the model requires a stable
+    line-to-set mapping."""
+    if step < 5:
+        return
+    if step == 5:
+        for mem in (reference, compiled):
+            if mem.mode is PartitionMode.WAY_PARTITIONED:
+                mem.way_map.assign(20, (3,))
+            else:
+                mem.set_map.assign(20, base=11, n_sets=5)
+    batch = _private_batch(np.random.default_rng(step), 3 << 22)
+    now = step * 500.0 + 250.0
+    assert compiled.execute_batch(1, 20, batch, now) \
+        == reference.execute_batch(1, 20, batch, now), step
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("mode", list(PartitionMode))
+def test_partition_programmed_mid_run_without_quiesce(mode):
+    """The maps are per-call inputs of the C walk: programming one
+    between two batches needs no sync, and the engines stay
+    bit-identical."""
+    run_differential(mode, "lru", 31, "compiled",
+                     between=_program_a_fresh_owner)
+
+
 def _same_l2_stats(reference, compiled, step):
     """No sync_state(): l2_stats alone must be current."""
     assert compiled.l2_stats.per_owner == reference.l2_stats.per_owner, step

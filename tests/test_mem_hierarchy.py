@@ -118,17 +118,6 @@ def test_invalid_cpu_rejected():
         mem.execute_batch(3, 1, AccessBatch.empty(), now=0)
 
 
-def test_reset_stats_keeps_contents():
-    mem = MemorySystem(1, small_config())
-    mem.execute_batch(0, 1, AccessBatch.from_addresses([0], instructions=1), 0)
-    mem.reset_stats()
-    assert mem.l2_stats.total.accesses == 0
-    result = mem.execute_batch(
-        0, 1, AccessBatch.from_addresses([0], instructions=1), 10
-    )
-    assert result.l1_misses == 0  # still cached
-
-
 def test_dram_bank_conflicts():
     memory = MainMemory(DramConfig(access_cycles=10, n_banks=2,
                                    bank_busy_cycles=20, bank_penalty_cycles=5))

@@ -71,7 +71,7 @@ def test_partition_map_assign_and_map_index():
     assert pmap.map_index(2, 100) == 16 + (100 & 7)
     # Unpartitioned: conventional indexing over all sets.
     assert pmap.map_index(3, 100) == 100 & 63
-    assert pmap.allocated_sets() == 24
+    assert sum(p.n_sets for p in pmap.partitions.values()) == 24
 
 
 def test_partition_map_overlap_rejected():
@@ -96,10 +96,10 @@ def test_partition_map_remove_and_clear():
     pmap = SetPartitionMap(total_sets=32)
     pmap.assign(owner=1, base=0, n_sets=8)
     pmap.remove(owner=1)
-    assert pmap.partition_of(1) is None
+    assert 1 not in pmap.partitions
     pmap.assign(owner=2, base=0, n_sets=8)
     pmap.clear()
-    assert pmap.allocated_sets() == 0
+    assert pmap.partitions == {}
 
 
 def test_way_map_assign_and_defaults():

@@ -76,11 +76,6 @@ def test_runs_write_all_detection():
     assert write_all.tolist() == [True]
 
 
-def test_touched_lines_unique_sorted():
-    batch = AccessBatch.from_addresses([128, 0, 64, 4, 130])
-    assert batch.touched_lines(6).tolist() == [0, 1, 2]
-
-
 @given(
     st.lists(st.tuples(st.integers(0, 1023), st.booleans()),
              min_size=1, max_size=200)

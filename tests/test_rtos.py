@@ -204,11 +204,14 @@ def test_program_partitions_packs_contiguously():
     controller = platform.cache_controller
     controller.program_set_partitions({"task:stage0": 4, "task:stage1": 2})
     set_map = platform.mem.set_map
-    p0 = set_map.partition_of(platform.registry.id_of("task:stage0"))
-    p1 = set_map.partition_of(platform.registry.id_of("task:stage1"))
+    partitions = set_map.partitions
+    p0 = partitions[platform.registry.id_of("task:stage0")]
+    p1 = partitions[platform.registry.id_of("task:stage1")]
     assert p0.base == 0 and p0.n_sets == 4 * controller.unit_sets
     assert p1.base == p0.end
-    assert controller.units_free() == controller.total_units - 6
+    # The spare units become the default pool.
+    assert set_map.default_pool.base == p1.end
+    assert set_map.default_pool.end == set_map.total_sets
 
 
 def test_program_partitions_overflow_rejected():
@@ -220,12 +223,3 @@ def test_program_partitions_overflow_rejected():
         )
     with pytest.raises(PartitionError):
         controller.program_set_partitions({"task:stage0": 0})
-
-
-def test_clear_partitions():
-    platform = make_platform()
-    controller = platform.cache_controller
-    controller.program_set_partitions({"task:stage0": 2})
-    controller.clear_partitions()
-    assert controller.programmed_units == {}
-    assert platform.mem.set_map.allocated_sets() == 0
