@@ -2,18 +2,20 @@
 
 Self-contained demo of ``repro.exp.service``: hosts a sweep server on
 an ephemeral port, attaches two worker threads, and runs a small grid
-through ``ExperimentRunner(backend=RemoteBackend(...))`` against a
-shared profile cache -- then proves the distributed store is
+through ``ExperimentRunner(backend=RemoteBackend(...))`` with a
+client-side profile cache -- then proves the distributed store is
 byte-identical to the inline one and that re-submitting the grid
 re-executes nothing (content-addressed dedupe).
 
-In real use the three roles are separate processes (likely separate
-machines sharing the cache directory over a network filesystem)::
+In real use the three roles are separate processes, likely on separate
+machines.  They share no filesystem: execute tasks carry their
+measurements, and only the client reads and writes its cache::
 
     python -m repro.exp.service serve --port 8642
     REPRO_SWEEP_SERVER=http://HOST:8642 python -m repro.exp.service worker
     REPRO_SWEEP_SERVER=http://HOST:8642 python -m repro.exp.service \
-        submit grid.json --cache /shared/cache --store results.jsonl
+        submit grid.json --cache ~/.cache/repro/profiles \
+        --store results.jsonl
 
 Run from the repository root::
 
@@ -88,9 +90,9 @@ def main():
             thread.start()
 
         # The client side: a normal ExperimentRunner whose transport is
-        # the server.  The shared cache directory is the data plane --
-        # workers write measurements there, execute tasks reference
-        # them by content key.
+        # the server.  The runner resolves every measurement through its
+        # cache (the fleet measures what is missing) and ships each
+        # execute task with the measurements it needs.
         runner = ExperimentRunner(
             backend=RemoteBackend(server.url, poll_interval=0.05),
             cache=f"{tmp}/cache",
@@ -107,8 +109,9 @@ def main():
             "distributed and inline stores must be byte-identical"
         print(f"fingerprint matches inline run: {remote.fingerprint()}")
 
-        # Idempotent re-submission: the same grid again is pure dedupe
-        # -- every task resolves from the server's done set.
+        # Idempotent re-submission: the measurements now come from the
+        # client's cache, and the same grid again is pure dedupe --
+        # every task resolves from the server's done set.
         clear_caches()
         again = ExperimentRunner(
             backend=RemoteBackend(server.url, poll_interval=0.05),

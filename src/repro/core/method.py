@@ -27,9 +27,13 @@ from repro.cake.config import CakeConfig
 from repro.cake.metrics import RunMetrics
 from repro.cake.platform import Platform
 from repro.core.allocation import BufferPolicy, PartitionPlan, buffer_units
-from repro.core.mckp import MckpSolution, items_from_curves, solve_mckp_dp
+from repro.core.mckp import (
+    MckpSolution,
+    items_from_curves,
+    solve_mckp_dp,
+    solve_mckp_greedy,
+)
 from repro.core.milp import solve_mckp_milp
-from repro.core.mckp import solve_mckp_greedy
 from repro.core.profiling import (
     ProfileResult,
     optimized_item_names,
@@ -45,10 +49,19 @@ __all__ = [
     "MethodConfig",
     "MethodReport",
     "OptimizationResult",
+    "SOLVERS",
     "cpi_improvement",
     "format_reduction_factor",
     "reduction_factor",
 ]
+
+
+#: Solver name -> MCKP solver ``(items, budget) -> MckpSolution``.
+SOLVERS: Dict[str, Callable[..., MckpSolution]] = {
+    "dp": solve_mckp_dp,
+    "greedy": solve_mckp_greedy,
+    "milp": solve_mckp_milp,
+}
 
 
 @dataclass(frozen=True)
@@ -58,13 +71,13 @@ class MethodConfig:
     #: Candidate allocation sizes (units); None = powers of two.
     sizes: Optional[Sequence[int]] = None
     fifo_policy: BufferPolicy = BufferPolicy.ALL_HIT
-    #: "dp", "greedy" or "milp".
+    #: A name in :data:`SOLVERS`: "dp", "greedy" or "milp".
     solver: str = "dp"
     #: Profiling repeats (averaged, as in §3.2).
     profile_repeats: int = 1
 
     def __post_init__(self) -> None:
-        if self.solver not in ("dp", "greedy", "milp"):
+        if self.solver not in SOLVERS:
             raise OptimizationError(f"unknown solver {self.solver!r}")
         if self.profile_repeats < 1:
             raise OptimizationError(
@@ -241,12 +254,7 @@ class CompositionalMethod:
             profile.curve_list(optimized_item_names(network)),
             profile.sizes,
         )
-        solver = {
-            "dp": solve_mckp_dp,
-            "greedy": solve_mckp_greedy,
-            "milp": solve_mckp_milp,
-        }[self.method_config.solver]
-        solution = solver(items, budget)
+        solution = SOLVERS[self.method_config.solver](items, budget)
         plan = PartitionPlan.from_parts(
             optimized=solution.allocation,
             buffers=buffers,

@@ -87,23 +87,6 @@ class MissCurve:
             return points[0][1]
         return points[idx - 1][1]
 
-    def marginal_gains(self) -> List[Tuple[int, int, float]]:
-        """(from_size, to_size, miss reduction) between adjacent samples."""
-        points = self.monotone_means()
-        return [
-            (a[0], b[0], a[1] - b[1]) for a, b in zip(points, points[1:])
-        ]
-
-    def knee(self, tolerance: float = 0.02) -> int:
-        """Smallest sampled size within ``tolerance`` of the best misses."""
-        points = self.monotone_means()
-        best = points[-1][1]
-        ceiling = best + tolerance * max(1.0, points[0][1] - best)
-        for size, misses in points:
-            if misses <= ceiling:
-                return size
-        return points[-1][0]
-
     @classmethod
     def from_pairs(cls, owner: str, pairs: Iterable[Tuple[int, float]]) -> "MissCurve":
         """Build a curve from (units, misses) tuples."""

@@ -49,10 +49,6 @@ class CompositionalityReport:
         """The paper's acceptance check (2 % by default)."""
         return self.max_relative_difference <= tolerance
 
-    def worst_item(self) -> Tuple[str, float, int]:
-        """The row with the largest absolute difference."""
-        return max(self.rows, key=lambda row: abs(row[1] - row[2]))
-
 
 def compare_expected_simulated(
     profile: ProfileResult,

@@ -18,12 +18,13 @@ package makes that the top-level API:
 - :mod:`repro.exp.runner` -- :class:`ExperimentRunner`, executing
   scenarios through a pluggable :class:`ExecutionBackend` (inline,
   process pool, asyncio) with cached profiling and shared baselines,
-  streaming records into a store.
+  streaming records into a store; the only reader and writer of the
+  profile cache.
 - :mod:`repro.exp.service` -- the distributed half: an asyncio
   work-queue server (``python -m repro.exp.service serve``), pulling
   workers with leases/heartbeats/retry, and :class:`RemoteBackend`
-  (``backend="remote"``) shipping the same JSON tasks over HTTP
-  against a shared profile cache.
+  (``backend="remote"``) shipping the same JSON tasks over HTTP; the
+  tasks carry their measurements, so workers share no cache.
 - :mod:`repro.exp.store` -- :class:`ResultStore`, the append-only JSONL
   record stream with indexed load/filter/to-table queries.
 

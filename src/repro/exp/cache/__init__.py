@@ -5,16 +5,18 @@ every experiment, and both are pure functions of content hashes
 (:attr:`~repro.exp.scenario.Scenario.profile_key` /
 :attr:`~repro.exp.scenario.Scenario.baseline_key`).  The in-process
 memo tables in :mod:`repro.exp.runner` already exploit that within one
-session; :class:`ProfileCache` extends it across sessions, CI runs and
-execution backends by storing each measurement as one JSON file under
-a content-addressed path::
+session; :class:`ProfileCache` extends it across sessions and CI runs
+by storing each measurement's JSON payload as one file under a
+content-addressed path::
 
     <root>/<kind>/<key[:2]>/<key>.json
 
-where ``kind`` is ``profile`` or ``baseline``.  The design rules, in
-the replay/consistency spirit of memory-centric transports: identical
-keys must yield identical payloads no matter where they were computed,
-and a damaged entry must *never* poison a run.
+where ``kind`` is ``profile`` or ``baseline``.  Only the runner reads
+and writes entries; the workers it ships tasks to receive their
+measurements inside the tasks.  The design rules, in the
+replay/consistency spirit of memory-centric transports: identical keys
+must yield identical payloads no matter where they were computed, and
+a damaged entry must *never* poison a run.
 
 - **Atomic writes.**  Entries are written to a temp file in the target
   directory and ``os.replace``-d into place, so readers only ever see
@@ -56,16 +58,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Union
 
 from repro import __version__ as REPRO_VERSION
-from repro.cake.metrics import RunMetrics
-from repro.core.profiling import ProfileResult
 from repro.errors import ConfigurationError
-from repro.exp.scenario import (
-    content_hash,
-    profile_from_payload,
-    profile_to_payload,
-    run_metrics_from_payload,
-    run_metrics_to_payload,
-)
+from repro.exp.scenario import content_hash
 
 __all__ = [
     "CACHE_ENV_VAR",
@@ -93,21 +87,6 @@ KIND_BASELINE = "baseline"
 _KINDS = (KIND_PROFILE, KIND_BASELINE)
 
 _PathLike = Union[str, Path]
-
-#: root -> number of times :meth:`ProfileCache.clear` emptied it this
-#: process.  Callers that memoize "key verified on disk" facts (the
-#: runner's backfill) fold this into their tokens, so a clear()
-#: invalidates every such memo for that root.
-_CLEAR_GENERATIONS: Dict[str, int] = {}
-
-
-def clear_generation(root: _PathLike) -> int:
-    """How many times ``root`` has been cleared in this process.
-
-    Keyed by the resolved path, so different spellings of one
-    directory share a generation.
-    """
-    return _CLEAR_GENERATIONS.get(os.path.realpath(root), 0)
 
 
 def default_cache_dir() -> Path:
@@ -142,10 +121,9 @@ class ProfileCache:
 
     ``get`` returns the stored payload or ``None`` -- *any* problem
     with an entry (missing, truncated, wrong version, bad checksum)
-    is a miss, and the damaged file is discarded so the recomputed
-    entry replaces it.  ``put`` is atomic.  The typed helpers
-    (:meth:`get_profile` / :meth:`get_baseline`) de/serialise the
-    domain objects through the payload helpers in
+    is a miss, and the recomputed entry's ``put`` overwrites the
+    damage.  ``put`` is atomic.  Payloads are plain JSON; the runner
+    de/serialises the domain objects through the payload helpers in
     :mod:`repro.exp.scenario`.
     """
 
@@ -272,28 +250,6 @@ class ProfileCache:
         self.miss_count += 1
         return None
 
-    # -- typed helpers -----------------------------------------------------
-
-    def get_profile(self, key: str) -> Optional[ProfileResult]:
-        """The cached miss-curve profile for ``key``, if intact."""
-        payload = self.get(KIND_PROFILE, key)
-        return None if payload is None else profile_from_payload(payload)
-
-    def put_profile(self, key: str, profile: ProfileResult) -> Path:
-        return self.put(KIND_PROFILE, key, profile_to_payload(profile))
-
-    def get_baseline(self, key: str) -> Optional[RunMetrics]:
-        """The cached shared-cache baseline run for ``key``, if intact."""
-        payload = self.get(KIND_BASELINE, key)
-        return None if payload is None else run_metrics_from_payload(payload)
-
-    def put_baseline(self, key: str, metrics: RunMetrics) -> Path:
-        """Store a baseline in the slim (task-stats-free) envelope."""
-        return self.put(
-            KIND_BASELINE, key,
-            run_metrics_to_payload(metrics, task_stats=False),
-        )
-
     # -- maintenance -------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
@@ -346,11 +302,8 @@ class ProfileCache:
         are spared).  Deletion is atomic per entry (one ``unlink``): a
         concurrent reader either opened the file before the unlink --
         POSIX keeps its data alive -- or sees a plain miss and
-        recomputes; no reader can observe a partial entry.  Evicting
-        any entry bumps the root's clear generation, so in-process
-        "verified on disk" memos (the runner's backfill) re-check
-        rather than trusting a pruned key.  Returns ``{"removed",
-        "freed_bytes", "kept", "kept_bytes"}``.
+        recomputes; no reader can observe a partial entry.  Returns
+        ``{"removed", "freed_bytes", "kept", "kept_bytes"}``.
         """
         import time as _time
 
@@ -382,7 +335,6 @@ class ProfileCache:
             entries.append((stat.st_mtime, stat.st_size, path))
             total += stat.st_size
         kept = len(entries)
-        evicted_entries = 0
         if budget is not None and total > budget:
             entries.sort()  # oldest mtime first
             for _mtime, size, path in entries:
@@ -396,11 +348,6 @@ class ProfileCache:
                 removed += 1
                 freed += size
                 kept -= 1
-                evicted_entries += 1
-        if evicted_entries:
-            _CLEAR_GENERATIONS[os.path.realpath(self.root)] = (
-                clear_generation(self.root) + 1
-            )
         self._approx_bytes = total
         return {
             "removed": removed,
@@ -411,9 +358,6 @@ class ProfileCache:
 
     def clear(self) -> int:
         """Remove every entry (and writer litter); returns files deleted."""
-        _CLEAR_GENERATIONS[os.path.realpath(self.root)] = (
-            clear_generation(self.root) + 1
-        )
         self._approx_bytes = 0
         removed = 0
         for files in (self._entry_files(), self._litter_files()):

@@ -52,15 +52,10 @@ from repro.cake.config import CakeConfig
 from repro.cake.metrics import RunMetrics
 from repro.cake.platform import Platform
 from repro.core.allocation import buffer_units
-from repro.core.mckp import items_from_curves, solve_mckp_dp, solve_mckp_greedy
-from repro.core.method import MethodConfig
-from repro.core.milp import solve_mckp_milp
+from repro.core.mckp import items_from_curves, solve_mckp_dp
+from repro.core.method import SOLVERS, CompositionalMethod, MethodConfig
 from repro.core.misscurve import MissCurve
-from repro.core.profiling import (
-    ProfileResult,
-    optimized_item_names,
-    profile_miss_curves,
-)
+from repro.core.profiling import ProfileResult, optimized_item_names
 from repro.errors import ConfigurationError, OptimizationError
 from repro.exp.scenario import Scenario, TransitionSpec
 from repro.kpn.graph import ProcessNetwork
@@ -75,12 +70,6 @@ __all__ = [
     "qualified",
     "run_dynamic",
 ]
-
-_SOLVERS = {
-    "dp": solve_mckp_dp,
-    "greedy": solve_mckp_greedy,
-    "milp": solve_mckp_milp,
-}
 
 
 def qualified(group: str, name: str) -> str:
@@ -356,13 +345,7 @@ class DynamicScenario:
     # -- profiles ---------------------------------------------------------
 
     def _profile(self, builder: Callable[[], ProcessNetwork]) -> ProfileResult:
-        return profile_miss_curves(
-            builder,
-            self.cake,
-            sizes=self.method.sizes,
-            fifo_policy=self.method.fifo_policy,
-            repeats=self.method.profile_repeats,
-        )
+        return CompositionalMethod(builder, self.cake, self.method).profile()
 
     def _resolve_profiles(
         self, profiles: Optional[Mapping[str, ProfileResult]]
@@ -428,7 +411,7 @@ class DynamicScenario:
                 f"{total} units - {sum(fixed.values())} fixed - "
                 f"{self.pool_units} pool"
             )
-        solution = _SOLVERS[self.method.solver](
+        solution = SOLVERS[self.method.solver](
             items_from_curves(profile.curve_list(items), profile.sizes),
             budget,
         )

@@ -1,30 +1,30 @@
-"""Executing scenarios: cached profiling, pluggable backends, result stream.
+"""Executing scenarios: cached measurements, pluggable backends, result stream.
 
 The runner turns scenario lists into :class:`~repro.exp.store.ResultStore`
-records in three phases:
+records in two phases:
 
-1. **Profile** -- every scenario that needs miss curves maps to a
-   :attr:`~repro.exp.scenario.Scenario.profile_key`; each *unique* key
-   is measured exactly once, memoized process-wide, and (when a
-   :class:`~repro.exp.cache.ProfileCache` is attached) persisted on
-   disk, so repeated grid points, whole L2-capacity or solver sweeps,
-   *and separate sessions* never re-profile.
-2. **Baseline** -- the conventional shared-cache run depends only on
-   (workload, platform); it is cached the same way, so method-knob
-   sweeps share one baseline simulation.
-3. **Execute** -- each scenario runs its remaining work (optimize,
-   partitioned simulation, validation) with the cached pieces injected,
+1. **Measure** -- every scenario needs the conventional shared-cache
+   run (its :attr:`~repro.exp.scenario.Scenario.baseline_key` depends
+   only on workload and platform) and, unless it runs in shared mode,
+   miss curves (its :attr:`~repro.exp.scenario.Scenario.profile_key`,
+   one per join group of a dynamic scenario).  Each *unique* key
+   resolves once: from the process-wide memo, else from the attached
+   :class:`~repro.exp.cache.ProfileCache`, else it is measured through
+   the backend and written through to the cache.  Repeated grid
+   points, whole L2-capacity or solver sweeps, *and separate sessions*
+   never re-profile.
+2. **Execute** -- each scenario runs its remaining work (optimize,
+   partitioned simulation, validation) with its measurements injected,
    and streams one record into the store in scenario order.
 
-Every phase moves work through an :class:`ExecutionBackend` -- the
+Both phases move work through an :class:`ExecutionBackend` -- the
 transport seam.  A backend maps a module-level worker callable over
 JSON-serialisable task dicts and returns JSON results in task order;
-nothing else crosses the boundary.  Execute tasks carry the *cache
-path and content keys*, not measurement objects: a worker loads the
-profile/baseline it needs from the persistent cache (or from an inline
-JSON payload when no cache is attached), which keeps per-task traffic
-small and makes the protocol transport-agnostic -- a distributed
-backend only needs to move the same JSON.
+nothing else crosses the boundary.  Only the runner reads or writes
+the memo tables and the cache: execute tasks carry their measurements
+as JSON payloads (a few KB each, encoded once per key and run), so a
+worker is a pure function of its task and needs neither this process's
+memory nor a shared cache directory.
 
 Three backends ship: :class:`InlineBackend` (serial, easiest to
 debug), :class:`ProcessPoolBackend` (fork pool, CPU parallelism) and
@@ -57,7 +57,6 @@ from repro.exp.cache import (
     KIND_BASELINE,
     KIND_PROFILE,
     ProfileCache,
-    clear_generation,
     resolve_cache,
 )
 from repro.exp.dynamic import run_dynamic
@@ -89,17 +88,12 @@ __all__ = [
 _PROFILE_CACHE: Dict[str, ProfileResult] = {}
 #: baseline_key -> RunMetrics of the shared-cache run.
 _BASELINE_CACHE: Dict[str, RunMetrics] = {}
-#: (cache root, kind, key) triples this process has verified on disk;
-#: lets steady-state warm runs skip re-reading and re-checksumming
-#: entries that cannot have changed under us.
-_VERIFIED_ON_DISK: set = set()
 
 
 def clear_caches() -> None:
     """Drop the process-wide profile and baseline memo tables."""
     _PROFILE_CACHE.clear()
     _BASELINE_CACHE.clear()
-    _VERIFIED_ON_DISK.clear()
 
 
 def _compute_profile(scenario: Scenario) -> ProfileResult:
@@ -110,6 +104,20 @@ def _compute_profile(scenario: Scenario) -> ProfileResult:
 def _compute_baseline(scenario: Scenario) -> RunMetrics:
     """One conventional shared-cache simulation."""
     return scenario.build_method().simulate(None)
+
+
+def _baseline_payload(metrics: RunMetrics) -> Dict[str, Any]:
+    """Baseline payloads are slim: per-task stats are never read out
+    of a cached baseline (see run_metrics_to_payload)."""
+    return run_metrics_to_payload(metrics, task_stats=False)
+
+
+#: kind -> (its process-wide memo table, payload encoder, decoder).
+_KINDS = {
+    KIND_PROFILE: (_PROFILE_CACHE, profile_to_payload, profile_from_payload),
+    KIND_BASELINE:
+        (_BASELINE_CACHE, _baseline_payload, run_metrics_from_payload),
+}
 
 
 # -- record assembly ---------------------------------------------------------
@@ -315,17 +323,16 @@ def run_scenario(
     :class:`ExperimentRunner` accepts): profiling and baseline work is
     then reused across sessions, not just within this process.
     """
-    disk = resolve_cache(cache)
-    task = {
-        "profile_key":
-            scenario.profile_key if scenario.needs_profile else None,
-        "baseline_key": scenario.baseline_key,
+    _resolve_measurements([scenario], resolve_cache(cache), InlineBackend())
+    profiles = {
+        group: _PROFILE_CACHE[requirement.profile_key]
+        for group, requirement in _profile_requirements(scenario).items()
     }
     return execute_scenario(
         scenario,
-        profile=_resolve_profile(scenario, task, cache=disk),
-        baseline=_resolve_baseline(scenario, task, cache=disk),
-        profiles=_resolve_profile_groups(scenario, task, cache=disk),
+        profile=profiles.get(""),
+        baseline=_BASELINE_CACHE[scenario.baseline_key],
+        profiles=profiles,
     )
 
 
@@ -333,202 +340,125 @@ def run_scenario(
 #
 # Workers are module-level callables taking one JSON-serialisable task
 # dict and returning one JSON-serialisable result; they are the whole
-# contract between the runner and a backend.  Measurements travel by
-# *reference* -- a cache directory plus content keys -- with inline
-# payloads only as the fallback when no cache is attached, so the same
-# protocol serves fork pools, threads, and (eventually) remote queues.
+# contract between the runner and a backend.  Both are pure functions
+# of their task: neither reads the memo tables or a cache, so the same
+# protocol serves threads, fork pools and remote queues.
 
 
-def _persist(
-    disk: Optional[ProfileCache],
-    kind: str,
-    key: str,
-    measurement,
-    only_if_absent: bool = False,
-) -> bool:
-    """Best-effort write-through to the disk cache.
+def _profile_requirements(scenario: Scenario) -> Dict[str, Scenario]:
+    """Join group -> the static scenario whose curves ``scenario`` needs.
+
+    One entry (group ``""``, the scenario itself) for a static
+    scenario, one per join group for a dynamic one, none in shared
+    mode.  Each group's profile key equals the one a static scenario
+    of its workload uses, so their measurements are cached and shared
+    alike.
+    """
+    if not scenario.needs_profile:
+        return {}
+    return dict(scenario.profile_requirements())
+
+
+def _write_through(
+    cache: ProfileCache, kind: str, key: str, payload: Dict[str, Any]
+) -> None:
+    """Best-effort cache write.
 
     An unwritable or full cache degrades the sweep to uncached
     computation -- it must never fail it (the read side already treats
-    every problem as a miss).  ``only_if_absent`` backfills entries the
-    in-process memo resolved without touching disk, so a cache attached
-    *after* measurements were memoized still ends up populated.
-    Returns whether the entry is now verifiably on disk.
+    every problem as a miss).
     """
-    if disk is None:
-        return False
-    # The clear-generation folds ProfileCache.clear() into the token,
-    # so emptying a cache invalidates every verification memo for it.
-    # (Out-of-band deletion -- rm -rf behind a running process -- is
-    # healed one session later, when the cold memo probes the disk.)
-    token = (str(disk.root), clear_generation(disk.root), kind, key)
     try:
-        if only_if_absent:
-            if token in _VERIFIED_ON_DISK:
-                return True
-            # Gate on a *valid* entry, not mere file existence: a stale
-            # or corrupt file must not block the backfill forever.
-            if disk.get(kind, key) is not None:
-                _VERIFIED_ON_DISK.add(token)
-                return True
-        if kind == KIND_PROFILE:
-            disk.put_profile(key, measurement)
-        else:
-            disk.put_baseline(key, measurement)
-        _VERIFIED_ON_DISK.add(token)
-        return True
+        cache.put(kind, key, payload)
     except OSError:
-        return False
+        pass
+
+
+def _resolve_measurements(
+    scenarios: Sequence[Scenario],
+    cache: Optional[ProfileCache],
+    backend: ExecutionBackend,
+) -> Dict[str, int]:
+    """Put every measurement ``scenarios`` need into the memo tables.
+
+    Each unique key resolves memo -> ``cache`` -> measured through
+    ``backend``, profiles before baselines.  New measurements are
+    written through to the cache, and a memo hit the cache lacks or
+    holds damaged is backfilled, so a cache attached after measurement
+    still fills up.  Returns the counts :attr:`ExperimentRunner.last_stats`
+    reports.
+    """
+    needed: Dict[str, Dict[str, Scenario]] = {
+        KIND_PROFILE: {}, KIND_BASELINE: {},
+    }
+    for scenario in scenarios:
+        for requirement in _profile_requirements(scenario).values():
+            needed[KIND_PROFILE].setdefault(
+                requirement.profile_key, requirement
+            )
+        needed[KIND_BASELINE].setdefault(scenario.baseline_key, scenario)
+
+    stats = {"scenarios": len(scenarios)}
+    measure_tasks = []
+    for kind, scenarios_by_key in needed.items():
+        memo, encode, decode = _KINDS[kind]
+        cached = from_disk = 0
+        for key, scenario in scenarios_by_key.items():
+            if key in memo:
+                cached += 1
+                if cache is not None and cache.get(kind, key) is None:
+                    _write_through(cache, kind, key, encode(memo[key]))
+                continue
+            payload = cache.get(kind, key) if cache is not None else None
+            if payload is not None:
+                memo[key] = decode(payload)
+                from_disk += 1
+                continue
+            measure_tasks.append(
+                {"kind": kind, "key": key, "scenario": scenario.to_dict()}
+            )
+        stats[f"{kind}s_computed"] = len(scenarios_by_key) - cached - from_disk
+        stats[f"{kind}s_cached"] = cached
+        stats[f"{kind}s_from_disk"] = from_disk
+
+    # One combined measurement phase: profiles and baselines are
+    # independent, so a parallel backend overlaps them freely instead
+    # of draining one kind before starting the other.
+    for result in backend.map(_measure_task, measure_tasks):
+        kind, key, payload = result["kind"], result["key"], result["payload"]
+        memo, _encode, decode = _KINDS[kind]
+        memo[key] = decode(payload)
+        if cache is not None:
+            _write_through(cache, kind, key, payload)
+    return stats
 
 
 def _measure_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """One measurement -- ``kind`` picks profile or baseline work.
-
-    Profiling sweeps and baselines are independent, so the runner
-    submits them as one task list and any backend overlaps them.
-    """
+    """One measurement -- ``kind`` picks profile or baseline work."""
     scenario = Scenario.from_dict(task["scenario"])
     if task["kind"] == KIND_PROFILE:
         payload = profile_to_payload(_compute_profile(scenario))
     else:
-        # Baseline envelopes are slim: per-task stats are never read
-        # out of a cached baseline (see run_metrics_to_payload).
-        payload = run_metrics_to_payload(
-            _compute_baseline(scenario), task_stats=False
-        )
-    persisted = False
-    if task.get("cache_dir"):
-        try:
-            ProfileCache(task["cache_dir"]).put(
-                task["kind"], task["key"], payload
-            )
-            persisted = True
-        except OSError:
-            pass  # unwritable cache: the result still returns inline
-    return {
-        "kind": task["kind"],
-        "key": task["key"],
-        "payload": payload,
-        # The worker knows its own write outcome; the runner uses it to
-        # decide whether execute tasks can reference this key by cache
-        # path or must carry the payload inline.
-        "persisted": persisted,
-    }
-
-
-def _open_cache(
-    task: Dict[str, Any], cache: Optional[ProfileCache]
-) -> Optional[ProfileCache]:
-    """The cache to resolve through: the caller's instance when given
-    (its traffic counters then see the lookups), else one bound to the
-    task's ``cache_dir``."""
-    if cache is not None:
-        return cache
-    if task.get("cache_dir"):
-        return ProfileCache(task["cache_dir"])
-    return None
-
-
-def _resolve(
-    kind: str,
-    scenario: Scenario,
-    task: Dict[str, Any],
-    cache: Optional[ProfileCache] = None,
-):
-    """One measurement by the memo -> disk -> inline -> compute cascade.
-
-    The single resolution path for both kinds: a memo hit returns
-    immediately (backfilling a late-attached cache unless the runner's
-    planning phase already did, flagged by ``task["persisted"]``), a
-    disk or inline-payload hit is memoized, and a measurement that is
-    nowhere -- lost or damaged between phases -- is recomputed rather
-    than failed, healing the cache for the next reader.
-    """
-    if kind == KIND_PROFILE:
-        key, memo = task["profile_key"], _PROFILE_CACHE
-        decode, compute = profile_from_payload, _compute_profile
-        inline = task.get("profile")
-    else:
-        key, memo = task["baseline_key"], _BASELINE_CACHE
-        decode, compute = run_metrics_from_payload, _compute_baseline
-        inline = task.get("baseline")
-    disk = _open_cache(task, cache)
-    value = memo.get(key)
-    if value is not None:
-        if not task.get("persisted"):
-            _persist(disk, kind, key, value, only_if_absent=True)
-        return value
-    if disk is not None:
-        value = (
-            disk.get_profile(key) if kind == KIND_PROFILE
-            else disk.get_baseline(key)
-        )
-    if value is None and inline is not None:
-        value = decode(inline)
-        _persist(disk, kind, key, value, only_if_absent=True)
-    if value is None:
-        value = compute(scenario)
-        _persist(disk, kind, key, value)
-    memo[key] = value
-    return value
-
-
-def _resolve_profile(
-    scenario: Scenario,
-    task: Dict[str, Any],
-    cache: Optional[ProfileCache] = None,
-) -> Optional[ProfileResult]:
-    """The task's miss curves (None when the mode needs no profiling)."""
-    if not scenario.needs_profile:
-        return None
-    return _resolve(KIND_PROFILE, scenario, task, cache)
-
-
-def _resolve_baseline(
-    scenario: Scenario,
-    task: Dict[str, Any],
-    cache: Optional[ProfileCache] = None,
-) -> RunMetrics:
-    """The task's shared-cache run."""
-    return _resolve(KIND_BASELINE, scenario, task, cache)
-
-
-def _resolve_profile_groups(
-    scenario: Scenario,
-    task: Dict[str, Any],
-    cache: Optional[ProfileCache] = None,
-) -> Optional[Dict[str, ProfileResult]]:
-    """Per-group miss curves of a dynamic scenario (else ``None``).
-
-    Each :meth:`~repro.exp.scenario.Scenario.profile_requirements`
-    entry resolves through the same memo -> disk -> inline -> compute
-    cascade as a static profile, keyed by the *requirement's* profile
-    key -- a join group whose workload was already profiled standalone
-    hits the cache and costs zero profiling passes.
-    """
-    if not (scenario.is_dynamic and scenario.needs_profile):
-        return None
-    inline = task.get("profiles") or {}
-    profiles: Dict[str, ProfileResult] = {}
-    for group, requirement in scenario.profile_requirements():
-        sub_task = {
-            "profile_key": requirement.profile_key,
-            "cache_dir": task.get("cache_dir"),
-            "persisted": task.get("persisted"),
-            "profile": inline.get(group),
-        }
-        profiles[group] = _resolve(KIND_PROFILE, requirement, sub_task, cache)
-    return profiles
+        payload = _baseline_payload(_compute_baseline(scenario))
+    return {"kind": task["kind"], "key": task["key"], "payload": payload}
 
 
 def _execute_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one scenario task; returns the record payload."""
-    scenario = Scenario.from_dict(task["scenario"])
+    """Execute one scenario task; returns the record payload.
+
+    The task carries its measurements: ``profiles`` maps each join
+    group (``""`` for the base workload) to a profile payload, and
+    ``baseline`` is the shared-cache run's payload.
+    """
+    profiles = {
+        group: profile_from_payload(payload)
+        for group, payload in task["profiles"].items()
+    }
     outcome = execute_scenario(
-        scenario,
-        profile=_resolve_profile(scenario, task),
-        baseline=_resolve_baseline(scenario, task),
-        profiles=_resolve_profile_groups(scenario, task),
+        Scenario.from_dict(task["scenario"]),
+        profile=profiles.get(""),
+        baseline=run_metrics_from_payload(task["baseline"]),
+        profiles=profiles,
     )
     return outcome.record.payload
 
@@ -544,14 +474,11 @@ class ExecutionBackend:
     order*.  Implementations choose where the calls run (this thread, a
     fork pool, an event loop, a remote fleet); they must not reorder
     results or require anything beyond JSON to cross the boundary.
+    Every task carries everything its worker reads, so ``map`` is the
+    whole interface.
     """
 
     name = "base"
-    #: Whether workers see this process's memo tables (threads do,
-    #: separate processes and remote transports do not).  When False
-    #: and no disk cache is attached, execute tasks carry their
-    #: measurements as inline JSON payloads.
-    shares_memory = False
 
     def map(
         self,
@@ -568,7 +495,6 @@ class InlineBackend(ExecutionBackend):
     """Runs every task serially in the calling thread."""
 
     name = "inline"
-    shares_memory = True
 
     def map(self, worker, tasks):
         for task in tasks:
@@ -578,14 +504,9 @@ class InlineBackend(ExecutionBackend):
 class ProcessPoolBackend(ExecutionBackend):
     """Runs tasks on a process pool (fork where available).
 
-    The pool is created per :meth:`map` call, after the previous phase
-    finished -- with fork, workers therefore inherit the parent's memo
-    tables as of that moment, and execute workers usually resolve their
-    measurements without touching the disk cache at all.
-
-    A caller that abandons the stream (closes or drops the generator)
-    waits only for the at most ``workers`` calls in flight; no other
-    task starts.
+    The pool is created per :meth:`map` call.  A caller that abandons
+    the stream (closes or drops the generator) waits only for the at
+    most ``workers`` calls in flight; no other task starts.
     """
 
     name = "process-pool"
@@ -657,7 +578,6 @@ class AsyncBackend(ExecutionBackend):
     """
 
     name = "async"
-    shares_memory = True
 
     def __init__(self, concurrency: int = 4):
         if concurrency < 1:
@@ -723,16 +643,18 @@ class AsyncBackend(ExecutionBackend):
                 closed.set()
                 for future in futures:
                     future.cancel()
-                for future in futures:
-                    try:
-                        future.result()
-                    except BaseException:
-                        pass
-                # Executor shutdown must run *on* the host loop: the
-                # calling thread may itself be inside a running loop.
-                asyncio.run_coroutine_threadsafe(
-                    loop.shutdown_default_executor(), loop
-                ).result()
+
+                async def settle():
+                    # A cancelled future only *requests* its task's
+                    # cancellation: let every task unwind (closing its
+                    # connections) before the loop stops.  Executor
+                    # shutdown must run *on* the host loop too: the
+                    # calling thread may itself be inside a running loop.
+                    tasks = asyncio.all_tasks() - {asyncio.current_task()}
+                    await asyncio.gather(*tasks, return_exceptions=True)
+                    await loop.shutdown_default_executor()
+
+                asyncio.run_coroutine_threadsafe(settle(), loop).result()
                 loop.call_soon_threadsafe(loop.stop)
                 host.join()
                 loop.close()
@@ -799,8 +721,8 @@ class ExperimentRunner:
     :class:`~repro.exp.cache.ProfileCache`: ``True`` for the default
     location (``$REPRO_PROFILE_CACHE`` honoured), a path, or an
     instance.  With a cache, profiling and baseline measurements are
-    reused across sessions and workers receive cache *paths* instead of
-    measurement payloads.
+    reused across sessions.  Only the runner reads and writes it:
+    execute tasks carry their measurements.
     """
 
     def __init__(
@@ -824,44 +746,6 @@ class ExperimentRunner:
         #: Filled by :meth:`run`: profiling/baseline work accounting.
         self.last_stats: Dict[str, int] = {}
 
-    def _plan(
-        self,
-        kind: str,
-        scenarios_by_key: Dict[str, Scenario],
-        memo: Dict[str, Any],
-        on_disk: set,
-    ):
-        """Resolve keys through memo then disk; return what to compute.
-
-        Memo hits are backfilled to the attached cache (validity-gated,
-        once per key) so a cache attached *after* measurement still gets
-        populated; every key verified on disk lands in ``on_disk``.
-        Returns ``(missing keys -> scenario, disk-hit count)``.
-        """
-        getter = None
-        if self.cache is not None:
-            getter = (
-                self.cache.get_profile if kind == KIND_PROFILE
-                else self.cache.get_baseline
-            )
-        missing: Dict[str, Scenario] = {}
-        from_disk = 0
-        for key, scenario in scenarios_by_key.items():
-            if key in memo:
-                if _persist(self.cache, kind, key, memo[key],
-                            only_if_absent=True):
-                    on_disk.add((kind, key))
-                continue
-            if getter is not None:
-                cached = getter(key)
-                if cached is not None:
-                    memo[key] = cached
-                    from_disk += 1
-                    on_disk.add((kind, key))
-                    continue
-            missing[key] = scenario
-        return missing, from_disk
-
     def run(
         self,
         scenarios: Iterable[Scenario],
@@ -873,128 +757,31 @@ class ExperimentRunner:
             if self._store is None:
                 self._store = ResultStore(path=self.store_path)
             store = self._store
-        cache_dir = str(self.cache.root) if self.cache is not None else None
-
-        # Phases 1+2: resolve each unique profile key / baseline key
-        # through memo then disk; what remains must be measured.
-        profile_scenarios: Dict[str, Scenario] = {}
-        baseline_scenarios: Dict[str, Scenario] = {}
-        for scenario in scenarios:
-            if scenario.needs_profile:
-                # One requirement for a static scenario (itself); one
-                # per join group for a dynamic one -- each group's
-                # standalone profile is planned, cached and shared
-                # exactly like a static scenario's.
-                for _group, requirement in scenario.profile_requirements():
-                    profile_scenarios.setdefault(
-                        requirement.profile_key, requirement
-                    )
-            baseline_scenarios.setdefault(scenario.baseline_key, scenario)
-        on_disk: set = set()
-        missing_profiles, profiles_from_disk = self._plan(
-            KIND_PROFILE, profile_scenarios, _PROFILE_CACHE, on_disk
+        self.last_stats = _resolve_measurements(
+            scenarios, self.cache, self.backend
         )
-        missing_baselines, baselines_from_disk = self._plan(
-            KIND_BASELINE, baseline_scenarios, _BASELINE_CACHE, on_disk
-        )
+        # Each payload is encoded once per key; every task referencing
+        # the key shares that (read-only) object.
+        payloads: Dict[tuple, Dict[str, Any]] = {}
 
-        self.last_stats = {
-            "scenarios": len(scenarios),
-            "profiles_computed": len(missing_profiles),
-            "profiles_cached":
-                len(profile_scenarios) - len(missing_profiles)
-                - profiles_from_disk,
-            "profiles_from_disk": profiles_from_disk,
-            "baselines_computed": len(missing_baselines),
-            "baselines_cached":
-                len(baseline_scenarios) - len(missing_baselines)
-                - baselines_from_disk,
-            "baselines_from_disk": baselines_from_disk,
-        }
+        def payload(kind: str, key: str) -> Dict[str, Any]:
+            if (kind, key) not in payloads:
+                memo, encode, _decode = _KINDS[kind]
+                payloads[kind, key] = encode(memo[key])
+            return payloads[kind, key]
 
-        # One combined measurement phase: profiles and baselines are
-        # independent, so a parallel backend overlaps them freely
-        # instead of draining one kind before starting the other.
-        backend = self.backend
-        measure_tasks = [
-            {"kind": kind, "key": key, "scenario": scenario.to_dict(),
-             "cache_dir": cache_dir}
-            for kind, missing in (
-                (KIND_PROFILE, missing_profiles),
-                (KIND_BASELINE, missing_baselines),
-            )
-            for key, scenario in missing.items()
-        ]
-        for result in backend.map(_measure_task, measure_tasks):
-            if result["kind"] == KIND_PROFILE:
-                _PROFILE_CACHE[result["key"]] = profile_from_payload(
-                    result["payload"]
-                )
-            else:
-                _BASELINE_CACHE[result["key"]] = run_metrics_from_payload(
-                    result["payload"]
-                )
-            if result["persisted"]:
-                # The worker's own write outcome: a key that landed on
-                # disk can be referenced by cache path, anything else
-                # must ship inline to non-memory-sharing backends.
-                on_disk.add((result["kind"], result["key"]))
-
-        # Phase 3: execute.  Tasks reference measurements by cache path
-        # + key; inline payloads ride along only for keys a non-shared
-        # backend could not otherwise resolve -- serialized once per
-        # unique key, with every task referencing the same (read-only)
-        # payload object.
-        inline_payloads: Dict[Any, Dict[str, Any]] = {}
-
-        def inline_payload(kind: str, key: str) -> Dict[str, Any]:
-            if (kind, key) not in inline_payloads:
-                inline_payloads[(kind, key)] = (
-                    profile_to_payload(_PROFILE_CACHE[key])
-                    if kind == KIND_PROFILE
-                    else run_metrics_to_payload(
-                        _BASELINE_CACHE[key], task_stats=False
-                    )
-                )
-            return inline_payloads[(kind, key)]
-
-        execute_tasks: List[Dict[str, Any]] = []
-        for scenario in scenarios:
-            task: Dict[str, Any] = {
+        execute_tasks = [
+            {
                 "scenario": scenario.to_dict(),
-                "profile_key":
-                    scenario.profile_key if scenario.needs_profile else None,
-                "baseline_key": scenario.baseline_key,
-                "cache_dir": cache_dir,
-                # Persistence was handled once per key in _plan; workers
-                # must not re-verify it per task.
-                "persisted": self.cache is not None,
+                "profiles": {
+                    group: payload(KIND_PROFILE, requirement.profile_key)
+                    for group, requirement
+                    in _profile_requirements(scenario).items()
+                },
+                "baseline": payload(KIND_BASELINE, scenario.baseline_key),
             }
-            if not backend.shares_memory:
-                profile_key = task["profile_key"]
-                if profile_key is not None and \
-                        (KIND_PROFILE, profile_key) not in on_disk:
-                    task["profile"] = inline_payload(KIND_PROFILE, profile_key)
-                if scenario.is_dynamic and scenario.needs_profile:
-                    # Per-group curves of a dynamic scenario travel the
-                    # same way: by cache reference when on disk, inline
-                    # otherwise (serialized once per unique key).
-                    group_payloads = {
-                        group: inline_payload(
-                            KIND_PROFILE, requirement.profile_key
-                        )
-                        for group, requirement
-                        in scenario.profile_requirements()
-                        if (KIND_PROFILE, requirement.profile_key)
-                        not in on_disk
-                    }
-                    if group_payloads:
-                        task["profiles"] = group_payloads
-                if (KIND_BASELINE, task["baseline_key"]) not in on_disk:
-                    task["baseline"] = inline_payload(
-                        KIND_BASELINE, task["baseline_key"]
-                    )
-            execute_tasks.append(task)
-        for payload in backend.map(_execute_task, execute_tasks):
-            store.append(payload)
+            for scenario in scenarios
+        ]
+        for record in self.backend.map(_execute_task, execute_tasks):
+            store.append(record)
         return store

@@ -1,9 +1,9 @@
 """Distributed sweeps: a work-queue server, workers, and RemoteBackend.
 
-The missing half the transport seam was built for.  Since PR 3 every
-backend has moved *only* JSON task dicts that reference measurements
-by cache path + content key; this package adds the network transport
-so those same tasks cross machines:
+The missing half the transport seam was built for.  Every backend
+moves *only* JSON task dicts, and execute tasks carry their
+measurements as JSON payloads; this package adds the network transport
+so those same tasks cross machines, with no shared filesystem:
 
 - :mod:`repro.exp.service.queue` -- :class:`WorkQueue`: leases with
   deadlines, bounded retry with exponential backoff, content-addressed
@@ -26,8 +26,8 @@ so those same tasks cross machines:
 The contract mirrors the rest of the platform: a grid run via server
 plus N workers produces a :class:`~repro.exp.store.ResultStore`
 fingerprint byte-identical to :class:`~repro.exp.runner.InlineBackend`,
-and against a warm shared :class:`~repro.exp.cache.ProfileCache` the
-fleet performs zero profiling passes (observable at ``/status``).
+and a client with a warm :class:`~repro.exp.cache.ProfileCache` makes
+the fleet perform zero profiling passes (observable at ``/status``).
 """
 
 from repro.exp.service.backend import RemoteBackend

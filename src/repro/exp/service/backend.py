@@ -9,12 +9,11 @@ is submitted to the sweep server (content-addressed, so re-submission
 is free) and its result awaited by polling.  Ordering, streaming,
 laziness, concurrency gating and loop cleanup are all inherited.
 
-Because ``shares_memory`` is False, the runner already does the right
-thing: execute tasks reference measurements by cache path + content
-key when the shared :class:`~repro.exp.cache.ProfileCache` holds them,
-and carry inline JSON payloads otherwise -- so a fleet works with a
-shared cache directory (the intended data plane) *and*, degraded but
-correct, entirely without one.
+Execute tasks carry their measurements as JSON payloads, so the fleet
+needs no shared cache directory: the client's runner resolves every
+measurement (from its memo, its own
+:class:`~repro.exp.cache.ProfileCache`, or measure tasks the fleet
+runs) before it submits any execute task.
 """
 
 from __future__ import annotations
@@ -41,10 +40,16 @@ class RemoteBackend(AsyncBackend):
     once); ``task_timeout`` bounds how long one task may stay
     non-terminal before the sweep errors out (it spans the server-side
     retry/backoff budget, so keep it generous).
+
+    Closing the result stream early (``close()`` on the generator
+    :meth:`map` returns, or dropping it) stops submitting: nothing is
+    submitted after ``close()`` returns.  The server does not learn
+    that the client left, so the tasks already submitted stay queued
+    and run; the concurrency gate keeps at most ``concurrency`` of
+    them unfinished when the stream closes.
     """
 
     name = "remote"
-    shares_memory = False
 
     def __init__(
         self,

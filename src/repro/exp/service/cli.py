@@ -60,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache", default=None,
-        help="ProfileCache root reported by /status (default: the "
-        "last cache_dir seen in a submitted task)",
+        help="ProfileCache root whose stats /status reports (default: "
+        "none; workers never read a cache)",
     )
 
     worker = sub.add_parser("worker", help="run one pulling worker")
@@ -86,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--cache", default=None,
-        help="shared ProfileCache root (the fleet's data plane)",
+        help="ProfileCache root this client resolves measurements "
+        "through (workers need no access to it)",
     )
     submit.add_argument("--concurrency", type=int, default=16,
                         help="client-side tasks in flight")

@@ -58,40 +58,6 @@ class ServiceClient:
     def result(self, task_id: str) -> Dict[str, Any]:
         return self._call("GET", f"/result?id={task_id}")
 
-    def wait_result(
-        self,
-        task_id: str,
-        timeout: float = 600.0,
-        poll_interval: float = 0.1,
-    ) -> Dict[str, Any]:
-        """Poll until the task is terminal; returns its result payload.
-
-        Raises :class:`ServiceError` when the task failed (bounded
-        retries exhausted) or the timeout elapses.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            reply = self.result(task_id)
-            state = reply.get("state")
-            if state == "done":
-                return reply["result"]
-            if state == "failed":
-                raise ServiceError(
-                    f"task {task_id} failed after "
-                    f"{reply.get('attempts')} attempts: {reply.get('error')}"
-                )
-            if state == "unknown":
-                raise ServiceError(
-                    f"task {task_id} is unknown to {self.url} "
-                    f"(evicted or never submitted)"
-                )
-            if time.monotonic() > deadline:
-                raise ServiceError(
-                    f"timed out after {timeout}s waiting on task "
-                    f"{task_id} (state: {state})"
-                )
-            time.sleep(poll_interval)
-
     # -- worker side -------------------------------------------------------
 
     def lease(self, worker: str) -> Dict[str, Any]:

@@ -22,10 +22,11 @@ POST     /drain        stop leasing; workers are told to exit
 =======  ============  =====================================================
 
 The server executes nothing itself: workers pull ``{"fn", "task"}``
-pairs and run them through the existing JSON task protocol against the
-shared :class:`~repro.exp.cache.ProfileCache` data plane.  ``/status``
-reports that cache's on-disk stats (the explicitly configured root, or
-the most recent ``cache_dir`` seen in a submitted task).
+pairs and run them through the existing JSON task protocol.  Execute
+tasks carry their measurements, so workers never read a
+:class:`~repro.exp.cache.ProfileCache`; ``/status`` reports the
+on-disk stats of the one named by ``serve --cache`` (or
+``SweepServer(cache_dir=...)``), and ``null`` without one.
 """
 
 from __future__ import annotations
@@ -71,10 +72,8 @@ class SweepServer:
             max_attempts=max_attempts,
             backoff_base=backoff_base,
         )
-        #: Cache root reported by /status; submissions update it when
-        #: not pinned explicitly, so status follows the live data plane.
+        #: Cache root whose stats /status reports (None: no cache).
         self.cache_dir = cache_dir
-        self._cache_dir_pinned = cache_dir is not None
         self._server: Optional[asyncio.base_events.Server] = None
         self._expiry_task: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -152,9 +151,6 @@ class SweepServer:
                     'each submission must be {"fn": str, "task": {...}}'
                 )
             ids.append(self.queue.submit(item["fn"], item["task"]))
-            cache_dir = item["task"].get("cache_dir")
-            if cache_dir and not self._cache_dir_pinned:
-                self.cache_dir = cache_dir
         return 200, {"ids": ids}
 
     def _lease(self, request: Request):

@@ -5,9 +5,10 @@ A worker is a plain process (or thread, in tests) that pulls
 *existing* JSON task protocol -- exactly the module-level callables
 the in-process backends map (:func:`repro.exp.runner._measure_task` /
 :func:`repro.exp.runner._execute_task`), resolved here by protocol
-name.  Measurements flow through the shared
-:class:`~repro.exp.cache.ProfileCache` named inside each task, so a
-fleet against one warm cache re-profiles nothing.
+name.  Both are pure functions of their task: execute tasks carry
+their measurements, so a worker needs no cache directory, and a client
+whose cache is warm submits no measure task -- its fleet re-profiles
+nothing.
 
 Robustness contract:
 

@@ -151,16 +151,6 @@ class ProcessNetwork:
 
     # -- queries ----------------------------------------------------------
 
-    def ports_of(self, task_name: str) -> Dict[str, FifoSpec]:
-        """Map of port name -> FIFO spec for one task."""
-        ports: Dict[str, FifoSpec] = {}
-        for fifo in self.fifos.values():
-            if fifo.producer == task_name:
-                ports[fifo.producer_port] = fifo
-            if fifo.consumer == task_name:
-                ports[fifo.consumer_port] = fifo
-        return ports
-
     def task_graph(self) -> nx.DiGraph:
         """The §3.1 application graph: nodes = tasks, edges = FIFOs."""
         graph = nx.DiGraph(name=self.name)

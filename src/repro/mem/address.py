@@ -37,10 +37,6 @@ class RegionKind(enum.Enum):
     FIFO = "fifo"
     FRAME = "frame"  # frame buffer
 
-    def is_shared_buffer(self) -> bool:
-        """True for kinds that the OS registers in the interval table."""
-        return self in (RegionKind.FIFO, RegionKind.FRAME)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -220,19 +216,6 @@ class MemoryMap:
             if region.contains(addr):
                 return region
         raise AddressError(f"address {addr:#x} maps to no region")
-
-    def find_or_none(self, addr: int) -> Optional[Region]:
-        """Like :meth:`find` but returns ``None`` instead of raising."""
-        idx = bisect_right(self._bases, addr) - 1
-        if idx >= 0:
-            region = self._sorted[idx]
-            if region.contains(addr):
-                return region
-        return None
-
-    def regions_of_kind(self, kind: RegionKind) -> List[Region]:
-        """All regions of the given kind, in address order."""
-        return [r for r in self._sorted if r.kind is kind]
 
     def footprint(self) -> int:
         """Total bytes covered by all regions (without padding)."""

@@ -161,11 +161,6 @@ class CacheStats:
             if evictor != victim
         )
 
-    def reset(self) -> None:
-        """Zero every counter (keeps cache contents intact)."""
-        self.per_owner.clear()
-        self.eviction_matrix.clear()
-
 
 class SetAssociativeCache:
     """Set-associative cache with externally supplied set indices.

@@ -33,17 +33,6 @@ def test_misses_at_interpolates_conservatively():
     assert curve.misses_at(1) == 100  # conservative below
 
 
-def test_marginal_gains():
-    curve = curve_from([(1, 100), (2, 60), (4, 10)])
-    gains = curve.marginal_gains()
-    assert gains == [(1, 2, 40), (2, 4, 50)]
-
-
-def test_knee():
-    curve = curve_from([(1, 1000), (2, 500), (4, 100), (8, 98), (16, 97)])
-    assert curve.knee(tolerance=0.02) == 4
-
-
 def test_validation():
     curve = MissCurve("t")
     with pytest.raises(OptimizationError):

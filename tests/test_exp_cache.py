@@ -24,6 +24,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -233,9 +234,9 @@ def test_memo_warm_runner_still_backfills_the_disk_cache(tmp_path):
     assert warm.last_stats["profiles_from_disk"] == 1
 
 
-def test_clear_invalidates_process_verification_memo(tmp_path):
-    """clear() must defeat the runner's verified-on-disk memo: a
-    cached runner after a clear() re-persists even with warm memos."""
+def test_cleared_cache_refills_from_a_warm_memo(tmp_path):
+    """A cached runner after a clear() re-persists what its warm memo
+    tables hold: a memo hit is written back when the cache lacks it."""
     cache = ProfileCache(tmp_path / "cache")
     scenarios = sweep(small_scenario(), solver=["dp", "greedy"])
     ExperimentRunner(workers=1, cache=cache).run(scenarios)
@@ -289,10 +290,9 @@ def test_unwritable_cache_degrades_to_uncached_computation(tmp_path):
 
 
 class _CapturingBackend(ExecutionBackend):
-    """A non-memory-sharing backend that records every task it sees."""
+    """An inline backend that records every task it sees."""
 
     name = "capturing"
-    shares_memory = False
 
     def __init__(self):
         self.tasks = []
@@ -306,39 +306,43 @@ class _CapturingBackend(ExecutionBackend):
         return [t for t in self.tasks if "kind" not in t]
 
 
-def test_inline_payloads_ship_only_when_not_verifiably_on_disk(tmp_path):
-    """Workers that cannot see the memo get each measurement by cache
-    reference when it is verifiably on disk, and inline otherwise --
-    including when cache *writes* fail (e.g. unwritable root), so a
-    spawn-style backend never recomputes per scenario."""
-    from repro.exp import make_backend
+def test_execute_tasks_carry_their_measurements(tmp_path, monkeypatch):
+    """Every execute task carries its measurements -- profile payloads
+    by join group plus the baseline -- even with a cache attached, and
+    replays to the same record with cold memo tables and a cache that
+    cannot be read: workers never resolve a measurement themselves."""
+    from repro.exp import TransitionSpec, make_backend
+    from repro.exp.runner import _execute_task
+    from repro.exp.store import ScenarioRecord
+    from repro.mem.partition import PartitionMode
 
-    scenarios = sweep(small_scenario(), solver=["dp", "greedy"])
+    base = small_scenario()
+    joined = replace(base, transitions=(
+        TransitionSpec(at=20_000.0, action="join", workload=base.workload,
+                       group="late"),
+    ))
+    shared = replace(base, partition_mode=PartitionMode.SHARED)
+    scenarios = [*sweep(base, solver=["dp", "greedy"]), joined, shared]
 
-    healthy = _CapturingBackend()
-    ExperimentRunner(backend=make_backend(healthy),
-                     cache=tmp_path / "cache").run(scenarios)
-    assert healthy.executes()
-    for task in healthy.executes():
-        assert task["persisted"] and "profile" not in task
-        assert "baseline" not in task  # resolved via cache reference
-
-    clear_caches()
-    bogus = tmp_path / "file"
-    bogus.write_text("occupied")
-    broken = _CapturingBackend()
-    ExperimentRunner(backend=make_backend(broken),
-                     cache=bogus).run(scenarios)
-    for task in broken.executes():
-        assert task["baseline"] is not None  # unpersistable -> inline
-        if task["profile_key"] is not None:
-            assert task["profile"] is not None
+    backend = _CapturingBackend()
+    store = ExperimentRunner(backend=make_backend(backend),
+                             cache=tmp_path / "cache").run(scenarios)
+    tasks = backend.executes()
+    assert [sorted(task["profiles"]) for task in tasks] == \
+        [[""], [""], ["", "late"], []]
+    assert all(task["baseline"] for task in tasks)
 
     clear_caches()
-    uncached = _CapturingBackend()
-    ExperimentRunner(backend=make_backend(uncached)).run(scenarios)
-    for task in uncached.executes():
-        assert not task["persisted"] and task["baseline"] is not None
+
+    def unreadable(*_args, **_kwargs):
+        raise AssertionError("an execute task read the profile cache")
+
+    monkeypatch.setattr(ProfileCache, "get", unreadable)
+    passes_before = profiling_passes()
+    for task, record in zip(tasks, store):
+        replayed = ScenarioRecord(_execute_task(task))
+        assert replayed.canonical() == record.canonical()
+    assert profiling_passes() == passes_before
 
 
 def test_run_scenario_uses_and_fills_the_disk_cache(tmp_path):
@@ -503,23 +507,16 @@ def _put_sized(cache, key, mtime, payload_bytes=200):
 
 
 def test_gc_prunes_least_recently_written_first(tmp_path):
-    from repro.exp.cache import clear_generation
-
     cache = ProfileCache(tmp_path / "cache")
     old = _put_sized(cache, "aa01", mtime=1_000)
     mid = _put_sized(cache, "bb02", mtime=2_000)
     new = _put_sized(cache, "cc03", mtime=3_000)
     total = sum(p.stat().st_size for p in (old, mid, new))
-    generation = clear_generation(cache.root)
     result = cache.gc(max_bytes=total - 1)  # one entry over budget
     assert result["removed"] == 1
     assert not old.exists() and mid.exists() and new.exists()
-    # Evictions invalidate in-process "verified on disk" memos, like
-    # clear() does -- a pruned key must be re-checked, not trusted.
-    assert clear_generation(cache.root) == generation + 1
-    # Within budget: nothing further to do (and no generation churn).
+    # Within budget: nothing further to do.
     assert cache.gc(max_bytes=total)["removed"] == 0
-    assert clear_generation(cache.root) == generation + 1
     # Budget 0 empties the cache entirely.
     result = cache.gc(max_bytes=0)
     assert result["removed"] == 2

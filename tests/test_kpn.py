@@ -78,12 +78,6 @@ def test_task_graph_structure():
     assert graph.edges["a", "b"]["fifo"] == "f"
 
 
-def test_ports_of():
-    network = simple_network()
-    assert set(network.ports_of("a")) == {"out"}
-    assert set(network.ports_of("b")) == {"in"}
-
-
 def test_frame_window_clamped_to_size():
     frame = FrameBufferSpec("fr", size_bytes=1024, window_bytes=4096)
     assert frame.window_bytes == 1024

@@ -64,18 +64,14 @@ def test_memory_map_find():
     assert memory_map.find(b.base + 10) is b
     with pytest.raises(AddressError):
         memory_map.find(b.end + 1024)
-    assert memory_map.find_or_none(b.end + 1024) is None
 
 
-def test_memory_map_regions_of_kind_and_footprint():
+def test_memory_map_footprint():
     space = AddressSpace()
     space.allocate("f1", 64, RegionKind.FIFO)
     space.allocate("c", 64, RegionKind.CODE)
     space.allocate("f2", 64, RegionKind.FIFO)
-    memory_map = MemoryMap(space)
-    names = [r.name for r in memory_map.regions_of_kind(RegionKind.FIFO)]
-    assert names == ["f1", "f2"]
-    assert memory_map.footprint() == 192
+    assert MemoryMap(space).footprint() == 192
 
 
 def test_scatter_is_deterministic_and_disjoint():
@@ -107,9 +103,3 @@ def test_scatter_arena_exhaustion():
     space.allocate("a", 8000, RegionKind.DATA)
     with pytest.raises(MemoryModelError):
         space.allocate("b", 8000, RegionKind.DATA)
-
-
-def test_shared_buffer_kind_classification():
-    assert RegionKind.FIFO.is_shared_buffer()
-    assert RegionKind.FRAME.is_shared_buffer()
-    assert not RegionKind.HEAP.is_shared_buffer()
