@@ -12,7 +12,7 @@ loops):
    The sweep runs against the *persistent* profile cache, so running
    this example a second time re-profiles nothing at all.
 2. **Solver x associativity** -- exact DP vs greedy across 4/8-way
-   L2s, executed on the asyncio backend (same records, same
+   L2s, executed on the thread-pool backend (same records, same
    fingerprints -- backends are interchangeable transports).
 3. **Task-to-processor assignment** -- the §3.1 throughput model
    ``1 / max_k Y(P_k)`` comparing naive round-robin pinning with
@@ -61,8 +61,8 @@ def l2_size_sweep():
 
 
 def solver_ways_sweep():
-    # Same sweep machinery, different transport: the asyncio backend
-    # runs scenarios concurrently on an event loop and produces the
+    # Same sweep machinery, different transport: the "async" backend
+    # runs scenarios concurrently on a thread pool and produces the
     # same records as inline or pool execution would.
     runner = ExperimentRunner(workers=4, backend="async", cache=True)
     scenarios = sweep(

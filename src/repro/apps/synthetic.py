@@ -19,7 +19,6 @@ __all__ = [
     "make_pipeline",
     "sink_program",
     "source_program",
-    "table_walker_program",
 ]
 
 
@@ -74,26 +73,6 @@ def sink_program(ctx: TaskContext):
             ctx.stream(ctx.heap, 0, work_bytes, write=True),
             label="consume",
         )
-
-
-def table_walker_program(ctx: TaskContext):
-    """A task dominated by data-dependent table lookups (VLD-like).
-
-    Params: ``n_tokens``, ``lookups`` per token, ``table_bytes``
-    (within bss), ``skew``.
-    """
-    n_tokens = ctx.params["n_tokens"]
-    lookups = ctx.params.get("lookups", 500)
-    table_bytes = min(ctx.params.get("table_bytes", 8192), ctx.bss.size)
-    skew = ctx.params.get("skew", 1.2)
-    for _ in range(n_tokens):
-        yield ctx.read("in")
-        yield ctx.compute(
-            ctx.fetch(lookups * 4),
-            ctx.table(ctx.bss, lookups, table_bytes=table_bytes, skew=skew),
-            label="vld",
-        )
-        yield ctx.write("out")
 
 
 def make_pipeline(

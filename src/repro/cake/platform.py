@@ -78,7 +78,6 @@ class Platform:
             config=self.config.hierarchy,
             resolver=resolver,
             mode=mode,
-            rng=self.rng_hub.stream("l2.replacement"),
         )
         self.cache_controller = CacheController(
             self.mem,

@@ -176,10 +176,6 @@ class WayPlan:
     total_ways: int
     predicted_misses: float = 0.0
 
-    def apply(self, platform: Platform) -> None:
-        """Program the platform's way map from this plan."""
-        platform.cache_controller.program_way_partitions(self.ways_by_owner)
-
 
 def optimize_way_assignment(curves, n_ways: int, total_units: int) -> WayPlan:
     """Dedicated optimizer for way-partitioned scenarios.

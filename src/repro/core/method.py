@@ -263,53 +263,29 @@ class CompositionalMethod:
         )
         return OptimizationResult(plan=plan, solution=solution)
 
-    # -- the three reusable phases ----------------------------------------
-    #
-    # ``run()`` is plan -> apply -> measure; the online scenario engine
-    # (:mod:`repro.exp.dynamic`) reuses the same phases per epoch: plan
-    # against cached curves at every arrival, apply onto the *live*
-    # platform, measure per epoch instead of per run.
-
-    def plan(self, profile: Optional[ProfileResult] = None) -> OptimizationResult:
-        """Plan phase: profile (unless injected) and optimize."""
-        if profile is None:
-            profile = self.profile()
-        return self.optimize(profile)
-
-    def apply(
-        self,
-        plan: Optional[PartitionPlan] = None,
-        platform: Optional[Platform] = None,
-    ) -> Platform:
-        """Apply phase: build (or take) a platform and program the plan.
+    def apply(self, plan: Optional[PartitionPlan] = None) -> Platform:
+        """Build a platform and program the plan.
 
         ``plan=None`` builds the conventional shared-cache platform;
         with a plan, a set-partitioned platform is programmed through
-        the cache controller.  Passing ``platform`` programs an
-        existing (not yet run) platform instead of building one.
+        the cache controller.
         """
-        if platform is None:
-            mode = (
-                PartitionMode.SHARED if plan is None
-                else PartitionMode.SET_PARTITIONED
-            )
-            platform = Platform(
-                self.network_builder(), self.platform_config, mode=mode
-            )
+        mode = (
+            PartitionMode.SHARED if plan is None
+            else PartitionMode.SET_PARTITIONED
+        )
+        platform = Platform(
+            self.network_builder(), self.platform_config, mode=mode
+        )
         if plan is not None:
             plan.apply(platform)
         return platform
-
-    @staticmethod
-    def measure(platform: Platform) -> RunMetrics:
-        """Measure phase: run the programmed platform to completion."""
-        return platform.run()
 
     def simulate(
         self, plan: Optional[PartitionPlan] = None
     ) -> RunMetrics:
         """Step 4: run shared (plan=None) or partitioned (plan given)."""
-        return self.measure(self.apply(plan))
+        return self.apply(plan).run()
 
     def run(
         self,
@@ -326,8 +302,8 @@ class CompositionalMethod:
             profile = self.profile()
         optimization = self.optimize(profile)
         if shared_metrics is None:
-            shared_metrics = self.measure(self.apply(None))
-        partitioned_metrics = self.measure(self.apply(optimization.plan))
+            shared_metrics = self.simulate(None)
+        partitioned_metrics = self.simulate(optimization.plan)
         network = self.network_builder()
         items = optimized_item_names(network)
         compositionality = compare_expected_simulated(

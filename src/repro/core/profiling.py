@@ -31,6 +31,7 @@ from repro.mem.partition import PartitionMode
 
 __all__ = [
     "ProfileResult",
+    "default_sizes",
     "optimized_item_names",
     "profile_miss_curves",
     "profiling_passes",
@@ -110,6 +111,17 @@ def _virtual_sets(
     return sets
 
 
+def default_sizes(n_allocation_units: int) -> List[int]:
+    """The default size menu: powers of two from 1 up to a quarter of
+    the allocatable units."""
+    sizes: List[int] = []
+    size = 1
+    while size <= n_allocation_units // 4:
+        sizes.append(size)
+        size *= 2
+    return sizes
+
+
 def profile_miss_curves(
     network_builder: Callable[[], ProcessNetwork],
     config: CakeConfig,
@@ -130,11 +142,7 @@ def profile_miss_curves(
         _PASS_COUNT += 1
     _THREAD_PASSES.count = thread_profiling_passes() + 1
     if sizes is None:
-        sizes = []
-        size = 1
-        while size <= config.n_allocation_units // 4:
-            sizes.append(size)
-            size *= 2
+        sizes = default_sizes(config.n_allocation_units)
     sizes = sorted(set(int(s) for s in sizes))
     if not sizes:
         raise OptimizationError("profiling needs at least one size")

@@ -17,14 +17,15 @@ package makes that the top-level API:
   checksummed, ``python -m repro.exp.cache stats|clear``).
 - :mod:`repro.exp.runner` -- :class:`ExperimentRunner`, executing
   scenarios through a pluggable :class:`ExecutionBackend` (inline,
-  process pool, asyncio) with cached profiling and shared baselines,
-  streaming records into a store; the only reader and writer of the
-  profile cache.
-- :mod:`repro.exp.service` -- the distributed half: an asyncio
-  work-queue server (``python -m repro.exp.service serve``), pulling
-  workers with leases/heartbeats/retry, and :class:`RemoteBackend`
-  (``backend="remote"``) shipping the same JSON tasks over HTTP; the
-  tasks carry their measurements, so workers share no cache.
+  process pool, thread pool) with cached profiling and shared
+  baselines, streaming records into a store; the only reader and
+  writer of the profile cache.
+- :mod:`repro.exp.service` -- the distributed half: a work-queue
+  server on the stdlib ``http.server`` (``python -m repro.exp.service
+  serve``), pulling workers with leases/heartbeats/retry, and
+  :class:`RemoteBackend` (``backend="remote"``) shipping the same JSON
+  tasks over HTTP; the tasks carry their measurements, so workers
+  share no cache.
 - :mod:`repro.exp.store` -- :class:`ResultStore`, the append-only JSONL
   record stream with indexed load/filter/to-table queries.
 
@@ -63,7 +64,7 @@ from repro.exp.runner import (
 )
 
 # Imported after runner: the service's worker and backend modules hang
-# off the runner's task protocol and AsyncBackend seam.
+# off the runner's task protocol and ExecutionBackend seam.
 from repro.exp.service import (
     RemoteBackend,
     ServiceClient,

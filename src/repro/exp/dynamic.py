@@ -71,6 +71,10 @@ __all__ = [
     "run_dynamic",
 ]
 
+#: Allocation units of the default pool for unpartitioned owners,
+#: pinned at the top of the unit space.
+POOL_UNITS = 1
+
 
 def qualified(group: str, name: str) -> str:
     """The union-network name of a join-group entity (``group.name``)."""
@@ -286,7 +290,6 @@ class DynamicScenario:
             Mapping[str, Callable[[], ProcessNetwork]]
         ] = None,
         engine: Optional[str] = None,
-        pool_units: int = 1,
         fixed_units: Optional[Mapping[str, int]] = None,
     ):
         self.base_builder = base_builder
@@ -295,9 +298,6 @@ class DynamicScenario:
         self.transitions = tuple(sorted(transitions, key=lambda t: t.at))
         self._join_builders = dict(join_builders or {})
         self._engine = engine
-        if pool_units < 1:
-            raise ConfigurationError("pool_units must be >= 1")
-        self.pool_units = pool_units
         self.fixed_units = dict(fixed_units or {})
         for spec in self.transitions:
             if spec.action == "join" and spec.group not in self._join_builders:
@@ -396,7 +396,7 @@ class DynamicScenario:
             name for name in optimized_item_names(base_net)
             if name not in self.fixed_units
         ]
-        available = total - sum(fixed.values()) - self.pool_units
+        available = total - sum(fixed.values()) - POOL_UNITS
         budget = available - headroom
         floor = len(items) * min(profile.sizes)
         if budget < floor:
@@ -409,7 +409,7 @@ class DynamicScenario:
             raise OptimizationError(
                 f"no MCKP capacity left for the base application: "
                 f"{total} units - {sum(fixed.values())} fixed - "
-                f"{self.pool_units} pool"
+                f"{POOL_UNITS} pool"
             )
         solution = SOLVERS[self.method.solver](
             items_from_curves(profile.curve_list(items), profile.sizes),
@@ -423,12 +423,12 @@ class DynamicScenario:
             ranges[owner] = (cursor, units)
             cursor += units
         self.platform.cache_controller.program_set_layout(
-            ranges, pool=(total - self.pool_units, self.pool_units)
+            ranges, pool=(total - POOL_UNITS, POOL_UNITS)
         )
         self._ranges = dict(ranges)
         self._initial_ranges = dict(ranges)
         self._ledger = _UnitLedger()
-        self._ledger.add(cursor, total - self.pool_units - cursor)
+        self._ledger.add(cursor, total - POOL_UNITS - cursor)
 
     # -- epoch bookkeeping -------------------------------------------------
 

@@ -28,22 +28,29 @@ memory nor a shared cache directory.
 
 Three backends ship: :class:`InlineBackend` (serial, easiest to
 debug), :class:`ProcessPoolBackend` (fork pool, CPU parallelism) and
-:class:`AsyncBackend` (asyncio over a thread pool -- the simulation
-core holds no module-global mutable state, so concurrent platforms are
-safe).  Every record is a pure function of its scenario and every
-measurement payload round-trips exactly, so all backends produce the
-same store fingerprint.
+:class:`AsyncBackend` (a thread pool -- the simulation core holds no
+module-global mutable state, so concurrent platforms are safe).  The
+pool and thread backends share one sliding window
+(:func:`_stream_window`): at most as many calls unfinished as the
+executor has workers, results in task order, and nothing new started
+once the caller leaves.  Every record is a pure function of its
+scenario and every measurement payload round-trips exactly, so all
+backends produce the same store fingerprint.
 """
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
-import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -466,19 +473,53 @@ def _execute_task(task: Dict[str, Any]) -> Dict[str, Any]:
 # -- execution backends ------------------------------------------------------
 
 
+def _stream_window(make_executor, width, worker, tasks):
+    """Map ``worker`` over ``tasks`` on a fresh executor, in task order.
+
+    Results are yielded in task order as soon as they and their
+    predecessors finish, so a crashed sweep keeps every result before
+    the crash.  At most ``width`` submitted calls are unfinished at a
+    time, one per executor worker: a process pool moves a submitted
+    call to its workers' queue at once, where it can no longer be
+    cancelled.  So a caller that abandons the stream (closes or drops
+    the generator) waits only for the calls in flight, and no other
+    task starts.  Nothing runs until the first result is asked for.
+    """
+    tasks = list(tasks)
+    if not tasks:
+        return
+    pending = iter(tasks)
+    # Submitted calls in task order, until their result is yielded.
+    window = deque()
+    with make_executor() as executor:
+        try:
+            while True:
+                running = [f for f in window if not f.done()]
+                for task in islice(pending, width - len(running)):
+                    window.append(executor.submit(worker, task))
+                    running.append(window[-1])
+                if not window:
+                    return
+                if window[0].done():
+                    yield window.popleft().result()
+                else:
+                    wait(running, return_when=FIRST_COMPLETED)
+        finally:
+            for future in window:
+                future.cancel()
+
+
 class ExecutionBackend:
     """Transport seam: ordered map of JSON tasks through a worker.
 
     ``map(worker, tasks)`` applies a module-level callable to each
     JSON-serialisable task dict and yields JSON results *in task
     order*.  Implementations choose where the calls run (this thread, a
-    fork pool, an event loop, a remote fleet); they must not reorder
+    fork pool, a thread pool, a remote fleet); they must not reorder
     results or require anything beyond JSON to cross the boundary.
     Every task carries everything its worker reads, so ``map`` is the
     whole interface.
     """
-
-    name = "base"
 
     def map(
         self,
@@ -494,8 +535,6 @@ class ExecutionBackend:
 class InlineBackend(ExecutionBackend):
     """Runs every task serially in the calling thread."""
 
-    name = "inline"
-
     def map(self, worker, tasks):
         for task in tasks:
             yield worker(task)
@@ -504,12 +543,9 @@ class InlineBackend(ExecutionBackend):
 class ProcessPoolBackend(ExecutionBackend):
     """Runs tasks on a process pool (fork where available).
 
-    The pool is created per :meth:`map` call.  A caller that abandons
-    the stream (closes or drops the generator) waits only for the at
-    most ``workers`` calls in flight; no other task starts.
+    The pool is created per :meth:`map` call and keeps at most
+    ``workers`` calls unfinished (see :func:`_stream_window`).
     """
-
-    name = "process-pool"
 
     def __init__(self, workers: int):
         if workers < 1:
@@ -528,56 +564,23 @@ class ProcessPoolBackend(ExecutionBackend):
         )
 
     def map(self, worker, tasks):
-        tasks = list(tasks)
-        if not tasks:
-            return
-        pending = iter(tasks)
-        # Submitted calls in task order, until their result is yielded.
-        # The pool moves a submitted call to its workers' queue at once,
-        # and from there it cannot be cancelled; so at most ``workers``
-        # are left unfinished at a time, each with a worker to run it.
-        window = deque()
-        with self._make_pool() as pool:
-            try:
-                while True:
-                    running = [f for f in window if not f.done()]
-                    for task in islice(pending, self.workers - len(running)):
-                        window.append(pool.submit(worker, task))
-                        running.append(window[-1])
-                    if not window:
-                        return
-                    if window[0].done():
-                        yield window.popleft().result()
-                    else:
-                        wait(running, return_when=FIRST_COMPLETED)
-            finally:
-                for future in window:
-                    future.cancel()
+        return _stream_window(self._make_pool, self.workers, worker, tasks)
 
     def __repr__(self) -> str:
         return f"<ProcessPoolBackend workers={self.workers}>"
 
 
 class AsyncBackend(ExecutionBackend):
-    """Runs tasks concurrently on an asyncio event loop.
+    """Runs tasks concurrently on a thread pool.
 
-    Each task executes in a thread-pool executor with at most
-    ``concurrency`` in flight, and results *stream* in task order --
-    each yields as soon as it and its predecessors finish, so a
-    crashed sweep keeps every record that completed before the crash,
-    exactly like the lazy inline/pool backends.  The loop runs on a
-    private host thread, so the backend also works when the caller
-    already has an event loop running (notebooks, coroutine-driven
-    apps).  The simulation core keeps all state per-platform (each
-    ``MemorySystem`` owns its own C walker state), so concurrent
-    scenarios do not interact -- and because records are pure
-    functions of their scenarios, the fingerprint matches the serial
-    one.  This is the asyncio face of the transport seam: a
-    remote/queue backend can replace ``run_in_executor`` with a network
-    await and keep the rest.
+    The pool is created per :meth:`map` call with ``concurrency``
+    threads, and keeps at most ``concurrency`` calls unfinished (see
+    :func:`_stream_window`).  The simulation core keeps all state
+    per-platform (each ``MemorySystem`` owns its own C walker state),
+    so concurrent scenarios do not interact -- and because records are
+    pure functions of their scenarios, the fingerprint matches the
+    serial one.
     """
-
-    name = "async"
 
     def __init__(self, concurrency: int = 4):
         if concurrency < 1:
@@ -586,80 +589,11 @@ class AsyncBackend(ExecutionBackend):
             )
         self.concurrency = concurrency
 
-    async def _dispatch(
-        self, worker, task: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Run one task once the concurrency gate admits it.
-
-        THE transport seam: the base class awaits a thread-pool
-        executor; :class:`~repro.exp.service.RemoteBackend` overrides
-        exactly this coroutine with a network await (submit to the
-        sweep server, poll for the result) and inherits all the
-        ordering, streaming and cleanup machinery unchanged.
-        """
-        return await asyncio.get_running_loop().run_in_executor(
-            None, worker, task
-        )
-
     def map(self, worker, tasks):
-        tasks = list(tasks)
-        if not tasks:
-            return iter(())
-
-        def stream():
-            # Everything -- loop thread, task submission -- starts on
-            # first iteration, so an unconsumed map() does no work,
-            # matching the lazy inline/pool backends.
-            loop = asyncio.new_event_loop()
-            host = threading.Thread(
-                target=loop.run_forever, name="async-backend-loop",
-                daemon=True,
-            )
-            host.start()
-            gate = asyncio.Semaphore(self.concurrency)
-            # Set by the caller thread before it cancels anything:
-            # cancelling a running task frees its gate slot, and a
-            # waiter whose own cancellation has not reached the loop
-            # yet must not start.
-            closed = threading.Event()
-
-            async def one(task: Dict[str, Any]) -> Dict[str, Any]:
-                async with gate:
-                    if closed.is_set():
-                        raise asyncio.CancelledError()
-                    return await self._dispatch(worker, task)
-
-            futures = [
-                asyncio.run_coroutine_threadsafe(one(task), loop)
-                for task in tasks
-            ]
-            try:
-                for future in futures:
-                    yield future.result()
-            finally:
-                # On failure (or abandonment): cancel what has not
-                # started, drain what has, then retire the loop -- no
-                # pending-task warnings, no leaked threads.
-                closed.set()
-                for future in futures:
-                    future.cancel()
-
-                async def settle():
-                    # A cancelled future only *requests* its task's
-                    # cancellation: let every task unwind (closing its
-                    # connections) before the loop stops.  Executor
-                    # shutdown must run *on* the host loop too: the
-                    # calling thread may itself be inside a running loop.
-                    tasks = asyncio.all_tasks() - {asyncio.current_task()}
-                    await asyncio.gather(*tasks, return_exceptions=True)
-                    await loop.shutdown_default_executor()
-
-                asyncio.run_coroutine_threadsafe(settle(), loop).result()
-                loop.call_soon_threadsafe(loop.stop)
-                host.join()
-                loop.close()
-
-        return stream()
+        return _stream_window(
+            partial(ThreadPoolExecutor, max_workers=self.concurrency),
+            self.concurrency, worker, tasks,
+        )
 
     def __repr__(self) -> str:
         return f"<AsyncBackend concurrency={self.concurrency}>"
@@ -689,7 +623,7 @@ def make_backend(
         return InlineBackend() if workers == 1 else ProcessPoolBackend(workers)
     if spec == "inline":
         return InlineBackend()
-    if spec in ("pool", "process", "process-pool"):
+    if spec == "pool":
         return ProcessPoolBackend(workers)
     if spec == "async":
         return AsyncBackend(concurrency=workers)

@@ -28,6 +28,7 @@ from repro.analysis.export import profile_from_payload, profile_to_payload
 from repro.cake.config import CakeConfig
 from repro.cake.metrics import CpuMetrics, RunMetrics
 from repro.core.method import CompositionalMethod, MethodConfig
+from repro.core.profiling import default_sizes
 from repro.exp.workloads import workload_builder
 from repro.kpn.graph import ProcessNetwork
 from repro.mem.bus import BusConfig
@@ -294,12 +295,7 @@ class Scenario:
         """
         if self.method.sizes is not None:
             return list(self.method.sizes)
-        sizes: List[int] = []
-        size = 1
-        while size <= self.effective_cake.n_allocation_units // 4:
-            sizes.append(size)
-            size *= 2
-        return sizes
+        return default_sizes(self.effective_cake.n_allocation_units)
 
     @property
     def resolved_method(self) -> MethodConfig:

@@ -1,21 +1,32 @@
-"""Synchronous client for the sweep service (workers, CLI, scripts).
+"""Blocking client for the sweep service (backend, workers, CLI, scripts).
 
-A thin typed veneer over the wire protocol: every method is one JSON
-request.  The only stateful nicety is :meth:`wait_healthy`, which
-polls ``/health`` so scripts can start a server and a client without
-choreographing startup order.
+The sweep service speaks the smallest useful slice of HTTP: one JSON
+request per connection (``Connection: close``) through
+:mod:`http.client`.  :class:`ServiceClient` is a thin typed veneer
+over it -- every method is one request.  The only stateful nicety is
+:meth:`~ServiceClient.wait_healthy`, which polls ``/health`` so
+scripts can start a server and a client without choreographing
+startup order.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro.errors import ServiceError
-from repro.exp.service.wire import parse_server_url, request
 
-__all__ = ["SERVER_ENV_VAR", "ServiceClient", "resolve_server_url"]
+__all__ = [
+    "SERVER_ENV_VAR",
+    "ServiceClient",
+    "parse_server_url",
+    "request",
+    "resolve_server_url",
+]
 
 #: Environment override naming the sweep server, honoured by
 #: ``RemoteBackend(url=None)`` and every service CLI subcommand.
@@ -31,6 +42,69 @@ def resolve_server_url(url: Optional[str]) -> str:
             f"http://127.0.0.1:8642) or set ${SERVER_ENV_VAR}"
         )
     return resolved
+
+
+def parse_server_url(url: str) -> Tuple[str, int]:
+    """``http://host:port`` (or bare ``host:port``) -> ``(host, port)``."""
+    if "//" not in url:
+        url = "http://" + url
+    parts = urlsplit(url)
+    if parts.scheme not in ("", "http"):
+        raise ServiceError(
+            f"sweep service URLs are plain http, got {url!r}"
+        )
+    if not parts.hostname or not parts.port:
+        raise ServiceError(
+            f"server URL needs host and port, got {url!r} "
+            f"(expected e.g. http://127.0.0.1:8642)"
+        )
+    return parts.hostname, parts.port
+
+
+def request(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    payload: Optional[Any] = None,
+    timeout: float = 30.0,
+) -> Any:
+    """One synchronous JSON request; returns the decoded response body.
+
+    Raises :class:`ServiceError` on any non-200 status or transport
+    problem (connection refused surfaces as ``ServiceError`` too, so
+    callers retry one exception type).
+    """
+    body = None if payload is None else json.dumps(payload)
+    try:
+        conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        try:
+            conn.request(
+                method, path, body=body,
+                headers={"Content-Type": "application/json",
+                         "Connection": "close"},
+            )
+            response = conn.getresponse()
+            data = response.read()
+        finally:
+            conn.close()
+    except (OSError, http.client.HTTPException) as exc:
+        raise ServiceError(
+            f"sweep service at {host}:{port} unreachable: {exc}"
+        ) from exc
+    try:
+        decoded = json.loads(data) if data else None
+    except ValueError as exc:
+        raise ServiceError(
+            f"non-JSON response from {host}:{port}{path}: {data[:200]!r}"
+        ) from exc
+    if response.status != 200:
+        detail = decoded.get("error") if isinstance(decoded, dict) else decoded
+        raise ServiceError(
+            f"sweep service {host}:{port}{path} returned "
+            f"{response.status}: {detail}"
+        )
+    return decoded
 
 
 class ServiceClient:

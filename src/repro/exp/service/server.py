@@ -1,9 +1,10 @@
-"""The sweep server: an asyncio HTTP face over :class:`WorkQueue`.
+"""The sweep server: a stdlib ``http.server`` face over :class:`WorkQueue`.
 
-One process, one event loop, one queue.  All mutation goes through the
-queue's lock-guarded methods (each O(queue) at worst and free of IO),
-so handlers never block the loop; the only background work is the
-lease-expiry sweep, a periodic coroutine on the same loop.
+One process, one queue.  :class:`http.server.ThreadingHTTPServer`
+answers each connection on its own thread; all mutation goes through
+the queue's lock-guarded methods (each O(queue) at worst and free of
+IO), so handlers need no further synchronisation.  The only background
+work is the lease-expiry sweep, a daemon thread.
 
 Endpoints (JSON in, JSON out, one request per connection):
 
@@ -31,20 +32,45 @@ on-disk stats of the one named by ``serve --cache`` (or
 
 from __future__ import annotations
 
-import asyncio
+import json
 import threading
-from typing import Any, Dict, Optional
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Dict, NamedTuple, Optional
+from urllib.parse import parse_qsl
 
 from repro.errors import ServiceError
 from repro.exp.service.queue import WorkQueue
-from repro.exp.service.wire import (
-    BadRequest,
-    Request,
-    read_request,
-    write_response,
-)
 
 __all__ = ["SweepServer"]
+
+#: Largest accepted request body; a grid submission is a few MB at the
+#: extreme, so this mostly guards the server against garbage traffic.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+class Request(NamedTuple):
+    """One parsed request: method, path, query dict, JSON body."""
+
+    method: str
+    path: str
+    query: Dict[str, str]
+    body: Optional[Any]
+
+
+class BadRequest(ServiceError):
+    """The peer sent something that is not a well-formed request."""
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Hands every GET and POST to the :class:`SweepServer` it serves."""
+
+    def do_GET(self) -> None:
+        self.server.sweep._handle(self)
+
+    do_POST = do_GET
+
+    def log_message(self, format: str, *args: Any) -> None:
+        pass  # /status counts the traffic; no per-request log lines
 
 
 class SweepServer:
@@ -52,8 +78,8 @@ class SweepServer:
 
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     startup).  Use :meth:`serve_forever` from a CLI process, or
-    :meth:`start_in_background` / :meth:`stop` to host the server on a
-    private loop thread inside tests and examples.
+    :meth:`start_in_background` / :meth:`stop` (or the context manager)
+    to host the server on a private thread inside tests and examples.
     """
 
     def __init__(
@@ -74,9 +100,7 @@ class SweepServer:
         )
         #: Cache root whose stats /status reports (None: no cache).
         self.cache_dir = cache_dir
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._expiry_task: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -85,30 +109,43 @@ class SweepServer:
 
     # -- request handling --------------------------------------------------
 
-    async def _handle(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def _handle(self, handler: BaseHTTPRequestHandler) -> None:
+        """Answer one request with a JSON body."""
         try:
-            try:
-                request = await read_request(reader)
-                if request is None:
-                    return
-                status, payload = self._route(request)
-            except BadRequest as exc:
-                status, payload = 400, {"error": str(exc)}
-            except asyncio.IncompleteReadError:
-                return  # peer hung up mid-request
-            except Exception as exc:  # a handler bug must not kill serving
-                status, payload = 500, {
-                    "error": f"{type(exc).__name__}: {exc}"
-                }
-            await write_response(writer, status, payload)
-        except (ConnectionError, OSError):
+            status, payload = self._route(self._read(handler))
+        except BadRequest as exc:
+            status, payload = 400, {"error": str(exc)}
+        except Exception as exc:  # a handler bug must not kill serving
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        try:
+            handler.send_response(status)
+            handler.send_header("Content-Type", "application/json")
+            handler.send_header("Content-Length", str(len(body)))
+            handler.end_headers()
+            handler.wfile.write(body)
+        except ConnectionError:
             pass  # peer gone before the response landed
-        finally:
-            writer.close()
+
+    @staticmethod
+    def _read(handler: BaseHTTPRequestHandler) -> Request:
+        """Parse the request's target and JSON body."""
+        try:
+            length = int(handler.headers.get("Content-Length", "0"))
+        except ValueError:
+            raise BadRequest("bad Content-Length")
+        if not 0 <= length <= MAX_BODY_BYTES:
+            raise BadRequest(f"refusing body of {length} bytes")
+        body: Optional[Any] = None
+        if length:
+            try:
+                body = json.loads(handler.rfile.read(length))
+            except ValueError:
+                raise BadRequest("body is not valid JSON")
+        path, _, query_string = handler.path.partition("?")
+        return Request(
+            handler.command, path, dict(parse_qsl(query_string)), body
+        )
 
     def _route(self, request: Request):
         routes = {
@@ -220,74 +257,65 @@ class SweepServer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def _expiry_loop(self) -> None:
+    def _bind(self) -> ThreadingHTTPServer:
+        """Bind the listening socket; resolves an ephemeral :attr:`port`."""
+        httpd = ThreadingHTTPServer((self.host, self.port), _Handler)
+        httpd.sweep = self
+        self.port = httpd.server_address[1]
+        return httpd
+
+    def _serve(self, httpd: ThreadingHTTPServer) -> None:
+        """Serve until ``httpd.shutdown()``, expiring leases meanwhile."""
+        stopped = threading.Event()
         interval = max(0.05, self.queue.lease_ttl / 4.0)
-        while True:
-            await asyncio.sleep(interval)
-            self.queue.expire()
 
-    async def start(self) -> None:
-        """Bind and start serving on the running event loop."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        def expire_leases() -> None:
+            while not stopped.wait(interval):
+                self.queue.expire()
+
+        expiry = threading.Thread(
+            target=expire_leases, name="sweep-lease-expiry", daemon=True
         )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._expiry_task = asyncio.ensure_future(self._expiry_loop())
-
-    async def _shutdown(self) -> None:
-        if self._expiry_task is not None:
-            self._expiry_task.cancel()
-            try:
-                await self._expiry_task
-            except asyncio.CancelledError:
-                pass
-            self._expiry_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def _serve(self) -> None:
-        await self.start()
+        expiry.start()
         try:
-            await asyncio.Event().wait()  # until cancelled
+            # The default 0.5 s poll would delay every shutdown by as
+            # much.
+            httpd.serve_forever(poll_interval=0.05)
         finally:
-            await self._shutdown()
+            stopped.set()
+            expiry.join()
+            httpd.server_close()
 
     def serve_forever(self) -> None:
         """Blocking entry point for ``python -m repro.exp.service serve``."""
         try:
-            asyncio.run(self._serve())
+            self._serve(self._bind())
         except KeyboardInterrupt:
             pass
 
     def start_in_background(self) -> "SweepServer":
-        """Host the server on a private daemon loop thread; returns self.
+        """Serve from a private daemon thread; returns self.
 
         :attr:`port` is resolved (ephemeral binds included) before this
         returns, so callers can hand out :attr:`url` immediately.
         """
-        if self._loop is not None:
+        if self._httpd is not None:
             raise ServiceError("server already started")
-        self._loop = asyncio.new_event_loop()
+        self._httpd = self._bind()
         self._thread = threading.Thread(
-            target=self._loop.run_forever, name="sweep-server", daemon=True
+            target=self._serve, args=(self._httpd,), name="sweep-server",
+            daemon=True,
         )
         self._thread.start()
-        asyncio.run_coroutine_threadsafe(self.start(), self._loop).result()
         return self
 
     def stop(self) -> None:
-        """Stop a background server and retire its loop thread."""
-        if self._loop is None:
+        """Stop a background server and retire its threads."""
+        if self._httpd is None:
             return
-        asyncio.run_coroutine_threadsafe(
-            self._shutdown(), self._loop
-        ).result()
-        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._httpd.shutdown()
         self._thread.join()
-        self._loop.close()
-        self._loop = None
+        self._httpd = None
         self._thread = None
 
     def __enter__(self) -> "SweepServer":

@@ -123,11 +123,6 @@ class TaskContext:
                 f"task {self.name!r} has no port {name!r}"
             ) from None
 
-    @property
-    def ports(self) -> Dict[str, FifoChannel]:
-        """All bound ports."""
-        return dict(self._ports)
-
     # -- op shorthands -------------------------------------------------------
 
     def compute(self, *batches: AccessBatch, label: str = "") -> Compute:

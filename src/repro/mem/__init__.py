@@ -8,7 +8,7 @@ This package models everything between the CPU and DRAM:
   implementation alternative for identifying communication buffers).
 - :mod:`repro.mem.trace` -- memory-access batches and run-length
   coalescing of the address stream.
-- :mod:`repro.mem.cache` -- set-associative caches (LRU / FIFO / random
+- :mod:`repro.mem.cache` -- set-associative caches (LRU / FIFO
   replacement) with per-owner statistics and eviction attribution.
 - :mod:`repro.mem.partition` -- the paper's set-index translation
   mechanism, plus a way-partitioning (column caching) baseline.

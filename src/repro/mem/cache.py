@@ -170,33 +170,27 @@ class SetAssociativeCache:
     geometry:
         Sets/ways/line-size shape.
     policy:
-        ``"lru"`` (default), ``"fifo"`` or ``"random"`` replacement.
+        ``"lru"`` (default) or ``"fifo"`` replacement.
     name:
         For diagnostics.
-    rng:
-        Required for the random policy; a ``numpy`` generator.
     """
 
-    REPLACEMENT_POLICIES = ("lru", "fifo", "random")
+    REPLACEMENT_POLICIES = ("lru", "fifo")
 
     def __init__(
         self,
         geometry: CacheGeometry,
         policy: str = "lru",
         name: str = "cache",
-        rng: Optional[np.random.Generator] = None,
     ):
         if policy not in self.REPLACEMENT_POLICIES:
             raise MemoryModelError(
                 f"unknown replacement policy {policy!r}; "
                 f"pick one of {self.REPLACEMENT_POLICIES}"
             )
-        if policy == "random" and rng is None:
-            raise MemoryModelError("random replacement needs an rng")
         self.geometry = geometry
         self.policy = policy
         self.name = name
-        self._rng = rng
         self.stats = CacheStats()
         # One recency-ordered list of line addresses per set (0 = MRU).
         self._sets: List[List[int]] = [[] for _ in range(geometry.sets)]
@@ -292,10 +286,6 @@ class SetAssociativeCache:
 
     def _select_victim(self, lines: List[int]) -> int:
         """Remove and return the line to evict from a full set."""
-        if self.policy == "random":
-            victim = lines[int(self._rng.integers(len(lines)))]
-            lines.remove(victim)
-            return victim
         # For both LRU and FIFO the victim is the tail of the list: LRU
         # reorders on hit, FIFO does not, so the tail is respectively the
         # least recently used and the oldest inserted line.

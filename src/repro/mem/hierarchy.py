@@ -47,13 +47,11 @@ Two engines implement the walk:
 
 Both engines produce bit-identical statistics, which the differential
 test suite asserts.  The compiled engine falls back to the reference
-walk when no C compiler is available (or ``REPRO_NO_CWALKER`` is set),
-for a ``random`` L2, whose victim selection draws from the cache
-model's RNG, and when the C state cannot be allocated or grown.  A
-negative owner id degrades it to the reference walk too -- the owner
-registry never produces one -- and so does an owner id of
-:data:`MAX_DENSE_OWNERS` or more, which the dense C counters do not
-cover.  Each check runs before the C call touches any state.  Every
+walk when no C compiler is available (or ``REPRO_NO_CWALKER`` is set)
+and when the C state cannot be allocated or grown.  A negative owner
+id degrades it to the reference walk too -- the owner registry never
+produces one -- and so does an owner id of :data:`MAX_DENSE_OWNERS` or
+more, which the dense C counters do not cover.  Each check runs before the C call touches any state.  Every
 fallback is for good, and :attr:`MemorySystem.effective_engine`
 reports the engine that walks after it.
 """
@@ -106,6 +104,8 @@ class HierarchyConfig:
     l2_hit_cycles: int = 12
     dram: DramConfig = field(default_factory=DramConfig)
     bus: BusConfig = field(default_factory=BusConfig)
+    #: Replacement policy of the set-associative L2: ``"lru"`` or
+    #: ``"fifo"`` (the way-partitioned L2 has its own).
     l2_policy: str = "lru"
     #: ``"compiled"`` (persistent C state, one C call per batch; the
     #: default) or ``"reference"`` (per-run method calls; the
@@ -388,7 +388,6 @@ class MemorySystem:
         config: HierarchyConfig,
         resolver: Optional[OwnerResolver] = None,
         mode: PartitionMode = PartitionMode.SHARED,
-        rng: Optional[np.random.Generator] = None,
     ):
         if n_cpus <= 0:
             raise ConfigurationError("n_cpus must be positive")
@@ -405,7 +404,7 @@ class MemorySystem:
             self.l2 = None
         else:
             self.l2 = SetAssociativeCache(
-                config.l2_geometry, policy=config.l2_policy, name="l2", rng=rng
+                config.l2_geometry, policy=config.l2_policy, name="l2"
             )
             self.l2_way = None
         self.set_map = SetPartitionMap(config.l2_geometry.sets)
@@ -527,13 +526,10 @@ class MemorySystem:
 
         ``"compiled"`` or ``"reference"``: the requested
         :attr:`HierarchyConfig.engine` unless the compiled tier is down
-        (no C walker, a ``random`` L2, a failed state allocation, an
-        owner id outside ``[0, MAX_DENSE_OWNERS)``) -- then
-        ``"reference"``.
+        (no C walker, a failed state allocation, an owner id outside
+        ``[0, MAX_DENSE_OWNERS)``) -- then ``"reference"``.
         """
-        if (self._use_compiled
-                and (self.l2 is None or self.l2.policy != "random")
-                and cwalker.load() is not None):
+        if self._use_compiled and cwalker.load() is not None:
             return "compiled"
         return "reference"
 
@@ -658,9 +654,9 @@ class MemorySystem:
         """One C call over the batch; ``None`` when unsupported.
 
         Unsupported means: the compiled tier is down (no C walker, a
-        random L2, a failed state allocation) or the C call declined
-        the batch before touching any state -- a run resolves an owner
-        id outside ``[0, MAX_DENSE_OWNERS)`` or a seen-set cannot grow.
+        failed state allocation) or the C call declined the batch
+        before touching any state -- a run resolves an owner id outside
+        ``[0, MAX_DENSE_OWNERS)`` or a seen-set cannot grow.
         Both send this system to the reference walk for good.  An owner
         id beyond the current counters grows them and walks again.
         """

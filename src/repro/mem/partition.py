@@ -384,10 +384,6 @@ class WayPartitionMap:
         self._version += 1
         return way_tuple
 
-    def assignments(self) -> Dict[int, Tuple[int, ...]]:
-        """Snapshot of the current owner -> ways map."""
-        return dict(self._ways_of)
-
     def ways_of(self, owner: int) -> Tuple[int, ...]:
         """Allocation ways for ``owner``; unpartitioned owners get all."""
         ways = self._ways_of.get(owner)

@@ -19,13 +19,13 @@ same cache level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from repro.errors import MemoryModelError
 
-__all__ = ["AccessBatch", "coalesce_runs", "interleave_batches"]
+__all__ = ["AccessBatch", "coalesce_runs"]
 
 _ADDR_DTYPE = np.int64
 
@@ -170,40 +170,3 @@ def coalesce_runs(
         write_any = np.zeros(starts.shape, dtype=bool)
         write_all = write_any
     return line_addrs, counts, write_any, write_all
-
-
-def interleave_batches(batches: List[AccessBatch], chunk: int) -> AccessBatch:
-    """Round-robin interleave several batches in ``chunk``-sized pieces.
-
-    Used by tests to emulate fine-grained interleaving of independent
-    streams (the worst case for a shared cache).
-    """
-    if chunk <= 0:
-        # A non-positive chunk would make no round-robin progress and
-        # loop forever.
-        raise MemoryModelError(
-            f"interleave chunk must be positive, got {chunk}"
-        )
-    parts: List[AccessBatch] = []
-    offsets = [0] * len(batches)
-    remaining = sum(b.n_accesses for b in batches)
-    while remaining > 0:
-        for i, batch in enumerate(batches):
-            start = offsets[i]
-            if start >= batch.n_accesses:
-                continue
-            stop = min(start + chunk, batch.n_accesses)
-            parts.append(
-                AccessBatch(
-                    addrs=batch.addrs[start:stop],
-                    writes=batch.writes[start:stop],
-                    instructions=0,
-                )
-            )
-            offsets[i] = stop
-            remaining -= stop - start
-    total_instr = sum(b.instructions for b in batches)
-    merged = AccessBatch.concat(parts)
-    return AccessBatch(
-        addrs=merged.addrs, writes=merged.writes, instructions=total_instr
-    )

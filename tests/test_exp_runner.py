@@ -444,50 +444,62 @@ def test_async_backend_failure_does_not_poison_reuse():
 
 
 def test_async_backend_cancellation_mid_sweep():
-    """Closing the stream mid-sweep cancels the unstarted tail (the
-    concurrency gate never admits it) and leaves the backend usable.
+    """Closing the stream mid-sweep starts none of the unstarted tail
+    and leaves the backend usable.
 
-    Task 1 is admitted while result 0 is consumed and holds the only
-    gate slot until the close cancels it: the freed slot must not let
-    any tail task start.
+    With one slot, task 1 is submitted while result 0 is consumed; the
+    close either cancels it before it starts or waits for it.
     """
-    import asyncio
+    from repro.exp import AsyncBackend
+
+    backend = AsyncBackend(concurrency=1)
+    started = []
+
+    def recorded(task):
+        started.append(task["index"])
+        return task["index"]
+
+    stream = backend.map(recorded, [{"index": i} for i in range(6)])
+    assert next(stream) == 0
+    stream.close()  # abandon the sweep after one result
+    assert started in ([0], [0, 1])
+    started.clear()
+    assert list(
+        backend.map(recorded, [{"index": i} for i in (0, 2, 3)])
+    ) == [0, 2, 3]
+    assert started == [0, 2, 3]
+
+
+def test_async_backend_runs_concurrency_tasks_at_once():
+    """``concurrency`` caps the tasks running at once, and is reached:
+    asyncio's default executor capped it at ``min(32, cpus + 4)``
+    threads, which broke this barrier."""
+    import os
     import threading
 
     from repro.exp import AsyncBackend
 
-    holding = threading.Event()  # task 1 runs and holds the gate
-    cancelled = threading.Event()  # the close reached the running task
+    n = min(32, (os.cpu_count() or 1) + 4) + 1
+    barrier = threading.Barrier(n, timeout=10)
+    lock = threading.Lock()
+    running = [0]
+    peak = [0]
 
-    class Observed(AsyncBackend):
-        async def _dispatch(self, worker, task):
-            try:
-                return await super()._dispatch(worker, task)
-            except asyncio.CancelledError:
-                cancelled.set()
-                raise
-
-    backend = Observed(concurrency=1)
-    started = []
-
-    def gated(task):
-        started.append(task["index"])
-        if task["index"] == 1:
-            holding.set()
-            cancelled.wait(timeout=60)
+    def meet(task):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            barrier.wait()
+        finally:
+            with lock:
+                running[0] -= 1
         return task["index"]
 
-    stream = backend.map(gated, [{"index": i} for i in range(6)])
-    assert next(stream) == 0
-    assert holding.wait(timeout=60)
-    stream.close()  # abandon the sweep after one result
-    assert cancelled.is_set()
-    assert started == [0, 1]
-    started.clear()
-    assert list(
-        backend.map(gated, [{"index": i} for i in (0, 2, 3)])
-    ) == [0, 2, 3]
-    assert started == [0, 2, 3]
+    tasks = [{"index": i} for i in range(2 * n)]
+    assert list(AsyncBackend(concurrency=n).map(meet, tasks)) == \
+        list(range(2 * n))
+    assert peak[0] == n
 
 
 def test_failed_task_does_not_poison_subsequent_runs(monkeypatch):

@@ -1,4 +1,4 @@
-"""Distributed sweep service: queue semantics, wire protocol, parity.
+"""Distributed sweep service: queue semantics, HTTP protocol, parity.
 
 The acceptance contract of the service layer:
 
@@ -36,8 +36,9 @@ from repro.exp import (
     sweep,
 )
 from repro.exp.service.cli import main as service_main
+from repro.exp.service.client import parse_server_url, request
 from repro.exp.service.queue import WorkQueue, task_identity
-from repro.exp.service.wire import parse_server_url, request
+from repro.exp.service.server import MAX_BODY_BYTES
 from repro.cake import CakeConfig
 from repro.core import MethodConfig
 from repro.mem.cache import CacheGeometry
@@ -267,16 +268,19 @@ def test_http_bad_traffic_gets_useful_statuses(server):
         request(host, port, "POST", "/submit", {"tasks": "not-a-list"})
     with pytest.raises(ServiceError, match="400"):
         request(host, port, "POST", "/lease", {"no": "worker"})
-    # Raw non-JSON body -> 400, not a wedged connection.
+    # Raw non-JSON body, or a declared body over the size limit -> 400,
+    # not a wedged connection.
     import http.client
 
-    conn = http.client.HTTPConnection(host, port, timeout=5.0)
-    try:
-        conn.request("POST", "/lease", body="this is not json",
-                     headers={"Content-Length": "16"})
-        assert conn.getresponse().status == 400
-    finally:
-        conn.close()
+    for body, length in [("this is not json", 16),
+                         ("{}", MAX_BODY_BYTES + 1)]:
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        try:
+            conn.request("POST", "/lease", body=body,
+                         headers={"Content-Length": str(length)})
+            assert conn.getresponse().status == 400
+        finally:
+            conn.close()
 
 
 def test_cli_status_json_and_drain(server, capsys):
@@ -499,7 +503,7 @@ def test_remote_task_failure_surfaces_after_bounded_retries(server):
 
 def test_closed_remote_stream_leaves_at_most_concurrency_unfinished(server):
     """Closing a RemoteBackend stream stops submitting.  The tasks it
-    already submitted stay queued and run; the concurrency gate keeps
+    already submitted stay queued and run; the submission window keeps
     at most ``concurrency`` of them unfinished once close() returns."""
     from repro.exp.runner import _execute_task
 

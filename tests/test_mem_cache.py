@@ -1,15 +1,14 @@
 """Tests for the set-associative cache models."""
 
-import numpy as np
 import pytest
 
 from repro.errors import MemoryModelError
 from repro.mem.cache import CacheGeometry, SetAssociativeCache, WayManagedCache
 
 
-def make_cache(sets=4, ways=2, policy="lru", rng=None):
+def make_cache(sets=4, ways=2, policy="lru"):
     return SetAssociativeCache(
-        CacheGeometry(sets=sets, ways=ways, line_size=64), policy=policy, rng=rng
+        CacheGeometry(sets=sets, ways=ways, line_size=64), policy=policy
     )
 
 
@@ -71,17 +70,6 @@ def test_fifo_policy_ignores_recency():
     cache.access(1, 0, False, 1)  # hit; FIFO does not reorder
     _hit, _cold, evicted = cache.access(3, 0, False, 1)
     assert evicted[0] == 1  # oldest inserted
-
-
-def test_random_policy_needs_rng_and_evicts_resident():
-    with pytest.raises(MemoryModelError):
-        make_cache(policy="random")
-    cache = make_cache(sets=1, ways=2, policy="random",
-                       rng=np.random.default_rng(0))
-    cache.access(1, 0, False, 1)
-    cache.access(2, 0, False, 1)
-    _hit, _cold, evicted = cache.access(3, 0, False, 1)
-    assert evicted[0] in (1, 2)
 
 
 def test_dirty_writeback_accounting():

@@ -343,41 +343,6 @@ def test_owner_ids_beyond_the_dense_counters_take_the_reference_walk(
     assert_systems_identical(reference, compiled, (owner, source))
 
 
-@pytest.mark.parametrize("engine", ["compiled", "reference"])
-def test_random_l2_policy_replays_the_reference_rng(engine):
-    """A ``random`` L2 draws its victims from the oracle's RNG stream
-    draw for draw, on the compiled engine's fallback too."""
-    config = HierarchyConfig(
-        l1_geometry=CacheGeometry(sets=4, ways=2, line_size=64),
-        l2_geometry=CacheGeometry(sets=16, ways=2, line_size=64),
-        l2_policy="random",
-        engine=engine,
-    )
-    reference = MemorySystem(
-        1,
-        HierarchyConfig(
-            l1_geometry=config.l1_geometry,
-            l2_geometry=config.l2_geometry,
-            l2_policy="random",
-            engine="reference",
-        ),
-        rng=np.random.default_rng(0),
-    )
-    system = MemorySystem(1, config, rng=np.random.default_rng(0))
-    rng = np.random.default_rng(5)
-    for step in range(10):
-        addrs = rng.integers(0, 1 << 16, 500) & ~3
-        writes = rng.random(500) < 0.4
-        batch = AccessBatch.from_addresses(addrs, writes=writes)
-        assert system.execute_batch(0, 1, batch, step * 100.0) == \
-            reference.execute_batch(0, 1, batch, step * 100.0), step
-    assert system.l2_stats.per_owner == reference.l2_stats.per_owner
-    assert system.l2._owner_of == reference.l2._owner_of
-    # The generators marched in lockstep: same state after the run.
-    assert (system.l2._rng.bit_generator.state
-            == reference.l2._rng.bit_generator.state)
-
-
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
 def test_compiled_engine_survives_negative_owner_fallback():
     """A negative *task* owner takes the oracle path mid-run; the
@@ -402,35 +367,6 @@ def test_compiled_engine_survives_negative_owner_fallback():
             reference.execute_batch(0, task, batch, step * 500.0), step
     assert_systems_identical(reference, compiled, "negative owners")
     assert compiled.effective_engine == "reference"
-
-
-def test_compiled_engine_degrades_for_random_l2():
-    """random replacement keeps the RNG draws in the reference walk."""
-    config = HierarchyConfig(
-        l1_geometry=CacheGeometry(sets=4, ways=2, line_size=64),
-        l2_geometry=CacheGeometry(sets=16, ways=2, line_size=64),
-        l2_policy="random",
-        engine="compiled",
-    )
-    system = MemorySystem(1, config, rng=np.random.default_rng(0))
-    assert system._compiled_state() is None
-    assert system.effective_engine == "reference"
-    reference = MemorySystem(
-        1,
-        HierarchyConfig(
-            l1_geometry=config.l1_geometry,
-            l2_geometry=config.l2_geometry,
-            l2_policy="random",
-            engine="reference",
-        ),
-        rng=np.random.default_rng(0),
-    )
-    rng = np.random.default_rng(9)
-    addrs = rng.integers(0, 1 << 16, 400) & ~3
-    batch = AccessBatch.from_addresses(addrs)
-    assert system.execute_batch(0, 1, batch, 0.0) == \
-        reference.execute_batch(0, 1, batch, 0.0)
-    assert system._compiled is None
 
 
 def test_compiled_engine_without_c_walker_runs_reference(monkeypatch):

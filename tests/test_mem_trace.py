@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MemoryModelError
-from repro.mem.trace import AccessBatch, coalesce_runs, interleave_batches
+from repro.mem.trace import AccessBatch, coalesce_runs
 
 
 def test_from_addresses_defaults():
@@ -99,24 +99,6 @@ def test_property_runs_match_naive_rle(pairs):
     assert write_any.tolist() == [n[2] for n in naive]
     assert write_all.tolist() == [n[3] for n in naive]
     assert int(counts.sum()) == len(pairs)
-
-
-def test_interleave_batches_preserves_accesses():
-    a = AccessBatch.from_addresses(np.arange(10) * 4, instructions=5)
-    b = AccessBatch.from_addresses(np.arange(6) * 4 + 1000, instructions=7)
-    merged = interleave_batches([a, b], chunk=4)
-    assert merged.n_accesses == 16
-    assert merged.instructions == 12
-    assert set(merged.addrs.tolist()) == set(a.addrs.tolist()) | set(b.addrs.tolist())
-
-
-def test_interleave_batches_rejects_nonpositive_chunk():
-    """Regression: chunk=0 used to spin forever instead of raising."""
-    batches = [AccessBatch.from_addresses([0, 4])]
-    with pytest.raises(MemoryModelError):
-        interleave_batches(batches, chunk=0)
-    with pytest.raises(MemoryModelError):
-        interleave_batches(batches, chunk=-3)
 
 
 def test_from_addresses_accepts_zero_dim_write_array():
