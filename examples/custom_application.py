@@ -8,7 +8,11 @@ paper's): a small software-defined-radio-style chain
               \\-> spectrum (second consumer via its own FIFO)
 
 Each task program is a plain generator over the TaskContext API; memory
-behaviour is declared with the pattern kit.  The compositional method
+behaviour is declared with the pattern kit.  Pattern batches are
+shared and read-only (equal calls return the same batch), so build new
+arrays rather than writing into one; an op whose every part is
+loop-invariant can be built once before the loop and yielded on every
+iteration, as ``demod`` and ``spectrum`` do.  The compositional method
 then profiles, optimizes and validates it exactly as it does the paper
 workloads.  To sweep a custom application over platform or method
 axes, register its builder with
@@ -44,13 +48,14 @@ def tuner(ctx):
 def demod(ctx):
     """Polyphase demodulator: large coefficient bank, hot reuse."""
     bank = min(12 * 1024, ctx.data.size)
+    filter_bank = ctx.compute(
+        ctx.fetch(8000, loop_bytes=2048),
+        ctx.stream(ctx.data, 0, bank),
+        ctx.stream(ctx.heap, 0, min(4096, ctx.heap.size), write=True),
+    )
     for _ in range(SAMPLES):
         yield ctx.read("iq_in")
-        yield ctx.compute(
-            ctx.fetch(8000, loop_bytes=2048),
-            ctx.stream(ctx.data, 0, bank),
-            ctx.stream(ctx.heap, 0, min(4096, ctx.heap.size), write=True),
-        )
+        yield filter_bank
         yield ctx.write("sym_out")
 
 
@@ -82,13 +87,14 @@ def audio(ctx):
 def spectrum(ctx):
     """FFT-based spectrum display: blocked butterflies over a window."""
     window = min(16 * 1024, ctx.heap.size)
+    fft = ctx.compute(
+        ctx.fetch(6000, loop_bytes=2048),
+        ctx.block(ctx.heap, row_stride=1024, x0=0, y0=0,
+                  width=1024, height=window // 1024, elem=1, passes=2),
+    )
     for _ in range(SAMPLES):
         yield ctx.read("iq_in")
-        yield ctx.compute(
-            ctx.fetch(6000, loop_bytes=2048),
-            ctx.block(ctx.heap, row_stride=1024, x0=0, y0=0,
-                      width=1024, height=window // 1024, elem=1, passes=2),
-        )
+        yield fft
 
 
 def build_sdr_network() -> ProcessNetwork:

@@ -63,15 +63,16 @@ def lowpass_program(ctx: TaskContext):
     p = ctx.params
     width = p["width"]
     row_stride = width * 2
+    gauss = ctx.compute(
+        ctx.fetch(width * 6, loop_bytes=1536),
+        ctx.stencil(src=ctx.heap, dst=ctx.bss, row_stride=row_stride,
+                    width=width, rows=STRIP_ROWS, taps_x=5, taps_y=5,
+                    elem=2),
+        label="gauss5x5",
+    )
     for _ in range(p["frames"] * _strips(p)):
         yield ctx.read("in")
-        yield ctx.compute(
-            ctx.fetch(width * 6, loop_bytes=1536),
-            ctx.stencil(src=ctx.heap, dst=ctx.bss, row_stride=row_stride,
-                        width=width, rows=STRIP_ROWS, taps_x=5, taps_y=5,
-                        elem=2),
-            label="gauss5x5",
-        )
+        yield gauss
         yield ctx.write("out")
 
 
@@ -81,22 +82,23 @@ def sobel_program(ctx: TaskContext):
     width = p["width"]
     row_stride = width
     extra_window = p.get("direction_rows", False)
+    batches = [
+        ctx.fetch(width * 5, loop_bytes=1280),
+        ctx.stencil(src=ctx.heap, dst=ctx.bss, row_stride=row_stride,
+                    width=width, rows=STRIP_ROWS, taps_x=3, taps_y=3,
+                    elem=1),
+    ]
+    if extra_window:
+        # Gradient-direction rows: second window of the same shape.
+        batches.append(
+            ctx.stencil(src=ctx.data, dst=ctx.bss, row_stride=row_stride,
+                        width=width, rows=STRIP_ROWS, taps_x=3, taps_y=3,
+                        elem=1)
+        )
+    sobel = ctx.compute(*batches, label="sobel3x3")
     for _ in range(p["frames"] * _strips(p)):
         yield ctx.read("in")
-        batches = [
-            ctx.fetch(width * 5, loop_bytes=1280),
-            ctx.stencil(src=ctx.heap, dst=ctx.bss, row_stride=row_stride,
-                        width=width, rows=STRIP_ROWS, taps_x=3, taps_y=3,
-                        elem=1),
-        ]
-        if extra_window:
-            # Gradient-direction rows: second window of the same shape.
-            batches.append(
-                ctx.stencil(src=ctx.data, dst=ctx.bss, row_stride=row_stride,
-                            width=width, rows=STRIP_ROWS, taps_x=3, taps_y=3,
-                            elem=1)
-            )
-        yield ctx.compute(*batches, label="sobel3x3")
+        yield sobel
         yield ctx.write("out")
 
 
@@ -105,16 +107,17 @@ def nms_program(ctx: TaskContext):
     p = ctx.params
     width = p["width"]
     row_stride = width
+    nms = ctx.compute(
+        ctx.fetch(width * 4, loop_bytes=1024),
+        ctx.stencil(src=ctx.heap, dst=ctx.bss, row_stride=row_stride,
+                    width=width, rows=STRIP_ROWS, taps_x=3, taps_y=1,
+                    elem=1),
+        ctx.stream(ctx.data, 0, min(width, ctx.data.size)),
+        label="nms",
+    )
     for _ in range(p["frames"] * _strips(p)):
         yield ctx.read("in")
-        yield ctx.compute(
-            ctx.fetch(width * 4, loop_bytes=1024),
-            ctx.stencil(src=ctx.heap, dst=ctx.bss, row_stride=row_stride,
-                        width=width, rows=STRIP_ROWS, taps_x=3, taps_y=1,
-                        elem=1),
-            ctx.stream(ctx.data, 0, min(width, ctx.data.size)),
-            label="nms",
-        )
+        yield nms
         yield ctx.write("out")
 
 

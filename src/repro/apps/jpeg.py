@@ -76,23 +76,24 @@ def idct_program(ctx: TaskContext):
     blocks = width // 8
     const_bytes = min(512, ctx.data.size)
     block_buf = min(256, ctx.heap.size)
+    # Per block: read consts, two read+write passes over the buffer.
+    per_block = AccessBatch.concat([
+        ctx.stream(ctx.data, 0, const_bytes, elem=8),
+        ctx.stream(ctx.heap, 0, block_buf, elem=4),
+        ctx.stream(ctx.heap, 0, block_buf, elem=4, write=True),
+        ctx.stream(ctx.heap, 0, block_buf, elem=4),
+        ctx.stream(ctx.heap, 0, block_buf, elem=4, write=True),
+    ])
+    strip_batch = AccessBatch(
+        addrs=np.tile(per_block.addrs, blocks),
+        writes=np.tile(per_block.writes, blocks),
+        instructions=blocks * 640,  # the 8x8 butterfly is compute heavy
+    )
+    idct = ctx.compute(ctx.fetch(blocks * 160, loop_bytes=1024),
+                       strip_batch, label="idct")
     for _ in range(p["frames"] * strips):
         yield ctx.read("coef_in")
-        # Per block: read consts, two read+write passes over the buffer.
-        per_block = AccessBatch.concat([
-            ctx.stream(ctx.data, 0, const_bytes, elem=8),
-            ctx.stream(ctx.heap, 0, block_buf, elem=4),
-            ctx.stream(ctx.heap, 0, block_buf, elem=4, write=True),
-            ctx.stream(ctx.heap, 0, block_buf, elem=4),
-            ctx.stream(ctx.heap, 0, block_buf, elem=4, write=True),
-        ])
-        strip_batch = AccessBatch(
-            addrs=np.tile(per_block.addrs, blocks),
-            writes=np.tile(per_block.writes, blocks),
-            instructions=blocks * 640,  # the 8x8 butterfly is compute heavy
-        )
-        yield ctx.compute(ctx.fetch(blocks * 160, loop_bytes=1024),
-                          strip_batch, label="idct")
+        yield idct
         yield ctx.write("pix_out")
 
 
@@ -104,16 +105,17 @@ def raster_program(ctx: TaskContext):
     # (block-order write, raster-order read), width-proportional.
     strip_bytes = min(width * STRIP_ROWS * 4, ctx.heap.size // 2)
     reread_bytes = strip_bytes
+    raster = ctx.compute(
+        ctx.fetch(width * 10, loop_bytes=2048),
+        ctx.stream(ctx.heap, 0, strip_bytes, write=True),
+        ctx.stream(ctx.heap, ctx.heap.size // 2, reread_bytes, write=True),
+        ctx.stream(ctx.heap, 0, strip_bytes),
+        ctx.stream(ctx.heap, ctx.heap.size // 2, reread_bytes),
+        label="raster",
+    )
     for _ in range(p["frames"] * strips):
         yield ctx.read("pix_in")
-        yield ctx.compute(
-            ctx.fetch(width * 10, loop_bytes=2048),
-            ctx.stream(ctx.heap, 0, strip_bytes, write=True),
-            ctx.stream(ctx.heap, ctx.heap.size // 2, reread_bytes, write=True),
-            ctx.stream(ctx.heap, 0, strip_bytes),
-            ctx.stream(ctx.heap, ctx.heap.size // 2, reread_bytes),
-            label="raster",
-        )
+        yield raster
         for _ in range(p["lines_per_strip"]):
             yield ctx.write("line_out")
 

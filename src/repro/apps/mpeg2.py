@@ -109,13 +109,14 @@ def hdr_program(ctx: TaskContext):
 def memman_program(ctx: TaskContext):
     """Frame-buffer manager: tiny control structures."""
     p = ctx.params
+    manage = ctx.compute(
+        ctx.fetch(600, loop_bytes=512),
+        ctx.stream(ctx.heap, 0, min(512, ctx.heap.size), write=True),
+        label="manage-frames",
+    )
     for frame in range(p["frames"]):
         yield ctx.read("pic_in")
-        yield ctx.compute(
-            ctx.fetch(600, loop_bytes=512),
-            ctx.stream(ctx.heap, 0, min(512, ctx.heap.size), write=True),
-            label="manage-frames",
-        )
+        yield manage
         for _ in range(_mb_rows(p)):
             yield ctx.write("fbinfo_out")
 
@@ -144,22 +145,23 @@ def idct_program(ctx: TaskContext):
     blocks = mbs * 6  # 4:2:0 macroblock = 6 blocks
     const_bytes = min(4 * 1024, ctx.data.size)
     block_buf = min(512, ctx.heap.size)
+    per_block = AccessBatch.concat([
+        ctx.stream(ctx.data, 0, const_bytes, elem=16),
+        ctx.stream(ctx.heap, 0, block_buf, elem=4),
+        ctx.stream(ctx.heap, 0, block_buf, elem=4, write=True),
+    ])
+    idct = ctx.compute(
+        ctx.fetch(blocks * 150, loop_bytes=1536),
+        AccessBatch(
+            addrs=np.tile(per_block.addrs, blocks),
+            writes=np.tile(per_block.writes, blocks),
+            instructions=blocks * 600,
+        ),
+        label="idct",
+    )
     for _ in range(p["frames"] * _mb_rows(p)):
         yield ctx.read("dct_in")
-        per_block = AccessBatch.concat([
-            ctx.stream(ctx.data, 0, const_bytes, elem=16),
-            ctx.stream(ctx.heap, 0, block_buf, elem=4),
-            ctx.stream(ctx.heap, 0, block_buf, elem=4, write=True),
-        ])
-        yield ctx.compute(
-            ctx.fetch(blocks * 150, loop_bytes=1536),
-            AccessBatch(
-                addrs=np.tile(per_block.addrs, blocks),
-                writes=np.tile(per_block.writes, blocks),
-                instructions=blocks * 600,
-            ),
-            label="idct",
-        )
+        yield idct
         yield ctx.write("residual_out")
 
 
@@ -168,14 +170,15 @@ def decmv_program(ctx: TaskContext):
     p = ctx.params
     mbs = _mbs_per_row(p)
     mv_state = min(p.get("mv_state_bytes", 11 * 1024), ctx.heap.size)
+    decode = ctx.compute(
+        ctx.fetch(mbs * 120, loop_bytes=1024),
+        ctx.stream(ctx.heap, 0, mv_state),
+        ctx.stream(ctx.heap, 0, mv_state // 2, write=True),
+        label="decode-mv",
+    )
     for _ in range(p["frames"] * _mb_rows(p)):
         yield ctx.read("mv_in")
-        yield ctx.compute(
-            ctx.fetch(mbs * 120, loop_bytes=1024),
-            ctx.stream(ctx.heap, 0, mv_state),
-            ctx.stream(ctx.heap, 0, mv_state // 2, write=True),
-            label="decode-mv",
-        )
+        yield decode
         yield ctx.write("vectors_out")
 
 
@@ -226,13 +229,14 @@ def predict_program(ctx: TaskContext):
 def predictrd_program(ctx: TaskContext):
     """Reference-read coordinator: light bookkeeping."""
     p = ctx.params
+    ref_read = ctx.compute(
+        ctx.fetch(300, loop_bytes=512),
+        ctx.stream(ctx.heap, 0, min(1024, ctx.heap.size), write=True),
+        label="ref-read",
+    )
     for _ in range(p["frames"] * _mb_rows(p)):
         yield ctx.read("fbinfo_in")
-        yield ctx.compute(
-            ctx.fetch(300, loop_bytes=512),
-            ctx.stream(ctx.heap, 0, min(1024, ctx.heap.size), write=True),
-            label="ref-read",
-        )
+        yield ref_read
         yield ctx.write("refsel_out")
 
 
@@ -241,15 +245,16 @@ def add_program(ctx: TaskContext):
     p = ctx.params
     width = p["width"]
     staging = min(2 * width * 4, ctx.heap.size)
+    add = ctx.compute(
+        ctx.fetch(width * 8, loop_bytes=1280),
+        ctx.stream(ctx.heap, 0, staging),
+        ctx.stream(ctx.heap, 0, staging, write=True),
+        label="add",
+    )
     for _ in range(p["frames"] * _mb_rows(p)):
         yield ctx.read("residual_in")
         yield ctx.read("pred_in")
-        yield ctx.compute(
-            ctx.fetch(width * 8, loop_bytes=1280),
-            ctx.stream(ctx.heap, 0, staging),
-            ctx.stream(ctx.heap, 0, staging, write=True),
-            label="add",
-        )
+        yield add
         yield ctx.write("recon_out")
 
 

@@ -32,12 +32,13 @@ def source_program(ctx: TaskContext):
     work_bytes = ctx.params.get("work_bytes", 2048)
     instr = ctx.params.get("instr", 2000)
     work_bytes = min(work_bytes, ctx.heap.size)
+    generate = ctx.compute(
+        ctx.fetch(instr),
+        ctx.stream(ctx.heap, 0, work_bytes, write=True),
+        label="generate",
+    )
     for _ in range(n_tokens):
-        yield ctx.compute(
-            ctx.fetch(instr),
-            ctx.stream(ctx.heap, 0, work_bytes, write=True),
-            label="generate",
-        )
+        yield generate
         yield ctx.write("out")
 
 
@@ -51,13 +52,14 @@ def filter_program(ctx: TaskContext):
     work_bytes = min(ctx.params.get("work_bytes", 4096), ctx.heap.size)
     instr = ctx.params.get("instr", 3000)
     reread = ctx.params.get("reread", 1)
+    batches = [ctx.fetch(instr)]
+    for _ in range(reread):
+        batches.append(ctx.stream(ctx.heap, 0, work_bytes))
+    batches.append(ctx.stream(ctx.heap, 0, work_bytes, write=True))
+    work = ctx.compute(*batches, label="filter")
     for _ in range(n_tokens):
         yield ctx.read("in")
-        batches = [ctx.fetch(instr)]
-        for _ in range(reread):
-            batches.append(ctx.stream(ctx.heap, 0, work_bytes))
-        batches.append(ctx.stream(ctx.heap, 0, work_bytes, write=True))
-        yield ctx.compute(*batches, label="filter")
+        yield work
         yield ctx.write("out")
 
 
@@ -66,13 +68,14 @@ def sink_program(ctx: TaskContext):
     n_tokens = ctx.params["n_tokens"]
     work_bytes = min(ctx.params.get("work_bytes", 2048), ctx.heap.size)
     instr = ctx.params.get("instr", 1500)
+    consume = ctx.compute(
+        ctx.fetch(instr),
+        ctx.stream(ctx.heap, 0, work_bytes, write=True),
+        label="consume",
+    )
     for _ in range(n_tokens):
         yield ctx.read("in")
-        yield ctx.compute(
-            ctx.fetch(instr),
-            ctx.stream(ctx.heap, 0, work_bytes, write=True),
-            label="consume",
-        )
+        yield consume
 
 
 def make_pipeline(

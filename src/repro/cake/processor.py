@@ -23,6 +23,7 @@ from repro.kpn.ops import Compute, Delay, ReadToken, WriteToken
 from repro.mem.address import Region
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.trace import AccessBatch
+from repro.patterns.memo import cached
 from repro.rtos.scheduler import Scheduler
 from repro.rtos.task import Task, TaskState
 from repro.sim.kernel import Simulator
@@ -31,6 +32,22 @@ __all__ = ["CpuRunner"]
 
 #: Bytes of task-control-block state the RTOS touches per dispatch.
 TCB_BYTES = 128
+
+
+def _switch_batch(region: Region, owner_id: int) -> AccessBatch:
+    """RTOS traffic of a context switch: save/restore the TCB.
+
+    Touches the task's control block inside ``rt.bss``, so the switch
+    traffic lands in the RTOS's cache partition -- the reason the
+    run-time system has its own rows in Tables 1/2.  The same for every
+    dispatch of a task, so memoised per ``(rt.bss, owner)``.
+    """
+    offset = (owner_id * TCB_BYTES) % max(1, region.size - TCB_BYTES)
+    addrs = region.base + offset + np.arange(TCB_BYTES // 4, dtype=np.int64) * 4
+    # Restore reads the whole block, save rewrites half of it.
+    writes = np.zeros(addrs.shape, dtype=bool)
+    writes[::2] = True
+    return AccessBatch(addrs=addrs, writes=writes, instructions=64)
 
 
 class CpuRunner:
@@ -54,21 +71,6 @@ class CpuRunner:
         self._rt_bss = rt_bss_region
         self._current: Optional[Task] = None
         self.process = sim.process(self._run(), name=f"cpu{cpu_id}")
-
-    def _switch_batch(self, task: Task) -> AccessBatch:
-        """RTOS traffic of a context switch: save/restore the TCB.
-
-        Touches the task's control block inside ``rt.bss``, so the
-        switch traffic lands in the RTOS's cache partition -- the reason
-        the run-time system has its own rows in Tables 1/2.
-        """
-        region = self._rt_bss
-        offset = (task.owner_id * TCB_BYTES) % max(1, region.size - TCB_BYTES)
-        addrs = region.base + offset + np.arange(TCB_BYTES // 4, dtype=np.int64) * 4
-        # Restore reads the whole block, save rewrites half of it.
-        writes = np.zeros(addrs.shape, dtype=bool)
-        writes[::2] = True
-        return AccessBatch(addrs=addrs, writes=writes, instructions=64)
 
     # -- helpers ------------------------------------------------------------
 
@@ -112,7 +114,7 @@ class CpuRunner:
             self.mem.execute_batch(
                 self.cpu_id,
                 task.owner_id,
-                self._switch_batch(task),
+                cached(_switch_batch, self._rt_bss, task.owner_id),
                 self.sim.now,
             )
         yield self.sim.timeout(self.config.switch_cycles)

@@ -76,6 +76,7 @@ from repro.exp.scenario import (
 )
 from repro.exp.store import SCHEMA_VERSION, ResultStore, ScenarioRecord
 from repro.mem.partition import PartitionMode
+from repro.patterns import memo as pattern_memo
 
 __all__ = [
     "AsyncBackend",
@@ -98,9 +99,11 @@ _BASELINE_CACHE: Dict[str, RunMetrics] = {}
 
 
 def clear_caches() -> None:
-    """Drop the process-wide profile and baseline memo tables."""
+    """Drop the process-wide memo tables: profiles, baselines and the
+    pattern kit's traffic batches (:mod:`repro.patterns.memo`)."""
     _PROFILE_CACHE.clear()
     _BASELINE_CACHE.clear()
+    pattern_memo.clear()
 
 
 def _compute_profile(scenario: Scenario) -> ProfileResult:

@@ -10,6 +10,12 @@ of memory traffic, both of which the paper's partitioning must cover:
   resolves to the *FIFO's* owner id, and
 - administration accesses in ``rt.data``, resolved to the RTOS owner.
 
+One transfer is one batch: the administration-block update followed by
+the payload.  It depends only on the buffer, the admin block, the ring
+pointer, the byte count and the direction, so it is memoised
+(:mod:`repro.patterns.memo`) and shared read-only by every transfer
+with the same pointers -- a channel cycles through a handful of them.
+
 The channel itself enforces KPN synchronisation state (token counts);
 blocking/waking of tasks is orchestrated by the CPU runner, which parks
 blocked tasks on ``waiting_readers`` / ``waiting_writers``.
@@ -26,6 +32,7 @@ from repro.errors import NetworkError
 from repro.kpn.graph import FifoSpec
 from repro.mem.address import Region
 from repro.mem.trace import AccessBatch
+from repro.patterns.memo import cached
 from repro.patterns.streams import ring
 
 __all__ = ["FifoChannel", "FifoStats"]
@@ -35,6 +42,24 @@ ADMIN_BLOCK_BYTES = 64
 
 #: Payload element size (a 32-bit word per access).
 PAYLOAD_ELEM_BYTES = 4
+
+#: Admin block traffic of one transfer: read the rd/wr pointers, the
+#: count and the limit, then write back two words.
+_ADMIN_OFFSETS = np.array([0, 8, 16, 24, 0, 16], dtype=np.int64)
+_ADMIN_WRITES = np.array([False, False, False, False, True, True])
+_ADMIN_INSTRUCTIONS = 24
+
+
+def _transfer_batch(buffer: Region, admin_base: int, head: int,
+                    nbytes: int, write: bool) -> AccessBatch:
+    """Admin-block update, then ``nbytes`` of payload from ``head``."""
+    payload = ring(buffer, head=head, nbytes=nbytes,
+                   elem=PAYLOAD_ELEM_BYTES, write=write)
+    return AccessBatch(
+        addrs=np.concatenate((admin_base + _ADMIN_OFFSETS, payload.addrs)),
+        writes=np.concatenate((_ADMIN_WRITES, payload.writes)),
+        instructions=_ADMIN_INSTRUCTIONS + payload.instructions,
+    )
 
 
 @dataclass
@@ -101,39 +126,22 @@ class FifoChannel:
 
     # -- traffic -----------------------------------------------------------
 
-    def _admin_batch(self) -> AccessBatch:
-        """Reads+update of the FIFO control block (pointers, counters)."""
-        base = self.admin_region.base + self.admin_offset
-        # Read rd/wr pointers + count + limit, then write back two words.
-        addrs = base + np.array([0, 8, 16, 24, 0, 16], dtype=np.int64)
-        writes = np.array([False, False, False, False, True, True])
-        return AccessBatch(addrs=addrs, writes=writes, instructions=24)
+    def _transfer(self, head: int, n: int, write: bool) -> AccessBatch:
+        return cached(_transfer_batch, self.buffer_region,
+                      self.admin_region.base + self.admin_offset, head,
+                      n * self.spec.token_bytes, write)
 
     def read_batch(self, n: int) -> AccessBatch:
         """Traffic of consuming ``n`` tokens (call only when readable)."""
         if not self.can_read(n):
             raise NetworkError(f"fifo {self.spec.name!r}: read of {n} underflows")
-        payload = ring(
-            self.buffer_region,
-            head=self.read_ptr,
-            nbytes=n * self.spec.token_bytes,
-            elem=PAYLOAD_ELEM_BYTES,
-            write=False,
-        )
-        return AccessBatch.concat([self._admin_batch(), payload])
+        return self._transfer(self.read_ptr, n, False)
 
     def write_batch(self, n: int) -> AccessBatch:
         """Traffic of producing ``n`` tokens (call only when writable)."""
         if not self.can_write(n):
             raise NetworkError(f"fifo {self.spec.name!r}: write of {n} overflows")
-        payload = ring(
-            self.buffer_region,
-            head=self.write_ptr,
-            nbytes=n * self.spec.token_bytes,
-            elem=PAYLOAD_ELEM_BYTES,
-            write=True,
-        )
-        return AccessBatch.concat([self._admin_batch(), payload])
+        return self._transfer(self.write_ptr, n, True)
 
     # -- commits -----------------------------------------------------------
 

@@ -34,6 +34,12 @@ _ADDR_DTYPE = np.int64
 class AccessBatch:
     """An ordered sequence of memory references plus instruction count.
 
+    Batches are values: nothing in the simulator writes into their
+    arrays, and the pattern kit shares one batch between all equal
+    calls, with read-only ``addrs`` and ``writes``
+    (:mod:`repro.patterns.memo`).  To derive a batch, build new arrays
+    (``concat``, ``np.tile``, arithmetic) rather than write into one.
+
     Attributes
     ----------
     addrs:

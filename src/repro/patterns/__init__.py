@@ -20,6 +20,15 @@ number of archetypal access patterns, each returning an
 
 The patterns are what makes the synthetic workloads *address-accurate*
 stand-ins for the real binaries (see DESIGN.md, substitution table).
+
+``stream``, ``loop_code``, ``block2d`` and ``stencil`` are pure, so
+they are memoised in one process-wide table (:mod:`repro.patterns.memo`,
+at most 4 MiB of arrays, emptied by :func:`repro.exp.clear_caches`):
+equal calls return the same batch, with read-only ``addrs`` and
+``writes``.  Build a new array rather than write into one.  ``ring``
+is memoised as part of each FIFO transfer.  ``table_lookup`` draws
+from the task's RNG and ``gather_blocks`` takes positions its callers
+draw per op, so both build on every call.
 """
 
 from repro.patterns.blocks import block2d, gather_blocks

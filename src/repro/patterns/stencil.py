@@ -9,6 +9,7 @@ import numpy as np
 from repro.errors import MemoryModelError
 from repro.mem.address import Region
 from repro.mem.trace import AccessBatch
+from repro.patterns.memo import cached
 
 __all__ = ["stencil"]
 
@@ -42,15 +43,29 @@ def stencil(
     elements), the per-line touch counts and the write traffic.  The
     instruction count still reflects the full ``taps_x * taps_y``
     multiply-accumulate work.
+
+    Memoised: the batch is shared and read-only (see
+    :mod:`repro.patterns.memo`).
     """
+    return cached(_stencil, src, dst, row_stride, width, rows, y0, taps_x,
+                  taps_y, elem, instructions)
+
+
+def _stencil(src, dst, row_stride, width, rows, y0, taps_x, taps_y, elem,
+             instructions):
     if width <= 0 or rows <= 0:
         raise MemoryModelError("stencil dimensions must be positive")
-    needed_src = (y0 + rows + taps_y - 1) * row_stride
-    if needed_src > src.size:
+    if y0 < 0:
+        raise MemoryModelError(f"stencil starts at negative row {y0}")
+    # One past the last byte read (row y0 + rows - 1 + taps_y - 1) and
+    # written (row y0 + rows - 1); a row may be narrower than its stride.
+    row_bytes = width * elem
+    read_end = (y0 + rows + taps_y - 2) * row_stride + row_bytes
+    if read_end > src.size:
         raise MemoryModelError(
-            f"stencil reads {needed_src} bytes beyond region {src.name!r}"
+            f"stencil reads {read_end} bytes beyond region {src.name!r}"
         )
-    if (y0 + rows) * row_stride > dst.size:
+    if (y0 + rows - 1) * row_stride + row_bytes > dst.size:
         raise MemoryModelError(
             f"stencil writes beyond region {dst.name!r}"
         )

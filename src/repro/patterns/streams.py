@@ -9,6 +9,7 @@ import numpy as np
 from repro.errors import MemoryModelError
 from repro.mem.address import Region
 from repro.mem.trace import AccessBatch
+from repro.patterns.memo import cached
 
 __all__ = ["loop_code", "ring", "stream"]
 
@@ -26,8 +27,14 @@ def stream(
 
     ``elem`` is the element size touched at each step; ``stride``
     defaults to ``elem`` (dense streaming).  The walk must stay inside
-    the region.
+    the region.  Memoised: the batch is shared and read-only (see
+    :mod:`repro.patterns.memo`).
     """
+    return cached(_stream, region, offset, nbytes, elem, stride, write,
+                  instructions)
+
+
+def _stream(region, offset, nbytes, elem, stride, write, instructions):
     if nbytes is None:
         nbytes = region.size - offset
     if nbytes < 0 or offset < 0 or offset + nbytes > region.size:
@@ -55,16 +62,21 @@ def ring(
     """Walk ``nbytes`` starting at ``head`` with wrap-around.
 
     Used for FIFO payloads: the FIFO's ring buffer occupies the whole
-    region and ``head`` is the current read or write pointer.
+    region and ``head`` is the current read or write pointer.  Not
+    memoised itself: :class:`~repro.kpn.fifo.FifoChannel` memoises
+    whole transfers, of which the ring walk is one part.
     """
     size = region.size
     if nbytes > size:
         raise MemoryModelError(
             f"ring access of {nbytes} bytes exceeds region {region.name!r}"
         )
+    if nbytes < 0:
+        raise MemoryModelError("nbytes must be non-negative")
+    if elem <= 0:
+        raise MemoryModelError("elem must be positive")
     head %= size
-    n = nbytes // elem if elem > 0 else 0
-    offsets = (head + np.arange(n, dtype=np.int64) * elem) % size
+    offsets = (head + np.arange(nbytes // elem, dtype=np.int64) * elem) % size
     addrs = region.base + offsets
     return AccessBatch.from_addresses(addrs, writes=write, instructions=instructions)
 
@@ -85,8 +97,15 @@ def loop_code(
 
     Fetches are modelled at one access per instruction word;
     ``bytes_per_instr`` approximates the (compressed) VLIW instruction
-    size.
+    size.  Memoised: the batch is shared and read-only (see
+    :mod:`repro.patterns.memo`).
     """
+    return cached(_loop_code, region, loop_offset, loop_bytes,
+                  n_instructions, bytes_per_instr)
+
+
+def _loop_code(region, loop_offset, loop_bytes, n_instructions,
+               bytes_per_instr):
     if loop_bytes <= 0 or loop_offset < 0 or loop_offset + loop_bytes > region.size:
         raise MemoryModelError(
             f"loop [{loop_offset}, {loop_offset + loop_bytes}) outside "
