@@ -33,7 +33,7 @@ PIPELINE5 = WorkloadSpec(
 
 def l2_size_sweep():
     # Each sweep gets its own runner (= its own record stream); the
-    # profiling/baseline memo tables are process-wide, so separate
+    # memo of profile and baseline payloads is process-wide, so separate
     # runners still share measurements -- and cache=True persists them
     # on disk ($REPRO_PROFILE_CACHE or ~/.cache/repro/profiles), so
     # separate *sessions* share them too.

@@ -6,18 +6,13 @@
   paper's Figures 2 and 3, log-scale like the originals).
 - :mod:`repro.analysis.report` -- experiment artifact assembly used by
   the benchmark harness and EXPERIMENTS.md.
+
+Nothing here persists measurements: the profile cache stores profiles
+and baselines (:mod:`repro.exp.cache`, with the codec in
+:mod:`repro.exp.scenario`), and store records carry the plans.
 """
 
 from repro.analysis.charts import ascii_bars, log_bars
-from repro.analysis.export import (
-    load_plan,
-    load_profile,
-    miss_curves_to_csv,
-    profile_from_payload,
-    profile_to_payload,
-    save_plan,
-    save_profile,
-)
 from repro.analysis.report import (
     figure2_report,
     figure3_report,
@@ -33,14 +28,7 @@ __all__ = [
     "figure3_report",
     "format_table",
     "headline_report",
-    "load_plan",
-    "load_profile",
     "log_bars",
-    "miss_curves_to_csv",
-    "profile_from_payload",
-    "profile_to_payload",
     "report_from_store",
-    "save_plan",
-    "save_profile",
     "table_report",
 ]

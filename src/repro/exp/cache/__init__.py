@@ -4,9 +4,9 @@ Profiling sweeps and shared-cache baselines are the expensive steps of
 every experiment, and both are pure functions of content hashes
 (:attr:`~repro.exp.scenario.Scenario.profile_key` /
 :attr:`~repro.exp.scenario.Scenario.baseline_key`).  The in-process
-memo tables in :mod:`repro.exp.runner` already exploit that within one
-session; :class:`ProfileCache` extends it across sessions and CI runs
-by storing each measurement's JSON payload as one file under a
+payload memo in :mod:`repro.exp.runner` already exploits that within
+one session; :class:`ProfileCache` extends it across sessions and CI
+runs by storing each measurement's JSON payload as one file under a
 content-addressed path::
 
     <root>/<kind>/<key[:2]>/<key>.json
@@ -35,12 +35,12 @@ a damaged entry must *never* poison a run.
   recompute's atomic ``put`` overwrites the damage.  No cache problem
   ever raises into a sweep.
 
-- **Bounded growth.**  ``ProfileCache(max_bytes=...)`` prunes the
-  least-recently-written entries (LRU by mtime) after every write, and
-  ``gc()`` / the ``gc`` CLI subcommand prune on demand.  Deletion is a
-  single ``unlink`` per entry, so a concurrent reader either wins the
-  race (POSIX keeps an opened file's data alive) or sees an ordinary
-  miss and recomputes.
+- **Bounded growth, on demand.**  ``gc(max_bytes)`` and ``python -m
+  repro.exp.cache gc --max-bytes N`` prune the least-recently-written
+  entries (LRU by mtime) down to a size budget; ``put`` never prunes.
+  Deletion is a single ``unlink`` per entry, so a concurrent reader
+  either wins the race (POSIX keeps an opened file's data alive) or
+  sees an ordinary miss and recomputes.
 
 The cache root defaults to ``$REPRO_PROFILE_CACHE`` when set, else
 ``$XDG_CACHE_HOME/repro/profiles`` (``~/.cache/repro/profiles``).
@@ -122,30 +122,13 @@ class ProfileCache:
     ``get`` returns the stored payload or ``None`` -- *any* problem
     with an entry (missing, truncated, wrong version, bad checksum)
     is a miss, and the recomputed entry's ``put`` overwrites the
-    damage.  ``put`` is atomic.  Payloads are plain JSON; the runner
-    de/serialises the domain objects through the payload helpers in
-    :mod:`repro.exp.scenario`.
+    damage.  ``put`` is atomic.  Payloads are plain JSON: the runner
+    memoizes and ships them as they are, and only workers decode them
+    (the codec is in :mod:`repro.exp.scenario`).
     """
 
-    def __init__(
-        self,
-        root: Optional[_PathLike] = None,
-        max_bytes: Optional[int] = None,
-    ):
+    def __init__(self, root: Optional[_PathLike] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        if max_bytes is not None and max_bytes < 0:
-            raise ConfigurationError(
-                f"max_bytes must be >= 0, got {max_bytes}"
-            )
-        #: Size budget enforced by :meth:`gc` (and opportunistically
-        #: after every :meth:`put`); ``None`` disables pruning.
-        self.max_bytes = max_bytes
-        #: Running upper estimate of the on-disk size, so bounded
-        #: caches do not pay a full directory scan per write: the
-        #: first budgeted put scans once (via gc), later puts add the
-        #: written size and only re-scan when the estimate crosses the
-        #: budget.  ``None`` until the first scan.
-        self._approx_bytes: Optional[int] = None
         #: Process-local traffic counters (reported by :meth:`stats`).
         self.hit_count = 0
         self.miss_count = 0
@@ -225,17 +208,6 @@ class ProfileCache:
             except OSError:
                 pass
             raise
-        if self.max_bytes is not None:
-            if self._approx_bytes is None:
-                self.gc()  # first budgeted write: scan + prune once
-            else:
-                try:
-                    self._approx_bytes += path.stat().st_size
-                except OSError:
-                    self._approx_bytes = None  # re-scan next time
-                if self._approx_bytes is None \
-                        or self._approx_bytes > self.max_bytes:
-                    self.gc()
         return path
 
     def _reject(self, path: Path) -> None:
@@ -292,11 +264,12 @@ class ProfileCache:
     LITTER_MAX_AGE_S = 60.0
 
     def gc(self, max_bytes: Optional[int] = None) -> Dict[str, int]:
-        """Prune least-recently-used entries down to the size budget.
+        """Prune least-recently-used entries down to ``max_bytes``.
 
-        Recency is the file mtime: ``put`` rewrites an entry's file, so
-        re-measured (or healed) entries count as fresh, while entries
-        no sweep has written for the longest go first.  Orphaned writer
+        ``max_bytes=None`` keeps every valid entry.  Recency is the file
+        mtime: ``put`` rewrites an entry's file, so re-measured (or
+        healed) entries count as fresh, while entries no sweep has
+        written for the longest go first.  Orphaned writer
         temp files older than :attr:`LITTER_MAX_AGE_S` are always
         removed (younger ones may belong to an in-flight ``put`` and
         are spared).  Deletion is atomic per entry (one ``unlink``): a
@@ -307,10 +280,9 @@ class ProfileCache:
         """
         import time as _time
 
-        budget = max_bytes if max_bytes is not None else self.max_bytes
-        if budget is not None and budget < 0:
+        if max_bytes is not None and max_bytes < 0:
             raise ConfigurationError(
-                f"max_bytes must be >= 0, got {budget}"
+                f"max_bytes must be >= 0, got {max_bytes}"
             )
         removed = 0
         freed = 0
@@ -335,10 +307,10 @@ class ProfileCache:
             entries.append((stat.st_mtime, stat.st_size, path))
             total += stat.st_size
         kept = len(entries)
-        if budget is not None and total > budget:
+        if max_bytes is not None and total > max_bytes:
             entries.sort()  # oldest mtime first
             for _mtime, size, path in entries:
-                if total <= budget:
+                if total <= max_bytes:
                     break
                 try:
                     path.unlink()
@@ -348,7 +320,6 @@ class ProfileCache:
                 removed += 1
                 freed += size
                 kept -= 1
-        self._approx_bytes = total
         return {
             "removed": removed,
             "freed_bytes": freed,
@@ -358,7 +329,6 @@ class ProfileCache:
 
     def clear(self) -> int:
         """Remove every entry (and writer litter); returns files deleted."""
-        self._approx_bytes = 0
         removed = 0
         for files in (self._entry_files(), self._litter_files()):
             for path in files:

@@ -11,10 +11,12 @@ only on its own allocation, a transition only has to re-optimize the
 The engine composes three pieces:
 
 1. **Incremental re-solve** -- at an arrival, the new group's tasks are
-   sized by their own MCKP over the cached per-task miss curves
+   sized by their own MCKP over the per-task miss curves the caller
+   handed in.  The engine never profiles: :meth:`DynamicScenario.run`
+   takes a profile for the base application and for every join group
    (:meth:`~repro.exp.scenario.Scenario.profile_requirements` maps each
-   join group to the standalone profile of its workload, so arrival of
-   an already-profiled task set performs *zero* profiling passes).
+   group to the standalone profile of its workload, which the runner
+   resolves from its memo or cache), and a missing one raises.
    Every surviving owner keeps its exact unit range: survivors are
    untouched by construction, which is the paper's invariant made
    operational.
@@ -46,14 +48,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cake.config import CakeConfig
 from repro.cake.metrics import RunMetrics
 from repro.cake.platform import Platform
 from repro.core.allocation import buffer_units
 from repro.core.mckp import items_from_curves, solve_mckp_dp
-from repro.core.method import SOLVERS, CompositionalMethod, MethodConfig
+from repro.core.method import SOLVERS, MethodConfig
 from repro.core.misscurve import MissCurve
 from repro.core.profiling import ProfileResult, optimized_item_names
 from repro.errors import ConfigurationError, OptimizationError
@@ -74,6 +76,18 @@ __all__ = [
 #: Allocation units of the default pool for unpartitioned owners,
 #: pinned at the top of the unit space.
 POOL_UNITS = 1
+
+
+def _require_profiles(
+    profiles: Mapping[str, ProfileResult], groups: Iterable[str]
+) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` naming every one
+    of ``groups`` (``""`` is the base) that ``profiles`` lacks."""
+    missing = [group for group in groups if group not in profiles]
+    if missing:
+        raise ConfigurationError(
+            f"no profile for join group(s) {missing} (\"\" is the base)"
+        )
 
 
 def qualified(group: str, name: str) -> str:
@@ -324,11 +338,6 @@ class DynamicScenario:
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "DynamicScenario":
         """The engine for a declarative dynamic :class:`Scenario`."""
-        if scenario.partition_mode is not PartitionMode.SET_PARTITIONED:
-            raise ConfigurationError(
-                "dynamic scenarios need set partitioning (admission control "
-                f"re-solves the MCKP), got {scenario.partition_mode.value!r}"
-            )
         join_builders = {
             spec.group: spec.workload.build()
             for spec in scenario.transitions
@@ -341,27 +350,6 @@ class DynamicScenario:
             transitions=scenario.transitions,
             join_builders=join_builders,
         )
-
-    # -- profiles ---------------------------------------------------------
-
-    def _profile(self, builder: Callable[[], ProcessNetwork]) -> ProfileResult:
-        return CompositionalMethod(builder, self.cake, self.method).profile()
-
-    def _resolve_profiles(
-        self, profiles: Optional[Mapping[str, ProfileResult]]
-    ) -> None:
-        """Fill ``self._profiles`` for group ``""`` (base) + every joiner.
-
-        Injected profiles (the runner's cache layer) win; anything
-        missing is measured here.  An arrival whose curves were
-        injected therefore costs zero profiling passes.
-        """
-        self._profiles = dict(profiles or {})
-        if "" not in self._profiles:
-            self._profiles[""] = self._profile(self.base_builder)
-        for group, builder in self._join_builders.items():
-            if group not in self._profiles:
-                self._profiles[group] = self._profile(builder)
 
     # -- initial layout ----------------------------------------------------
 
@@ -620,11 +608,15 @@ class DynamicScenario:
 
     # -- execution ---------------------------------------------------------
 
-    def run(
-        self, profiles: Optional[Mapping[str, ProfileResult]] = None
-    ) -> DynamicResult:
-        """Build the union platform, run it through every transition."""
-        self._resolve_profiles(profiles)
+    def run(self, profiles: Mapping[str, ProfileResult]) -> DynamicResult:
+        """Build the union platform, run it through every transition.
+
+        ``profiles`` maps ``""`` (the base application) and every join
+        group to its measured curves; the run never profiles, so an
+        arrival costs zero profiling passes.
+        """
+        _require_profiles(profiles, ("", *self._join_builders))
+        self._profiles = dict(profiles)
         base_net = self.base_builder()
         self._join_nets = {
             group: builder()
@@ -674,13 +666,13 @@ class DynamicScenario:
 
 
 def run_dynamic(
-    scenario: Scenario,
-    profiles: Optional[Mapping[str, ProfileResult]] = None,
+    scenario: Scenario, profiles: Mapping[str, ProfileResult]
 ) -> DynamicResult:
     """Execute one dynamic :class:`Scenario` (the runner's entry point).
 
     ``profiles`` maps transition group names (``""`` = base) to the
-    cached :class:`ProfileResult` of the matching entry in
-    :meth:`Scenario.profile_requirements`; anything missing is measured.
+    :class:`ProfileResult` of the matching entry in
+    :meth:`Scenario.profile_requirements`; a missing group raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     return DynamicScenario.from_scenario(scenario).run(profiles)

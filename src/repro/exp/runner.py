@@ -8,11 +8,11 @@ records in two phases:
    only on workload and platform) and, unless it runs in shared mode,
    miss curves (its :attr:`~repro.exp.scenario.Scenario.profile_key`,
    one per join group of a dynamic scenario).  Each *unique* key
-   resolves once: from the process-wide memo, else from the attached
-   :class:`~repro.exp.cache.ProfileCache`, else it is measured through
-   the backend and written through to the cache.  Repeated grid
-   points, whole L2-capacity or solver sweeps, *and separate sessions*
-   never re-profile.
+   resolves once: from the process-wide payload memo, else from the
+   attached :class:`~repro.exp.cache.ProfileCache`, else it is measured
+   through the backend and written through to the cache.  Repeated
+   grid points, whole L2-capacity or solver sweeps, *and separate
+   sessions* never re-profile.
 2. **Execute** -- each scenario runs its remaining work (optimize,
    partitioned simulation, validation) with its measurements injected,
    and streams one record into the store in scenario order.
@@ -20,10 +20,12 @@ records in two phases:
 Both phases move work through an :class:`ExecutionBackend` -- the
 transport seam.  A backend maps a module-level worker callable over
 JSON-serialisable task dicts and returns JSON results in task order;
-nothing else crosses the boundary.  Only the runner reads or writes
-the memo tables and the cache: execute tasks carry their measurements
-as JSON payloads (a few KB each, encoded once per key and run), so a
-worker is a pure function of its task and needs neither this process's
+nothing else crosses the boundary.  A measurement stays the JSON
+payload the cache stores from the measure task that produced it to
+the execute task that uses it: the memo holds payloads, execute tasks
+share the memo's payload objects, and only the worker decodes them.
+Only the runner reads or writes the memo and the cache, so a worker
+is a pure function of its task and needs neither this process's
 memory nor a shared cache directory.
 
 Three backends ship: :class:`InlineBackend` (serial, easiest to
@@ -66,7 +68,7 @@ from repro.exp.cache import (
     ProfileCache,
     resolve_cache,
 )
-from repro.exp.dynamic import run_dynamic
+from repro.exp.dynamic import _require_profiles, run_dynamic
 from repro.exp.scenario import (
     Scenario,
     profile_from_payload,
@@ -92,17 +94,17 @@ __all__ = [
     "run_scenario",
 ]
 
-#: profile_key -> ProfileResult, shared by every runner in this process.
-_PROFILE_CACHE: Dict[str, ProfileResult] = {}
-#: baseline_key -> RunMetrics of the shared-cache run.
-_BASELINE_CACHE: Dict[str, RunMetrics] = {}
+#: (kind, key) -> the measurement's JSON payload, exactly as
+#: ``ProfileCache.get`` or a measure task returned it; shared by every
+#: runner in this process.  Payloads are read-only: execute tasks and
+#: the cache share these very objects, so nothing may mutate one.
+_PAYLOADS: Dict[tuple, Dict[str, Any]] = {}
 
 
 def clear_caches() -> None:
-    """Drop the process-wide memo tables: profiles, baselines and the
+    """Drop the process-wide memo tables: measurement payloads and the
     pattern kit's traffic batches (:mod:`repro.patterns.memo`)."""
-    _PROFILE_CACHE.clear()
-    _BASELINE_CACHE.clear()
+    _PAYLOADS.clear()
     pattern_memo.clear()
 
 
@@ -114,20 +116,6 @@ def _compute_profile(scenario: Scenario) -> ProfileResult:
 def _compute_baseline(scenario: Scenario) -> RunMetrics:
     """One conventional shared-cache simulation."""
     return scenario.build_method().simulate(None)
-
-
-def _baseline_payload(metrics: RunMetrics) -> Dict[str, Any]:
-    """Baseline payloads are slim: per-task stats are never read out
-    of a cached baseline (see run_metrics_to_payload)."""
-    return run_metrics_to_payload(metrics, task_stats=False)
-
-
-#: kind -> (its process-wide memo table, payload encoder, decoder).
-_KINDS = {
-    KIND_PROFILE: (_PROFILE_CACHE, profile_to_payload, profile_from_payload),
-    KIND_BASELINE:
-        (_BASELINE_CACHE, _baseline_payload, run_metrics_from_payload),
-}
 
 
 # -- record assembly ---------------------------------------------------------
@@ -206,38 +194,30 @@ class ScenarioOutcome:
 
 def execute_scenario(
     scenario: Scenario,
-    profile: Optional[ProfileResult] = None,
-    baseline: Optional[RunMetrics] = None,
-    profiles: Optional[Dict[str, ProfileResult]] = None,
+    profiles: Dict[str, ProfileResult],
+    baseline: RunMetrics,
 ) -> ScenarioOutcome:
-    """Run one scenario with pre-measured pieces injected.
+    """Run one scenario on its measurements; never measures them.
 
-    ``profile`` (miss curves) and ``baseline`` (the shared-cache run)
-    are computed here when missing; the runner passes cached ones.
-    Dynamic scenarios take ``profiles`` instead: one entry per
-    :meth:`~repro.exp.scenario.Scenario.profile_requirements` group.
+    ``profiles`` maps each join group (``""`` for the base workload;
+    see :func:`_profile_requirements`) to its miss curves, and is
+    empty in shared mode.  ``baseline`` is the shared-cache run.  A
+    missing group raises :class:`~repro.errors.ConfigurationError`.
     """
+    _require_profiles(profiles, _profile_requirements(scenario))
     started = time.time()
     method = scenario.build_method()
     record = _base_record(scenario)
     report: Optional[MethodReport] = None
     replan_wall_s: Optional[List[float]] = None
 
-    if baseline is None:
-        baseline = _compute_baseline(scenario)
     record["metrics"]["shared"] = _metrics_payload(baseline)
     # The run the record is about: the baseline in shared mode, the
     # partitioned (or dynamic) run otherwise.
     measured = baseline
 
     if scenario.is_dynamic:
-        resolved: Dict[str, ProfileResult] = dict(profiles or {})
-        if profile is not None:
-            resolved.setdefault("", profile)
-        for group, requirement in scenario.profile_requirements():
-            if group not in resolved:
-                resolved[group] = _compute_profile(requirement)
-        result = run_dynamic(scenario, resolved)
+        result = run_dynamic(scenario, profiles)
         measured = result.metrics
         record["metrics"]["partitioned"] = _metrics_payload(result.metrics)
         record["plan"] = {
@@ -257,9 +237,7 @@ def execute_scenario(
         pass  # the baseline is the whole experiment
 
     elif scenario.partition_mode is PartitionMode.SET_PARTITIONED:
-        if profile is None:
-            profile = _compute_profile(scenario)
-        report = method.run(profile=profile, shared_metrics=baseline)
+        report = method.run(profile=profiles[""], shared_metrics=baseline)
         measured = report.partitioned_metrics
         record["metrics"]["partitioned"] = _metrics_payload(measured)
         record["plan"] = {
@@ -274,8 +252,6 @@ def execute_scenario(
         }
 
     elif scenario.partition_mode is PartitionMode.WAY_PARTITIONED:
-        if profile is None:
-            profile = _compute_profile(scenario)
         cake = scenario.effective_cake
         network = scenario.workload.build()()
         # Column caching gets its own optimizer: owners are ranked by
@@ -284,7 +260,7 @@ def execute_scenario(
         # unit counts -- the paper's granularity criticism made
         # executable, and the reason way- and set-mode plans diverge.
         way_plan = optimize_way_assignment(
-            profile.curve_list(
+            profiles[""].curve_list(
                 [f"task:{name}" for name in network.tasks]
             ),
             cake.hierarchy.l2_geometry.ways,
@@ -326,24 +302,16 @@ def run_scenario(
     scenario: Scenario,
     cache: Union[None, bool, str, ProfileCache] = None,
 ) -> ScenarioOutcome:
-    """Execute one scenario inline, using the process-wide memo tables.
+    """Execute one scenario inline, using the process-wide payload memo.
 
     ``cache`` optionally attaches a persistent
     :class:`~repro.exp.cache.ProfileCache` (same forms as
     :class:`ExperimentRunner` accepts): profiling and baseline work is
-    then reused across sessions, not just within this process.
+    then reused across sessions, not just within this process.  The
+    scenario runs through the same execute task a runner would ship.
     """
     _resolve_measurements([scenario], resolve_cache(cache), InlineBackend())
-    profiles = {
-        group: _PROFILE_CACHE[requirement.profile_key]
-        for group, requirement in _profile_requirements(scenario).items()
-    }
-    return execute_scenario(
-        scenario,
-        profile=profiles.get(""),
-        baseline=_BASELINE_CACHE[scenario.baseline_key],
-        profiles=profiles,
-    )
+    return _run_task(_task_for(scenario))
 
 
 # -- the JSON task protocol --------------------------------------------------
@@ -351,8 +319,10 @@ def run_scenario(
 # Workers are module-level callables taking one JSON-serialisable task
 # dict and returning one JSON-serialisable result; they are the whole
 # contract between the runner and a backend.  Both are pure functions
-# of their task: neither reads the memo tables or a cache, so the same
-# protocol serves threads, fork pools and remote queues.
+# of their task: neither reads the payload memo or a cache, so the same
+# protocol serves threads, fork pools and remote queues.  A measure
+# task returns a measurement's payload; an execute task carries the
+# payloads of its scenario, and only the worker decodes them.
 
 
 def _profile_requirements(scenario: Scenario) -> Dict[str, Scenario]:
@@ -389,14 +359,16 @@ def _resolve_measurements(
     cache: Optional[ProfileCache],
     backend: ExecutionBackend,
 ) -> Dict[str, int]:
-    """Put every measurement ``scenarios`` need into the memo tables.
+    """Put the payload of every measurement ``scenarios`` need into the
+    memo.
 
     Each unique key resolves memo -> ``cache`` -> measured through
-    ``backend``, profiles before baselines.  New measurements are
-    written through to the cache, and a memo hit the cache lacks or
-    holds damaged is backfilled, so a cache attached after measurement
-    still fills up.  Returns the counts :attr:`ExperimentRunner.last_stats`
-    reports.
+    ``backend``, profiles before baselines, and the memo keeps the
+    payload it got, unchanged.  New measurements are written through to
+    the cache, and a memo hit the cache lacks or holds damaged is
+    backfilled from the same payload, so a cache attached after
+    measurement still fills up.  Returns the counts
+    :attr:`ExperimentRunner.last_stats` reports.
     """
     needed: Dict[str, Dict[str, Scenario]] = {
         KIND_PROFILE: {}, KIND_BASELINE: {},
@@ -411,17 +383,16 @@ def _resolve_measurements(
     stats = {"scenarios": len(scenarios)}
     measure_tasks = []
     for kind, scenarios_by_key in needed.items():
-        memo, encode, decode = _KINDS[kind]
         cached = from_disk = 0
         for key, scenario in scenarios_by_key.items():
-            if key in memo:
+            if (kind, key) in _PAYLOADS:
                 cached += 1
                 if cache is not None and cache.get(kind, key) is None:
-                    _write_through(cache, kind, key, encode(memo[key]))
+                    _write_through(cache, kind, key, _PAYLOADS[kind, key])
                 continue
             payload = cache.get(kind, key) if cache is not None else None
             if payload is not None:
-                memo[key] = decode(payload)
+                _PAYLOADS[kind, key] = payload
                 from_disk += 1
                 continue
             measure_tasks.append(
@@ -436,41 +407,62 @@ def _resolve_measurements(
     # of draining one kind before starting the other.
     for result in backend.map(_measure_task, measure_tasks):
         kind, key, payload = result["kind"], result["key"], result["payload"]
-        memo, _encode, decode = _KINDS[kind]
-        memo[key] = decode(payload)
+        _PAYLOADS[kind, key] = payload
         if cache is not None:
             _write_through(cache, kind, key, payload)
     return stats
 
 
 def _measure_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """One measurement -- ``kind`` picks profile or baseline work."""
+    """One measurement -- ``kind`` picks profile or baseline work.
+
+    Baseline payloads are slim: nothing reads per-task stats out of a
+    shared-cache baseline (see ``run_metrics_to_payload``).
+    """
     scenario = Scenario.from_dict(task["scenario"])
     if task["kind"] == KIND_PROFILE:
         payload = profile_to_payload(_compute_profile(scenario))
     else:
-        payload = _baseline_payload(_compute_baseline(scenario))
+        payload = run_metrics_to_payload(
+            _compute_baseline(scenario), task_stats=False
+        )
     return {"kind": task["kind"], "key": task["key"], "payload": payload}
 
 
-def _execute_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one scenario task; returns the record payload.
+def _task_for(scenario: Scenario) -> Dict[str, Any]:
+    """The execute task of ``scenario``, built from the memo.
 
-    The task carries its measurements: ``profiles`` maps each join
-    group (``""`` for the base workload) to a profile payload, and
-    ``baseline`` is the shared-cache run's payload.
+    ``profiles`` maps each join group (``""`` for the base workload) to
+    its profile payload, and ``baseline`` is the shared-cache run's
+    payload.  They are the memo's own (read-only) objects: every task
+    that needs a key shares one payload, and nothing is re-encoded.
     """
-    profiles = {
-        group: profile_from_payload(payload)
-        for group, payload in task["profiles"].items()
+    return {
+        "scenario": scenario.to_dict(),
+        "profiles": {
+            group: _PAYLOADS[KIND_PROFILE, requirement.profile_key]
+            for group, requirement
+            in _profile_requirements(scenario).items()
+        },
+        "baseline": _PAYLOADS[KIND_BASELINE, scenario.baseline_key],
     }
-    outcome = execute_scenario(
+
+
+def _run_task(task: Dict[str, Any]) -> ScenarioOutcome:
+    """Decode one execute task's scenario and payloads, and run it."""
+    return execute_scenario(
         Scenario.from_dict(task["scenario"]),
-        profile=profiles.get(""),
+        profiles={
+            group: profile_from_payload(payload)
+            for group, payload in task["profiles"].items()
+        },
         baseline=run_metrics_from_payload(task["baseline"]),
-        profiles=profiles,
     )
-    return outcome.record.payload
+
+
+def _execute_task(task: Dict[str, Any]) -> Dict[str, Any]:
+    """Execute one scenario task; returns the record payload."""
+    return _run_task(task).record.payload
 
 
 # -- execution backends ------------------------------------------------------
@@ -697,28 +689,7 @@ class ExperimentRunner:
         self.last_stats = _resolve_measurements(
             scenarios, self.cache, self.backend
         )
-        # Each payload is encoded once per key; every task referencing
-        # the key shares that (read-only) object.
-        payloads: Dict[tuple, Dict[str, Any]] = {}
-
-        def payload(kind: str, key: str) -> Dict[str, Any]:
-            if (kind, key) not in payloads:
-                memo, encode, _decode = _KINDS[kind]
-                payloads[kind, key] = encode(memo[key])
-            return payloads[kind, key]
-
-        execute_tasks = [
-            {
-                "scenario": scenario.to_dict(),
-                "profiles": {
-                    group: payload(KIND_PROFILE, requirement.profile_key)
-                    for group, requirement
-                    in _profile_requirements(scenario).items()
-                },
-                "baseline": payload(KIND_BASELINE, scenario.baseline_key),
-            }
-            for scenario in scenarios
-        ]
+        execute_tasks = [_task_for(scenario) for scenario in scenarios]
         for record in self.backend.map(_execute_task, execute_tasks):
             store.append(record)
         return store

@@ -24,11 +24,12 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.analysis.export import profile_from_payload, profile_to_payload
 from repro.cake.config import CakeConfig
 from repro.cake.metrics import CpuMetrics, RunMetrics
 from repro.core.method import CompositionalMethod, MethodConfig
-from repro.core.profiling import default_sizes
+from repro.core.misscurve import MissCurve
+from repro.core.profiling import ProfileResult, default_sizes
+from repro.errors import ConfigurationError
 from repro.exp.workloads import workload_builder
 from repro.kpn.graph import ProcessNetwork
 from repro.mem.bus import BusConfig
@@ -203,13 +204,53 @@ def _method_from_dict(payload: Mapping[str, Any]) -> MethodConfig:
 
 # -- measurement payloads ------------------------------------------------------
 #
-# The runner's persistent cache and remote-capable backends move
-# measurements as JSON, not pickles.  ProfileResult payloads come from
-# :mod:`repro.analysis.export` (re-exported above); RunMetrics -- the
-# shared-cache baseline runs -- serialise here.  Both round-trips are
-# *exact* (every sample, in measurement order; every counter), so a
-# record computed from a deserialised measurement is byte-identical to
-# one computed from the in-process original.
+# A measurement -- a profile's miss curves or a shared-cache baseline
+# run -- is a JSON payload everywhere between the worker that measured
+# it and the worker that uses it: in the profile cache, in the
+# runner's memo and inside execute tasks.  These four functions are the
+# only codec.  Both round-trips are *exact* (every sample, in
+# measurement order; every counter), so a record computed from a
+# decoded measurement is byte-identical to one computed from the
+# in-process original.
+
+
+def profile_to_payload(profile: ProfileResult) -> Dict[str, Any]:
+    """The JSON-serialisable form of a profile.
+
+    Repeated samples at one size keep their measurement order (sorted
+    by size only, stably), so the round-trip reproduces sample means
+    bit-for-bit -- float summation order matters to the persistent
+    profile cache's identical-payload guarantee.
+    """
+    return {
+        "sizes": profile.sizes,
+        "curves": {
+            owner: [
+                [units, value]
+                for units in curve.sizes
+                for value in curve._samples[units]
+            ]
+            for owner, curve in profile.curves.items()
+        },
+        "accesses": {
+            owner: {str(units): value for units, value in by_size.items()}
+            for owner, by_size in profile.accesses.items()
+        },
+        "instructions": profile.instructions,
+    }
+
+
+def profile_from_payload(payload: Mapping[str, Any]) -> ProfileResult:
+    """Inverse of :func:`profile_to_payload`."""
+    profile = ProfileResult(sizes=list(payload["sizes"]))
+    for owner, pairs in payload["curves"].items():
+        profile.curves[owner] = MissCurve.from_pairs(owner, pairs)
+    for owner, by_size in payload["accesses"].items():
+        profile.accesses[owner] = {
+            int(units): value for units, value in by_size.items()
+        }
+    profile.instructions = dict(payload["instructions"])
+    return profile
 
 
 def run_metrics_to_payload(
@@ -275,6 +316,15 @@ class Scenario:
     #: Content-hashed into :attr:`scenario_id` when present; static
     #: scenarios keep their exact pre-transition identities.
     transitions: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.transitions and (
+            self.partition_mode is not PartitionMode.SET_PARTITIONED
+        ):
+            raise ConfigurationError(
+                "dynamic scenarios need set partitioning (admission control "
+                f"re-solves the MCKP), got {self.partition_mode.value!r}"
+            )
 
     # -- derived configuration ---------------------------------------------
 

@@ -21,7 +21,14 @@ from repro.core.mckp import items_from_curves, solve_mckp_dp
 from repro.core.misscurve import MissCurve
 from repro.core.allocation import optimize_way_assignment
 from repro.core.profiling import profile_miss_curves, profiling_passes
-from repro.exp.dynamic import DynamicScenario, _UnitLedger, merge_networks
+from repro.errors import ConfigurationError
+from repro.exp.dynamic import (
+    DynamicScenario,
+    _UnitLedger,
+    merge_networks,
+    run_dynamic,
+)
+from repro.exp.runner import execute_scenario
 from repro.exp.scenario import (
     Scenario,
     TransitionSpec,
@@ -192,6 +199,28 @@ def test_transitions_are_part_of_scenario_identity():
     assert restored.transitions == dynamic.transitions
     # Empty transitions serialise identically to the static form.
     assert "transitions" not in static.to_dict()
+
+
+@pytest.mark.parametrize(
+    "mode", [PartitionMode.WAY_PARTITIONED, PartitionMode.SHARED]
+)
+def test_dynamic_scenario_outside_set_partitioning_fails_at_construction(
+    mode,
+):
+    """Admission control re-solves the MCKP, so only set partitioning
+    can run transitions.  The scenario is refused when it is built,
+    before a runner could profile or simulate anything for it."""
+    from dataclasses import replace
+
+    static = Scenario(
+        workload=WorkloadSpec("pipeline", PIPELINE_KWARGS),
+        cake=small_cake(), method=METHOD, partition_mode=mode,
+    )
+    before = profiling_passes()
+    with pytest.raises(ConfigurationError, match="set partitioning"):
+        replace(static, transitions=(TransitionSpec(at=1_000.0,
+                                                    action="mark"),))
+    assert profiling_passes() == before
 
 
 def test_join_requirement_matches_standalone_profile_key():
@@ -415,6 +444,28 @@ def test_warm_arrival_performs_zero_profiling_passes(profiles):
     )
     assert profiling_passes() - before == 0
     assert result.transitions[0].admitted
+
+
+def test_missing_join_profile_raises_instead_of_profiling(profiles):
+    """The executors never measure: a join group without a profile is a
+    ConfigurationError that names it, and no profiling pass runs."""
+    scenario = Scenario(
+        workload=WorkloadSpec("pipeline", PIPELINE_KWARGS),
+        cake=small_cake(), method=METHOD,
+        transitions=(TransitionSpec(
+            at=60_000.0, action="join", group="late",
+            workload=WorkloadSpec("pipeline", LATE_KWARGS),
+        ),),
+    )
+    baseline = scenario.build_method().simulate(None)
+    before = profiling_passes()
+    with pytest.raises(ConfigurationError, match="'late'"):
+        run_dynamic(scenario, {"": profiles["base"]})
+    with pytest.raises(ConfigurationError, match="'late'"):
+        execute_scenario(
+            scenario, profiles={"": profiles["base"]}, baseline=baseline
+        )
+    assert profiling_passes() == before
 
 
 def test_budget_rejection_records_reason_and_never_attaches(profiles):

@@ -345,6 +345,41 @@ def test_execute_tasks_carry_their_measurements(tmp_path, monkeypatch):
     assert profiling_passes() == passes_before
 
 
+def test_warm_execute_tasks_share_the_payloads_the_cache_returned(
+    tmp_path, monkeypatch
+):
+    """A warm run keeps each measurement as the JSON payload
+    ProfileCache.get returned: the execute tasks carry those very
+    objects, neither decoded nor re-encoded on the way."""
+    from repro.exp.smoke import build_grid
+
+    cache = ProfileCache(tmp_path / "cache")
+    scenarios = build_grid()
+    ExperimentRunner(cache=cache).run(scenarios)
+    clear_caches()
+
+    returned = {}
+    real_get = ProfileCache.get
+
+    def recording_get(self, kind, key):
+        payload = real_get(self, kind, key)
+        returned.setdefault((kind, key), payload)
+        return payload
+
+    monkeypatch.setattr(ProfileCache, "get", recording_get)
+    backend = _CapturingBackend()
+    warm = ExperimentRunner(backend=backend, cache=cache)
+    warm.run(scenarios)
+    assert warm.last_stats["profiles_from_disk"] == 1
+    tasks = backend.executes()
+    assert len(tasks) == len(scenarios)
+    for scenario, task in zip(scenarios, tasks):
+        assert task["profiles"][""] is \
+            returned[KIND_PROFILE, scenario.profile_key]
+        assert task["baseline"] is \
+            returned[KIND_BASELINE, scenario.baseline_key]
+
+
 def test_run_scenario_uses_and_fills_the_disk_cache(tmp_path):
     cache = ProfileCache(tmp_path / "cache")
     scenario = small_scenario()
@@ -521,6 +556,8 @@ def test_gc_prunes_least_recently_written_first(tmp_path):
     result = cache.gc(max_bytes=0)
     assert result["removed"] == 2
     assert result["kept"] == 0 and result["kept_bytes"] == 0
+    with pytest.raises(ConfigurationError):
+        cache.gc(max_bytes=-1)
 
 
 def test_gc_sweeps_only_stale_writer_litter(tmp_path):
@@ -539,20 +576,6 @@ def test_gc_sweeps_only_stale_writer_litter(tmp_path):
     # Entry pruning likewise never touches the live temp.
     cache.gc(max_bytes=0)
     assert live.exists() and not entry.exists()
-
-
-def test_put_enforces_max_bytes(tmp_path):
-    cache = ProfileCache(tmp_path / "cache", max_bytes=450)
-    for index, key in enumerate(["aa01", "bb02", "cc03"]):
-        _put_sized(cache, key, mtime=1_000 * (index + 1))
-    kept = _entry_paths(tmp_path / "cache")
-    assert 1 <= len(kept) <= 2  # pruned down to the budget on the way
-    assert kept[-1].name == "cc03.json" or kept[0].name == "bb02.json"
-    assert sum(p.stat().st_size for p in kept) <= 450
-    with pytest.raises(ConfigurationError):
-        ProfileCache(tmp_path / "cache", max_bytes=-1)
-    with pytest.raises(ConfigurationError):
-        ProfileCache(tmp_path / "cache").gc(max_bytes=-1)
 
 
 def test_gc_deletion_is_atomic_under_a_concurrent_reader(tmp_path):

@@ -1,14 +1,24 @@
-"""Scenario specs: registry, serialisation, content hashes, grids."""
+"""Scenario specs: registry, serialisation, content hashes, grids,
+and the measurement codec."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cake import CakeConfig
-from repro.core import BufferPolicy, MethodConfig
+from repro.core import BufferPolicy, MethodConfig, MissCurve
+from repro.core.profiling import ProfileResult
 from repro.errors import ConfigurationError
 from repro.exp import (
     Grid,
     Scenario,
     WorkloadSpec,
+    profile_from_payload,
+    profile_to_payload,
     register_workload,
     registered_workloads,
     sweep,
@@ -111,6 +121,51 @@ def test_seed_override_folds_into_cake():
     # Same seed spelled two ways is the same scenario.
     explicit = replace(base, cake=replace(base.cake, seed=99))
     assert explicit.scenario_id == seeded.scenario_id
+
+
+# -- measurement codec ---------------------------------------------------------
+
+
+def test_profile_roundtrip():
+    """A profile survives the JSON payload exactly: repeated samples at
+    one size keep their order, so every mean is bit-identical."""
+    profile = ProfileResult(sizes=[1, 2, 4])
+    curve = MissCurve("task:a")
+    curve.add_sample(1, 100)
+    curve.add_sample(1, 120)  # repeated measurement
+    curve.add_sample(2, 60)
+    curve.add_sample(4, 10)
+    profile.curves["task:a"] = curve
+    profile.accesses["task:a"] = {1: 500.0, 2: 500.0, 4: 500.0}
+    profile.instructions["a"] = 12345
+
+    loaded = profile_from_payload(
+        json.loads(json.dumps(profile_to_payload(profile)))
+    )
+    assert loaded.sizes == profile.sizes
+    assert loaded.instructions == profile.instructions
+    restored = loaded.curves["task:a"]
+    for units in (1, 2, 4):
+        assert restored.mean(units) == curve.mean(units)
+    assert loaded.accesses["task:a"][2] == 500.0
+
+
+def test_importing_repro_exp_loads_no_reporting_code():
+    """The codec lives in repro.exp, so the experiment package does not
+    pull in repro.analysis."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.exp; print(sorted(name for name in sys.modules"
+         " if name.startswith('repro.analysis')))"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
 
 
 # -- profile key ---------------------------------------------------------------

@@ -280,7 +280,9 @@ def test_negative_addresses_rejected_before_any_state_changes(engine):
     assert mem.l1s[0].stats.per_owner == {}
     assert mem.l1s[0].resident_lines == 0 and mem.l2.resident_lines == 0
     assert mem.memory.traffic.total_lines == 0
-    assert mem.effective_engine == engine
+    # Without a C walker the compiled engine has run the reference walk
+    # from the start.
+    assert mem.effective_engine == (engine if C_AVAILABLE else "reference")
 
 
 def _private_batch(rng, base):
