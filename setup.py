@@ -19,5 +19,5 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
+    install_requires=["numpy>=1.24", "scipy>=1.10"],
 )

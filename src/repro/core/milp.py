@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.core.mckp import MckpItem, MckpSolution
 from repro.errors import OptimizationError
@@ -26,7 +25,13 @@ __all__ = ["solve_mckp_milp"]
 
 
 def solve_mckp_milp(items: Sequence[MckpItem], capacity: int) -> MckpSolution:
-    """Solve the partition-sizing MILP with ``scipy.optimize.milp``."""
+    """Solve the partition-sizing MILP with ``scipy.optimize.milp``.
+
+    scipy is imported here, not at module level: only a ``milp`` solve
+    pays for loading it.
+    """
+    from scipy import optimize, sparse
+
     if not items:
         return MckpSolution(allocation={}, total_misses=0.0, total_units=0)
     n_vars = sum(len(item.choices) for item in items)

@@ -48,17 +48,24 @@ def parse_server_url(url: str) -> Tuple[str, int]:
     """``http://host:port`` (or bare ``host:port``) -> ``(host, port)``."""
     if "//" not in url:
         url = "http://" + url
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+        host, port = parts.hostname, parts.port
+    except ValueError as exc:  # a bad port or an unclosed IPv6 bracket
+        raise ServiceError(
+            f"malformed server URL {url!r}: {exc} "
+            f"(expected e.g. http://127.0.0.1:8642)"
+        ) from exc
     if parts.scheme not in ("", "http"):
         raise ServiceError(
             f"sweep service URLs are plain http, got {url!r}"
         )
-    if not parts.hostname or not parts.port:
+    if not host or not port:
         raise ServiceError(
             f"server URL needs host and port, got {url!r} "
             f"(expected e.g. http://127.0.0.1:8642)"
         )
-    return parts.hostname, parts.port
+    return host, port
 
 
 def request(

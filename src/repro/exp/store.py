@@ -145,20 +145,9 @@ class ResultStore:
     finished).  ``ResultStore.load(path)`` reads one back.
     """
 
-    #: Filter keys served by the in-memory identity index (record
-    #: fields, not ``axes`` entries) instead of the linear scan.
-    INDEXED_KEYS = ("scenario_id", "profile_key")
-
     def __init__(self, path: Optional[_PathLike] = None, append: bool = False):
         self.path = Path(path) if path is not None else None
         self.records: List[ScenarioRecord] = []
-        #: value -> ascending record positions, per indexed key.  Built
-        #: lazily and extended incrementally: records are append-only,
-        #: so positions never invalidate.
-        self._identity_index: Dict[str, Dict[str, List[int]]] = {
-            key: {} for key in self.INDEXED_KEYS
-        }
-        self._indexed_upto = 0
         if self.path is not None:
             if self.path.exists() and append:
                 for record in self._read(self.path):
@@ -219,19 +208,6 @@ class ResultStore:
     def __iter__(self) -> Iterator[ScenarioRecord]:
         return iter(self.records)
 
-    def _ensure_index(self) -> None:
-        """Extend the identity index over records appended since last use."""
-        while self._indexed_upto < len(self.records):
-            position = self._indexed_upto
-            record = self.records[position]
-            by_id = self._identity_index["scenario_id"]
-            by_id.setdefault(record.scenario_id, []).append(position)
-            # None indexes like any value: filter(profile_key=None)
-            # means "records that needed no profiling" (shared mode).
-            by_key = self._identity_index["profile_key"]
-            by_key.setdefault(record.profile_key, []).append(position)
-            self._indexed_upto += 1
-
     def filter(
         self,
         predicate: Optional[Callable[[ScenarioRecord], bool]] = None,
@@ -241,29 +217,18 @@ class ResultStore:
 
         ``store.filter(workload="mpeg2", solver="dp")`` matches against
         the flat ``axes`` view of each record.  ``scenario_id`` and
-        ``profile_key`` match the record identity fields through an
-        in-memory index -- O(matches), not O(records), so point
-        lookups stay cheap on stores with many thousands of records.
-        Result order is append order either way.
+        ``profile_key`` match the record's identity fields instead
+        (``profile_key=None`` selects the records that needed no
+        profiling).  Results keep append order.
         """
         identity = {
-            key: axes.pop(key) for key in self.INDEXED_KEYS if key in axes
+            key: axes.pop(key) for key in ("scenario_id", "profile_key")
+            if key in axes
         }
-        if identity:
-            self._ensure_index()
-            positions: Optional[List[int]] = None
-            for key, value in identity.items():
-                hits = self._identity_index[key].get(value, [])
-                if positions is None:
-                    positions = list(hits)
-                else:
-                    keep = set(hits)
-                    positions = [p for p in positions if p in keep]
-            candidates = [self.records[p] for p in positions or []]
-        else:
-            candidates = self.records
         subset = ResultStore()
-        for record in candidates:
+        for record in self.records:
+            if any(getattr(record, k) != v for k, v in identity.items()):
+                continue
             if any(record.axes.get(k) != v for k, v in axes.items()):
                 continue
             if predicate is not None and not predicate(record):

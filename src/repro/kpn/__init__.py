@@ -10,8 +10,8 @@ This package provides:
 
 - :mod:`repro.kpn.graph` -- the static application description
   (:class:`ProcessNetwork` of :class:`TaskSpec` / :class:`FifoSpec` /
-  :class:`FrameBufferSpec`), convertible to a :mod:`networkx` digraph
-  (the task graph ``G = (V, E)`` of §3.1).
+  :class:`FrameBufferSpec`): the task graph ``G = (V, E)`` of §3.1,
+  with tasks as nodes and FIFOs as edges.
 - :mod:`repro.kpn.ops` -- the operation protocol task programs yield
   (``Compute`` / ``ReadToken`` / ``WriteToken`` / ``Delay``).
 - :mod:`repro.kpn.fifo` -- the run-time bounded-FIFO channel, which

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-import networkx as nx
-
 from repro.errors import NetworkError
 
 __all__ = ["FifoSpec", "FrameBufferSpec", "ProcessNetwork", "TaskSpec"]
@@ -136,7 +134,10 @@ class ProcessNetwork:
         return spec
 
     def add_fifo(self, spec: FifoSpec) -> FifoSpec:
-        """Register a FIFO edge (names and port bindings must be unique)."""
+        """Register a FIFO edge (names must be unique).
+
+        Endpoints and port bindings are checked by :meth:`validate`.
+        """
         if spec.name in self.fifos:
             raise NetworkError(f"duplicate fifo {spec.name!r}")
         self.fifos[spec.name] = spec
@@ -150,14 +151,6 @@ class ProcessNetwork:
         return spec
 
     # -- queries ----------------------------------------------------------
-
-    def task_graph(self) -> nx.DiGraph:
-        """The §3.1 application graph: nodes = tasks, edges = FIFOs."""
-        graph = nx.DiGraph(name=self.name)
-        graph.add_nodes_from(self.tasks)
-        for fifo in self.fifos.values():
-            graph.add_edge(fifo.producer, fifo.consumer, fifo=fifo.name)
-        return graph
 
     def validate(self) -> None:
         """Check referential integrity of the network description."""

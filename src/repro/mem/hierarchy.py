@@ -51,9 +51,10 @@ walk when no C compiler is available (or ``REPRO_NO_CWALKER`` is set)
 and when the C state cannot be allocated or grown.  A negative owner
 id degrades it to the reference walk too -- the owner registry never
 produces one -- and so does an owner id of :data:`MAX_DENSE_OWNERS` or
-more, which the dense C counters do not cover.  Each check runs before the C call touches any state.  Every
-fallback is for good, and :attr:`MemorySystem.effective_engine`
-reports the engine that walks after it.
+more, which the dense C counters do not cover.  Each check runs before
+the C call touches any state.  Every fallback is for good, and
+:attr:`MemorySystem.effective_engine` reports the engine that walks
+after it.
 """
 
 from __future__ import annotations

@@ -49,20 +49,44 @@ def test_unknown_scale_rejected():
         mpeg2_workload(scale="huge")
 
 
+def weak_components(network):
+    """The §3.1 graph's weakly connected components, as task-name sets."""
+    component = {name: {name} for name in network.tasks}
+    for fifo in network.fifos.values():
+        a, b = component[fifo.producer], component[fifo.consumer]
+        if a is not b:
+            a |= b
+            for name in b:
+                component[name] = a
+    return list({id(c): c for c in component.values()}.values())
+
+
+def is_acyclic(network):
+    """Kahn's algorithm: every task gets removed iff no FIFO cycle."""
+    indegree = dict.fromkeys(network.tasks, 0)
+    for fifo in network.fifos.values():
+        indegree[fifo.consumer] += 1
+    removed = [name for name, n in indegree.items() if n == 0]
+    for name in removed:  # grows as tasks lose their last input
+        for fifo in network.fifos.values():
+            if fifo.producer == name:
+                indegree[fifo.consumer] -= 1
+                if indegree[fifo.consumer] == 0:
+                    removed.append(fifo.consumer)
+    return len(removed) == len(indegree)
+
+
 def test_app1_graph_is_three_chains():
-    import networkx as nx
-    graph = two_jpeg_canny_workload(scale="test").task_graph()
-    components = list(nx.weakly_connected_components(graph))
+    components = weak_components(two_jpeg_canny_workload(scale="test"))
     assert len(components) == 3  # two decoders + canny
     sizes = sorted(len(c) for c in components)
     assert sizes == [4, 4, 7]
 
 
 def test_app2_graph_connected_and_acyclic():
-    import networkx as nx
-    graph = mpeg2_workload(scale="test").task_graph()
-    assert nx.is_weakly_connected(graph)
-    assert nx.is_directed_acyclic_graph(graph)
+    network = mpeg2_workload(scale="test")
+    assert len(weak_components(network)) == 1
+    assert is_acyclic(network)
 
 
 def test_app1_runs_shared_and_partitioned():

@@ -150,9 +150,11 @@ def test_profile_roundtrip():
     assert loaded.accesses["task:a"][2] == 500.0
 
 
-def test_importing_repro_exp_loads_no_reporting_code():
-    """The codec lives in repro.exp, so the experiment package does not
-    pull in repro.analysis."""
+@pytest.mark.parametrize("prefix", ["repro.analysis", "scipy", "networkx"])
+def test_importing_repro_exp_loads_no_reporting_code(prefix):
+    """``import repro.exp`` loads no module under ``prefix``: the codec
+    lives in repro.exp, only a ``milp`` solve imports scipy, and no
+    module uses a graph library."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (
@@ -160,8 +162,10 @@ def test_importing_repro_exp_loads_no_reporting_code():
     )
     probe = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro.exp; print(sorted(name for name in sys.modules"
-         " if name.startswith('repro.analysis')))"],
+         "import sys, repro.exp; prefix = sys.argv[1]; print(sorted("
+         "name for name in sys.modules"
+         " if name == prefix or name.startswith(prefix + '.')))",
+         prefix],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert probe.returncode == 0, probe.stderr

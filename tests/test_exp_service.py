@@ -316,6 +316,16 @@ def test_make_backend_remote_and_helpful_unknown_error(monkeypatch):
         assert name in message
 
 
+@pytest.mark.parametrize(
+    "url", ["127.0.0.1:abc", "127.0.0.1:99999", "http://[::1"]
+)
+def test_malformed_server_url_is_a_service_error(url, capsys):
+    with pytest.raises(ServiceError, match="expected e.g."):
+        parse_server_url(url)
+    assert service_main(["status", "--server", url]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed server URL")
+
+
 def test_remote_backend_requires_a_server_url(monkeypatch):
     monkeypatch.delenv("REPRO_SWEEP_SERVER", raising=False)
     with pytest.raises(ServiceError, match="REPRO_SWEEP_SERVER"):

@@ -147,7 +147,7 @@ def test_to_table_default_and_custom_columns():
     assert rows == [["dp", 20]]
 
 
-def test_filter_by_identity_uses_the_index():
+def test_filter_by_identity_fields():
     store = ResultStore()
     store.append(make_record(solver="dp"))
     store.append(make_record(solver="greedy"))
@@ -165,9 +165,9 @@ def test_filter_by_identity_uses_the_index():
 _MISSING = object()
 
 
-def test_filter_index_matches_linear_scan_on_5k_records():
-    """Regression for the indexed fast path: identical results, order
-    included, as the brute-force scan over a 5000-record store."""
+def test_filter_by_identity_matches_brute_force_on_5k_records():
+    """Identity and axis filters give the same records, in append order,
+    as a brute-force scan over a 5000-record store."""
     import copy
 
     template = make_record()
@@ -209,7 +209,7 @@ def test_filter_index_matches_linear_scan_on_5k_records():
     for query in queries:
         assert store.filter(**query).records == linear(**query), query
 
-    # The index extends over records appended after it was first used.
+    # Records appended after a first query are found too.
     late = copy.deepcopy(template)
     late["scenario_id"] = "sid-late"
     store.append(late)

@@ -1,6 +1,5 @@
 """Tests for the process-network description and FIFO channels."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import NetworkError
@@ -72,10 +71,11 @@ def test_self_loop_rejected():
 
 
 def test_task_graph_structure():
-    graph = simple_network().task_graph()
-    assert isinstance(graph, nx.DiGraph)
-    assert set(graph.nodes) == {"a", "b"}
-    assert graph.edges["a", "b"]["fifo"] == "f"
+    network = simple_network()
+    assert set(network.tasks) == {"a", "b"}
+    edges = {(f.producer, f.consumer): name
+             for name, f in network.fifos.items()}
+    assert edges == {("a", "b"): "f"}
 
 
 def test_frame_window_clamped_to_size():
