@@ -1,10 +1,10 @@
 """Setup shim.
 
-The sandbox this repository is developed in has no network access and no
-``wheel`` package, so PEP 517 editable installs (which need
-``bdist_wheel``) fail.  Keeping a classic ``setup.py`` lets
-``pip install -e . --no-build-isolation`` take the legacy
-``setup.py develop`` path, which works offline.
+``pip install -e .`` works where pip can fetch its build tools, as CI
+does.  Offline, with no ``wheel`` package, it fails (``invalid command
+'bdist_wheel'``), with or without ``--no-build-isolation``; there,
+``python setup.py develop`` installs the package, or
+``export PYTHONPATH=src`` does without an install.
 """
 
 from setuptools import find_packages, setup

@@ -11,8 +11,7 @@
 5. creates the scheduler and one CPU runner per core.
 
 ``run()`` executes until the application finishes (every task program
-returned) or a cycle horizon passes, and returns a
-:class:`~repro.cake.metrics.RunMetrics`.
+returned) and returns a :class:`~repro.cake.metrics.RunMetrics`.
 """
 
 from __future__ import annotations
@@ -143,10 +142,6 @@ class Platform:
 
     # -- execution -----------------------------------------------------------
 
-    def task(self, name: str) -> Task:
-        """Look a task up by name."""
-        return self._task_by_name[name]
-
     def attach_task(self, name: str) -> None:
         """Start a deferred task mid-run (online arrival)."""
         self.scheduler.attach(self._task_by_name[name])
@@ -170,22 +165,19 @@ class Platform:
         task.pending_op = None
         self.scheduler.detach(task)
 
-    def run(self, max_cycles: Optional[float] = None) -> RunMetrics:
-        """Run the application to completion (or a cycle horizon)."""
+    def run(self) -> RunMetrics:
+        """Run the application to completion."""
         if self._started:
             raise SchedulingError("Platform.run() may only be called once")
         self._started = True
         self.scheduler.start_all(skip=self._deferred)
-        if max_cycles is None:
-            self.sim.run()
-            blocked = self.scheduler.blocked_tasks()
-            if blocked:
-                names = ", ".join(t.name for t in blocked)
-                raise SchedulingError(
-                    f"deadlock: tasks blocked forever on FIFO ops: {names}"
-                )
-        else:
-            self.sim.run(until=max_cycles)
+        self.sim.run()
+        blocked = self.scheduler.blocked_tasks()
+        if blocked:
+            names = ", ".join(t.name for t in blocked)
+            raise SchedulingError(
+                f"deadlock: tasks blocked forever on FIFO ops: {names}"
+            )
         return self.collect_metrics()
 
     # -- results ----------------------------------------------------------
@@ -210,10 +202,6 @@ class Platform:
     def all_done(self) -> bool:
         """True when every task program has returned."""
         return all(task.state is TaskState.DONE for task in self.tasks)
-
-    def owner_names(self) -> List[str]:
-        """Names of every registered owner (tasks, buffers, regions)."""
-        return self.registry.names()
 
     def __repr__(self) -> str:
         return (

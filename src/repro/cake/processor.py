@@ -70,7 +70,7 @@ class CpuRunner:
         self.metrics = CpuMetrics()
         self._rt_bss = rt_bss_region
         self._current: Optional[Task] = None
-        self.process = sim.process(self._run(), name=f"cpu{cpu_id}")
+        sim.process(self._run())
 
     # -- helpers ------------------------------------------------------------
 
@@ -117,7 +117,7 @@ class CpuRunner:
                 cached(_switch_batch, self._rt_bss, task.owner_id),
                 self.sim.now,
             )
-        yield self.sim.timeout(self.config.switch_cycles)
+        yield self.config.switch_cycles
 
     # -- the CPU loop --------------------------------------------------------
 
@@ -160,7 +160,7 @@ class CpuRunner:
                     task.stats.compute_ops += 1
                     quantum_left -= cycles
                     if cycles:
-                        yield sim.timeout(cycles)
+                        yield cycles
                 elif op_type is ReadToken:
                     fifo = task.context.port(op.port)
                     if fifo.can_read(op.tokens):
@@ -171,7 +171,7 @@ class CpuRunner:
                         task.stats.fifo_reads += op.tokens
                         quantum_left -= cycles
                         if cycles:
-                            yield sim.timeout(cycles)
+                            yield cycles
                     else:
                         task.pending_op = op
                         task.state = TaskState.BLOCKED
@@ -189,7 +189,7 @@ class CpuRunner:
                         task.stats.fifo_writes += op.tokens
                         quantum_left -= cycles
                         if cycles:
-                            yield sim.timeout(cycles)
+                            yield cycles
                     else:
                         task.pending_op = op
                         task.state = TaskState.BLOCKED
@@ -202,14 +202,14 @@ class CpuRunner:
                     task.stats.cycles += op.cycles
                     quantum_left -= op.cycles
                     if op.cycles:
-                        yield sim.timeout(op.cycles)
+                        yield op.cycles
                 else:
                     raise SchedulingError(
                         f"task {task.name!r} yielded unknown op {op!r}"
                     )
 
                 if task.state is TaskState.DONE:
-                    break  # detached while the op's timeout was in flight
+                    break  # detached while the op's delay was in flight
                 if scheduler.should_preempt(self.cpu_id, quantum_left):
                     scheduler.make_ready(task)
                     break

@@ -20,11 +20,11 @@ The engine composes three pieces:
    Every surviving owner keeps its exact unit range: survivors are
    untouched by construction, which is the paper's invariant made
    operational.
-2. **Transactional replan** -- the transition rides a
-   :class:`~repro.sim.kernel.Replan` event: it is queued up front, so
-   the run stays alive until it fires, and it fires at URGENT
-   priority, so every op at or after the transition time sees the new
-   partition maps on both engines.  Map mutations go through
+2. **Transactional replan** -- the transition is a replan action
+   (:meth:`~repro.sim.kernel.Simulator.schedule_replan`): it is queued
+   up front, so the run stays alive until it fires, and it runs at
+   URGENT priority, so every op at or after the transition time sees
+   the new partition maps on both engines.  Map mutations go through
    :class:`~repro.rtos.cachectl.CacheController`.  Both engines read
    the maps on every batch, so an arrival leaves the compiled engine's
    C state in place.  Departures flush only the leavers
@@ -643,7 +643,7 @@ class DynamicScenario:
             self.platform.scheduler.expect_arrivals(joins)
         for spec in self.transitions:
             # Queued now, before the run starts, at URGENT priority:
-            # the action runs before any runner timeout at the
+            # the action runs before any runner resume at the
             # transition time, on both engines identically.
             self.platform.sim.schedule_replan(
                 spec.at, lambda spec=spec: self._on_transition(spec)

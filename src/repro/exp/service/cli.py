@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 import threading
@@ -222,16 +223,25 @@ def _cmd_drain(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = {
-        "serve": _cmd_serve,
-        "worker": _cmd_worker,
-        "submit": _cmd_submit,
-        "status": _cmd_status,
-        "drain": _cmd_drain,
-    }[args.command]
     try:
-        return handler(args)
+        args = _build_parser().parse_args(argv)
+        handler = {
+            "serve": _cmd_serve,
+            "worker": _cmd_worker,
+            "submit": _cmd_submit,
+            "status": _cmd_status,
+            "drain": _cmd_drain,
+        }[args.command]
+        code = handler(args)
+        # Flush here, so a reader that went away fails inside the try
+        # and not in the interpreter's flush at exit.
+        sys.stdout.flush()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit: point it at
+        # devnull so that flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code

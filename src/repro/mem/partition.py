@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -91,10 +91,6 @@ class OwnerRegistry:
 
     def __len__(self) -> int:
         return len(self._name_to_id)
-
-    def names(self) -> List[str]:
-        """All registered names except the shared pseudo-owner."""
-        return [n for n, i in self._name_to_id.items() if i != OWNER_SHARED]
 
 
 class OwnerResolver:

@@ -57,13 +57,6 @@ def test_deadlock_detected():
         platform.run()
 
 
-def test_max_cycles_horizon():
-    platform = Platform(make_pipeline(n_tokens=500), small_config())
-    metrics = platform.run(max_cycles=10_000)
-    assert metrics.elapsed_cycles == 10_000
-    assert not platform.all_done()
-
-
 def test_determinism_across_identical_platforms():
     def run_once():
         platform = Platform(make_pipeline(n_tokens=16), small_config())

@@ -678,6 +678,16 @@ def test_repeated_smoke_reuses_the_cache_across_processes(tmp_path):
     assert "profiles computed=0" in warm.stdout
 
 
+@pytest.mark.parametrize("mode", ["buffered", "unbuffered"])
+def test_cli_exits_quietly_when_the_stdout_reader_is_gone(
+    tmp_path, run_into_closed_pipe, mode
+):
+    done = run_into_closed_pipe(
+        ["repro.exp.cache", "stats", "--dir", str(tmp_path)], mode
+    )
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 def test_cli_stats_json(tmp_path, capsys):
     root = tmp_path / "json-cache"
     ProfileCache(root).put(KIND_PROFILE, "aa11", {"x": 1})

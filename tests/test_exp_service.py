@@ -299,6 +299,16 @@ def test_cli_status_json_and_drain(server, capsys):
                       poll_interval=0.01) == 0
 
 
+@pytest.mark.parametrize("mode", ["buffered", "unbuffered"])
+def test_cli_exits_quietly_when_the_stdout_reader_is_gone(
+    server, run_into_closed_pipe, mode
+):
+    done = run_into_closed_pipe(
+        ["repro.exp.service", "status", "--server", server.url], mode
+    )
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 # -- backend construction ------------------------------------------------------
 
 

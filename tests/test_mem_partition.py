@@ -21,7 +21,6 @@ def test_registry_roundtrip_and_idempotence():
     assert registry.id_of("task:a") == a
     assert registry.name_of(a) == "task:a"
     assert "task:a" in registry
-    assert registry.names() == ["task:a"]
 
 
 def test_registry_unknown_lookups():

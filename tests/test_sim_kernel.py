@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
@@ -8,48 +9,41 @@ from repro.sim import Simulator
 
 def test_timeout_advances_clock():
     sim = Simulator()
+    log = []
 
-    def proc(sim):
-        yield sim.timeout(5)
-        yield sim.timeout(2.5)
-        return "done"
+    def proc():
+        yield 5
+        yield 2.5
+        log.append("done")
 
-    p = sim.process(proc(sim))
+    sim.process(proc())
     sim.run()
     assert sim.now == 7.5
-    assert p.value == "done"
+    assert log == ["done"]
 
 
 def test_negative_timeout_rejected():
     sim = Simulator()
+
+    def proc():
+        yield -1
+
+    sim.process(proc())
     with pytest.raises(SimulationError):
-        sim.timeout(-1)
-
-
-def test_timeout_value_passed_to_process():
-    sim = Simulator()
-    seen = []
-
-    def proc(sim):
-        value = yield sim.timeout(1, value="hello")
-        seen.append(value)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert seen == ["hello"]
+        sim.run()
 
 
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
 
-    def proc(sim, delay, tag):
-        yield sim.timeout(delay)
+    def proc(delay, tag):
+        yield delay
         order.append(tag)
 
-    sim.process(proc(sim, 3, "c"))
-    sim.process(proc(sim, 1, "a"))
-    sim.process(proc(sim, 2, "b"))
+    sim.process(proc(3, "c"))
+    sim.process(proc(1, "a"))
+    sim.process(proc(2, "b"))
     sim.run()
     assert order == ["a", "b", "c"]
 
@@ -58,177 +52,74 @@ def test_same_time_events_fire_in_schedule_order():
     sim = Simulator()
     order = []
 
-    def proc(sim, tag):
-        yield sim.timeout(1)
+    def proc(tag):
+        yield 1
         order.append(tag)
 
     for tag in "abcdef":
-        sim.process(proc(sim, tag))
+        sim.process(proc(tag))
     sim.run()
     assert order == list("abcdef")
 
 
-def test_run_until_time_stops_clock_exactly():
-    sim = Simulator()
-
-    def proc(sim):
-        while True:
-            yield sim.timeout(10)
-
-    sim.process(proc(sim))
-    sim.run(until=25)
-    assert sim.now == 25
-    assert sim.pending_events > 0
-
-
-def test_run_until_past_time_rejected():
-    sim = Simulator()
-    sim.run(until=5)
-    with pytest.raises(SimulationError):
-        sim.run(until=1)
-
-
-def test_run_until_event_returns_value():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(4)
-        return 42
-
-    p = sim.process(proc(sim))
-    assert sim.run(until=p) == 42
-    assert sim.now == 4
-
-
-def test_process_waits_on_another_process():
-    sim = Simulator()
-
-    def child(sim):
-        yield sim.timeout(3)
-        return "child-result"
-
-    def parent(sim):
-        result = yield sim.process(child(sim))
-        return result
-
-    p = sim.process(parent(sim))
-    sim.run()
-    assert p.value == "child-result"
-
-
-def test_waiting_on_already_finished_process():
-    sim = Simulator()
-
-    def child(sim):
-        yield sim.timeout(1)
-        return 7
-
-    def parent(sim, child_proc):
-        yield sim.timeout(10)  # child is long done
-        value = yield child_proc
-        return value
-
-    child_proc = sim.process(child(sim))
-    parent_proc = sim.process(parent(sim, child_proc))
-    sim.run()
-    assert parent_proc.value == 7
-
-
 def test_manual_event_succeed():
     sim = Simulator()
-    gate = sim.event()
+    gates = []
     log = []
 
-    def waiter(sim, gate):
-        value = yield gate
-        log.append(value)
+    def waiter():
+        gate = sim.event()
+        gates.append(gate)
+        yield gate
+        log.append(sim.now)
 
-    def opener(sim, gate):
-        yield sim.timeout(5)
-        gate.succeed("open")
+    def opener():
+        yield 5
+        gates[0].succeed()
 
-    sim.process(waiter(sim, gate))
-    sim.process(opener(sim, gate))
+    sim.process(waiter())
+    sim.process(opener())
     sim.run()
-    assert log == ["open"]
-    assert gate.processed and gate.ok
+    assert log == [5]
+    assert gates[0].triggered
 
 
 def test_event_double_trigger_rejected():
     sim = Simulator()
     event = sim.event()
-    event.succeed(1)
+    event.succeed()
     with pytest.raises(SimulationError):
-        event.succeed(2)
-
-
-def test_event_value_before_trigger_rejected():
-    sim = Simulator()
-    event = sim.event()
-    with pytest.raises(SimulationError):
-        _ = event.value
-
-
-def test_failed_event_raises_in_process():
-    sim = Simulator()
-    caught = []
-
-    def waiter(sim, gate):
-        try:
-            yield gate
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    gate = sim.event()
-    sim.process(waiter(sim, gate))
-    gate.fail(ValueError("boom"))
-    sim.run()
-    assert caught == ["boom"]
+        event.succeed()
 
 
 def test_unhandled_failure_propagates_from_run():
     sim = Simulator()
+    log = []
 
-    def bad(sim):
-        yield sim.timeout(1)
+    def bad():
+        yield 1
         raise RuntimeError("process blew up")
 
-    sim.process(bad(sim))
+    def bystander():
+        yield 1
+        log.append("ran")
+
+    sim.process(bad())
+    sim.process(bystander())
     with pytest.raises(RuntimeError, match="process blew up"):
         sim.run()
+    assert log == []  # run() left at once, before the action due next
 
 
 def test_yielding_non_event_is_an_error():
     sim = Simulator()
-    caught = []
 
-    def bad(sim):
-        try:
-            yield 42
-        except SimulationError as exc:
-            caught.append(str(exc))
+    def bad():
+        yield "soon"
 
-    sim.process(bad(sim))
-    sim.run()
-    assert len(caught) == 1 and "non-event" in caught[0]
-
-
-def test_process_is_alive_lifecycle():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(5)
-
-    p = sim.process(proc(sim))
-    assert p.is_alive
-    sim.run()
-    assert not p.is_alive
-
-
-def test_step_on_empty_queue_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.step()
+    sim.process(bad())
+    with pytest.raises(SimulationError, match="expected a delay"):
+        sim.run()
 
 
 def test_determinism_two_identical_runs():
@@ -236,14 +127,188 @@ def test_determinism_two_identical_runs():
         sim = Simulator()
         trace = []
 
-        def proc(sim, tag, period):
-            while True:
-                yield sim.timeout(period)
+        def proc(tag, period, rounds):
+            for _ in range(rounds):
+                yield period
                 trace.append((sim.now, tag))
 
-        sim.process(proc(sim, "x", 3))
-        sim.process(proc(sim, "y", 5))
-        sim.run(until=100)
+        sim.process(proc("x", 3, 33))
+        sim.process(proc("y", 5, 20))
+        sim.run()
         return trace
 
     assert build() == build()
+
+
+# -- the order the dynamic engine relies on ------------------------------------
+
+
+def test_process_starts_before_an_earlier_zero_delay_resume():
+    sim = Simulator()
+    order = []
+
+    def first():
+        order.append("first")
+        yield 0
+        order.append("first resumed")
+
+    def second():
+        order.append("second")
+        yield 0
+
+    def spawner():
+        order.append("spawner")
+        sim.process(second())
+        yield 0
+
+    sim.process(first())
+    sim.process(spawner())
+    sim.run()
+    assert order == ["first", "spawner", "second", "first resumed"]
+
+
+def test_replan_runs_before_every_resume_due_at_its_time():
+    sim = Simulator()
+    order = []
+
+    def sleeper(tag):
+        yield 10
+        order.append((sim.now, tag))
+
+    def planner():
+        yield 5
+        # Scheduled after the sleepers' resumes, yet it runs first.
+        sim.schedule_replan(10, lambda: order.append((sim.now, "replan")))
+
+    sim.process(sleeper("a"))
+    sim.process(planner())
+    sim.process(sleeper("b"))
+    sim.run()
+    assert order == [(10, "replan"), (10, "a"), (10, "b")]
+
+
+def test_replan_in_the_past_rejected():
+    sim = Simulator()
+
+    def late_planner():
+        yield 5
+        sim.schedule_replan(3, lambda: None)
+
+    sim.process(late_planner())
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.run()
+
+
+def test_succeed_wakes_its_waiter_after_the_actions_already_due():
+    sim = Simulator()
+    gates = []
+    order = []
+
+    def waiter():
+        gate = sim.event()
+        gates.append(gate)
+        yield gate
+        order.append("waiter woken")
+
+    def opener():
+        yield 5
+        gates[0].succeed()
+        order.append("opener")
+
+    def bystander():
+        yield 5
+        order.append("bystander")
+
+    sim.process(waiter())
+    sim.process(opener())
+    sim.process(bystander())
+    sim.run()
+    assert order == ["opener", "bystander", "waiter woken"]
+    assert sim.now == 5
+
+
+def test_events_processed_counts_actions_not_finished_processes():
+    sim = Simulator()
+    gates = []
+
+    def sleeper():  # a start and two resumes
+        yield 1
+        yield 2
+
+    def waiter():  # a start and a wake
+        gate = sim.event()
+        gates.append(gate)
+        yield gate
+
+    sim.process(sleeper())
+    sim.process(waiter())
+    sim.schedule_replan(4, lambda: gates[0].succeed())  # one replan
+    sim.run()
+    assert sim.events_processed == 3 + 2 + 1
+    assert sim.now == 4
+
+
+# -- the kernel against a list-based reference scheduler -----------------------
+
+
+def reference_trace(items):
+    """``(time, kind, id)`` of every action, by a linear scan for the
+    earliest ``(time, priority, sequence)`` entry."""
+    pending = []
+    for sequence, (kind, ident, arg) in enumerate(items):
+        if kind == "process":
+            pending.append((0.0, 0, sequence, "start", ident, tuple(arg)))
+        else:
+            pending.append((float(arg), 0, sequence, "replan", ident, ()))
+    sequence = len(items)
+    trace = []
+    while pending:
+        entry = min(pending)
+        pending.remove(entry)
+        time, _priority, _sequence, kind, ident, delays = entry
+        trace.append((time, kind, ident))
+        if delays:
+            pending.append(
+                (time + delays[0], 1, sequence, "resume", ident, delays[1:])
+            )
+            sequence += 1
+    return trace
+
+
+def kernel_trace(items):
+    sim = Simulator()
+    trace = []
+
+    def proc(ident, delays):
+        trace.append((sim.now, "start", ident))
+        for delay in delays:
+            yield delay
+            trace.append((sim.now, "resume", ident))
+
+    def replan(ident):
+        trace.append((sim.now, "replan", ident))
+
+    for kind, ident, arg in items:
+        if kind == "process":
+            sim.process(proc(ident, arg))
+        else:
+            sim.schedule_replan(arg, lambda ident=ident: replan(ident))
+    sim.run()
+    assert sim.events_processed == len(trace)
+    return trace
+
+
+_delays = st.lists(st.sampled_from([0, 0.5, 1, 2, 3, 7]), max_size=6)
+_items = st.lists(
+    st.one_of(
+        st.tuples(st.just("process"), _delays),
+        st.tuples(st.just("replan"), st.integers(0, 12)),
+    ),
+    max_size=8,
+).map(lambda drawn: [(kind, i, arg) for i, (kind, arg) in enumerate(drawn)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_items)
+def test_kernel_matches_a_list_based_reference_scheduler(items):
+    assert kernel_trace(items) == reference_trace(items)
