@@ -53,13 +53,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Union
 
 from repro import __version__ as REPRO_VERSION
 from repro.errors import ConfigurationError
+from repro.exp.cli import quiet_broken_pipe
 from repro.exp.scenario import content_hash
 
 __all__ = [
@@ -390,6 +390,7 @@ def _format_bytes(count: int) -> str:
     return f"{int(size)} B"  # pragma: no cover - loop always returns
 
 
+@quiet_broken_pipe
 def main(argv: Optional[list] = None) -> int:
     """``python -m repro.exp.cache stats|clear|gc [--dir PATH]``."""
     parser = argparse.ArgumentParser(
@@ -425,41 +426,32 @@ def main(argv: Optional[list] = None) -> int:
                 help="emit the stats dict as one JSON object (for the "
                 "sweep service /status endpoint and scripts)",
             )
-    try:
-        args = parser.parse_args(argv)
-        cache = ProfileCache(args.dir)
-        if args.command == "gc":
-            result = cache.gc(max_bytes=args.max_bytes)
+    args = parser.parse_args(argv)
+    cache = ProfileCache(args.dir)
+    if args.command == "gc":
+        result = cache.gc(max_bytes=args.max_bytes)
+        print(
+            f"gc {cache.root}: removed {result['removed']} files "
+            f"({_format_bytes(result['freed_bytes'])}), kept "
+            f"{result['kept']} entries "
+            f"({_format_bytes(result['kept_bytes'])})"
+        )
+    elif args.command == "stats" and args.json:
+        print(json.dumps(cache.stats(), sort_keys=True))
+    elif args.command == "stats":
+        stats = cache.stats()
+        print(f"profile cache at {stats['root']}")
+        for kind in _KINDS:
+            info = stats["kinds"][kind]
             print(
-                f"gc {cache.root}: removed {result['removed']} files "
-                f"({_format_bytes(result['freed_bytes'])}), kept "
-                f"{result['kept']} entries "
-                f"({_format_bytes(result['kept_bytes'])})"
+                f"  {kind + 's':10s} {info['entries']:6d} entries  "
+                f"{_format_bytes(info['bytes'])}"
             )
-        elif args.command == "stats" and args.json:
-            print(json.dumps(cache.stats(), sort_keys=True))
-        elif args.command == "stats":
-            stats = cache.stats()
-            print(f"profile cache at {stats['root']}")
-            for kind in _KINDS:
-                info = stats["kinds"][kind]
-                print(
-                    f"  {kind + 's':10s} {info['entries']:6d} entries  "
-                    f"{_format_bytes(info['bytes'])}"
-                )
-            print(
-                f"  {'total':10s} {stats['entries']:6d} entries  "
-                f"{_format_bytes(stats['bytes'])}"
-            )
-        elif args.command == "clear":
-            removed = cache.clear()
-            print(f"removed {removed} entries from {cache.root}")
-        # Flush here, so a reader that went away fails inside the try
-        # and not in the interpreter's flush at exit.
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The interpreter flushes stdout again at exit: point it at
-        # devnull so that flush cannot fail too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        print(
+            f"  {'total':10s} {stats['entries']:6d} entries  "
+            f"{_format_bytes(stats['bytes'])}"
+        )
+    elif args.command == "clear":
+        removed = cache.clear()
+        print(f"removed {removed} entries from {cache.root}")
     return 0

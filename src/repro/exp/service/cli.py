@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 import threading
@@ -23,6 +22,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ReproError
+from repro.exp.cli import quiet_broken_pipe
 from repro.exp.service.client import SERVER_ENV_VAR, ServiceClient
 
 __all__ = ["main"]
@@ -222,26 +222,18 @@ def _cmd_drain(args: argparse.Namespace) -> int:
     return 0
 
 
+@quiet_broken_pipe
 def main(argv: Optional[List[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    handler = {
+        "serve": _cmd_serve,
+        "worker": _cmd_worker,
+        "submit": _cmd_submit,
+        "status": _cmd_status,
+        "drain": _cmd_drain,
+    }[args.command]
     try:
-        args = _build_parser().parse_args(argv)
-        handler = {
-            "serve": _cmd_serve,
-            "worker": _cmd_worker,
-            "submit": _cmd_submit,
-            "status": _cmd_status,
-            "drain": _cmd_drain,
-        }[args.command]
-        code = handler(args)
-        # Flush here, so a reader that went away fails inside the try
-        # and not in the interpreter's flush at exit.
-        sys.stdout.flush()
+        return handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # The interpreter flushes stdout again at exit: point it at
-        # devnull so that flush cannot fail too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return code

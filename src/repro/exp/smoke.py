@@ -51,6 +51,7 @@ from repro.exp import (
     sweep,
 )
 from repro.exp.cache import CACHE_ENV_VAR
+from repro.exp.cli import quiet_broken_pipe
 from repro.mem.cache import CacheGeometry
 from repro.mem.hierarchy import HierarchyConfig
 
@@ -302,6 +303,7 @@ def run_smoke(
     return 0
 
 
+@quiet_broken_pipe
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.exp.smoke",

@@ -8,26 +8,30 @@
  * handle that keeps the L1s of every CPU, the shared L2
  * (set-associative LRU/FIFO *or* the way-managed column cache), the
  * DRAM bank timers, the shared-bus demand model and one seen-set per
- * cache resident in C between calls, so every batch, whatever its
- * size, runs through one `walk_batch` call without re-marshalling.
+ * cache resident in C between calls, so every op, whatever its size,
+ * walks in one `walk_batch` call over its runs.
  *
- * `walk_batch` takes the batch's raw addresses and write flags and, in
- * one call:
+ * One op takes three steps:
  *
- *   1. coalesces them into runs (maximal stretches on one cache line),
- *      resolves each run's owner through the interval table and checks
- *      that every run can be walked -- all before touching any state;
- *   2. walks the runs, executing exactly the state sequence of the
- *      reference engine:
+ *   1. `walker_coalesce` turns the batch's raw addresses and write
+ *      flags into runs (maximal stretches on one cache line).  It
+ *      touches no state, so the caller can keep the runs of a batch it
+ *      walks again;
+ *   2. `walker_bind` stores the interval, set and way tables and the
+ *      per-owner counters in the state, only when one of them changed;
+ *   3. `walk_batch` walks the runs.  It resolves each run's owner
+ *      through the interval table and checks that every run can be
+ *      walked -- all before touching any state -- then executes
+ *      exactly the state sequence of the reference engine:
  *
  *        L1 probe -> (miss) L1 fill + eviction -> dirty-victim
  *        writeback probe into the L2 -> L2 probe (demand or store fill)
  *        -> L2 fill + eviction -> DRAM bank timing;
  *
- *   3. counts per-owner statistics as it goes: accesses, misses,
+ *      counts per-owner statistics as it goes (accesses, misses,
  *      first-touch ("cold") misses, evictions suffered, writebacks and
- *      the (evictor, victim) eviction matrix of every cache level;
- *   4. prices the batch with the reference engine's cycle formula.
+ *      the (evictor, victim) eviction matrix of every cache level), and
+ *      prices the batch with the reference engine's cycle formula.
  *
  * Cache state lives in flat arrays (one row of `ways` slots per set,
  * slot 0 = MRU, parallel owner/dirty arrays, per-set lengths); the
@@ -48,12 +52,18 @@
 #define L2_MODE_WAY 2
 
 /* walk_batch results (repro.mem.cwalker.WALK_*).  Every result but
- * WALK_OK leaves the state untouched. */
+ * WALK_OK leaves the state untouched.  1 is unused: walker_coalesce
+ * reports a negative address. */
 #define WALK_OK 0
-#define WALK_NEGATIVE_ADDRESS 1
 #define WALK_NEGATIVE_OWNER 2
 #define WALK_GROW 3             /* out[0] = the owner id to make room for */
 #define WALK_NO_MEMORY 4
+
+/* A run is two int64: its line, then count << 2 | sfill << 1 |
+ * write_any (walker_coalesce). */
+#define RUN_COUNT(info) ((info) >> 2)
+#define RUN_SFILL(info) ((int)((info) >> 1 & 1))
+#define RUN_WRITE(info) ((int)((info) & 1))
 
 /* Per-owner counter rows of one cache (repro.mem.hierarchy). */
 #define N_FIELDS 5
@@ -152,7 +162,7 @@ static inline int bank_touch(double *bank_free, int64_t bank, double now,
  * reference numpy-owned arrays the Python side keeps alive). */
 typedef struct {
     int64_t n_cpus;
-    int64_t line_shift, full_line_count;
+    int64_t line_shift;
     int64_t l1_sets, l1_ways;
     int64_t *l1_lines, *l1_owners;
     uint8_t *l1_dirty;
@@ -178,6 +188,15 @@ typedef struct {
     int64_t l2_hit_cycles;
     /* seen-sets: every L1 by cpu id, then the L2 */
     line_set *seen;
+    /* per-call inputs, stored by walker_bind (caller-owned arrays) */
+    const int64_t *intervals;   /* 3 rows of n_intervals: bases, ends, owners */
+    int64_t n_intervals;
+    const int64_t *set_table;   /* owner -> (base, n_sets) rows */
+    int64_t n_table;
+    const int64_t *way_table;   /* owner -> allocation ways (way mode) */
+    int64_t way_rows;
+    int64_t *counts, *matrix;   /* per-owner counters, eviction matrices */
+    int64_t n_owners;
 } walker_state;
 
 void walker_state_free(void *state) {
@@ -197,7 +216,7 @@ void walker_state_free(void *state) {
  * (every L1 by cpu id, then the L2), `seen_counts[c]` how many belong
  * to cache c.  Returns NULL when an allocation fails. */
 void *walker_state_new(
-    int64_t n_cpus, int64_t line_shift, int64_t full_line_count,
+    int64_t n_cpus, int64_t line_shift,
     int64_t l1_sets, int64_t l1_ways,
     int64_t *l1_lines, int64_t *l1_owners, uint8_t *l1_dirty,
     int32_t *l1_len,
@@ -218,7 +237,6 @@ void *walker_state_new(
     if (st == NULL) return NULL;
     st->n_cpus = n_cpus;
     st->line_shift = line_shift;
-    st->full_line_count = full_line_count;
     st->l1_sets = l1_sets;
     st->l1_ways = l1_ways;
     st->l1_lines = l1_lines;
@@ -590,16 +608,67 @@ static int64_t bus_price(walker_state *st, int64_t cpu, int64_t n,
     return (int64_t)((double)base + extra);
 }
 
-/* Walk one batch -- `n` accesses issued by `cpu` on behalf of
- * `task_owner` at time `now`, plus `instructions` of issue time -- and
- * price it.
- *
- * `addrs` are byte addresses, `writes` one flag byte per access (any
- * non-zero byte is a store).  `intervals` is the interval table as
- * three rows of `n_intervals`: sorted bases, ends, owners.
+/* Coalesce `n` accesses -- byte addresses `addrs` and one flag byte per
+ * access in `writes` (any non-zero byte is a store) -- into runs:
+ * maximal stretches on one line.  `runs` has room for `n` runs (2n
+ * int64); run k is the line, then count << 2 | sfill << 1 | write_any.
+ * A write-only run touching a whole line's worth of words
+ * (`full_line_count`) is a store fill: it fills the line without a
+ * fetch (write-validate).  Touches no state.  Returns the run count,
+ * or -1 when an address is negative. */
+int64_t walker_coalesce(const int64_t *addrs, const uint8_t *writes,
+                        int64_t n, int64_t line_shift,
+                        int64_t full_line_count, int64_t *runs)
+{
+    int64_t n_runs = 0, i, j;
+    for (i = 0; i < n; i = j) {
+        int64_t line = addrs[i] >> line_shift;
+        if (line < 0) return -1;
+        int write_any = writes[i] != 0;
+        int write_all = write_any;
+        for (j = i + 1; j < n && (addrs[j] >> line_shift) == line; j++) {
+            int w = writes[j] != 0;
+            write_any |= w;
+            write_all &= w;
+        }
+        int sfill = write_all && j - i >= full_line_count;
+        runs[2 * n_runs] = line;
+        runs[2 * n_runs + 1] = (j - i) << 2 | sfill << 1 | write_any;
+        n_runs++;
+    }
+    return n_runs;
+}
+
+/* Store the walk's per-call inputs in the state; they stay in use until
+ * the next bind.  `intervals` is the interval table as three rows of
+ * `n_intervals`: sorted bases, ends, owners.  `set_table` has
+ * `n_table + 1` (base, n_sets) rows; owners >= n_table use the last.
+ * `way_table` has `way_rows + 1` rows of l2_ways allocation ways, -1
+ * padded (read in way mode only); owners >= way_rows use the last.
  * `counts` holds N_FIELDS rows of `n_owners` counters per cache and
  * `matrix` one n_owners x n_owners eviction matrix per cache, every L1
- * by cpu id, then the L2; the walk adds to both.
+ * by cpu id, then the L2; the walk adds to both. */
+void walker_bind(void *state, const int64_t *intervals,
+                 int64_t n_intervals, const int64_t *set_table,
+                 int64_t n_table, const int64_t *way_table, int64_t way_rows,
+                 int64_t *counts, int64_t *matrix, int64_t n_owners)
+{
+    walker_state *st = (walker_state *)state;
+    st->intervals = intervals;
+    st->n_intervals = n_intervals;
+    st->set_table = set_table;
+    st->n_table = n_table;
+    st->way_table = way_table;
+    st->way_rows = way_rows;
+    st->counts = counts;
+    st->matrix = matrix;
+    st->n_owners = n_owners;
+}
+
+/* Walk one batch -- its `n_runs` runs (walker_coalesce), issued by
+ * `cpu` on behalf of `task_owner` at time `now`, plus `instructions`
+ * of issue time -- against the state and its bound inputs, and price
+ * it.
  *
  * Returns WALK_OK, or one of the other WALK_* results before touching
  * any state.  On WALK_OK, out[0..7] = cycles, L1 misses, DRAM line
@@ -608,32 +677,25 @@ static int64_t bus_price(walker_state *st, int64_t cpu, int64_t n,
  */
 int walk_batch(
     void *state_ptr, int64_t cpu, int64_t task_owner, int64_t instructions,
-    double now,
-    const int64_t *addrs, const uint8_t *writes, int64_t n,
-    const int64_t *intervals, int64_t n_intervals,
-    const int64_t *set_table, int64_t n_table,
-    const int64_t *way_table, int64_t way_rows,
-    int64_t *counts, int64_t *matrix, int64_t n_owners,
-    int64_t *out)
+    double now, const int64_t *runs, int64_t n_runs, int64_t *out)
 {
     walker_state *st = (walker_state *)state_ptr;
     const int64_t shift = st->line_shift;
+    const int64_t n_owners = st->n_owners;
+    const int64_t n_intervals = st->n_intervals;
     resolver res = {
-        intervals, intervals + n_intervals, intervals + 2 * n_intervals,
+        st->intervals, st->intervals + n_intervals,
+        st->intervals + 2 * n_intervals,
         n_intervals, task_owner, 0, 0, 0,
     };
-    int64_t i, j;
+    int64_t i;
 
     /* ---- pass 1: every run must be walkable before anything moves -- */
-    int64_t n_runs = 0, lo_owner = 0, hi_owner = 0;
-    for (i = 0; i < n; i = j) {
-        int64_t line = addrs[i] >> shift;
-        if (line < 0) return WALK_NEGATIVE_ADDRESS;
-        int64_t owner = resolve(&res, line << shift);
-        if (n_runs == 0 || owner < lo_owner) lo_owner = owner;
-        if (n_runs == 0 || owner > hi_owner) hi_owner = owner;
-        n_runs++;
-        for (j = i + 1; j < n && (addrs[j] >> shift) == line; j++) {}
+    int64_t lo_owner = 0, hi_owner = 0;
+    for (i = 0; i < n_runs; i++) {
+        int64_t owner = resolve(&res, runs[2 * i] << shift);
+        if (i == 0 || owner < lo_owner) lo_owner = owner;
+        if (i == 0 || owner > hi_owner) hi_owner = owner;
     }
     if (lo_owner < 0) return WALK_NEGATIVE_OWNER;
     if (hi_owner >= n_owners) {
@@ -646,33 +708,23 @@ int walk_batch(
         return WALK_NO_MEMORY;
     }
 
-    /* ---- pass 2: coalesce again and walk run by run --------------- */
+    /* ---- pass 2: walk run by run ---------------------------------- */
     int64_t l1_span = st->l1_sets * st->l1_ways;
     walk_ctx c = {
         st->l1_lines + cpu * l1_span, st->l1_owners + cpu * l1_span,
         st->l1_dirty + cpu * l1_span, st->l1_len + cpu * st->l1_sets,
         &st->seen[cpu], &st->seen[st->n_cpus],
-        counts + cpu * N_FIELDS * n_owners,
-        counts + st->n_cpus * N_FIELDS * n_owners,
-        matrix + cpu * n_owners * n_owners,
-        matrix + st->n_cpus * n_owners * n_owners,
-        n_owners, set_table, n_table, way_table, way_rows, now,
-        {0, 0, 0, 0, 0, 0, 0},
+        st->counts + cpu * N_FIELDS * n_owners,
+        st->counts + st->n_cpus * N_FIELDS * n_owners,
+        st->matrix + cpu * n_owners * n_owners,
+        st->matrix + st->n_cpus * n_owners * n_owners,
+        n_owners, st->set_table, st->n_table, st->way_table, st->way_rows,
+        now, {0, 0, 0, 0, 0, 0, 0},
     };
-    for (i = 0; i < n; i = j) {
-        int64_t line = addrs[i] >> shift;
-        int write_any = writes[i] != 0;
-        int write_all = write_any;
-        for (j = i + 1; j < n && (addrs[j] >> shift) == line; j++) {
-            int w = writes[j] != 0;
-            write_any |= w;
-            write_all &= w;
-        }
-        /* A write-only run touching a whole line's worth of words
-         * fills the line without a fetch (write-validate). */
-        int sfill = write_all && j - i >= st->full_line_count;
-        walk_run(st, &c, line, j - i, write_any, sfill,
-                 resolve(&res, line << shift));
+    for (i = 0; i < n_runs; i++) {
+        int64_t line = runs[2 * i], info = runs[2 * i + 1];
+        walk_run(st, &c, line, RUN_COUNT(info), RUN_WRITE(info),
+                 RUN_SFILL(info), resolve(&res, line << shift));
     }
 
     batch_tally *tally = &c.tally;

@@ -6,9 +6,12 @@ loop costs a couple of microseconds per run, and numpy bookkeeping
 around a C walk costs hundreds of microseconds per op.  This module
 compiles the C routines (``_walker.c``, shipped next to this file)
 with the system compiler the first time they are needed and binds them
-through :mod:`ctypes`.  One ``walk_batch`` call does a whole op:
-coalescing, owner resolution, set mapping, the walk and the per-owner
-statistics.  Everything degrades gracefully: no compiler, a failed
+through :mod:`ctypes`.  ``coalesce`` turns a batch into line runs
+once (the caller keeps the runs of a read-only batch), ``bind`` stores
+the interval, set and way tables and the counters in the C state when
+they change, and one ``walk_batch`` call then walks an op's runs:
+owner resolution, set mapping, the walk and the per-owner statistics.
+Everything degrades gracefully: no compiler, a failed
 compilation or an unwritable build directory simply mean :func:`load`
 returns ``None`` and the compiled engine falls back to the reference
 walk.
@@ -30,8 +33,7 @@ import threading
 from typing import Optional
 
 __all__ = ["load", "L2_MODE_LRU", "L2_MODE_FIFO", "L2_MODE_WAY",
-           "WALK_OK", "WALK_NEGATIVE_ADDRESS", "WALK_NEGATIVE_OWNER",
-           "WALK_GROW", "WALK_NO_MEMORY"]
+           "WALK_OK", "WALK_NEGATIVE_OWNER", "WALK_GROW", "WALK_NO_MEMORY"]
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_walker.c")
 _BUILD_DIR = os.path.join(os.path.dirname(__file__), "_build")
@@ -89,9 +91,8 @@ L2_MODE_WAY = 2
 #: ``walk_batch`` results; must match ``_walker.c``.  Every result but
 #: ``WALK_OK`` comes back before the call touched any state.
 WALK_OK = 0
-#: A batch address is negative.
-WALK_NEGATIVE_ADDRESS = 1
-#: A run resolves a negative owner id.
+#: A run resolves a negative owner id.  (1 is unused: ``coalesce``
+#: returns -1 for a negative address.)
 WALK_NEGATIVE_OWNER = 2
 #: A run's owner id is beyond the counters; ``out[0]`` holds it.
 WALK_GROW = 3
@@ -104,10 +105,11 @@ class CWalker:
 
     The persistent-handle API of the ``compiled`` engine (see
     :mod:`repro.mem.hierarchy`): ``state_new`` / ``state_free`` own the
-    C state, ``walk_batch`` walks and prices one op's raw batch and
-    counts its per-owner statistics, and ``seen_fresh`` /
-    ``seen_take`` hand back the lines the C seen-sets gained since the
-    last take.
+    C state; ``coalesce`` turns raw addresses into runs and touches no
+    state; ``bind`` stores the per-call tables and counters in the
+    state; ``walk_batch`` walks and prices one op's runs and counts
+    their per-owner statistics; and ``seen_fresh`` / ``seen_take`` hand
+    back the lines the C seen-sets gained since the last take.
     """
 
     #: Placeholder for the removed multi-entry segment walk: the
@@ -115,10 +117,12 @@ class CWalker:
     #: still wraps this attribute by name.  Nothing calls it.
     walk_segment = None
 
-    def __init__(self, state_new, state_free, walk_batch, seen_fresh,
-                 seen_take):
+    def __init__(self, state_new, state_free, coalesce, bind, walk_batch,
+                 seen_fresh, seen_take):
         self.state_new = state_new
         self.state_free = state_free
+        self.coalesce = coalesce
+        self.bind = bind
         self.walk_batch = walk_batch
         self.seen_fresh = seen_fresh
         self.seen_take = seen_take
@@ -155,6 +159,8 @@ def _bind() -> Optional[CWalker]:
         lib = ctypes.CDLL(so_path)
         state_new = lib.walker_state_new
         state_free = lib.walker_state_free
+        coalesce = lib.walker_coalesce
+        bind = lib.walker_bind
         walk = lib.walk_batch
         seen_fresh = lib.walker_seen_fresh
         seen_take = lib.walker_seen_take
@@ -169,7 +175,7 @@ def _bind() -> Optional[CWalker]:
     ptr = ctypes.c_void_p
     state_new.restype = ctypes.c_void_p
     state_new.argtypes = [
-        i64, i64, i64,              # n_cpus, line_shift, full_line_count
+        i64, i64,                   # n_cpus, line_shift
         i64, i64,                   # l1 sets/ways
         ptr, ptr, ptr, ptr,         # L1 lines/owners/dirty/len (all cpus)
         i64, i64,                   # l2 ways/mode
@@ -184,19 +190,30 @@ def _bind() -> Optional[CWalker]:
     ]
     state_free.restype = None
     state_free.argtypes = [ctypes.c_void_p]
-    walk.restype = ctypes.c_int
-    walk.argtypes = [
-        ctypes.c_void_p,            # state
-        i64, i64, i64, f64,         # cpu, task_owner, instructions, now
+    coalesce.restype = i64
+    coalesce.argtypes = [
         ptr, ptr, i64,              # addrs, writes, n
+        i64, i64,                   # line_shift, full_line_count
+        ptr,                        # runs[2n]
+    ]
+    bind.restype = None
+    bind.argtypes = [
+        ctypes.c_void_p,            # state
         ptr, i64,                   # interval table, n_intervals
         ptr, i64,                   # set table, n_table
         ptr, i64,                   # way allocation table, way_rows
         ptr, ptr, i64,              # counters, eviction matrices, n_owners
+    ]
+    walk.restype = ctypes.c_int
+    walk.argtypes = [
+        ctypes.c_void_p,            # state
+        i64, i64, i64, f64,         # cpu, task_owner, instructions, now
+        ptr, i64,                   # runs, n_runs
         ptr,                        # out[8]
     ]
     seen_fresh.restype = i64
     seen_fresh.argtypes = [ctypes.c_void_p, i64]
     seen_take.restype = None
     seen_take.argtypes = [ctypes.c_void_p, i64, ptr]
-    return CWalker(state_new, state_free, walk, seen_fresh, seen_take)
+    return CWalker(state_new, state_free, coalesce, bind, walk, seen_fresh,
+                   seen_take)

@@ -25,19 +25,24 @@ Two engines implement the walk:
   C-side state handle (:class:`_CompiledState`) keeps every L1, the
   shared L2 (including the way-partitioned column cache), the DRAM
   bank timers, the bus demand model, per-owner statistics counters and
-  one seen-set per cache resident between calls.  Every batch,
-  whatever its size, is one C call that takes the raw addresses and
-  write flags and coalesces them into runs, resolves each run's owner
-  through the interval table, translates the L2 set index, walks, and
-  counts the per-owner statistics.  The contract for reading state:
+  one seen-set per cache resident between calls.  A batch's raw
+  addresses and write flags become line runs in one C coalescing
+  call, on its first walk only when the batch is read-only: such a
+  batch keeps its runs for the line geometry (see
+  :class:`~repro.mem.trace.AccessBatch`).  The interval table, the
+  partition maps and the counters are bound into the C state when
+  they change.  Then every batch, whatever its size, is one C walk
+  over its runs that resolves each run's owner through the interval
+  table, translates the L2 set index, walks, and counts the per-owner
+  statistics.  The contract for reading state:
 
   * :attr:`MemorySystem.l2_stats` is always current (reading it folds
     the C-side L2 counters in);
   * the L1 stats, every cache's contents and its ``_seen`` set are
     current after :meth:`MemorySystem.sync_state`;
-  * the interval table and the partition maps are per-call inputs
-    (memoized on their ``version``), so changing them between two
-    calls needs no sync;
+  * the interval table and the partition maps are bound again when
+    their ``version`` changes, so changing them between two calls
+    needs no sync;
   * edits to Python-side cache state (``forget_history``, direct cache
     edits) come after :meth:`MemorySystem.quiesce`, which syncs and
     drops the C state so the next call re-exports it.
@@ -248,7 +253,7 @@ class _CompiledState:
             dtype=np.int64, count=int(seen_counts.sum()),
         )
         handle = walker.state_new(
-            n_cpus, l1_geometry.line_shift, l1_geometry.line_size // 4,
+            n_cpus, l1_geometry.line_shift,
             l1_geometry.sets, l1_geometry.ways,
             self.l1_lines.ctypes.data, self.l1_owners.ctypes.data,
             self.l1_dirty.ctypes.data, self.l1_len.ctypes.data,
@@ -273,12 +278,22 @@ class _CompiledState:
         #: The walk's eight scalar outputs (see ``walk_batch``).
         self.out = np.zeros(8, dtype=np.int64)
         self.out_ptr = self.out.ctypes.data
+        #: What a batch's runs depend on besides the batch, the line
+        #: shift and the accesses that make a store fill: the key of the
+        #: runs a batch keeps (:meth:`coalesce`).
+        self.run_key = (l1_geometry.line_shift, l1_geometry.line_size // 4)
         #: The set table of conventional indexing over the whole L2
         #: (one default row), for every mode but set partitioning.
         self.natural_table = np.array(
             [[0, l2_geometry.sets]], dtype=np.int64
         )
-        self.natural_table_ptr = self.natural_table.ctypes.data
+        #: What the C state's bound inputs were built from: the
+        #: interval table, its version and the partition maps' versions
+        #: (see :meth:`MemorySystem._execute_batch_compiled`); ``None``
+        #: until the first bind and after the counters grow.
+        self.bound: Optional[tuple] = None
+        #: The bound tables, referenced while the C state reads them.
+        self.bound_tables: tuple = ()
 
     def _alloc_counters(self, max_owner: int) -> None:
         """Fresh zeroed counters covering owner ids up to ``max_owner``."""
@@ -291,8 +306,7 @@ class _CompiledState:
             (n_caches, len(self._FIELDS), n_owners), dtype=np.int64
         )
         self.matrix = np.zeros((n_caches, n_owners, n_owners), dtype=np.int64)
-        self.counts_ptr = self.counts.ctypes.data
-        self.matrix_ptr = self.matrix.ctypes.data
+        self.bound = None  # the C state must bind the new counters
 
     def grow(self, owner: int) -> None:
         """Re-size the counters to cover ``owner``, keeping their counts."""
@@ -300,6 +314,53 @@ class _CompiledState:
         self._alloc_counters(owner)
         self.counts[:, :, :n_owners] = counts
         self.matrix[:, :n_owners, :n_owners] = matrix
+
+    def coalesce(self, batch: AccessBatch) -> Optional[tuple]:
+        """The batch as line runs: ``(key, runs, pointer, n_runs)``.
+
+        One C call, which touches no state; a read-only batch keeps the
+        result.  ``None`` when an address is negative.
+        """
+        # The C coalescing reads contiguous int64 addresses and one flag
+        # byte per access; both conversions are no-ops for the usual
+        # batch.
+        addrs = np.ascontiguousarray(batch.addrs, dtype=np.int64)
+        writes = batch.writes
+        if writes.dtype != np.bool_ or not writes.flags.c_contiguous:
+            writes = np.ascontiguousarray(writes, dtype=np.bool_)
+        n = addrs.shape[0]
+        buffer = np.empty((n, 2), dtype=np.int64)
+        line_shift, full_line_count = self.run_key
+        n_runs = self.walker.coalesce(
+            addrs.ctypes.data, writes.ctypes.data, n,
+            line_shift, full_line_count, buffer.ctypes.data,
+        )
+        if n_runs < 0:
+            return None
+        runs = buffer[:n_runs].copy()
+        result = (self.run_key, runs, runs.ctypes.data, n_runs)
+        batch._keep_runs(result)
+        return result
+
+    def bind(self, key: tuple, tables) -> None:
+        """Store the walk's per-call inputs in the C state.
+
+        ``tables`` are the interval, set-translation and way-allocation
+        tables as :meth:`MemorySystem._bind_tables` builds them, and
+        ``key`` what they were built from (:attr:`bound`); the counters
+        are this state's own.
+        """
+        (intervals, (n_table, set_table),
+         (way_rows, way_table)) = tables
+        self.walker.bind(
+            self.handle, intervals.ctypes.data, intervals.shape[1],
+            set_table.ctypes.data, n_table,
+            None if way_table is None else way_table.ctypes.data, way_rows,
+            self.counts.ctypes.data, self.matrix.ctypes.data,
+            self.n_owners,
+        )
+        self.bound_tables = tables
+        self.bound = key
 
     def flush_stats(self, which) -> None:
         """Fold the counters of caches ``which`` into their stats; zero them."""
@@ -418,15 +479,6 @@ class MemorySystem:
         #: state cannot be allocated or grown, or a run resolves an
         #: owner id outside ``[0, MAX_DENSE_OWNERS)``.
         self._use_compiled = config.engine == "compiled"
-        #: (version, (n_table, table, pointer)) memo of the dense
-        #: set-translation table.
-        self._set_table_memo: Optional[tuple] = None
-        #: (version, (way_rows, table, pointer)) memo of the
-        #: way-allocation table.
-        self._way_table_memo: Optional[tuple] = None
-        #: (table, version, (n, array, pointer)) memo of the interval
-        #: table as the C walk reads it.
-        self._interval_memo: Optional[tuple] = None
 
     # -- configuration -----------------------------------------------------
 
@@ -471,8 +523,8 @@ class MemorySystem:
         engine.  Only edits to what the C state holds need it: cache
         contents (:meth:`repartition`, :meth:`repartition_owners`,
         direct cache edits) and seen-sets (``forget_history()``).  The
-        interval table and the partition maps are read on every call,
-        so changing them needs no quiesce.
+        interval table and the partition maps are bound again whenever
+        their ``version`` changes, so changing them needs no quiesce.
         """
         self.sync_state()
         if self._compiled is not None:
@@ -546,38 +598,35 @@ class MemorySystem:
                 self._use_compiled = False
         return self._compiled
 
-    def _interval_table(self):
-        """The interval table as the C walk reads it (memoized).
+    def _bind_tables(self, state: _CompiledState) -> tuple:
+        """The walk's per-call tables, as :meth:`_CompiledState.bind`
+        takes them: the interval table, ``(n_table, set table)`` and
+        ``(way_rows, way table)``.
 
-        ``(n, array, pointer)``: the interval count, the table's
-        :meth:`~repro.mem.intervals.IntervalTable.as_array` form and its
-        address.
+        Built only when :attr:`_CompiledState.bound` is stale, so on a
+        change of the interval table or a partition map.
         """
-        table = self.resolver.intervals
-        memo = self._interval_memo
-        if memo is None or memo[0] is not table \
-                or memo[1] != table.version:
-            array = table.as_array()
-            memo = (table, table.version,
-                    (array.shape[1], array, array.ctypes.data))
-            self._interval_memo = memo
-        return memo[2]
+        intervals = self.resolver.intervals.as_array()
+        if self.mode is PartitionMode.SET_PARTITIONED:
+            set_table = self._set_translation_table()
+        else:
+            set_table = (0, state.natural_table)
+        if self.mode is PartitionMode.WAY_PARTITIONED:
+            way_table = self._way_allocation_table()
+        else:
+            way_table = (0, None)  # read in way mode only
+        return intervals, set_table, way_table
 
     def _set_translation_table(self):
-        """Dense owner -> set-group table for the C walk (memoized).
+        """Dense owner -> set-group table for the C walk.
 
-        ``(n_table, table, pointer)``.  Row layout matches
-        ``_walker.c``: ``(base, n_sets)`` per row; rows
-        ``0..n_table-1`` are the per-owner effective partitions
-        (default mapping where none), row ``n_table`` is the default
-        mapping itself; owners beyond the table use the default row,
-        which is correct because every partitioned or aliased owner is
-        covered by construction.
+        ``(n_table, table)``.  Row layout matches ``_walker.c``:
+        ``(base, n_sets)`` per row; rows ``0..n_table-1`` are the
+        per-owner effective partitions (default mapping where none),
+        row ``n_table`` is the default mapping itself; owners beyond
+        the table use the default row, which is correct because every
+        partitioned or aliased owner is covered by construction.
         """
-        version = self.set_map.version
-        if self._set_table_memo is not None \
-                and self._set_table_memo[0] == version:
-            return self._set_table_memo[1]
         covered = set(self.set_map._partitions) | set(self.set_map._aliases)
         n_table = (max(covered) + 1) if covered else 0
         pool = self.set_map.default_pool
@@ -593,23 +642,16 @@ class MemorySystem:
                 if partition is not None else default_row
             )
         rows.append(default_row)
-        array = np.array(rows, dtype=np.int64)
-        table = (n_table, array, array.ctypes.data)
-        self._set_table_memo = (version, table)
-        return table
+        return n_table, np.array(rows, dtype=np.int64)
 
     def _way_allocation_table(self):
-        """Dense owner -> allocation-way table for the C walker (memoized).
+        """Dense owner -> allocation-way table for the C walker.
 
-        ``(way_rows, table, pointer)``: ``way_rows + 1`` rows of
-        ``l2_ways`` slots, -1 padded, in the owner's allocation-preference
-        order; the last row (and every uncovered owner) gets all ways --
-        the unpartitioned default.
+        ``(way_rows, table)``: ``way_rows + 1`` rows of ``l2_ways``
+        slots, -1 padded, in the owner's allocation-preference order;
+        the last row (and every uncovered owner) gets all ways -- the
+        unpartitioned default.
         """
-        version = self.way_map._version
-        if self._way_table_memo is not None \
-                and self._way_table_memo[0] == version:
-            return self._way_table_memo[1]
         ways = self.config.l2_geometry.ways
         assigned = self.way_map._ways_of
         way_rows = (max(assigned) + 1) if assigned else 0
@@ -619,9 +661,7 @@ class MemorySystem:
                 else tuple(range(ways))
             for k, way in enumerate(row):
                 table[owner * ways + k] = way
-        result = (way_rows, table, table.ctypes.data)
-        self._way_table_memo = (version, result)
-        return result
+        return way_rows, table
 
     # -- execution -----------------------------------------------------------
 
@@ -652,10 +692,15 @@ class MemorySystem:
     def _execute_batch_compiled(
         self, cpu_id: int, task_owner: int, batch: AccessBatch, now: float
     ) -> Optional[BatchResult]:
-        """One C call over the batch; ``None`` when unsupported.
+        """One C walk over the batch's runs; ``None`` when unsupported.
 
+        The runs come from the batch when it kept them for this line
+        geometry, else from one C coalescing call, which raises the
+        negative-address :class:`MemoryModelError` before any state
+        changes.  The interval table, the partition maps and the
+        counters are bound into the C state only when they changed.
         Unsupported means: the compiled tier is down (no C walker, a
-        failed state allocation) or the C call declined the batch
+        failed state allocation) or the C walk declined the batch
         before touching any state -- a run resolves an owner id outside
         ``[0, MAX_DENSE_OWNERS)`` or a seen-set cannot grow.
         Both send this system to the reference walk for good.  An owner
@@ -666,34 +711,24 @@ class MemorySystem:
             return None
         if state.n_owners <= task_owner < MAX_DENSE_OWNERS:
             state.grow(task_owner)
-        # The C walk reads contiguous int64 addresses and one flag byte
-        # per access; both conversions are no-ops for the usual batch.
-        addrs = np.ascontiguousarray(batch.addrs, dtype=np.int64)
-        writes = batch.writes
-        if writes.dtype != np.bool_ or not writes.flags.c_contiguous:
-            writes = np.ascontiguousarray(writes, dtype=np.bool_)
-        n_intervals, _, intervals_ptr = self._interval_table()
-        if self.mode is PartitionMode.SET_PARTITIONED:
-            n_table, _, set_table_ptr = self._set_translation_table()
-        else:
-            n_table, set_table_ptr = 0, state.natural_table_ptr
-        if self.mode is PartitionMode.WAY_PARTITIONED:
-            way_rows, _, way_table_ptr = self._way_allocation_table()
-        else:
-            way_rows, way_table_ptr = 0, None  # read in way mode only
+        runs = batch._runs
+        if runs is None or runs[0] != state.run_key:
+            runs = state.coalesce(batch)
+            if runs is None:
+                raise MemoryModelError(
+                    f"negative address in a batch on cpu {cpu_id}"
+                )
+        intervals = self.resolver.intervals
+        key = (intervals, intervals.version, self.set_map.version,
+               self.way_map._version)
+        if key != state.bound:
+            state.bind(key, self._bind_tables(state))
         instructions = int(batch.instructions)
-        addrs_ptr = addrs.ctypes.data
-        writes_ptr = writes.ctypes.data
-        n = addrs.shape[0]
+        _, _, runs_ptr, n_runs = runs
         while True:
             status = state.walker.walk_batch(
                 state.handle, cpu_id, task_owner, instructions, float(now),
-                addrs_ptr, writes_ptr, n,
-                intervals_ptr, n_intervals,
-                set_table_ptr, n_table,
-                way_table_ptr, way_rows,
-                state.counts_ptr, state.matrix_ptr, state.n_owners,
-                state.out_ptr,
+                runs_ptr, n_runs, state.out_ptr,
             )
             if status != cwalker.WALK_GROW:
                 break
@@ -702,10 +737,7 @@ class MemorySystem:
                 self._fall_back()
                 return None
             state.grow(owner)
-        if status == cwalker.WALK_NEGATIVE_ADDRESS:
-            raise MemoryModelError(
-                f"negative address in a batch on cpu {cpu_id}"
-            )
+            state.bind(key, state.bound_tables)
         if status != cwalker.WALK_OK:
             # A negative owner id or a failed seen-set allocation.
             self._fall_back()

@@ -9,9 +9,9 @@ address has an associated buffer id."*
 :class:`IntervalTable` is that table: a sorted set of non-overlapping
 ``[base, end)`` intervals, each tagged with an owner id, kept as plain
 parallel lists.  The reference walk calls :meth:`IntervalTable.lookup`
-(a binary search) once per run; the compiled engine passes
-:meth:`IntervalTable.as_array` to its C call, memoized on
-:attr:`IntervalTable.version`, and searches it there.
+(a binary search) once per run; the compiled engine binds
+:meth:`IntervalTable.as_array` into its C state whenever
+:attr:`IntervalTable.version` changes, and searches it there.
 """
 
 from __future__ import annotations

@@ -9,17 +9,17 @@ The cache walker consumes batches as *runs*: maximal stretches of
 back-to-back accesses that touch the same cache line.  For streaming
 multimedia traffic this coalesces roughly ``line_size / element_size``
 accesses into one cache probe.  The reference walk coalesces with
-:meth:`AccessBatch.runs`; the compiled engine's C call coalesces the
-raw addresses itself, the same way.  Coalescing is exact with respect
-to hit/miss counting: within a run, the first access decides hit or
-miss and the remaining ``n - 1`` accesses are guaranteed hits in the
-same cache level.
+:meth:`AccessBatch.runs`; the compiled engine coalesces the same way in
+C, once per read-only batch: such a batch keeps its runs for later
+walks.  Coalescing is exact with respect to hit/miss counting: within
+a run, the first access decides hit or miss and the remaining
+``n - 1`` accesses are guaranteed hits in the same cache level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -35,10 +35,19 @@ class AccessBatch:
     """An ordered sequence of memory references plus instruction count.
 
     Batches are values: nothing in the simulator writes into their
-    arrays, and the pattern kit shares one batch between all equal
-    calls, with read-only ``addrs`` and ``writes``
-    (:mod:`repro.patterns.memo`).  To derive a batch, build new arrays
-    (``concat``, ``np.tile``, arithmetic) rather than write into one.
+    arrays.  The pattern kit shares one batch between all equal calls,
+    and it and :meth:`concat` hand out read-only ``addrs`` and
+    ``writes`` (:mod:`repro.patterns.memo`).  To derive a batch, build
+    new arrays (``concat``, ``np.tile``, arithmetic) rather than write
+    into one.
+
+    A batch whose ``addrs`` and ``writes`` are both read-only keeps the
+    runs the compiled engine coalesced from it, so later walks skip
+    coalescing: such a batch must never change, not even by a write
+    through a writable base array.  The runs sit in a private slot,
+    outside ``repr`` and equality, keyed by the line geometry; copies
+    and pickles drop them.  A batch with a writable array is coalesced
+    again on every walk.
 
     Attributes
     ----------
@@ -57,6 +66,11 @@ class AccessBatch:
     addrs: np.ndarray
     writes: np.ndarray
     instructions: int
+    #: ``(key, runs, pointer, n_runs)`` of the compiled engine's last
+    #: coalescing (:mod:`repro.mem.hierarchy`); set by :meth:`_keep_runs`.
+    _runs: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     #: Fraction of instructions that reference memory, used by the
     #: factories when the caller does not give an instruction count.
@@ -114,13 +128,20 @@ class AccessBatch:
 
     @classmethod
     def concat(cls, batches: Iterable["AccessBatch"]) -> "AccessBatch":
-        """Concatenate batches in order, summing instruction counts."""
+        """Concatenate batches in order, summing instruction counts.
+
+        The new arrays are read-only, so the result keeps its runs.
+        """
         batches = list(batches)
         if not batches:
             return cls.empty()
+        addrs = np.concatenate([b.addrs for b in batches])
+        writes = np.concatenate([b.writes for b in batches])
+        addrs.flags.writeable = False
+        writes.flags.writeable = False
         return cls(
-            addrs=np.concatenate([b.addrs for b in batches]),
-            writes=np.concatenate([b.writes for b in batches]),
+            addrs=addrs,
+            writes=writes,
             instructions=sum(b.instructions for b in batches),
         )
 
@@ -147,6 +168,20 @@ class AccessBatch:
 
     def __len__(self) -> int:
         return self.n_accesses
+
+    # -- the compiled engine's run cache -------------------------------------
+
+    def _keep_runs(self, runs: tuple) -> None:
+        """Keep ``runs`` for later walks, if the batch is read-only."""
+        if not (self.addrs.flags.writeable or self.writes.flags.writeable):
+            object.__setattr__(self, "_runs", runs)
+
+    def __getstate__(self) -> dict:
+        # The kept runs hold a raw pointer to their own array: a copy
+        # coalesces afresh rather than read through it.
+        state = dict(self.__dict__)
+        state.pop("_runs", None)
+        return state
 
 
 def coalesce_runs(

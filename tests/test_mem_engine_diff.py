@@ -16,6 +16,9 @@ table must always be issued by the same owner (the seed model shares
 this contract -- violating it corrupts its bookkeeping too).
 """
 
+import copy
+import pickle
+import sys
 import threading
 
 import numpy as np
@@ -23,6 +26,7 @@ import pytest
 
 from repro.errors import ConfigurationError, MemoryModelError
 from repro.mem import cwalker
+from repro.mem.address import Region, RegionKind
 from repro.mem.cache import CacheGeometry
 from repro.mem.hierarchy import (
     MAX_DENSE_OWNERS,
@@ -32,14 +36,16 @@ from repro.mem.hierarchy import (
 )
 from repro.mem.partition import PartitionMode
 from repro.mem.trace import AccessBatch
+from repro.patterns import memo
+from repro.patterns.streams import stream
 
 C_AVAILABLE = cwalker.load() is not None
 
 
-def build_system(engine, mode, l2_policy="lru"):
+def build_system(engine, mode, l2_policy="lru", line_size=64):
     config = HierarchyConfig(
-        l1_geometry=CacheGeometry(sets=4, ways=2, line_size=64),
-        l2_geometry=CacheGeometry(sets=32, ways=4, line_size=64),
+        l1_geometry=CacheGeometry(sets=4, ways=2, line_size=line_size),
+        l2_geometry=CacheGeometry(sets=32, ways=4, line_size=line_size),
         engine=engine,
         l2_policy=l2_policy,
     )
@@ -225,6 +231,229 @@ def _same_l2_stats(reference, compiled, step):
 @pytest.mark.parametrize("mode", list(PartitionMode))
 def test_l2_stats_current_mid_run_without_sync(mode):
     run_differential(mode, "lru", 17, "compiled", between=_same_l2_stats)
+
+
+# -- the run cache: read-only batches keep their runs -------------------------
+
+
+def _kept_batch(seed):
+    """A read-only batch of task 1: private, shared-buffer and
+    streaming-store traffic in one ``concat``."""
+    rng = np.random.default_rng(seed)
+    return AccessBatch.concat([generate_batch(rng, step, 1)
+                               for step in range(3)])
+
+
+def _walk_both(reference, compiled, cpu, owner, batch, now):
+    assert compiled.execute_batch(cpu, owner, batch, now) \
+        == reference.execute_batch(cpu, owner, batch, now), (owner, now)
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("mode,l2_policy", [
+    (PartitionMode.SHARED, "lru"),
+    (PartitionMode.SHARED, "fifo"),
+    (PartitionMode.SET_PARTITIONED, "lru"),
+    (PartitionMode.WAY_PARTITIONED, "lru"),
+], ids=["lru", "fifo", "set", "way"])
+def test_a_kept_batch_walked_between_fresh_ones(mode, l2_policy):
+    """One read-only batch, walked after every fresh batch, is coalesced
+    once and walks bit-identically from its kept runs."""
+    kept = _kept_batch(41)
+    first_runs = []
+
+    def walk_kept(reference, compiled, step):
+        _walk_both(reference, compiled, 0, 1, kept, step * 500.0 + 250.0)
+        first_runs.append(kept._runs)
+
+    run_differential(mode, l2_policy, 43, "compiled", between=walk_kept)
+    assert first_runs[0] is not None
+    assert all(runs is first_runs[0] for runs in first_runs)
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_a_kept_batch_flips_between_line_sizes():
+    """Walked alternately on 32- and 64-byte-line systems, one batch
+    keeps the runs of the line size it was walked at last."""
+    systems = {
+        size: (build_system("reference", PartitionMode.SHARED,
+                            line_size=size),
+               build_system("compiled", PartitionMode.SHARED,
+                            line_size=size))
+        for size in (32, 64)
+    }
+    kept = _kept_batch(5)
+    for step in range(8):
+        reference, compiled = systems[(32, 64)[step % 2]]
+        _walk_both(reference, compiled, step % 2, 1, kept, step * 500.0)
+        assert kept._runs[0] == compiled._compiled.run_key
+    assert systems[32][1]._compiled.run_key \
+        != systems[64][1]._compiled.run_key
+    for size, (reference, compiled) in systems.items():
+        assert_systems_identical(reference, compiled, size)
+        assert compiled.effective_engine == "compiled"
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_copies_of_a_kept_batch_coalesce_afresh():
+    """Kept runs hold a raw pointer into their own array: a copy or an
+    unpickled batch must not inherit them, and walks the same."""
+    reference = build_system("reference", PartitionMode.SHARED)
+    compiled = build_system("compiled", PartitionMode.SHARED)
+    kept = _kept_batch(9)
+    _walk_both(reference, compiled, 0, 1, kept, 0.0)
+    assert kept._runs is not None
+    copies = [copy.copy(kept), copy.deepcopy(kept),
+              pickle.loads(pickle.dumps(kept))]
+    for step, duplicate in enumerate(copies, start=1):
+        assert duplicate._runs is None
+        assert np.array_equal(duplicate.addrs, kept.addrs)
+        _walk_both(reference, compiled, 0, 1, duplicate, step * 500.0)
+    assert_systems_identical(reference, compiled, "copies")
+
+
+#: Task 1's private region of the kept batches below.
+_KEPT_BASE = 1 << 22
+
+
+def _read_only(batch):
+    return AccessBatch.concat([batch])
+
+
+def _change_interval_table(mem):
+    """Half the kept batch's region now belongs to interval owner 9."""
+    mem.resolver.intervals.add(_KEPT_BASE, _KEPT_BASE + (1 << 15), 9)
+
+
+def _grow_the_counters(mem):
+    """... to interval owner 700, beyond the first counters."""
+    mem.resolver.intervals.add(_KEPT_BASE, _KEPT_BASE + (1 << 15), 700)
+
+
+def _program_a_set_partition(mem):
+    """Owner 20 gets the free sets 11..15 (it has issued nothing)."""
+    mem.set_map.assign(20, base=11, n_sets=5)
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("change", [
+    _change_interval_table, _grow_the_counters, _program_a_set_partition,
+], ids=["interval-table", "counter-growth", "set-partition"])
+def test_a_kept_batch_walks_against_the_current_tables(change):
+    """Between two walks of one kept batch, the interval table changes,
+    an owner beyond the counters turns up, or a set partition is
+    programmed, with no quiesce: the C state rebinds (and grows) and
+    the second walk still matches the reference.  Re-attribution in
+    shared mode keeps the line-to-set mapping; the new set partition
+    goes to an owner with no resident line."""
+    mode = (PartitionMode.SET_PARTITIONED
+            if change is _program_a_set_partition else PartitionMode.SHARED)
+    reference = build_system("reference", mode)
+    compiled = build_system("compiled", mode)
+    rng = np.random.default_rng(2)
+    kept = _read_only(_private_batch(rng, _KEPT_BASE))
+    newcomer = _read_only(_private_batch(rng, 3 << 22))
+    _walk_both(reference, compiled, 0, 1, kept, 0.0)
+    runs = kept._runs
+    for mem in (reference, compiled):
+        change(mem)
+    _walk_both(reference, compiled, 0, 1, kept, 500.0)
+    if change is _program_a_set_partition:
+        for step in range(2):
+            _walk_both(reference, compiled, 1, 20, newcomer, 750.0 + step)
+    assert kept._runs is runs
+    assert compiled.effective_engine == "compiled"
+    if change is _grow_the_counters:
+        assert compiled._compiled.n_owners > 700
+    assert_systems_identical(reference, compiled, change.__name__)
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_a_writable_batch_walks_its_current_contents():
+    """A batch with writable arrays keeps no runs: written into between
+    two walks, it walks as its new contents."""
+    reference = build_system("reference", PartitionMode.SHARED)
+    compiled = build_system("compiled", PartitionMode.SHARED)
+    batch = AccessBatch.from_addresses(_KEPT_BASE + 64 * np.arange(300),
+                                       writes=False)
+    _walk_both(reference, compiled, 0, 1, batch, 0.0)
+    batch.addrs[:] += 1 << 16  # fresh lines: every access would miss
+    batch.writes[::3] = True
+    _walk_both(reference, compiled, 0, 1, batch, 500.0)
+    assert batch._runs is None
+    assert_systems_identical(reference, compiled, "written into")
+
+
+@pytest.mark.parametrize("engine", HierarchyConfig.ENGINES)
+def test_a_read_only_batch_with_a_negative_address_never_walks(engine):
+    """Coalescing rejects the batch, on every walk, before any state
+    changes -- and the batch keeps no runs."""
+    mem = build_system(engine, PartitionMode.SET_PARTITIONED)
+    bad = AccessBatch.concat([
+        AccessBatch.from_addresses(_KEPT_BASE + 64 * np.arange(40),
+                                   writes=True),
+        AccessBatch.from_addresses([-64]),
+    ])
+    for _ in range(3):
+        with pytest.raises(MemoryModelError):
+            mem.execute_batch(0, 1, bad, 0.0)
+    assert bad._runs is None
+    mem.sync_state()
+    assert mem.l2_stats.per_owner == {}
+    assert mem.l1s[0].stats.per_owner == {}
+    assert mem.l1s[0].resident_lines == 0 and mem.l2.resident_lines == 0
+    assert mem.memory.traffic.total_lines == 0
+
+
+def test_concat_returns_read_only_arrays():
+    merged = AccessBatch.concat([AccessBatch.from_addresses([0, 64]),
+                                 AccessBatch.from_addresses([128])])
+    with pytest.raises(ValueError):
+        merged.addrs[0] = 1
+    with pytest.raises(ValueError):
+        merged.writes[0] = True
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_threads_walk_one_memo_batch_at_two_line_sizes():
+    """The pattern memo shares a batch between scenario threads, and
+    ctypes releases the GIL inside the C calls: four threads walking
+    one memo batch at 32- and 64-byte lines, so that its kept runs keep
+    flipping, each match their reference."""
+    region = Region("shared.stream", _KEPT_BASE, 1 << 16, RegionKind.DATA)
+    memo.clear()
+    batch = stream(region, 0, 1 << 15, elem=4)
+    assert batch is stream(region, 0, 1 << 15, elem=4)
+    assert not batch.addrs.flags.writeable
+    failures = []
+
+    def walk(line_size):
+        try:
+            reference = build_system("reference", PartitionMode.SHARED,
+                                     line_size=line_size)
+            compiled = build_system("compiled", PartitionMode.SHARED,
+                                    line_size=line_size)
+            for step in range(12):
+                _walk_both(reference, compiled, step % 2, 1, batch,
+                           step * 500.0)
+            assert_systems_identical(reference, compiled, line_size)
+        except Exception as exc:  # reported by the main thread
+            failures.append((line_size, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(size,))
+                   for size in (32, 64, 32, 64)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    memo.clear()
 
 
 def _as_int32(batch):
