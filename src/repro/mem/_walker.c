@@ -19,10 +19,13 @@
  *      walks again;
  *   2. `walker_bind` stores the interval, set and way tables and the
  *      per-owner counters in the state, only when one of them changed;
- *   3. `walk_batch` walks the runs.  It resolves each run's owner
- *      through the interval table and checks that every run can be
- *      walked -- all before touching any state -- then executes
- *      exactly the state sequence of the reference engine:
+ *   3. `walk_batch` walks the runs.  Before touching any state it
+ *      checks that every run can be walked: pass 1 resolves each run's
+ *      owner through the interval table, and it runs only when an
+ *      owner can fall outside the counters, i.e. when the task owner
+ *      or the bound table's owner range (stored by `walker_bind`) lies
+ *      outside [0, n_owners).  Then it executes exactly the state
+ *      sequence of the reference engine:
  *
  *        L1 probe -> (miss) L1 fill + eviction -> dirty-victim
  *        writeback probe into the L2 -> L2 probe (demand or store fill)
@@ -39,7 +42,9 @@
  * arrays when it needs that view.  The counters are caller-owned
  * arrays the caller folds into its per-owner statistics; the seen-sets
  * are C-owned, and the caller collects the lines added since its last
- * look with `walker_seen_fresh` / `walker_seen_take`.
+ * look with `walker_seen_fresh` / `walker_seen_take`.  A seen-set
+ * hashes lines by groups of eight consecutive lines: a group takes one
+ * aligned block of eight slots, one 64-byte host cache line (`slot_of`).
  */
 
 #include <math.h>
@@ -89,9 +94,15 @@ typedef struct {
     int64_t exported;       /* keys[0..exported) the caller has seen */
 } line_set;
 
+/* The home slot of `line`.  Eight consecutive lines (one group, `line
+ * >> 3`) share one aligned block of eight slots -- 64 bytes, one host
+ * cache line -- at the group's hash, each at its offset in the group, so
+ * a stream's successive probes stay in one host line.  Probing goes on
+ * linearly from the home slot.  Only slot positions depend on this:
+ * members and their insertion order (`keys`) do not. */
 static inline uint64_t slot_of(int64_t line, int64_t capacity) {
-    return ((uint64_t)line * 0x9E3779B97F4A7C15ULL) >> 17
-           & (uint64_t)(capacity - 1);
+    uint64_t group = ((uint64_t)(line >> 3) * 0x9E3779B97F4A7C15ULL) >> 17;
+    return (group << 3 | (uint64_t)(line & 7)) & (uint64_t)(capacity - 1);
 }
 
 static inline void slot_put(int64_t *slots, int64_t capacity,
@@ -191,6 +202,7 @@ typedef struct {
     /* per-call inputs, stored by walker_bind (caller-owned arrays) */
     const int64_t *intervals;   /* 3 rows of n_intervals: bases, ends, owners */
     int64_t n_intervals;
+    int64_t lo_owner, hi_owner; /* the intervals' owner range; 0, 0 if none */
     const int64_t *set_table;   /* owner -> (base, n_sets) rows */
     int64_t n_table;
     const int64_t *way_table;   /* owner -> allocation ways (way mode) */
@@ -654,8 +666,14 @@ void walker_bind(void *state, const int64_t *intervals,
                  int64_t *counts, int64_t *matrix, int64_t n_owners)
 {
     walker_state *st = (walker_state *)state;
+    const int64_t *owners = intervals + 2 * n_intervals;
     st->intervals = intervals;
     st->n_intervals = n_intervals;
+    st->lo_owner = st->hi_owner = n_intervals > 0 ? owners[0] : 0;
+    for (int64_t k = 1; k < n_intervals; k++) {
+        if (owners[k] < st->lo_owner) st->lo_owner = owners[k];
+        if (owners[k] > st->hi_owner) st->hi_owner = owners[k];
+    }
     st->set_table = set_table;
     st->n_table = n_table;
     st->way_table = way_table;
@@ -690,17 +708,23 @@ int walk_batch(
     };
     int64_t i;
 
-    /* ---- pass 1: every run must be walkable before anything moves -- */
-    int64_t lo_owner = 0, hi_owner = 0;
-    for (i = 0; i < n_runs; i++) {
-        int64_t owner = resolve(&res, runs[2 * i] << shift);
-        if (i == 0 || owner < lo_owner) lo_owner = owner;
-        if (i == 0 || owner > hi_owner) hi_owner = owner;
-    }
-    if (lo_owner < 0) return WALK_NEGATIVE_OWNER;
-    if (hi_owner >= n_owners) {
-        out[0] = hi_owner;
-        return WALK_GROW;
+    /* ---- pass 1: every run must be walkable before anything moves --
+     * A run resolves an interval owner or the task owner, so when both
+     * the task owner and the bound owner range fit the counters, no
+     * run can fail and the pass is skipped. */
+    if (task_owner < 0 || task_owner >= n_owners
+            || st->lo_owner < 0 || st->hi_owner >= n_owners) {
+        int64_t lo_owner = 0, hi_owner = 0;
+        for (i = 0; i < n_runs; i++) {
+            int64_t owner = resolve(&res, runs[2 * i] << shift);
+            if (i == 0 || owner < lo_owner) lo_owner = owner;
+            if (i == 0 || owner > hi_owner) hi_owner = owner;
+        }
+        if (lo_owner < 0) return WALK_NEGATIVE_OWNER;
+        if (hi_owner >= n_owners) {
+            out[0] = hi_owner;
+            return WALK_GROW;
+        }
     }
     /* Each run adds at most one line to each seen-set it touches. */
     if (set_reserve(&st->seen[cpu], n_runs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -99,7 +99,10 @@ class AddressSpace:
       each other's data out of the cache in an unpredictable manner"
       phenomenon, and the address-placement sensitivity §4.1 discusses.
       Placement depends only on ``(seed, region name)``, keeping
-      layouts bit-reproducible.
+      layouts bit-reproducible.  Scatter bases are whole pages above a
+      page-aligned ``base``, so they meet every alignment up to a page:
+      a scatter space refuses a ``base`` that is not page-aligned and
+      an alignment above a page.
     """
 
     PAGE = 4096
@@ -121,6 +124,10 @@ class AddressSpace:
             )
         if arena <= 0:
             raise MemoryModelError("arena must be positive")
+        if placement == "scatter" and base % self.PAGE:
+            raise MemoryModelError(
+                f"scatter placement needs a page-aligned base, got {base:#x}"
+            )
         self.base = base
         self.alignment = alignment
         self.placement = placement
@@ -129,6 +136,10 @@ class AddressSpace:
         self._cursor = base
         self._regions: List[Region] = []
         self._by_name: Dict[str, Region] = {}
+        #: Region starts in ascending order, and the end of each: the
+        #: bounds scatter placement checks a candidate against.
+        self._starts: List[int] = []
+        self._ends: List[int] = []
 
     @property
     def regions(self) -> tuple:
@@ -150,6 +161,11 @@ class AddressSpace:
         if align <= 0 or align & (align - 1):
             raise MemoryModelError(f"alignment must be a power of two: {align}")
         if self.placement == "scatter":
+            if align > self.PAGE:
+                raise MemoryModelError(
+                    f"scatter placement aligns to a page ({self.PAGE} "
+                    f"bytes), not {align}"
+                )
             base = self._scatter_base(name, size)
         else:
             base = (self._cursor + align - 1) & ~(align - 1)
@@ -158,22 +174,30 @@ class AddressSpace:
                         owner_name=owner_name)
         self._regions.append(region)
         self._by_name[name] = region
+        at = bisect_right(self._starts, base)
+        self._starts.insert(at, base)
+        self._ends.insert(at, region.end)
         return region
 
     def _scatter_base(self, name: str, size: int) -> int:
-        """Deterministic page-aligned placement with linear probing."""
+        """Deterministic page-aligned placement with linear probing.
+
+        Regions never overlap, so of the regions that start before a
+        candidate's end, the last to start ends last: the candidate is
+        free when that one ends by the candidate's start.
+        """
         n_pages = max(1, self.arena // self.PAGE)
         digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
         page = int.from_bytes(digest[:8], "little") % n_pages
         size_pages = -(-size // self.PAGE)
-        occupied = sorted((r.base, r.end) for r in self._regions)
+        starts, ends = self._starts, self._ends
         for _attempt in range(n_pages):
             candidate = self.base + (page % n_pages) * self.PAGE
             cand_end = candidate + size_pages * self.PAGE
-            if cand_end <= self.base + self.arena and not any(
-                candidate < end and start < cand_end for start, end in occupied
-            ):
-                return candidate
+            if cand_end <= self.base + self.arena:
+                last = bisect_left(starts, cand_end) - 1
+                if last < 0 or ends[last] <= candidate:
+                    return candidate
             page += 1
         raise MemoryModelError(
             f"arena of {self.arena} bytes cannot fit region {name!r}"

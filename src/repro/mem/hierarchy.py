@@ -34,7 +34,12 @@ Two engines implement the walk:
   they change.  Then every batch, whatever its size, is one C walk
   over its runs that resolves each run's owner through the interval
   table, translates the L2 set index, walks, and counts the per-owner
-  statistics.  The contract for reading state:
+  statistics.  The walk checks every run's owner in a pre-pass only
+  when one can fall outside the counters: when the task owner or the
+  bound interval table's owner range lies outside ``[0, n_owners)``.
+  The seen-sets hash lines by groups of eight consecutive lines, one
+  aligned block of eight slots (a 64-byte host cache line) per group.
+  The contract for reading state:
 
   * :attr:`MemorySystem.l2_stats` is always current (reading it folds
     the C-side L2 counters in);

@@ -9,6 +9,7 @@ calling task, so runs are reproducible.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,12 @@ def zipf_indices(
     """``n`` Zipf-ish indices in ``[0, table_entries)``.
 
     Uses the inverse-CDF of a truncated power law, which unlike
-    ``rng.zipf`` cannot overflow the table bound.
+    ``rng.zipf`` cannot overflow the table bound.  For ``u =
+    rng.random(n)`` and ``p = 1 - skew``, the index is ``floor(
+    table_entries ** u) - 1`` when ``skew == 1`` (log-uniform) and
+    ``floor((u * (table_entries ** p - 1) + 1) ** (1 / p)) - 1``
+    otherwise, clipped to the table.  The arrays are updated in place,
+    and the results equal that closed form bit for bit.
     """
     if table_entries <= 0:
         raise MemoryModelError("table_entries must be positive")
@@ -34,13 +40,19 @@ def zipf_indices(
         return np.empty(0, dtype=np.int64)
     u = rng.random(n)
     if skew == 1.0:
-        # log-uniform
-        idx = np.floor(table_entries ** u).astype(np.int64) - 1
+        np.power(table_entries, u, out=u)
     else:
         power = 1.0 - skew
-        top = table_entries ** power
-        idx = np.floor((u * (top - 1.0) + 1.0) ** (1.0 / power)).astype(np.int64) - 1
-    return np.clip(idx, 0, table_entries - 1)
+        u *= table_entries ** power - 1.0
+        u += 1.0
+        # The operator, not np.power: it takes the fast paths numpy
+        # gives ``**`` for some scalar exponents (0.5 is a sqrt).
+        u **= 1.0 / power
+    np.floor(u, out=u)
+    idx = u.astype(np.int64)
+    idx -= 1
+    np.maximum(idx, 0, out=idx)
+    return np.minimum(idx, table_entries - 1, out=idx)
 
 
 def table_lookup(
@@ -70,5 +82,9 @@ def table_lookup(
         idx = rng.integers(0, entries, size=n)
     else:
         idx = zipf_indices(rng, n, entries, skew=skew)
-    addrs = region.base + offset + idx.astype(np.int64) * entry_bytes
-    return AccessBatch.from_addresses(addrs, writes=False, instructions=instructions)
+    idx *= entry_bytes
+    idx += region.base + offset
+    if instructions is None:
+        instructions = math.ceil(idx.shape[0] / AccessBatch.MEM_REF_FRACTION)
+    return AccessBatch(addrs=idx, writes=np.zeros(idx.shape[0], dtype=bool),
+                       instructions=instructions)

@@ -1,9 +1,16 @@
 """Tests for regions, address spaces and memory maps."""
 
+import hashlib
+import random
+
 import pytest
 
+from repro.apps import mpeg2_workload, two_jpeg_canny_workload
 from repro.errors import AddressError, MemoryModelError
 from repro.mem.address import AddressSpace, MemoryMap, Region, RegionKind
+from repro.rtos import build_memory_layout
+
+PAGE = AddressSpace.PAGE
 
 
 def test_region_contains_and_offset():
@@ -103,3 +110,101 @@ def test_scatter_arena_exhaustion():
     space.allocate("a", 8000, RegionKind.DATA)
     with pytest.raises(MemoryModelError):
         space.allocate("b", 8000, RegionKind.DATA)
+
+
+def test_scatter_refuses_a_base_that_is_not_page_aligned():
+    """Regression: scatter bases are whole pages above ``base``, so a
+    base 16 bytes past a page put every region 16 bytes past a line,
+    and two regions could share a cache line."""
+    with pytest.raises(MemoryModelError):
+        AddressSpace(base=0x1000_0010, placement="scatter")
+    bump = AddressSpace(base=0x1000_0010)
+    assert bump.allocate("a", 100, RegionKind.DATA).base % 64 == 0
+
+
+def test_scatter_refuses_an_alignment_above_a_page():
+    """Regression: a scatter space ignored an alignment above a page
+    (``alignment=16384`` gave a base 8192 past a multiple of it).  It
+    refuses one now, from ``allocate`` or from the space's default;
+    up to a page, every base meets it."""
+    space = AddressSpace(placement="scatter", seed=3)
+    with pytest.raises(MemoryModelError):
+        space.allocate("big", 100, RegionKind.DATA, alignment=4 * PAGE)
+    assert len(space) == 0
+    region = space.allocate("paged", 100, RegionKind.DATA, alignment=PAGE)
+    assert region.base % PAGE == 0
+    with pytest.raises(MemoryModelError):
+        AddressSpace(alignment=4 * PAGE, placement="scatter").allocate(
+            "x", 100, RegionKind.DATA
+        )
+    bump = AddressSpace()
+    assert bump.allocate("big", 100, RegionKind.DATA,
+                         alignment=4 * PAGE).base % (4 * PAGE) == 0
+
+
+def _hashed_page(seed, name, n_pages):
+    digest = hashlib.sha256(f"{seed}:{name}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little") % n_pages
+
+
+def _scan_layout(allocations, base, arena, seed):
+    """Scatter bases of ``(name, size)`` allocations, each found by
+    scanning every placed region for every candidate page; the layout
+    stops at the first allocation that finds no room."""
+    n_pages = max(1, arena // PAGE)
+    placed = []
+    for name, size in allocations:
+        page = _hashed_page(seed, name, n_pages)
+        size_pages = -(-size // PAGE)
+        for _attempt in range(n_pages):
+            candidate = base + (page % n_pages) * PAGE
+            cand_end = candidate + size_pages * PAGE
+            if cand_end <= base + arena and not any(
+                candidate < end and start < cand_end for start, end in placed
+            ):
+                placed.append((candidate, candidate + size))
+                break
+            page += 1
+        else:
+            break
+    return [start for start, _end in placed]
+
+
+@pytest.mark.parametrize("workload", [two_jpeg_canny_workload,
+                                      mpeg2_workload])
+def test_paper_app_layouts_equal_an_overlap_scan(workload):
+    network = workload()
+    for seed in range(50):
+        space = build_memory_layout(network, seed=seed).memory_map.space
+        allocations = [(r.name, r.size) for r in space.regions]
+        assert [r.base for r in space.regions] == _scan_layout(
+            allocations, space.base, space.arena, seed
+        ), seed
+
+
+def test_a_crowded_arena_places_as_an_overlap_scan():
+    """Sixteen pages and regions of up to three: candidates probe past
+    taken pages and wrap around the arena's end until a region finds
+    no room, which raises."""
+    arena, base = 16 * PAGE, 1 << 20
+    probed = wrapped = 0
+    for seed in range(20):
+        sizes = random.Random(seed).choices(
+            [100, PAGE, 5000, 2 * PAGE, 3 * PAGE], k=40
+        )
+        allocations = [(f"r{i}", size) for i, size in enumerate(sizes)]
+        expected = _scan_layout(allocations, base, arena, seed)
+        assert len(expected) < len(allocations)
+        space = AddressSpace(base=base, placement="scatter", seed=seed,
+                             arena=arena)
+        for name, size in allocations[:len(expected)]:
+            space.allocate(name, size, RegionKind.DATA)
+        with pytest.raises(MemoryModelError):
+            space.allocate(*allocations[len(expected)], RegionKind.DATA)
+        assert [r.base for r in space.regions] == expected, seed
+        for region in space.regions:
+            page = (region.base - base) // PAGE
+            hashed = _hashed_page(seed, region.name, 16)
+            probed += page != hashed
+            wrapped += page < hashed
+    assert probed and wrapped

@@ -534,6 +534,8 @@ def test_owner_ids_beyond_the_first_counter_capacity(mode):
         if step == 6:
             for mem in (reference, compiled):
                 mem.resolver.intervals.add(3 << 20, (3 << 20) + 8192, 700)
+            n_owners = compiled._compiled.n_owners
+            assert n_owners <= 700
         task = (1, 2, 300)[step % 3]
         base = {1: 1 << 22, 2: 2 << 22, 300: 3 << 22}[task]
         if step >= 6 and step % 2:
@@ -541,9 +543,85 @@ def test_owner_ids_beyond_the_first_counter_capacity(mode):
         batch = _private_batch(rng, base)
         assert compiled.execute_batch(step % 2, task, batch, step * 500.0) \
             == reference.execute_batch(step % 2, task, batch, step * 500.0)
+        if step == 6:
+            # Bound but not yet resolved by any run: no growth.
+            assert compiled._compiled.n_owners == n_owners
     assert compiled._compiled.n_owners > 700
     assert compiled.effective_engine == "compiled"
     assert_systems_identical(reference, compiled, "grown counters")
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_a_negative_interval_owner_under_an_in_range_task_owner():
+    """The task owner fits the counters but an interval owner is
+    negative, so the walk's owner pre-pass must run: the batch whose
+    last runs fall in that interval goes to the reference walk before
+    any state changes, and the system stays bit-identical."""
+    reference = build_system("reference", PartitionMode.SHARED)
+    compiled = build_system("compiled", PartitionMode.SHARED)
+    for mem in (reference, compiled):
+        mem.resolver.intervals.add(3 << 20, (3 << 20) + 8192, -5)
+    rng = np.random.default_rng(6)
+    for step in range(3):
+        task = 1 + step % 2
+        _walk_both(reference, compiled, step % 2, task,
+                   _private_batch(rng, task << 22), step * 500.0)
+    assert compiled.effective_engine == "compiled"
+    late = AccessBatch.concat([_private_batch(rng, 1 << 22),
+                               _private_batch(rng, 3 << 20)])
+    _walk_both(reference, compiled, 0, 1, late, 1500.0)
+    assert compiled.effective_engine == "reference"
+    _walk_both(reference, compiled, 1, 2,
+               _private_batch(rng, 2 << 22), 2000.0)
+    assert_systems_identical(reference, compiled, "negative interval owner")
+
+
+#: Line groups this far apart share their home block of seen-set slots
+#: at every capacity up to 2**16 slots: their hashes differ only in bits
+#: 30 and up, and the block index takes bits 17..29.
+_GROUP_STRIDE = 1 << 30
+
+
+def _home_block(group, capacity):
+    """The block of eight seen-set slots that a group of eight lines
+    hashes to (``slot_of`` in ``_walker.c``)."""
+    return (group * 0x9E3779B97F4A7C15 % (1 << 64)) >> 17 \
+        & (capacity // 8 - 1)
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_seen_sets_with_colliding_line_groups():
+    """Whole groups of eight consecutive lines whose groups all hash to
+    one block of seen-set slots, so every group probes past the others.
+    Each batch brings more groups and visits every line twice: the
+    seen-sets grow their tables several times (each walk reserves room
+    for its runs) and are rebuilt from the Python sets after a
+    quiesce.  Cold misses and the synced seen-sets match the reference
+    engine's."""
+    groups = [(3 << 20) + k * _GROUP_STRIDE for k in range(48)]
+    for capacity in (32, 1 << 10, 1 << 16):
+        assert len({_home_block(g, capacity) for g in groups}) == 1
+    reference = build_system("reference", PartitionMode.SHARED)
+    compiled = build_system("compiled", PartitionMode.SHARED)
+    rng = np.random.default_rng(12)
+    for step, n_groups in enumerate([2, 4, 8, 16, 32, 48]):
+        lines = np.array([8 * g + k for g in groups[:n_groups]
+                          for k in range(8)], dtype=np.int64)
+        lines = np.concatenate([lines, rng.permutation(lines)])
+        batch = AccessBatch.from_addresses(
+            lines << 6, writes=rng.random(lines.shape[0]) < 0.3
+        )
+        _walk_both(reference, compiled, step % 2, 1, batch, step * 500.0)
+        if step == 3:
+            compiled.quiesce()
+    assert compiled.effective_engine == "compiled"
+    assert_systems_identical(reference, compiled, "colliding line groups")
+    for ref_cache, cache in zip([*reference.l1s, reference.l2],
+                                [*compiled.l1s, compiled.l2]):
+        assert cache._seen == ref_cache._seen
+        assert len(cache._seen) > 0
+    cold = reference.l2_stats.per_owner[1].cold_misses
+    assert cold == 8 * len(groups)
 
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")

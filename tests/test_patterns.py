@@ -209,6 +209,73 @@ def test_table_lookup_uniform_spreads():
     assert head_share < 0.2
 
 
+def _zipf_closed_form(rng, n, table_entries, skew):
+    """The closed form of ``zipf_indices``, one temporary per step."""
+    if n <= 0:
+        return np.empty(0, dtype=np.int64)
+    u = rng.random(n)
+    if skew == 1.0:
+        idx = np.floor(table_entries ** u).astype(np.int64) - 1
+    else:
+        power = 1.0 - skew
+        top = table_entries ** power
+        idx = np.floor(
+            (u * (top - 1.0) + 1.0) ** (1.0 / power)
+        ).astype(np.int64) - 1
+    return np.clip(idx, 0, table_entries - 1)
+
+
+_SKEWS = [1.0, 1.2, 1.3, 0.8, 2.0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 400])
+@pytest.mark.parametrize("skew", _SKEWS)
+def test_zipf_indices_equal_the_closed_form(skew, n):
+    """Bit for bit, and the RNG ends in the same state."""
+    for seed in range(20):
+        for entries in (1, 7, 256, 4096):
+            rng = np.random.default_rng(seed)
+            oracle_rng = np.random.default_rng(seed)
+            got = zipf_indices(rng, n, entries, skew=skew)
+            want = _zipf_closed_form(oracle_rng, n, entries, skew)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (seed, entries)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("skew,uniform",
+                         [(skew, False) for skew in _SKEWS] + [(1.2, True)],
+                         ids=[*map(str, _SKEWS), "uniform"])
+def test_table_lookup_equals_the_closed_form(skew, uniform):
+    """The batch equals one built from the closed-form indices by
+    ``from_addresses``: addresses, loads only, instruction count."""
+    table_region = region(size=4096, base=0x8000, kind=RegionKind.BSS)
+    for n in (0, 1, 400):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            oracle_rng = np.random.default_rng(seed)
+            batch = table_lookup(table_region, rng, n, entry_bytes=16,
+                                 table_bytes=2048, offset=512, skew=skew,
+                                 uniform=uniform)
+            if uniform:
+                idx = oracle_rng.integers(0, 128, size=n)
+            else:
+                idx = _zipf_closed_form(oracle_rng, n, 128, skew)
+            want = AccessBatch.from_addresses(
+                table_region.base + 512 + idx.astype(np.int64) * 16,
+                writes=False,
+            )
+            assert batch.addrs.dtype == want.addrs.dtype
+            assert np.array_equal(batch.addrs, want.addrs), (n, seed)
+            assert batch.writes.dtype == want.writes.dtype
+            assert np.array_equal(batch.writes, want.writes)
+            assert batch.instructions == want.instructions
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    given = table_lookup(table_region, np.random.default_rng(0), 10,
+                         skew=skew, uniform=uniform, instructions=3)
+    assert given.instructions == 3
+
+
 def test_zipf_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(MemoryModelError):
