@@ -43,8 +43,9 @@ def pytest_configure(config):
         "markers",
         "perf_smoke: hierarchy-engine regression gates -- the compiled "
         "engine against the seed baseline (2x) and the reference engine "
-        "(12x on the schedule bench, 7x on a paper-scale run), and the "
-        "online-transition survivor check (run with: pytest "
+        "(12x on the schedule bench, 7x on a paper-scale run), the "
+        "online-transition survivor check and the profiling-sweep "
+        "replay gate (run with: pytest "
         "benchmarks/bench_engine_speed.py -m perf_smoke)",
     )
 

@@ -36,6 +36,7 @@ from repro.core.mckp import (
 from repro.core.milp import solve_mckp_milp
 from repro.core.profiling import (
     ProfileResult,
+    check_profile_menu,
     optimized_item_names,
     profile_miss_curves,
 )
@@ -79,19 +80,9 @@ class MethodConfig:
     def __post_init__(self) -> None:
         if self.solver not in SOLVERS:
             raise OptimizationError(f"unknown solver {self.solver!r}")
-        if self.profile_repeats < 1:
-            raise OptimizationError(
-                f"profile_repeats must be >= 1, got {self.profile_repeats}"
-            )
+        check_profile_menu(self.sizes, self.profile_repeats)
         if self.sizes is not None:
             sizes = list(self.sizes)
-            if not sizes:
-                raise OptimizationError("sizes menu must not be empty")
-            for size in sizes:
-                if not isinstance(size, int) or size <= 0:
-                    raise OptimizationError(
-                        f"sizes must be positive integers, got {size!r}"
-                    )
             for small, large in zip(sizes, sizes[1:]):
                 if large <= small:
                     raise OptimizationError(

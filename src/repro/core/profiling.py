@@ -13,6 +13,14 @@ Because the sum of the trial allocations can exceed the physical L2,
 profiling runs on an enlarged *virtual* L2 with the same line size,
 associativity and unit granularity -- per-owner miss counts in a
 partitioned cache are independent of the total set count.
+
+The runs of one sweep differ only in the L2's set count and partition
+map, which no task program sees: they build the same network, lay it
+out alike and seed every task's RNG stream alike.  So each task yields
+the same ops in every run with the same seed.  The sweep records each
+task's ops in its first run and replays them in the later ones
+(:class:`~repro.rtos.task.OpStreams`), within a fixed memory budget;
+the table lives for one :func:`profile_miss_curves` call.
 """
 
 from __future__ import annotations
@@ -28,9 +36,11 @@ from repro.core.misscurve import MissCurve
 from repro.errors import OptimizationError
 from repro.kpn.graph import ProcessNetwork
 from repro.mem.partition import PartitionMode
+from repro.rtos.task import OpStreams
 
 __all__ = [
     "ProfileResult",
+    "check_profile_menu",
     "default_sizes",
     "optimized_item_names",
     "profile_miss_curves",
@@ -122,6 +132,30 @@ def default_sizes(n_allocation_units: int) -> List[int]:
     return sizes
 
 
+def check_profile_menu(sizes: Optional[Sequence[int]], repeats: int) -> None:
+    """Raise :class:`OptimizationError` unless ``repeats`` is an
+    integer of at least 1 and ``sizes`` is ``None`` (the default menu)
+    or a non-empty menu of positive integers.
+
+    :func:`profile_miss_curves` and
+    :class:`~repro.core.method.MethodConfig` share this check.
+    """
+    if not isinstance(repeats, int) or repeats < 1:
+        raise OptimizationError(
+            f"profile repeats must be an integer >= 1, got {repeats!r}"
+        )
+    if sizes is None:
+        return
+    sizes = list(sizes)
+    if not sizes:
+        raise OptimizationError("sizes menu must not be empty")
+    for size in sizes:
+        if not isinstance(size, int) or size <= 0:
+            raise OptimizationError(
+                f"sizes must be positive integers, got {size!r}"
+            )
+
+
 def profile_miss_curves(
     network_builder: Callable[[], ProcessNetwork],
     config: CakeConfig,
@@ -133,19 +167,22 @@ def profile_miss_curves(
 
     ``network_builder`` must build a fresh network per call (platforms
     consume them).  ``sizes`` defaults to powers of two from 1 up to a
-    quarter of the allocatable units.  ``repeats`` averages multiple
+    quarter of the allocatable units; a given menu is profiled in
+    ascending order, once per size.  ``repeats`` averages multiple
     runs with different seeds (the paper averages M_i^s over several
-    simulations).
+    simulations).  A bad menu raises :class:`OptimizationError` before
+    any platform is built (:func:`check_profile_menu`).
     """
+    check_profile_menu(sizes, repeats)
     global _PASS_COUNT
     with _PASS_COUNT_LOCK:
         _PASS_COUNT += 1
     _THREAD_PASSES.count = thread_profiling_passes() + 1
     if sizes is None:
         sizes = default_sizes(config.n_allocation_units)
+        if not sizes:
+            raise OptimizationError("profiling needs at least one size")
     sizes = sorted(set(int(s) for s in sizes))
-    if not sizes:
-        raise OptimizationError("profiling needs at least one size")
 
     result = ProfileResult(sizes=list(sizes))
     reference = network_builder()
@@ -153,6 +190,7 @@ def profile_miss_curves(
     buffers = buffer_units(reference, config.unit_bytes, fifo_policy)
     buffers_total = sum(buffers.values())
 
+    streams = OpStreams(config.hierarchy.run_key)
     for size in sizes:
         for repeat in range(repeats):
             network = network_builder()
@@ -162,7 +200,8 @@ def profile_miss_curves(
             if repeats > 1:
                 run_config = replace(run_config, seed=config.seed + repeat)
             platform = Platform(
-                network, run_config, mode=PartitionMode.SET_PARTITIONED
+                network, run_config, mode=PartitionMode.SET_PARTITIONED,
+                streams=streams.run(run_config.seed),
             )
             allocation = dict(buffers)
             for item in items:

@@ -78,7 +78,9 @@ __all__ = [
 #: downstream reads them -- see ``run_metrics_to_payload``), and
 #: content keys exclude the hierarchy engine.  v1 entries read as
 #: misses and are recomputed/overwritten in place.
-CACHE_VERSION = 2
+#: v3: baseline payloads' per-owner L2 stats lose ``cold_misses`` (the
+#: cache models no longer classify first-touch misses).
+CACHE_VERSION = 3
 
 #: Environment override for the default cache root.
 CACHE_ENV_VAR = "REPRO_PROFILE_CACHE"

@@ -15,6 +15,14 @@ A task program is a plain generator function::
 The context carries the task's memory regions, its bound ports, a
 deterministic RNG stream and thin wrappers around the pattern kit that
 keep the programs readable.
+
+A program must yield the same ops whenever it runs with the same
+context: the same params, the same region bounds
+(:meth:`TaskContext.region_bounds`) and an RNG stream with the same
+seed.  So it reads nothing else that can change between runs: not the
+clock, not a FIFO's fill level, not the cache.  A profiling sweep
+relies on this: it records each task's ops once and replays them in
+its later runs (:class:`~repro.rtos.task.OpStreams`).
 """
 
 from __future__ import annotations
@@ -105,6 +113,18 @@ class TaskContext:
             except KeyError:
                 continue
         raise NetworkError(f"unknown frame buffer {name!r}")
+
+    def region_bounds(self) -> tuple:
+        """``(name, base, size)`` of every region the task can name: its
+        own, then the shared regions, then the frame buffers, each in
+        name order."""
+        return tuple(
+            tuple(sorted(
+                (name, region.base, region.size)
+                for name, region in regions.items()
+            ))
+            for regions in (self._regions, self._shared, self._frames)
+        )
 
     # -- ports ---------------------------------------------------------------
 

@@ -7,9 +7,9 @@
  * the "compiled" engine: `walker_state_new` builds a persistent state
  * handle that keeps the L1s of every CPU, the shared L2
  * (set-associative LRU/FIFO *or* the way-managed column cache), the
- * DRAM bank timers, the shared-bus demand model and one seen-set per
- * cache resident in C between calls, so every op, whatever its size,
- * walks in one `walk_batch` call over its runs.
+ * DRAM bank timers and the shared-bus demand model resident in C
+ * between calls, so every op, whatever its size, walks in one
+ * `walk_batch` call over its runs.
  *
  * One op takes three steps:
  *
@@ -32,19 +32,16 @@
  *        -> L2 fill + eviction -> DRAM bank timing;
  *
  *      counts per-owner statistics as it goes (accesses, misses,
- *      first-touch ("cold") misses, evictions suffered, writebacks and
- *      the (evictor, victim) eviction matrix of every cache level), and
- *      prices the batch with the reference engine's cycle formula.
+ *      evictions suffered, writebacks and the (evictor, victim)
+ *      eviction matrix of every cache level), and prices the batch
+ *      with the reference engine's cycle formula.  The walk allocates
+ *      nothing, so it cannot fail for lack of memory.
  *
  * Cache state lives in flat arrays (one row of `ways` slots per set,
  * slot 0 = MRU, parallel owner/dirty arrays, per-set lengths); the
  * caller rebuilds the Python-side dict/list state from the mutated
  * arrays when it needs that view.  The counters are caller-owned
- * arrays the caller folds into its per-owner statistics; the seen-sets
- * are C-owned, and the caller collects the lines added since its last
- * look with `walker_seen_fresh` / `walker_seen_take`.  A seen-set
- * hashes lines by groups of eight consecutive lines: a group takes one
- * aligned block of eight slots, one 64-byte host cache line (`slot_of`).
+ * arrays the caller folds into its per-owner statistics.
  */
 
 #include <math.h>
@@ -62,7 +59,6 @@
 #define WALK_OK 0
 #define WALK_NEGATIVE_OWNER 2
 #define WALK_GROW 3             /* out[0] = the owner id to make room for */
-#define WALK_NO_MEMORY 4
 
 /* A run is two int64: its line, then count << 2 | sfill << 1 |
  * write_any (walker_coalesce). */
@@ -71,89 +67,11 @@
 #define RUN_WRITE(info) ((int)((info) & 1))
 
 /* Per-owner counter rows of one cache (repro.mem.hierarchy). */
-#define N_FIELDS 5
+#define N_FIELDS 4
 #define F_ACCESSES 0
 #define F_MISSES 1
-#define F_COLD 2
-#define F_EVICTED 3
-#define F_WRITEBACKS 4
-
-/* ====================================================================
- * Seen-sets: the lines each cache has ever missed on
- * ==================================================================== */
-
-/* Open-addressing hash set of non-negative line addresses (-1 marks an
- * empty slot), plus its members in insertion order, so the caller can
- * collect exactly the lines added since it last looked. */
-typedef struct {
-    int64_t *slots;
-    int64_t capacity;       /* slots, a power of two */
-    int64_t *keys;
-    int64_t room;           /* keys allocated */
-    int64_t count;          /* members */
-    int64_t exported;       /* keys[0..exported) the caller has seen */
-} line_set;
-
-/* The home slot of `line`.  Eight consecutive lines (one group, `line
- * >> 3`) share one aligned block of eight slots -- 64 bytes, one host
- * cache line -- at the group's hash, each at its offset in the group, so
- * a stream's successive probes stay in one host line.  Probing goes on
- * linearly from the home slot.  Only slot positions depend on this:
- * members and their insertion order (`keys`) do not. */
-static inline uint64_t slot_of(int64_t line, int64_t capacity) {
-    uint64_t group = ((uint64_t)(line >> 3) * 0x9E3779B97F4A7C15ULL) >> 17;
-    return (group << 3 | (uint64_t)(line & 7)) & (uint64_t)(capacity - 1);
-}
-
-static inline void slot_put(int64_t *slots, int64_t capacity,
-                            int64_t line) {
-    uint64_t i = slot_of(line, capacity);
-    while (slots[i] != -1) i = (i + 1) & (uint64_t)(capacity - 1);
-    slots[i] = line;
-}
-
-/* Make room for `extra` more members at load <= 1/2.  Returns 0, or 1
- * when an allocation failed (the members are unchanged either way). */
-static int set_reserve(line_set *s, int64_t extra) {
-    int64_t need = s->count + extra;
-    if (need > s->room) {
-        int64_t room = 16;
-        while (room < need) room <<= 1;
-        int64_t *keys = (int64_t *)realloc(s->keys, room * sizeof(int64_t));
-        if (keys == NULL) return 1;
-        s->keys = keys;
-        s->room = room;
-    }
-    if (2 * need > s->capacity) {
-        int64_t capacity = 32;
-        while (capacity < 2 * need) capacity <<= 1;
-        int64_t *slots = (int64_t *)malloc(capacity * sizeof(int64_t));
-        if (slots == NULL) return 1;
-        memset(slots, 0xff, capacity * sizeof(int64_t)); /* all -1 */
-        for (int64_t k = 0; k < s->count; k++) {
-            slot_put(slots, capacity, s->keys[k]);
-        }
-        free(s->slots);
-        s->slots = slots;
-        s->capacity = capacity;
-    }
-    return 0;
-}
-
-/* Add `line` (room reserved); returns 1 when it was not a member yet. */
-static inline int set_insert(line_set *s, int64_t line) {
-    uint64_t i = slot_of(line, s->capacity);
-    for (;;) {
-        int64_t entry = s->slots[i];
-        if (entry == line) return 0;
-        if (entry == -1) {
-            s->slots[i] = line;
-            s->keys[s->count++] = line;
-            return 1;
-        }
-        i = (i + 1) & (uint64_t)(s->capacity - 1);
-    }
-}
+#define F_EVICTED 2
+#define F_WRITEBACKS 3
 
 /* ====================================================================
  * Persistent state
@@ -197,8 +115,6 @@ typedef struct {
     /* timing */
     double issue_cpi;
     int64_t l2_hit_cycles;
-    /* seen-sets: every L1 by cpu id, then the L2 */
-    line_set *seen;
     /* per-call inputs, stored by walker_bind (caller-owned arrays) */
     const int64_t *intervals;   /* 3 rows of n_intervals: bases, ends, owners */
     int64_t n_intervals;
@@ -212,21 +128,10 @@ typedef struct {
 } walker_state;
 
 void walker_state_free(void *state) {
-    walker_state *st = (walker_state *)state;
-    if (st == NULL) return;
-    if (st->seen != NULL) {
-        for (int64_t c = 0; c <= st->n_cpus; c++) {
-            free(st->seen[c].slots);
-            free(st->seen[c].keys);
-        }
-        free(st->seen);
-    }
-    free(st);
+    free(state);
 }
 
-/* `seen_lines` holds the members of every seen-set, cache after cache
- * (every L1 by cpu id, then the L2), `seen_counts[c]` how many belong
- * to cache c.  Returns NULL when an allocation fails. */
+/* Returns NULL when the allocation fails. */
 void *walker_state_new(
     int64_t n_cpus, int64_t line_shift,
     int64_t l1_sets, int64_t l1_ways,
@@ -242,8 +147,7 @@ void *walker_state_new(
     double bus_decay, double bus_max_surcharge,
     double *bus_demand, double *bus_last,
     int64_t *bus_transfers_total, double *bus_surcharge_total,
-    double issue_cpi, int64_t l2_hit_cycles,
-    const int64_t *seen_lines, const int64_t *seen_counts)
+    double issue_cpi, int64_t l2_hit_cycles)
 {
     walker_state *st = (walker_state *)calloc(1, sizeof(walker_state));
     if (st == NULL) return NULL;
@@ -278,39 +182,7 @@ void *walker_state_new(
     st->bus_surcharge_total = bus_surcharge_total;
     st->issue_cpi = issue_cpi;
     st->l2_hit_cycles = l2_hit_cycles;
-    st->seen = (line_set *)calloc(n_cpus + 1, sizeof(line_set));
-    if (st->seen == NULL) {
-        walker_state_free(st);
-        return NULL;
-    }
-    for (int64_t c = 0; c <= n_cpus; c++) {
-        line_set *s = &st->seen[c];
-        if (set_reserve(s, seen_counts[c])) {
-            walker_state_free(st);
-            return NULL;
-        }
-        for (int64_t k = 0; k < seen_counts[c]; k++) {
-            set_insert(s, seen_lines[k]);
-        }
-        seen_lines += seen_counts[c];
-        s->exported = s->count;
-    }
     return st;
-}
-
-/* Lines cache `cache` added to its seen-set since the last take. */
-int64_t walker_seen_fresh(void *state, int64_t cache) {
-    line_set *s = &((walker_state *)state)->seen[cache];
-    return s->count - s->exported;
-}
-
-/* Copy those lines into `out` (walker_seen_fresh slots) and mark them
- * taken. */
-void walker_seen_take(void *state, int64_t cache, int64_t *out) {
-    line_set *s = &((walker_state *)state)->seen[cache];
-    memcpy(out, s->keys + s->exported,
-           (s->count - s->exported) * sizeof(int64_t));
-    s->exported = s->count;
 }
 
 /* ====================================================================
@@ -364,7 +236,6 @@ typedef struct {
     int64_t *l1_lines, *l1_owners;      /* the batch CPU's L1 */
     uint8_t *l1_dirty;
     int32_t *l1_len;
-    line_set *l1_seen, *l2_seen;
     int64_t *l1_stats, *l2_stats;       /* N_FIELDS rows of n_owners */
     int64_t *l1_matrix, *l2_matrix;     /* n_owners x n_owners */
     int64_t n_owners;
@@ -436,9 +307,6 @@ static void walk_run(walker_state *st, walk_ctx *c, int64_t line,
 
     /* ---- L1 miss + fill -------------------------------------------- */
     c->l1_stats[F_MISSES * n_owners + owner]++;
-    if (set_insert(c->l1_seen, line)) {
-        c->l1_stats[F_COLD * n_owners + owner]++;
-    }
     c->tally.l1_misses++;
     c->tally.transfers++;
     int64_t wb_line = -1, wb_owner = 0;
@@ -568,8 +436,7 @@ static void walk_run(walker_state *st, walk_ctx *c, int64_t line,
         st->l2_len[l2i] = len2 + 1;
     }
 
-    /* ---- L2 miss: seen-set, DRAM writeback, then the demand read ---- */
-    int fresh = set_insert(c->l2_seen, line);
+    /* ---- L2 miss: DRAM writeback, then the demand read ------------- */
     if (victim_dirty) {
         c->tally.write_conflicts += bank_touch(
             st->bank_free, victim_line & st->bank_mask, c->now,
@@ -578,9 +445,8 @@ static void walk_run(walker_state *st, walk_ctx *c, int64_t line,
     }
     if (!sfill) {
         /* A store fill is a write-validated allocation: an access and
-         * a hit, never a (cold) miss, though it marks the line seen. */
+         * a hit, never a miss. */
         c->l2_stats[F_MISSES * n_owners + owner]++;
-        if (fresh) c->l2_stats[F_COLD * n_owners + owner]++;
         c->tally.dram_reads++;
         c->tally.read_conflicts += bank_touch(
             st->bank_free, line & st->bank_mask, c->now, st->bank_busy);
@@ -726,18 +592,11 @@ int walk_batch(
             return WALK_GROW;
         }
     }
-    /* Each run adds at most one line to each seen-set it touches. */
-    if (set_reserve(&st->seen[cpu], n_runs)
-            || set_reserve(&st->seen[st->n_cpus], n_runs)) {
-        return WALK_NO_MEMORY;
-    }
-
     /* ---- pass 2: walk run by run ---------------------------------- */
     int64_t l1_span = st->l1_sets * st->l1_ways;
     walk_ctx c = {
         st->l1_lines + cpu * l1_span, st->l1_owners + cpu * l1_span,
         st->l1_dirty + cpu * l1_span, st->l1_len + cpu * st->l1_sets,
-        &st->seen[cpu], &st->seen[st->n_cpus],
         st->counts + cpu * N_FIELDS * n_owners,
         st->counts + st->n_cpus * N_FIELDS * n_owners,
         st->matrix + cpu * n_owners * n_owners,

@@ -24,10 +24,10 @@ Two cache classes share one statistics implementation:
   the paper).  Sets are arrays of explicit ways; an owner may *hit* on
   any way but may only *allocate* into the ways it owns.
 
-Both record, per owner id: accesses, hits, misses, cold misses,
-evictions suffered and writebacks, plus an eviction-attribution matrix
-``(evictor, victim) -> count``.  The matrix is the measurable definition
-of inter-task interference: exclusive partitions must drive every
+Both record, per owner id: accesses, hits, misses, evictions suffered
+and writebacks, plus an eviction-attribution matrix ``(evictor,
+victim) -> count``.  The matrix is the measurable definition of
+inter-task interference: exclusive partitions must drive every
 cross-owner entry to zero (this is unit-tested).
 """
 
@@ -111,7 +111,6 @@ class OwnerStats:
     accesses: int = 0
     hits: int = 0
     misses: int = 0
-    cold_misses: int = 0
     evictions_suffered: int = 0
     writebacks: int = 0
 
@@ -125,7 +124,6 @@ class OwnerStats:
         self.accesses += other.accesses
         self.hits += other.hits
         self.misses += other.misses
-        self.cold_misses += other.cold_misses
         self.evictions_suffered += other.evictions_suffered
         self.writebacks += other.writebacks
 
@@ -200,8 +198,6 @@ class SetAssociativeCache:
         self._owner_of: Dict[int, int] = {}
         # Dirty lines (write-back policy).
         self._dirty: set = set()
-        # Lines ever seen, to classify cold misses.
-        self._seen: set = set()
 
     # -- queries ------------------------------------------------------------
 
@@ -227,12 +223,12 @@ class SetAssociativeCache:
         write: bool,
         owner: int,
         n: int = 1,
-    ) -> Tuple[bool, bool, Optional[Tuple[int, int, bool]]]:
+    ) -> Tuple[bool, Optional[Tuple[int, int, bool]]]:
         """Perform ``n`` back-to-back accesses to one line.
 
         The first access decides hit or miss; the remaining ``n - 1``
         are guaranteed hits (the caller got them from run-length
-        coalescing).  Returns ``(hit, cold, evicted)`` where ``evicted``
+        coalescing).  Returns ``(hit, evicted)`` where ``evicted``
         is ``(victim_line, victim_owner, victim_dirty)`` when the fill
         displaced a line.
         """
@@ -251,15 +247,11 @@ class SetAssociativeCache:
                 lines.insert(0, line_addr)
             if write:
                 self._dirty.add(line_addr)
-            return True, False, None
+            return True, None
 
         # Miss.
-        cold = line_addr not in self._seen
-        self._seen.add(line_addr)
         stats.misses += 1
         stats.hits += n - 1
-        if cold:
-            stats.cold_misses += 1
 
         evicted: Optional[Tuple[int, int, bool]] = None
         if len(lines) >= self.geometry.ways:
@@ -282,7 +274,7 @@ class SetAssociativeCache:
         self._owner_of[line_addr] = owner
         if write:
             self._dirty.add(line_addr)
-        return False, cold, evicted
+        return False, evicted
 
     def _select_victim(self, lines: List[int]) -> int:
         """Remove and return the line to evict from a full set."""
@@ -348,10 +340,6 @@ class SetAssociativeCache:
             for lines in self._sets:
                 lines[:] = [line for line in lines if line not in victim_set]
         return flushed
-
-    def forget_history(self) -> None:
-        """Reset the cold-miss classifier (new measurement epoch)."""
-        self._seen.clear()
 
     # -- bulk state exchange with the C walker -------------------------------
 
@@ -438,7 +426,6 @@ class WayManagedCache:
         self._owner: List[List[int]] = [[0] * ways for _ in range(sets)]
         self._stamp: List[List[int]] = [[0] * ways for _ in range(sets)]
         self._dirty: set = set()
-        self._seen: set = set()
         self._clock = 0
 
     def access(
@@ -449,7 +436,7 @@ class WayManagedCache:
         owner: int,
         alloc_ways: Tuple[int, ...],
         n: int = 1,
-    ) -> Tuple[bool, bool, Optional[Tuple[int, int, bool]]]:
+    ) -> Tuple[bool, Optional[Tuple[int, int, bool]]]:
         """Access with an allocation-way restriction; see class docs."""
         if not alloc_ways:
             raise MemoryModelError(f"owner {owner} has no allocation ways")
@@ -464,14 +451,10 @@ class WayManagedCache:
                 self._stamp[set_index][way] = self._clock
                 if write:
                     self._dirty.add(line_addr)
-                return True, False, None
+                return True, None
 
-        cold = line_addr not in self._seen
-        self._seen.add(line_addr)
         stats.misses += 1
         stats.hits += n - 1
-        if cold:
-            stats.cold_misses += 1
 
         # Prefer an empty allowed way; otherwise evict LRU allowed way.
         victim_way = None
@@ -502,7 +485,7 @@ class WayManagedCache:
         self._stamp[set_index][victim_way] = self._clock
         if write:
             self._dirty.add(line_addr)
-        return False, cold, evicted
+        return False, evicted
 
     def probe_writeback(self, line_addr: int, set_index: int, owner: int) -> bool:
         """Non-allocating write-back probe (see SetAssociativeCache)."""
@@ -558,10 +541,6 @@ class WayManagedCache:
         if flushed:
             self.stats.owner(owner).writebacks += len(flushed)
         return flushed
-
-    def forget_history(self) -> None:
-        """Reset the cold-miss classifier."""
-        self._seen.clear()
 
     # -- bulk state exchange with the compiled walker ------------------------
 

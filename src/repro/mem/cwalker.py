@@ -33,7 +33,7 @@ import threading
 from typing import Optional
 
 __all__ = ["load", "L2_MODE_LRU", "L2_MODE_FIFO", "L2_MODE_WAY",
-           "WALK_OK", "WALK_NEGATIVE_OWNER", "WALK_GROW", "WALK_NO_MEMORY"]
+           "WALK_OK", "WALK_NEGATIVE_OWNER", "WALK_GROW"]
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_walker.c")
 _BUILD_DIR = os.path.join(os.path.dirname(__file__), "_build")
@@ -96,8 +96,6 @@ WALK_OK = 0
 WALK_NEGATIVE_OWNER = 2
 #: A run's owner id is beyond the counters; ``out[0]`` holds it.
 WALK_GROW = 3
-#: A seen-set could not grow.
-WALK_NO_MEMORY = 4
 
 
 class CWalker:
@@ -107,9 +105,8 @@ class CWalker:
     :mod:`repro.mem.hierarchy`): ``state_new`` / ``state_free`` own the
     C state; ``coalesce`` turns raw addresses into runs and touches no
     state; ``bind`` stores the per-call tables and counters in the
-    state; ``walk_batch`` walks and prices one op's runs and counts
-    their per-owner statistics; and ``seen_fresh`` / ``seen_take`` hand
-    back the lines the C seen-sets gained since the last take.
+    state; and ``walk_batch`` walks and prices one op's runs and
+    counts their per-owner statistics.
     """
 
     #: Placeholder for the removed multi-entry segment walk: the
@@ -117,15 +114,12 @@ class CWalker:
     #: still wraps this attribute by name.  Nothing calls it.
     walk_segment = None
 
-    def __init__(self, state_new, state_free, coalesce, bind, walk_batch,
-                 seen_fresh, seen_take):
+    def __init__(self, state_new, state_free, coalesce, bind, walk_batch):
         self.state_new = state_new
         self.state_free = state_free
         self.coalesce = coalesce
         self.bind = bind
         self.walk_batch = walk_batch
-        self.seen_fresh = seen_fresh
-        self.seen_take = seen_take
 
 
 def load() -> Optional[CWalker]:
@@ -162,8 +156,6 @@ def _bind() -> Optional[CWalker]:
         coalesce = lib.walker_coalesce
         bind = lib.walker_bind
         walk = lib.walk_batch
-        seen_fresh = lib.walker_seen_fresh
-        seen_take = lib.walker_seen_take
     except (OSError, AttributeError):
         return None
     i64 = ctypes.c_int64
@@ -186,7 +178,6 @@ def _bind() -> Optional[CWalker]:
         ptr, ptr,                   # bus demand / last-update
         ptr, ptr,                   # bus transfers / surcharge totals
         f64, i64,                   # issue_cpi, l2_hit_cycles
-        ptr, ptr,                   # seen-set lines, per-cache counts
     ]
     state_free.restype = None
     state_free.argtypes = [ctypes.c_void_p]
@@ -211,9 +202,4 @@ def _bind() -> Optional[CWalker]:
         ptr, i64,                   # runs, n_runs
         ptr,                        # out[8]
     ]
-    seen_fresh.restype = i64
-    seen_fresh.argtypes = [ctypes.c_void_p, i64]
-    seen_take.restype = None
-    seen_take.argtypes = [ctypes.c_void_p, i64, ptr]
-    return CWalker(state_new, state_free, coalesce, bind, walk, seen_fresh,
-                   seen_take)
+    return CWalker(state_new, state_free, coalesce, bind, walk)

@@ -24,11 +24,11 @@ Two engines implement the walk:
 - ``engine="compiled"`` (the default) -- the C tier.  A persistent
   C-side state handle (:class:`_CompiledState`) keeps every L1, the
   shared L2 (including the way-partitioned column cache), the DRAM
-  bank timers, the bus demand model, per-owner statistics counters and
-  one seen-set per cache resident between calls.  A batch's raw
-  addresses and write flags become line runs in one C coalescing
-  call, on its first walk only when the batch is read-only: such a
-  batch keeps its runs for the line geometry (see
+  bank timers, the bus demand model and per-owner statistics counters
+  resident between calls.  A batch's raw addresses and write flags
+  become line runs in one C coalescing call, on its first walk only
+  when the batch is read-only: such a batch keeps its runs for the
+  line geometry (see
   :class:`~repro.mem.trace.AccessBatch`).  The interval table, the
   partition maps and the counters are bound into the C state when
   they change.  Then every batch, whatever its size, is one C walk
@@ -37,20 +37,19 @@ Two engines implement the walk:
   statistics.  The walk checks every run's owner in a pre-pass only
   when one can fall outside the counters: when the task owner or the
   bound interval table's owner range lies outside ``[0, n_owners)``.
-  The seen-sets hash lines by groups of eight consecutive lines, one
-  aligned block of eight slots (a 64-byte host cache line) per group.
+  The walk allocates nothing, so it never fails for lack of memory.
   The contract for reading state:
 
   * :attr:`MemorySystem.l2_stats` is always current (reading it folds
     the C-side L2 counters in);
-  * the L1 stats, every cache's contents and its ``_seen`` set are
-    current after :meth:`MemorySystem.sync_state`;
+  * the L1 stats and every cache's contents are current after
+    :meth:`MemorySystem.sync_state`;
   * the interval table and the partition maps are bound again when
     their ``version`` changes, so changing them between two calls
     needs no sync;
-  * edits to Python-side cache state (``forget_history``, direct cache
-    edits) come after :meth:`MemorySystem.quiesce`, which syncs and
-    drops the C state so the next call re-exports it.
+  * direct edits to Python-side cache state come after
+    :meth:`MemorySystem.quiesce`, which syncs and drops the C state so
+    the next call re-exports it.
 - ``engine="reference"`` -- one method call per run into the cache
   models.  Slow but obviously faithful; it is the differential-testing
   oracle and the compiled engine's fallback.
@@ -58,7 +57,7 @@ Two engines implement the walk:
 Both engines produce bit-identical statistics, which the differential
 test suite asserts.  The compiled engine falls back to the reference
 walk when no C compiler is available (or ``REPRO_NO_CWALKER`` is set)
-and when the C state cannot be allocated or grown.  A negative owner
+and when the C state cannot be allocated.  A negative owner
 id degrades it to the reference walk too -- the owner registry never
 produces one -- and so does an owner id of :data:`MAX_DENSE_OWNERS` or
 more, which the dense C counters do not cover.  Each check runs before
@@ -70,7 +69,6 @@ after it.
 from __future__ import annotations
 
 import ctypes
-import itertools
 
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -141,6 +139,14 @@ class HierarchyConfig:
                 f"got {self.engine!r}"
             )
 
+    @property
+    def run_key(self) -> tuple:
+        """What a batch's runs depend on besides the batch: the line
+        shift and the accesses that make a store fill (one per 4-byte
+        word of a line).  The compiled engine keeps runs under it."""
+        geometry = self.l1_geometry
+        return (geometry.line_shift, geometry.line_size // 4)
+
 
 @dataclass
 class BatchResult:
@@ -162,17 +168,14 @@ class _CompiledState:
 
     Owns the numpy arrays the C handle points into (cache contents of
     every level, DRAM bank timers, bus demand/totals, per-owner
-    counters) and the opaque ``walker_state`` capsule built over them,
-    which also holds one seen-set per cache.  Between calls the arrays
-    *are* the authoritative cache state, and the counters hold the
-    statistics the C walk counted since they were last folded into the
-    caches' :class:`~repro.mem.cache.CacheStats`.  :meth:`flush_stats`
+    counters) and the opaque ``walker_state`` capsule built over them.
+    Between calls the arrays *are* the authoritative cache state, and
+    the counters hold the statistics the C walk counted since they were
+    last folded into the caches' :class:`~repro.mem.cache.CacheStats`.  :meth:`flush_stats`
     folds them (every :attr:`MemorySystem.l2_stats` read does so for the
-    L2); :meth:`sync_down` materialises everything -- contents, every
-    counter, the newly seen lines -- back into the Python models when
-    something needs that view (repartitioning, tests, diagnostics).
-    The C seen-sets start from the caches' ``_seen`` sets, so those
-    round-trip across a drop and rebuild like the contents do.
+    L2); :meth:`sync_down` materialises everything -- contents and
+    every counter -- back into the Python models when something needs
+    that view (repartitioning, tests, diagnostics).
 
     The counters are dense: per cache (every L1 by cpu id, then the
     L2), ``counts[cache]`` has one row per field of :data:`_FIELDS` and
@@ -182,8 +185,7 @@ class _CompiledState:
 
     #: Counter rows per cache; must match ``_walker.c``.  ``hits`` is
     #: ``accesses - misses`` (only a run's first access can miss).
-    _FIELDS = ("accesses", "misses", "cold_misses", "evictions_suffered",
-               "writebacks")
+    _FIELDS = ("accesses", "misses", "evictions_suffered", "writebacks")
 
     def __init__(self, mem: "MemorySystem", walker):
         self.walker = walker
@@ -248,15 +250,6 @@ class _CompiledState:
             max(int(self.l1_owners.max()), int(self.l2_owners.max()))
         )
 
-        seen_counts = np.array(
-            [len(cache._seen) for cache in self.caches], dtype=np.int64
-        )
-        seen_lines = np.fromiter(
-            itertools.chain.from_iterable(
-                cache._seen for cache in self.caches
-            ),
-            dtype=np.int64, count=int(seen_counts.sum()),
-        )
         handle = walker.state_new(
             n_cpus, l1_geometry.line_shift,
             l1_geometry.sets, l1_geometry.ways,
@@ -274,7 +267,6 @@ class _CompiledState:
             self.bus_demand.ctypes.data, self.bus_last.ctypes.data,
             self.bus_transfers.ctypes.data, self.bus_surcharge.ctypes.data,
             config.issue_cpi, config.l2_hit_cycles,
-            seen_lines.ctypes.data, seen_counts.ctypes.data,
         )
         if not handle:
             raise MemoryError("walker_state_new failed")
@@ -283,10 +275,8 @@ class _CompiledState:
         #: The walk's eight scalar outputs (see ``walk_batch``).
         self.out = np.zeros(8, dtype=np.int64)
         self.out_ptr = self.out.ctypes.data
-        #: What a batch's runs depend on besides the batch, the line
-        #: shift and the accesses that make a store fill: the key of the
-        #: runs a batch keeps (:meth:`coalesce`).
-        self.run_key = (l1_geometry.line_shift, l1_geometry.line_size // 4)
+        #: The key of the runs a batch keeps (:meth:`coalesce`).
+        self.run_key = config.run_key
         #: The set table of conventional indexing over the whole L2
         #: (one default row), for every mode but set partitioning.
         self.natural_table = np.array(
@@ -375,14 +365,13 @@ class _CompiledState:
             counts = self.counts[index]
             active = np.flatnonzero(counts.any(axis=0))
             if active.shape[0]:
-                for owner, (acc, miss, cold, evicted, wb) in zip(
+                for owner, (acc, miss, evicted, wb) in zip(
                     active.tolist(), counts[:, active].T.tolist()
                 ):
                     owner_stats = stats.owner(owner)
                     owner_stats.accesses += acc
                     owner_stats.hits += acc - miss
                     owner_stats.misses += miss
-                    owner_stats.cold_misses += cold
                     owner_stats.evictions_suffered += evicted
                     owner_stats.writebacks += wb
                 counts[:, active] = 0
@@ -398,12 +387,6 @@ class _CompiledState:
     def sync_down(self, mem: "MemorySystem") -> None:
         """Write the C-resident state back into the Python models."""
         self.flush_stats(range(len(self.caches)))
-        for index, cache in enumerate(self.caches):
-            fresh = self.walker.seen_fresh(self.handle, index)
-            if fresh:
-                lines = np.empty(fresh, dtype=np.int64)
-                self.walker.seen_take(self.handle, index, lines.ctypes.data)
-                cache._seen.update(lines.tolist())
         span = self.l1_sets * self.l1_ways
         for i, l1 in enumerate(mem.l1s):
             l1.import_state(
@@ -481,8 +464,8 @@ class MemorySystem:
         #: Lazily built persistent C state (engine="compiled" only).
         self._compiled: Optional[_CompiledState] = None
         #: Whether batches try the C tier.  Cleared for good when the C
-        #: state cannot be allocated or grown, or a run resolves an
-        #: owner id outside ``[0, MAX_DENSE_OWNERS)``.
+        #: state cannot be allocated or a run resolves an owner id
+        #: outside ``[0, MAX_DENSE_OWNERS)``.
         self._use_compiled = config.engine == "compiled"
 
     # -- configuration -----------------------------------------------------
@@ -527,8 +510,7 @@ class MemorySystem:
         the edited models.  Idempotent, and a no-op on the reference
         engine.  Only edits to what the C state holds need it: cache
         contents (:meth:`repartition`, :meth:`repartition_owners`,
-        direct cache edits) and seen-sets (``forget_history()``).  The
-        interval table and the partition maps are bound again whenever
+        direct cache edits).  The interval table and the partition maps are bound again whenever
         their ``version`` changes, so changing them needs no quiesce.
         """
         self.sync_state()
@@ -563,8 +545,8 @@ class MemorySystem:
         """Materialise C-resident state back into the Python models.
 
         A no-op unless the compiled tier is live.  Cache contents,
-        per-owner statistics, the caches' seen-sets, DRAM bank timers
-        and bus demand live C-side between compiled calls; anything
+        per-owner statistics, DRAM bank timers and bus demand live
+        C-side between compiled calls; anything
         that wants their Python view (direct cache or L1 stats
         inspection, the differential tests) calls this first.
         :attr:`l2_stats` needs no sync.  Idempotent -- the arrays stay
@@ -706,9 +688,9 @@ class MemorySystem:
         counters are bound into the C state only when they changed.
         Unsupported means: the compiled tier is down (no C walker, a
         failed state allocation) or the C walk declined the batch
-        before touching any state -- a run resolves an owner id outside
-        ``[0, MAX_DENSE_OWNERS)`` or a seen-set cannot grow.
-        Both send this system to the reference walk for good.  An owner
+        before touching any state: a run resolves an owner id outside
+        ``[0, MAX_DENSE_OWNERS)``.  Both send this system to the
+        reference walk for good.  An owner
         id beyond the current counters grows them and walks again.
         """
         state = self._compiled_state()
@@ -744,7 +726,7 @@ class MemorySystem:
             state.grow(owner)
             state.bind(key, state.bound_tables)
         if status != cwalker.WALK_OK:
-            # A negative owner id or a failed seen-set allocation.
+            # A negative owner id.
             self._fall_back()
             return None
         (cycles, l1_misses, dram_reads, dram_writes, bus_cycles,
@@ -801,7 +783,7 @@ class MemorySystem:
             write = bool(write_any[i])
             owner = resolve(line << line_shift, task_owner)
 
-            l1_hit, _cold, l1_evicted = l1.access(
+            l1_hit, l1_evicted = l1.access(
                 line, line & l1_mask, write, owner, n=count
             )
             if l1_hit:
@@ -892,20 +874,18 @@ class MemorySystem:
         result.l2_accesses += 1
         if way_partitioned:
             cache = self.l2_way
-            hit, cold, evicted = cache.access(
+            hit, evicted = cache.access(
                 line, line & l2_mask, True, owner, ways_of(owner)
             )
         else:
             cache = self.l2
             index = translate(owner, line) if set_partitioned else line & l2_mask
-            hit, cold, evicted = cache.access(line, index, True, owner)
+            hit, evicted = cache.access(line, index, True, owner)
         if not hit:
             # Not a demand miss: undo the miss counting of access().
             stats = cache.stats.owner(owner)
             stats.misses -= 1
             stats.hits += 1
-            if cold:
-                stats.cold_misses -= 1
         if evicted is not None and evicted[2]:
             self.memory.access(evicted[0], True, now)
             result.dram_lines += 1
@@ -926,12 +906,12 @@ class MemorySystem:
         """One L2 probe; handles translation, way masks and writebacks."""
         result.l2_accesses += 1
         if way_partitioned:
-            hit, _cold, evicted = self.l2_way.access(
+            hit, evicted = self.l2_way.access(
                 line, line & l2_mask, write, owner, ways_of(owner)
             )
         else:
             index = translate(owner, line) if set_partitioned else line & l2_mask
-            hit, _cold, evicted = self.l2.access(line, index, write, owner)
+            hit, evicted = self.l2.access(line, index, write, owner)
         if not hit:
             result.l2_misses += 1
         if evicted is not None and evicted[2]:

@@ -11,8 +11,9 @@ multimedia traffic this coalesces roughly ``line_size / element_size``
 accesses into one cache probe.  The reference walk coalesces with
 :meth:`AccessBatch.runs`; the compiled engine coalesces the same way in
 C, once per read-only batch: such a batch keeps its runs for later
-walks.  Coalescing is exact with respect to hit/miss counting: within
-a run, the first access decides hit or miss and the remaining
+walks, and :meth:`AccessBatch.runs_only` turns it into a batch of those
+runs alone.  Coalescing is exact with respect to hit/miss counting:
+within a run, the first access decides hit or miss and the remaining
 ``n - 1`` accesses are guaranteed hits in the same cache level.
 """
 
@@ -176,12 +177,67 @@ class AccessBatch:
         if not (self.addrs.flags.writeable or self.writes.flags.writeable):
             object.__setattr__(self, "_runs", runs)
 
+    def runs_only(self) -> "AccessBatch":
+        """This batch as the runs it kept, without its address arrays.
+
+        The result has the same kept runs, access count and instruction
+        count, and walks bit-identically on both engines (see
+        :class:`_RunsBatch`).  A batch that kept no runs -- never walked
+        on the compiled engine, or writable -- is returned as it is.
+        """
+        if self._runs is None:
+            return self
+        return _RunsBatch(self._runs, self.n_accesses, self.instructions)
+
     def __getstate__(self) -> dict:
         # The kept runs hold a raw pointer to their own array: a copy
         # coalesces afresh rather than read through it.
         state = dict(self.__dict__)
         state.pop("_runs", None)
         return state
+
+
+class _RunsBatch(AccessBatch):
+    """A walked batch reduced to the runs it kept (:meth:`runs_only`).
+
+    The compiled engine walks the runs as they are.  Whatever reads
+    ``addrs`` or ``writes`` (the reference walk, a test) gets arrays
+    built from the runs on every read, which coalesce back to the same
+    lines, counts, write flags and store fills: ``count`` accesses at
+    the line's first byte, every one a store in a store-fill run and
+    only the first in any other written run.  Copies and pickles are
+    ordinary batches over those arrays.
+    """
+
+    def __init__(self, runs: tuple, n_accesses: int, instructions: int):
+        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "_n_accesses", n_accesses)
+        object.__setattr__(self, "instructions", instructions)
+
+    @property
+    def addrs(self) -> np.ndarray:
+        return self._arrays()[0]
+
+    @property
+    def writes(self) -> np.ndarray:
+        return self._arrays()[1]
+
+    @property
+    def n_accesses(self) -> int:
+        return self._n_accesses
+
+    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        (line_shift, _), runs = self._runs[:2]
+        info = runs[:, 1]
+        counts = info >> 2
+        addrs = np.repeat(runs[:, 0] << line_shift, counts)
+        writes = np.repeat((info & 2).astype(bool), counts)
+        starts = np.cumsum(counts) - counts
+        writes[starts[(info & 3) == 1]] = True
+        return addrs, writes
+
+    def __reduce__(self):
+        return AccessBatch, (self.addrs, self.writes, self.instructions)
 
 
 def coalesce_runs(

@@ -44,10 +44,16 @@ from typing import Callable, NamedTuple
 from repro.mem.address import Region
 from repro.mem.trace import AccessBatch
 
-__all__ = ["BUDGET_BYTES", "MemoInfo", "cached", "clear", "info"]
+__all__ = ["BUDGET_BYTES", "STREAM_BUDGET_BYTES", "MemoInfo", "cached",
+           "clear", "info"]
 
 #: Array bytes (addresses plus write flags) the table holds at most.
 BUDGET_BYTES = 4 << 20
+
+#: Bytes the op streams that one profiling sweep records keep alive at
+#: most (:class:`repro.rtos.task.OpStreams`).  A task whose stream would
+#: pass it runs its program again in the sweep's later runs.
+STREAM_BUDGET_BYTES = 8 << 20
 
 
 class MemoInfo(NamedTuple):

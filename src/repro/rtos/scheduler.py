@@ -19,7 +19,7 @@ from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional
 
 from repro.errors import SchedulingError
-from repro.rtos.task import Task, TaskState
+from repro.rtos.task import RunStreams, Task, TaskState
 from repro.sim.kernel import Event, Simulator
 
 __all__ = ["Scheduler"]
@@ -105,17 +105,20 @@ class Scheduler:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start_all(self, skip: Iterable[str] = ()) -> None:
+    def start_all(
+        self, skip: Iterable[str] = (), streams: Optional[RunStreams] = None
+    ) -> None:
         """Start every task and enqueue it as ready.
 
         Tasks named in ``skip`` stay NEW; they join later through
         :meth:`attach` (online arrivals) or never (rejected arrivals).
+        ``streams`` goes to :meth:`Task.start` (profiling sweeps only).
         """
         deferred = set(skip)
         for task in self.tasks:
             if task.name in deferred:
                 continue
-            task.start()
+            task.start(streams)
             self._live += 1
             self._enqueue(task)
         self._wake_cpus()

@@ -19,7 +19,7 @@ from repro.core import (
     profile_miss_curves,
 )
 from repro.core.allocation import buffer_units
-from repro.core.profiling import optimized_item_names
+from repro.core.profiling import optimized_item_names, profiling_passes
 from repro.errors import OptimizationError
 from repro.mem.cache import CacheGeometry
 from repro.mem.hierarchy import HierarchyConfig
@@ -102,6 +102,26 @@ def test_profile_produces_monotone_curves():
         values = [m for _s, m in points]
         assert values == sorted(values, reverse=True)
     assert profile.instructions["stage0"] > 0
+
+
+@pytest.mark.parametrize("menu", [
+    dict(repeats=0), dict(repeats=-1), dict(repeats=1.0),
+    dict(sizes=[]), dict(sizes=[1.5]), dict(sizes=[0, 1]), dict(sizes=[-2]),
+])
+def test_profile_rejects_bad_menus_before_building(menu):
+    """The menus MethodConfig rejects fail before any network or
+    platform is built, and count no profiling pass."""
+    built = []
+
+    def builder():
+        built.append(1)
+        return make_pipeline(n_tokens=4)
+
+    passes = profiling_passes()
+    with pytest.raises(OptimizationError):
+        profile_miss_curves(builder, small_config(), **menu)
+    assert built == []
+    assert profiling_passes() == passes
 
 
 # -- throughput & power ----------------------------------------------------

@@ -32,17 +32,17 @@ def test_geometry_validation():
 
 def test_first_access_is_cold_miss():
     cache = make_cache()
-    hit, cold, evicted = cache.access(10, set_index=0, write=False, owner=1)
-    assert not hit and cold and evicted is None
+    hit, evicted = cache.access(10, set_index=0, write=False, owner=1)
+    assert not hit and evicted is None
     stats = cache.stats.owner(1)
-    assert stats.accesses == 1 and stats.misses == 1 and stats.cold_misses == 1
+    assert stats.accesses == 1 and stats.misses == 1
 
 
 def test_second_access_hits():
     cache = make_cache()
     cache.access(10, 0, False, 1)
-    hit, cold, _ = cache.access(10, 0, False, 1)
-    assert hit and not cold
+    hit, _ = cache.access(10, 0, False, 1)
+    assert hit
     assert cache.stats.owner(1).hits == 1
 
 
@@ -59,7 +59,7 @@ def test_lru_eviction_order():
     cache.access(1, 0, False, 1)
     cache.access(2, 0, False, 1)
     cache.access(1, 0, False, 1)  # 1 becomes MRU
-    _hit, _cold, evicted = cache.access(3, 0, False, 1)
+    _hit, evicted = cache.access(3, 0, False, 1)
     assert evicted is not None and evicted[0] == 2  # LRU victim
 
 
@@ -68,14 +68,14 @@ def test_fifo_policy_ignores_recency():
     cache.access(1, 0, False, 1)
     cache.access(2, 0, False, 1)
     cache.access(1, 0, False, 1)  # hit; FIFO does not reorder
-    _hit, _cold, evicted = cache.access(3, 0, False, 1)
+    _hit, evicted = cache.access(3, 0, False, 1)
     assert evicted[0] == 1  # oldest inserted
 
 
 def test_dirty_writeback_accounting():
     cache = make_cache(sets=1, ways=1)
     cache.access(1, 0, True, owner=1)  # dirty fill
-    _hit, _cold, evicted = cache.access(2, 0, False, owner=2)
+    _hit, evicted = cache.access(2, 0, False, owner=2)
     assert evicted == (1, 1, True)
     assert cache.stats.owner(1).writebacks == 1
     assert cache.stats.owner(1).evictions_suffered == 1
@@ -98,7 +98,7 @@ def test_probe_writeback_updates_in_place():
     cache_small = make_cache(sets=1, ways=1)
     cache_small.access(1, 0, False, 1)
     cache_small.probe_writeback(1, 0, 1)
-    _h, _c, evicted = cache_small.access(2, 0, False, 1)
+    _h, evicted = cache_small.access(2, 0, False, 1)
     assert evicted[2] is True
 
 
@@ -126,18 +126,8 @@ def test_invalidate_owner_returns_dirty_lines():
     assert cache.stats.owner(1).writebacks == 2
     assert cache.resident_lines == 0
     # A fresh fill works after the wipe (membership map consistent).
-    hit, cold, _ = cache.access(1, 0, False, owner=1)
+    hit, _ = cache.access(1, 0, False, owner=1)
     assert not hit
-
-
-def test_forget_history_resets_cold_classifier():
-    cache = make_cache(sets=1, ways=1)
-    cache.access(1, 0, False, 1)
-    cache.access(2, 0, False, 1)  # evicts 1
-    cache.forget_history()
-    cache.access(1, 0, False, 1)
-    # Two initial cold misses plus the re-classified one after reset.
-    assert cache.stats.owner(1).cold_misses == 3
 
 
 def test_stats_total():
@@ -162,11 +152,11 @@ def test_way_cache_hit_on_any_way_alloc_restricted():
     cache.access(1, 0, False, owner=1, alloc_ways=(0, 1))
     cache.access(2, 0, False, owner=2, alloc_ways=(2, 3))
     # Owner 2 can hit owner 1's line...
-    hit, _c, _e = cache.access(1, 0, False, owner=2, alloc_ways=(2, 3))
+    hit, _e = cache.access(1, 0, False, owner=2, alloc_ways=(2, 3))
     assert hit
     # ...but never evicts outside its columns.
     cache.access(3, 0, False, owner=2, alloc_ways=(2, 3))
-    _hit, _cold, evicted = cache.access(4, 0, False, owner=2, alloc_ways=(2, 3))
+    _hit, evicted = cache.access(4, 0, False, owner=2, alloc_ways=(2, 3))
     assert evicted is not None and evicted[1] == 2
 
 
@@ -175,7 +165,7 @@ def test_way_cache_lru_within_columns():
     cache.access(1, 0, False, 1, alloc_ways=(0, 1))
     cache.access(2, 0, False, 1, alloc_ways=(0, 1))
     cache.access(1, 0, False, 1, alloc_ways=(0, 1))
-    _h, _c, evicted = cache.access(3, 0, False, 1, alloc_ways=(0, 1))
+    _h, evicted = cache.access(3, 0, False, 1, alloc_ways=(0, 1))
     assert evicted[0] == 2
 
 

@@ -13,19 +13,16 @@ class ReferenceLru:
     def __init__(self, sets, ways):
         self.ways = ways
         self.sets = [OrderedDict() for _ in range(sets)]
-        self.seen = set()
 
     def access(self, line, set_index):
         bucket = self.sets[set_index]
-        cold = line not in self.seen
-        self.seen.add(line)
         if line in bucket:
             bucket.move_to_end(line)
-            return True, cold
+            return True
         if len(bucket) >= self.ways:
             bucket.popitem(last=False)
         bucket[line] = None
-        return False, cold
+        return False
 
 
 @settings(max_examples=60)
@@ -42,10 +39,8 @@ def test_lru_matches_reference_model(sets_log, ways, accesses):
     reference = ReferenceLru(sets, ways)
     for line in accesses:
         set_index = line % sets
-        got_hit, got_cold, _ = cache.access(line, set_index, False, owner=1)
-        want_hit, want_cold = reference.access(line, set_index)
-        assert got_hit == want_hit
-        assert got_cold == want_cold
+        got_hit, _ = cache.access(line, set_index, False, owner=1)
+        assert got_hit == reference.access(line, set_index)
     stats = cache.stats.owner(1)
     assert stats.accesses == len(accesses)
     assert stats.hits + stats.misses == stats.accesses

@@ -23,6 +23,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, MemoryModelError
 from repro.mem import cwalker
@@ -35,7 +36,7 @@ from repro.mem.hierarchy import (
     _CompiledState,
 )
 from repro.mem.partition import PartitionMode
-from repro.mem.trace import AccessBatch
+from repro.mem.trace import AccessBatch, coalesce_runs
 from repro.patterns import memo
 from repro.patterns.streams import stream
 
@@ -169,24 +170,18 @@ def test_compiled_engine_matches_reference(mode, l2_policy, seed):
     run_differential(mode, l2_policy, seed, engine="compiled")
 
 
-def _quiesce_and_forget(reference, compiled, step):
-    """Drop the C state after every batch; restart history every 4th."""
+def _quiesce(reference, compiled, step):
+    """Drop the C state after every batch."""
     compiled.quiesce()
-    if step % 4 == 3:
-        for mem in (reference, compiled):
-            for cache in [*mem.l1s, mem.l2 or mem.l2_way]:
-                cache.forget_history()
 
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
 @pytest.mark.parametrize("mode", list(PartitionMode))
 def test_compiled_state_round_trips_through_quiesce(mode):
     """quiesce() after every batch syncs the C state down and drops it;
-    the next batch rebuilds it from the Python models.  The C-side
-    counters and seen-sets must survive that round trip, across
-    forget_history() epochs too."""
-    run_differential(mode, "lru", 5, "compiled",
-                     between=_quiesce_and_forget)
+    the next batch rebuilds it from the Python models.  The cache
+    contents and the C-side counters must survive that round trip."""
+    run_differential(mode, "lru", 5, "compiled", between=_quiesce)
 
 
 def _program_a_fresh_owner(reference, compiled, step):
@@ -310,6 +305,119 @@ def test_copies_of_a_kept_batch_coalesce_afresh():
         assert np.array_equal(duplicate.addrs, kept.addrs)
         _walk_both(reference, compiled, 0, 1, duplicate, step * 500.0)
     assert_systems_identical(reference, compiled, "copies")
+
+
+# -- runs-only batches: a walked batch held as its runs alone -----------------
+
+
+#: Stretches of accesses on one line: the line (below 4 KB, so shared
+#: ones fall in interval owner 7's buffer), how many accesses (words
+#: wrap around the line), how they write and whether the line is in
+#: the shared buffer or the task's private region.
+_STRETCHES = st.lists(
+    st.tuples(
+        st.integers(0, 47),
+        st.integers(1, 24),
+        st.sampled_from(["load", "store", "first", "mixed"]),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+def _stretch_batch(stretches, private_base):
+    """A read-only batch of the stretches, so a compiled walk keeps its
+    runs: 16 stores on a 64-byte line make a store fill."""
+    addrs, writes = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
+    for line, count, kind, shared in stretches:
+        base = 0 if shared else private_base
+        addrs.append(base + 64 * line + 4 * (np.arange(count) % 16))
+        flags = np.zeros(count, dtype=bool)
+        if kind == "store":
+            flags[:] = True
+        elif kind == "first":
+            flags[0] = True
+        elif kind == "mixed":
+            flags[1::2] = True
+        writes.append(flags)
+    return _read_only(AccessBatch.from_addresses(
+        np.concatenate(addrs), writes=np.concatenate(writes)
+    ))
+
+
+def _walked_runs_only(batches):
+    """Each batch after a compiled walk, and its runs-only form."""
+    first = build_system("compiled", PartitionMode.SHARED)
+    compact = []
+    for batch in batches:
+        first.execute_batch(0, 1, batch, 0.0)
+        assert batch._runs is not None
+        compact.append(batch.runs_only())
+    return compact
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(stretches=_STRETCHES)
+def test_runs_only_arrays_coalesce_to_the_same_runs(stretches):
+    """The arrays a runs-only batch builds coalesce back to its runs,
+    in C and in numpy: same lines, counts, write flags, store fills."""
+    batch = _stretch_batch(stretches, 1 << 22)
+    (compact,) = _walked_runs_only([batch])
+    assert compact._runs is batch._runs
+    assert (compact.n_accesses, compact.instructions) \
+        == (batch.n_accesses, batch.instructions)
+    state = build_system("compiled", PartitionMode.SHARED)._compiled_state()
+    rebuilt = state.coalesce(
+        AccessBatch(compact.addrs, compact.writes, compact.instructions)
+    )
+    assert np.array_equal(rebuilt[1], batch._runs[1])
+    full_line_count = state.run_key[1]
+    want = coalesce_runs(batch.addrs, batch.writes, 6)
+    got = compact.runs(6)
+    for index in range(3):
+        assert np.array_equal(got[index], want[index])
+    assert np.array_equal(got[3] & (got[1] >= full_line_count),
+                          want[3] & (want[1] >= full_line_count))
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("mode", list(PartitionMode))
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(per_task=st.lists(st.tuples(_STRETCHES, _STRETCHES), min_size=1,
+                         max_size=3))
+def test_runs_only_batches_walk_like_their_originals(mode, per_task):
+    """On each engine, a system walking the runs-only batches ends
+    bit-identical to one walking their originals."""
+    batches = [_stretch_batch(stretches, task << 22)
+               for pair in per_task
+               for task, stretches in enumerate(pair, start=1)]
+    compact = _walked_runs_only(batches)
+    for engine in HierarchyConfig.ENGINES:
+        original = build_system(engine, mode)
+        runs_only = build_system(engine, mode)
+        for step, (batch, held) in enumerate(zip(batches, compact)):
+            cpu, task = step % 2, 1 + step % 2
+            assert original.execute_batch(cpu, task, batch, step * 500.0) \
+                == runs_only.execute_batch(cpu, task, held, step * 500.0)
+        original.sync_state()
+        assert_systems_identical(original, runs_only, (mode, engine))
+        assert runs_only.effective_engine == engine
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_copies_of_a_runs_only_batch_are_ordinary_batches():
+    batch = _kept_batch(3)
+    assert batch.runs_only() is batch  # not walked yet: no runs to keep
+    (compact,) = _walked_runs_only([batch])
+    copies = [copy.copy(compact), copy.deepcopy(compact),
+              pickle.loads(pickle.dumps(compact))]
+    for duplicate in copies:
+        assert type(duplicate) is AccessBatch
+        assert duplicate._runs is None
+        assert np.array_equal(duplicate.addrs, compact.addrs)
+        assert np.array_equal(duplicate.writes, compact.writes)
+        assert duplicate.instructions == batch.instructions
 
 
 #: Task 1's private region of the kept batches below.
@@ -576,54 +684,6 @@ def test_a_negative_interval_owner_under_an_in_range_task_owner():
     assert_systems_identical(reference, compiled, "negative interval owner")
 
 
-#: Line groups this far apart share their home block of seen-set slots
-#: at every capacity up to 2**16 slots: their hashes differ only in bits
-#: 30 and up, and the block index takes bits 17..29.
-_GROUP_STRIDE = 1 << 30
-
-
-def _home_block(group, capacity):
-    """The block of eight seen-set slots that a group of eight lines
-    hashes to (``slot_of`` in ``_walker.c``)."""
-    return (group * 0x9E3779B97F4A7C15 % (1 << 64)) >> 17 \
-        & (capacity // 8 - 1)
-
-
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-def test_seen_sets_with_colliding_line_groups():
-    """Whole groups of eight consecutive lines whose groups all hash to
-    one block of seen-set slots, so every group probes past the others.
-    Each batch brings more groups and visits every line twice: the
-    seen-sets grow their tables several times (each walk reserves room
-    for its runs) and are rebuilt from the Python sets after a
-    quiesce.  Cold misses and the synced seen-sets match the reference
-    engine's."""
-    groups = [(3 << 20) + k * _GROUP_STRIDE for k in range(48)]
-    for capacity in (32, 1 << 10, 1 << 16):
-        assert len({_home_block(g, capacity) for g in groups}) == 1
-    reference = build_system("reference", PartitionMode.SHARED)
-    compiled = build_system("compiled", PartitionMode.SHARED)
-    rng = np.random.default_rng(12)
-    for step, n_groups in enumerate([2, 4, 8, 16, 32, 48]):
-        lines = np.array([8 * g + k for g in groups[:n_groups]
-                          for k in range(8)], dtype=np.int64)
-        lines = np.concatenate([lines, rng.permutation(lines)])
-        batch = AccessBatch.from_addresses(
-            lines << 6, writes=rng.random(lines.shape[0]) < 0.3
-        )
-        _walk_both(reference, compiled, step % 2, 1, batch, step * 500.0)
-        if step == 3:
-            compiled.quiesce()
-    assert compiled.effective_engine == "compiled"
-    assert_systems_identical(reference, compiled, "colliding line groups")
-    for ref_cache, cache in zip([*reference.l1s, reference.l2],
-                                [*compiled.l1s, compiled.l2]):
-        assert cache._seen == ref_cache._seen
-        assert len(cache._seen) > 0
-    cold = reference.l2_stats.per_owner[1].cold_misses
-    assert cold == 8 * len(groups)
-
-
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
 @pytest.mark.parametrize("owner", [MAX_DENSE_OWNERS, 10**9])
 @pytest.mark.parametrize("source", ["task", "interval"])
@@ -780,36 +840,6 @@ def test_engine_config_validated():
         assert HierarchyConfig(engine=engine).engine == engine
 
 
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-@pytest.mark.parametrize("engine", ["compiled"], ids=["c"])
-def test_cold_misses_after_forget_history(engine):
-    """Regression: across a forget_history() epoch, lines can be
-    resident yet unseen; the C walker's cold classification must count
-    the first *miss* of such lines, not their first occurrence."""
-    def run(engine):
-        mem = MemorySystem(1, HierarchyConfig(engine=engine))
-        mem.execute_batch(
-            0, 1, AccessBatch.from_addresses(np.arange(200) * 64), 0.0
-        )
-        # Python-side mutations come after quiesce(); L1 stats and the
-        # seen-sets are current after sync_state().
-        mem.quiesce()
-        mem.l1s[0].forget_history()
-        mem.l2.forget_history()
-        rng = np.random.default_rng(3)
-        batch = AccessBatch.from_addresses(rng.integers(0, 300, 5000) * 64)
-        mem.execute_batch(0, 1, batch, 100.0)
-        mem.sync_state()
-        return (
-            mem.l1s[0].stats.per_owner,
-            mem.l2_stats.per_owner,
-            sorted(mem.l1s[0]._seen),
-            sorted(mem.l2._seen),
-        )
-
-    assert run(engine) == run("reference")
-
-
 def test_repartition_flushes_dirty_lines_to_dram():
     mem = build_system("compiled", PartitionMode.SHARED)
     writes = AccessBatch.from_addresses([0, 64, 1 << 21], writes=True)
@@ -823,8 +853,7 @@ def test_repartition_flushes_dirty_lines_to_dram():
     assert mem.l2.resident_lines == 0
     for l1 in mem.l1s:
         assert l1.resident_lines == 0
-    # The next access must miss again (caches really were invalidated)
-    # but is not cold (the history survives a repartition).
+    # The next access must miss again (caches really were invalidated).
     result = mem.execute_batch(0, 1, AccessBatch.from_addresses([0]), 10.0)
     assert result.l1_misses == 1
 
