@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
@@ -110,8 +111,12 @@ class TransitionSpec:
                 f"unknown transition action {self.action!r}; "
                 f"pick from {TRANSITION_ACTIONS}"
             )
-        if self.at < 0:
-            raise ValueError(f"transition time must be >= 0, got {self.at!r}")
+        if not (math.isfinite(self.at) and self.at >= 0):
+            raise ValueError(
+                f"transition time must be finite and >= 0, got {self.at!r}"
+            )
+        if self.budget is not None and not math.isfinite(self.budget):
+            raise ValueError(f"budget must be finite, got {self.budget!r}")
         if self.action == "join" and (self.workload is None or not self.group):
             raise ValueError("a join transition needs a workload and a group")
         if self.action == "leave" and not (self.group or self.tasks):

@@ -19,13 +19,10 @@
  *      walks again;
  *   2. `walker_bind` stores the interval, set and way tables and the
  *      per-owner counters in the state, only when one of them changed;
- *   3. `walk_batch` walks the runs.  Before touching any state it
- *      checks that every run can be walked: pass 1 resolves each run's
- *      owner through the interval table, and it runs only when an
- *      owner can fall outside the counters, i.e. when the task owner
- *      or the bound table's owner range (stored by `walker_bind`) lies
- *      outside [0, n_owners).  Then it executes exactly the state
- *      sequence of the reference engine:
+ *      the caller has checked every owner id against the counters;
+ *   3. `walk_batch` walks the runs, resolving each run's owner through
+ *      the interval table, in exactly the state sequence of the
+ *      reference engine:
  *
  *        L1 probe -> (miss) L1 fill + eviction -> dirty-victim
  *        writeback probe into the L2 -> L2 probe (demand or store fill)
@@ -52,13 +49,6 @@
 #define L2_MODE_LRU 0
 #define L2_MODE_FIFO 1
 #define L2_MODE_WAY 2
-
-/* walk_batch results (repro.mem.cwalker.WALK_*).  Every result but
- * WALK_OK leaves the state untouched.  1 is unused: walker_coalesce
- * reports a negative address. */
-#define WALK_OK 0
-#define WALK_NEGATIVE_OWNER 2
-#define WALK_GROW 3             /* out[0] = the owner id to make room for */
 
 /* A run is two int64: its line, then count << 2 | sfill << 1 |
  * write_any (walker_coalesce). */
@@ -118,7 +108,6 @@ typedef struct {
     /* per-call inputs, stored by walker_bind (caller-owned arrays) */
     const int64_t *intervals;   /* 3 rows of n_intervals: bases, ends, owners */
     int64_t n_intervals;
-    int64_t lo_owner, hi_owner; /* the intervals' owner range; 0, 0 if none */
     const int64_t *set_table;   /* owner -> (base, n_sets) rows */
     int64_t n_table;
     const int64_t *way_table;   /* owner -> allocation ways (way mode) */
@@ -525,21 +514,17 @@ int64_t walker_coalesce(const int64_t *addrs, const uint8_t *writes,
  * padded (read in way mode only); owners >= way_rows use the last.
  * `counts` holds N_FIELDS rows of `n_owners` counters per cache and
  * `matrix` one n_owners x n_owners eviction matrix per cache, every L1
- * by cpu id, then the L2; the walk adds to both. */
+ * by cpu id, then the L2; the walk adds to both.  Precondition: every
+ * interval owner lies in [0, n_owners), because the walk indexes the
+ * counters and the tables by owner without a check. */
 void walker_bind(void *state, const int64_t *intervals,
                  int64_t n_intervals, const int64_t *set_table,
                  int64_t n_table, const int64_t *way_table, int64_t way_rows,
                  int64_t *counts, int64_t *matrix, int64_t n_owners)
 {
     walker_state *st = (walker_state *)state;
-    const int64_t *owners = intervals + 2 * n_intervals;
     st->intervals = intervals;
     st->n_intervals = n_intervals;
-    st->lo_owner = st->hi_owner = n_intervals > 0 ? owners[0] : 0;
-    for (int64_t k = 1; k < n_intervals; k++) {
-        if (owners[k] < st->lo_owner) st->lo_owner = owners[k];
-        if (owners[k] > st->hi_owner) st->hi_owner = owners[k];
-    }
     st->set_table = set_table;
     st->n_table = n_table;
     st->way_table = way_table;
@@ -552,14 +537,14 @@ void walker_bind(void *state, const int64_t *intervals,
 /* Walk one batch -- its `n_runs` runs (walker_coalesce), issued by
  * `cpu` on behalf of `task_owner` at time `now`, plus `instructions`
  * of issue time -- against the state and its bound inputs, and price
- * it.
+ * it.  out[0..7] = cycles, L1 misses, DRAM line reads (L2 demand
+ * misses), DRAM line writes, bus cycles, store fills, read bank
+ * conflicts, write bank conflicts.
  *
- * Returns WALK_OK, or one of the other WALK_* results before touching
- * any state.  On WALK_OK, out[0..7] = cycles, L1 misses, DRAM line
- * reads (L2 demand misses), DRAM line writes, bus cycles, store fills,
- * read bank conflicts, write bank conflicts.
+ * Precondition: `task_owner` lies in [0, n_owners), like every owner
+ * bound by walker_bind, so every run's owner indexes the counters.
  */
-int walk_batch(
+void walk_batch(
     void *state_ptr, int64_t cpu, int64_t task_owner, int64_t instructions,
     double now, const int64_t *runs, int64_t n_runs, int64_t *out)
 {
@@ -572,27 +557,6 @@ int walk_batch(
         st->intervals + 2 * n_intervals,
         n_intervals, task_owner, 0, 0, 0,
     };
-    int64_t i;
-
-    /* ---- pass 1: every run must be walkable before anything moves --
-     * A run resolves an interval owner or the task owner, so when both
-     * the task owner and the bound owner range fit the counters, no
-     * run can fail and the pass is skipped. */
-    if (task_owner < 0 || task_owner >= n_owners
-            || st->lo_owner < 0 || st->hi_owner >= n_owners) {
-        int64_t lo_owner = 0, hi_owner = 0;
-        for (i = 0; i < n_runs; i++) {
-            int64_t owner = resolve(&res, runs[2 * i] << shift);
-            if (i == 0 || owner < lo_owner) lo_owner = owner;
-            if (i == 0 || owner > hi_owner) hi_owner = owner;
-        }
-        if (lo_owner < 0) return WALK_NEGATIVE_OWNER;
-        if (hi_owner >= n_owners) {
-            out[0] = hi_owner;
-            return WALK_GROW;
-        }
-    }
-    /* ---- pass 2: walk run by run ---------------------------------- */
     int64_t l1_span = st->l1_sets * st->l1_ways;
     walk_ctx c = {
         st->l1_lines + cpu * l1_span, st->l1_owners + cpu * l1_span,
@@ -604,7 +568,7 @@ int walk_batch(
         n_owners, st->set_table, st->n_table, st->way_table, st->way_rows,
         now, {0, 0, 0, 0, 0, 0, 0},
     };
-    for (i = 0; i < n_runs; i++) {
+    for (int64_t i = 0; i < n_runs; i++) {
         int64_t line = runs[2 * i], info = runs[2 * i + 1];
         walk_run(st, &c, line, RUN_COUNT(info), RUN_WRITE(info),
                  RUN_SFILL(info), resolve(&res, line << shift));
@@ -625,5 +589,4 @@ int walk_batch(
     out[5] = tally->store_fills;
     out[6] = tally->read_conflicts;
     out[7] = tally->write_conflicts;
-    return WALK_OK;
 }

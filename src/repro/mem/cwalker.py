@@ -11,6 +11,8 @@ once (the caller keeps the runs of a read-only batch), ``bind`` stores
 the interval, set and way tables and the counters in the C state when
 they change, and one ``walk_batch`` call then walks an op's runs:
 owner resolution, set mapping, the walk and the per-owner statistics.
+``walk_batch`` returns nothing: the caller keeps the task owner and
+every bound interval owner within the counters.
 Everything degrades gracefully: no compiler, a failed
 compilation or an unwritable build directory simply mean :func:`load`
 returns ``None`` and the compiled engine falls back to the reference
@@ -32,8 +34,7 @@ import sysconfig
 import threading
 from typing import Optional
 
-__all__ = ["load", "L2_MODE_LRU", "L2_MODE_FIFO", "L2_MODE_WAY",
-           "WALK_OK", "WALK_NEGATIVE_OWNER", "WALK_GROW"]
+__all__ = ["load", "L2_MODE_LRU", "L2_MODE_FIFO", "L2_MODE_WAY"]
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_walker.c")
 _BUILD_DIR = os.path.join(os.path.dirname(__file__), "_build")
@@ -87,15 +88,6 @@ def _compile() -> Optional[str]:
 L2_MODE_LRU = 0
 L2_MODE_FIFO = 1
 L2_MODE_WAY = 2
-
-#: ``walk_batch`` results; must match ``_walker.c``.  Every result but
-#: ``WALK_OK`` comes back before the call touched any state.
-WALK_OK = 0
-#: A run resolves a negative owner id.  (1 is unused: ``coalesce``
-#: returns -1 for a negative address.)
-WALK_NEGATIVE_OWNER = 2
-#: A run's owner id is beyond the counters; ``out[0]`` holds it.
-WALK_GROW = 3
 
 
 class CWalker:
@@ -195,7 +187,7 @@ def _bind() -> Optional[CWalker]:
         ptr, i64,                   # way allocation table, way_rows
         ptr, ptr, i64,              # counters, eviction matrices, n_owners
     ]
-    walk.restype = ctypes.c_int
+    walk.restype = None
     walk.argtypes = [
         ctypes.c_void_p,            # state
         i64, i64, i64, f64,         # cpu, task_owner, instructions, now

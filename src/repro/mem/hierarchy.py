@@ -31,14 +31,13 @@ Two engines implement the walk:
   line geometry (see
   :class:`~repro.mem.trace.AccessBatch`).  The interval table, the
   partition maps and the counters are bound into the C state when
-  they change.  Then every batch, whatever its size, is one C walk
-  over its runs that resolves each run's owner through the interval
-  table, translates the L2 set index, walks, and counts the per-owner
-  statistics.  The walk checks every run's owner in a pre-pass only
-  when one can fall outside the counters: when the task owner or the
-  bound interval table's owner range lies outside ``[0, n_owners)``.
-  The walk allocates nothing, so it never fails for lack of memory.
-  The contract for reading state:
+  they change, and the owner ids are checked there: every interval
+  owner and the task owner must fit the counters, which grow to cover
+  them.  Then every batch, whatever its size, is one C walk over its
+  runs that resolves each run's owner through the interval table,
+  translates the L2 set index, walks, and counts the per-owner
+  statistics.  The walk allocates nothing and checks nothing, so it
+  cannot refuse a batch.  The contract for reading state:
 
   * :attr:`MemorySystem.l2_stats` is always current (reading it folds
     the C-side L2 counters in);
@@ -60,8 +59,9 @@ walk when no C compiler is available (or ``REPRO_NO_CWALKER`` is set)
 and when the C state cannot be allocated.  A negative owner
 id degrades it to the reference walk too -- the owner registry never
 produces one -- and so does an owner id of :data:`MAX_DENSE_OWNERS` or
-more, which the dense C counters do not cover.  Each check runs before
-the C call touches any state.  Every fallback is for good, and
+more, which the dense C counters do not cover.  Both are checked where
+the tables are bound, on the task owner and every interval owner,
+before the C walk touches any state.  Every fallback is for good, and
 :attr:`MemorySystem.effective_engine` reports the engine that walks
 after it.
 """
@@ -92,8 +92,8 @@ __all__ = ["BatchResult", "HierarchyConfig", "MemorySystem"]
 
 #: Owner ids the compiled engine's dense per-owner counters cover: the
 #: eviction matrices take ``(n_cpus + 1) x MAX_DENSE_OWNERS**2`` int64
-#: counters at most (40 MiB for four CPUs).  A run resolving a larger
-#: id sends the engine to the reference walk.
+#: counters at most (40 MiB for four CPUs).  A larger task or interval
+#: owner id sends the engine to the reference walk.
 MAX_DENSE_OWNERS = 1024
 
 
@@ -133,6 +133,12 @@ class HierarchyConfig:
             raise ConfigurationError("issue_cpi must be positive")
         if self.l2_hit_cycles < 0:
             raise ConfigurationError("l2_hit_cycles must be >= 0")
+        policies = SetAssociativeCache.REPLACEMENT_POLICIES
+        if self.l2_policy not in policies:
+            raise ConfigurationError(
+                f"l2_policy must be one of {', '.join(policies)}, "
+                f"got {self.l2_policy!r}"
+            )
         if self.engine not in self.ENGINES:
             raise ConfigurationError(
                 f"engine must be one of {', '.join(self.ENGINES)}, "
@@ -285,7 +291,7 @@ class _CompiledState:
         #: What the C state's bound inputs were built from: the
         #: interval table, its version and the partition maps' versions
         #: (see :meth:`MemorySystem._execute_batch_compiled`); ``None``
-        #: until the first bind and after the counters grow.
+        #: until the first bind.
         self.bound: Optional[tuple] = None
         #: The bound tables, referenced while the C state reads them.
         self.bound_tables: tuple = ()
@@ -301,7 +307,6 @@ class _CompiledState:
             (n_caches, len(self._FIELDS), n_owners), dtype=np.int64
         )
         self.matrix = np.zeros((n_caches, n_owners, n_owners), dtype=np.int64)
-        self.bound = None  # the C state must bind the new counters
 
     def grow(self, owner: int) -> None:
         """Re-size the counters to cover ``owner``, keeping their counts."""
@@ -464,8 +469,8 @@ class MemorySystem:
         #: Lazily built persistent C state (engine="compiled" only).
         self._compiled: Optional[_CompiledState] = None
         #: Whether batches try the C tier.  Cleared for good when the C
-        #: state cannot be allocated or a run resolves an owner id
-        #: outside ``[0, MAX_DENSE_OWNERS)``.
+        #: state cannot be allocated or the task owner or an interval
+        #: owner lies outside ``[0, MAX_DENSE_OWNERS)``.
         self._use_compiled = config.engine == "compiled"
 
     # -- configuration -----------------------------------------------------
@@ -590,8 +595,8 @@ class MemorySystem:
         takes them: the interval table, ``(n_table, set table)`` and
         ``(way_rows, way table)``.
 
-        Built only when :attr:`_CompiledState.bound` is stale, so on a
-        change of the interval table or a partition map.
+        Built only on the bind slow path of
+        :meth:`_execute_batch_compiled`.
         """
         intervals = self.resolver.intervals.as_array()
         if self.mode is PartitionMode.SET_PARTITIONED:
@@ -684,20 +689,17 @@ class MemorySystem:
         The runs come from the batch when it kept them for this line
         geometry, else from one C coalescing call, which raises the
         negative-address :class:`MemoryModelError` before any state
-        changes.  The interval table, the partition maps and the
-        counters are bound into the C state only when they changed.
-        Unsupported means: the compiled tier is down (no C walker, a
-        failed state allocation) or the C walk declined the batch
-        before touching any state: a run resolves an owner id outside
-        ``[0, MAX_DENSE_OWNERS)``.  Both send this system to the
-        reference walk for good.  An owner
-        id beyond the current counters grows them and walks again.
+        changes.  The tables are bound when one changed or the task
+        owner lies beyond the counters; that slow path checks the task
+        owner and every interval owner and grows the counters to cover
+        them.  Unsupported means: the compiled tier is down (no C
+        walker, a failed state allocation) or one of those owner ids
+        lies outside ``[0, MAX_DENSE_OWNERS)``.  Both send this system
+        to the reference walk for good, before any state changes.
         """
         state = self._compiled_state()
         if state is None:
             return None
-        if state.n_owners <= task_owner < MAX_DENSE_OWNERS:
-            state.grow(task_owner)
         runs = batch._runs
         if runs is None or runs[0] != state.run_key:
             runs = state.coalesce(batch)
@@ -708,27 +710,22 @@ class MemorySystem:
         intervals = self.resolver.intervals
         key = (intervals, intervals.version, self.set_map.version,
                self.way_map._version)
-        if key != state.bound:
-            state.bind(key, self._bind_tables(state))
-        instructions = int(batch.instructions)
-        _, _, runs_ptr, n_runs = runs
-        while True:
-            status = state.walker.walk_batch(
-                state.handle, cpu_id, task_owner, instructions, float(now),
-                runs_ptr, n_runs, state.out_ptr,
-            )
-            if status != cwalker.WALK_GROW:
-                break
-            owner = int(state.out[0])
-            if owner >= MAX_DENSE_OWNERS:
+        if key != state.bound or not 0 <= task_owner < state.n_owners:
+            tables = self._bind_tables(state)
+            owners = [task_owner, *tables[0][2].tolist()]
+            lowest, highest = min(owners), max(owners)
+            if lowest < 0 or highest >= MAX_DENSE_OWNERS:
                 self._fall_back()
                 return None
-            state.grow(owner)
-            state.bind(key, state.bound_tables)
-        if status != cwalker.WALK_OK:
-            # A negative owner id.
-            self._fall_back()
-            return None
+            if highest >= state.n_owners:
+                state.grow(highest)
+            state.bind(key, tables)
+        instructions = int(batch.instructions)
+        _, _, runs_ptr, n_runs = runs
+        state.walker.walk_batch(
+            state.handle, cpu_id, task_owner, instructions, float(now),
+            runs_ptr, n_runs, state.out_ptr,
+        )
         (cycles, l1_misses, dram_reads, dram_writes, bus_cycles,
          store_fills, read_conflicts, write_conflicts) = state.out.tolist()
 

@@ -22,6 +22,7 @@ once.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Generator, Optional
 
 from repro.errors import SimulationError
@@ -124,6 +125,8 @@ class Simulator:
         their memory effects (every engine executes an op's accesses
         at its start time).
         """
+        if not math.isfinite(at):
+            raise SimulationError(f"replan at {at!r}: not a finite time")
         if at < self._now:
             raise SimulationError(
                 f"replan at {at!r} is in the past (now={self._now})"

@@ -164,6 +164,26 @@ def test_transition_spec_validation():
         TransitionSpec(at=0.0, action="leave")  # neither group nor tasks
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("field", ["at", "budget"])
+def test_transition_spec_rejects_non_finite_numbers(field, value):
+    """Regression: a NaN or infinite time gave NaN epoch bounds or an
+    infinite ``elapsed_cycles``, so the record's JSON line held ``NaN``
+    or ``Infinity``, which a strict JSON parser rejects.  Refused when
+    the spec is built, directly and from a payload."""
+    from dataclasses import replace
+
+    spec = TransitionSpec(
+        at=1234.0, action="join", group="g", budget=5e6,
+        workload=WorkloadSpec("pipeline", PIPELINE_KWARGS),
+    )
+    with pytest.raises(ValueError, match="finite"):
+        replace(spec, **{field: value})
+    with pytest.raises(ValueError, match="finite"):
+        TransitionSpec.from_dict(dict(spec.to_dict(), **{field: value}))
+
+
 def test_transition_spec_roundtrip():
     spec = TransitionSpec(
         at=1234.0, action="join", group="g", budget=5e6,

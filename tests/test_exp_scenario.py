@@ -111,6 +111,21 @@ def test_scenario_roundtrips_through_dict():
     assert clone.to_dict() == base.to_dict()
 
 
+@pytest.mark.parametrize("policy", ["random", "LRU", ""])
+def test_unknown_l2_policy_rejected(policy):
+    """Regression: ``HierarchyConfig`` checked its engine but not its L2
+    policy, so a way-partitioned system ran with any value, a shared
+    one failed only when its cache was built, and the value entered
+    scenario identities.  Refused when the config is built, directly
+    and from a scenario payload."""
+    with pytest.raises(ConfigurationError, match="l2_policy"):
+        HierarchyConfig(l2_policy=policy)
+    payload = base_scenario().to_dict()
+    payload["cake"]["hierarchy"]["l2_policy"] = policy
+    with pytest.raises(ConfigurationError, match="l2_policy"):
+        Scenario.from_dict(payload)
+
+
 def test_seed_override_folds_into_cake():
     from dataclasses import replace
 

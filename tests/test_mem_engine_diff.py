@@ -18,6 +18,7 @@ this contract -- violating it corrupts its bookkeeping too).
 
 import copy
 import pickle
+import re
 import sys
 import threading
 
@@ -632,9 +633,11 @@ def _private_batch(rng, base):
                                   PartitionMode.WAY_PARTITIONED])
 def test_owner_ids_beyond_the_first_counter_capacity(mode):
     """Owners 1 and 2 size the C counters; task owner 300, then an
-    interval owner 700 turn up mid-run.  The counters grow (the task
-    owner before the call, the interval owner through the walk's
-    grow-and-retry) and the run stays bit-identical on the C tier."""
+    interval owner 700 turn up mid-run.  The counters grow where the
+    tables are bound: for the task owner at its first batch, for the
+    interval owner at the first batch after its interval was added,
+    whether or not that batch touches the interval.  The run stays
+    bit-identical on the C tier."""
     reference = build_system("reference", mode)
     compiled = build_system("compiled", mode)
     rng = np.random.default_rng(8)
@@ -642,8 +645,7 @@ def test_owner_ids_beyond_the_first_counter_capacity(mode):
         if step == 6:
             for mem in (reference, compiled):
                 mem.resolver.intervals.add(3 << 20, (3 << 20) + 8192, 700)
-            n_owners = compiled._compiled.n_owners
-            assert n_owners <= 700
+            assert compiled._compiled.n_owners <= 700
         task = (1, 2, 300)[step % 3]
         base = {1: 1 << 22, 2: 2 << 22, 300: 3 << 22}[task]
         if step >= 6 and step % 2:
@@ -652,8 +654,8 @@ def test_owner_ids_beyond_the_first_counter_capacity(mode):
         assert compiled.execute_batch(step % 2, task, batch, step * 500.0) \
             == reference.execute_batch(step % 2, task, batch, step * 500.0)
         if step == 6:
-            # Bound but not yet resolved by any run: no growth.
-            assert compiled._compiled.n_owners == n_owners
+            # Bound, and covered, although no run resolved it yet.
+            assert compiled._compiled.n_owners > 700
     assert compiled._compiled.n_owners > 700
     assert compiled.effective_engine == "compiled"
     assert_systems_identical(reference, compiled, "grown counters")
@@ -662,26 +664,90 @@ def test_owner_ids_beyond_the_first_counter_capacity(mode):
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
 def test_a_negative_interval_owner_under_an_in_range_task_owner():
     """The task owner fits the counters but an interval owner is
-    negative, so the walk's owner pre-pass must run: the batch whose
-    last runs fall in that interval goes to the reference walk before
-    any state changes, and the system stays bit-identical."""
+    negative: the first batch after that interval is added goes to the
+    reference walk before any state changes, although none of its runs
+    falls in the interval, and the system stays bit-identical."""
     reference = build_system("reference", PartitionMode.SHARED)
     compiled = build_system("compiled", PartitionMode.SHARED)
-    for mem in (reference, compiled):
-        mem.resolver.intervals.add(3 << 20, (3 << 20) + 8192, -5)
     rng = np.random.default_rng(6)
     for step in range(3):
         task = 1 + step % 2
         _walk_both(reference, compiled, step % 2, task,
                    _private_batch(rng, task << 22), step * 500.0)
     assert compiled.effective_engine == "compiled"
+    for mem in (reference, compiled):
+        mem.resolver.intervals.add(3 << 20, (3 << 20) + 8192, -5)
+    _walk_both(reference, compiled, 1, 2,
+               _private_batch(rng, 2 << 22), 1500.0)
+    assert compiled.effective_engine == "reference"
     late = AccessBatch.concat([_private_batch(rng, 1 << 22),
                                _private_batch(rng, 3 << 20)])
-    _walk_both(reference, compiled, 0, 1, late, 1500.0)
-    assert compiled.effective_engine == "reference"
-    _walk_both(reference, compiled, 1, 2,
-               _private_batch(rng, 2 << 22), 2000.0)
+    _walk_both(reference, compiled, 0, 1, late, 2000.0)
     assert_systems_identical(reference, compiled, "negative interval owner")
+
+
+#: Owner ids by how the compiled engine must treat them; each edge of
+#: ``[0, MAX_DENSE_OWNERS)`` is drawn as often as a whole class.
+_OWNER_IDS = st.one_of(
+    st.integers(0, 63),                         # the first counters
+    st.integers(64, MAX_DENSE_OWNERS - 2),      # the counters grow
+    st.just(MAX_DENSE_OWNERS - 1),              # the last dense id
+    st.just(MAX_DENSE_OWNERS),                  # beyond the dense counters
+    st.integers(MAX_DENSE_OWNERS + 1, 10**9),
+    st.just(-1),                                # never from the registry
+    st.integers(-10**9, -2),
+)
+#: Interval slots of the steps below: slot k is [(4 + k) << 20, +8 KiB).
+_SLOTS = 4
+_TABLE_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(0, _SLOTS - 1), _OWNER_IDS),
+    st.tuples(st.just("remove"), st.integers(0, _SLOTS - 1)),
+    st.tuples(st.just("walk"), _OWNER_IDS, st.integers(0, _SLOTS - 1)),
+), min_size=1, max_size=12)
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("mode", [PartitionMode.SHARED,
+                                  PartitionMode.WAY_PARTITIONED])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(steps=_TABLE_STEPS)
+def test_owner_ids_are_checked_where_the_tables_are_bound(mode, steps):
+    """Interval adds and removes between batches of any task owner.  The
+    compiled engine walks bit-identically to the reference; it covers
+    every bound owner at the batch that binds it, and it takes the
+    reference walk from the first batch at which the bound table or
+    the task owner holds an id outside ``[0, MAX_DENSE_OWNERS)``.  Set
+    partitioning is left out: there a line's set follows its owner, so
+    re-attributing resident lines breaks the model's contract."""
+    reference = build_system("reference", mode)
+    compiled = build_system("compiled", mode)
+    table = {}  # slot -> interval owner (7 and 8 are build_system's)
+    fallen = False
+    for i, step in enumerate(steps):
+        if step[0] == "add" and step[1] not in table:
+            table[step[1]] = step[2]
+            for mem in (reference, compiled):
+                base = (4 + step[1]) << 20
+                mem.resolver.intervals.add(base, base + 8192, step[2])
+        elif step[0] == "remove" and step[1] in table:
+            del table[step[1]]
+            for mem in (reference, compiled):
+                mem.resolver.intervals.remove((4 + step[1]) << 20)
+        elif step[0] == "walk":
+            task = step[1]
+            batch = _private_batch(np.random.default_rng(i),
+                                   (4 + step[2]) << 20)
+            _walk_both(reference, compiled, i % 2, task, batch, i * 500.0)
+            owners = [task, 7, 8, *table.values()]
+            fallen = fallen or not all(
+                0 <= owner < MAX_DENSE_OWNERS for owner in owners
+            )
+            if fallen:
+                assert compiled.effective_engine == "reference", i
+            else:
+                assert compiled.effective_engine == "compiled", i
+                assert compiled._compiled.n_owners > max(owners), i
+    assert_systems_identical(reference, compiled, steps)
 
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
@@ -831,6 +897,30 @@ def test_concurrent_first_load_waits_for_the_walker(monkeypatch):
     assert lock.contended.is_set()
     assert results["first"] is not None
     assert results["second"] is results["first"]
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_ctypes_declarations_match_the_c_definitions():
+    """ctypes cannot see its declarations drift from ``_walker.c``: a
+    wrong parameter count or return type corrupts calls silently.  Each
+    bound function takes as many parameters as its ``argtypes`` name,
+    and returns ``void`` exactly when its ``restype`` is ``None``."""
+    with open(cwalker._SOURCE) as fh:
+        source = fh.read()
+    bound = vars(cwalker.load())
+    assert len(bound) == 5
+    for function in bound.values():
+        name = function.__name__
+        match = re.search(
+            rf"^(\w[\w ]*?)\s*(\*?)\s*{name}\(([^)]*)\)\s*\{{",
+            source, re.MULTILINE,
+        )
+        assert match is not None, name
+        params = [param for param in match.group(3).split(",")
+                  if param.strip()]
+        assert len(params) == len(function.argtypes), name
+        returns_void = match.group(1) == "void" and not match.group(2)
+        assert returns_void == (function.restype is None), name
 
 
 def test_engine_config_validated():

@@ -199,6 +199,18 @@ def test_replan_in_the_past_rejected():
         sim.run()
 
 
+@pytest.mark.parametrize("at", [float("nan"), float("inf")])
+def test_replan_at_a_non_finite_time_rejected(at):
+    """Regression: ``nan < now`` is false, so a NaN replan was queued
+    and its heap key broke the kernel's time order; an infinite one
+    made the run end at an infinite time."""
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="not a finite time"):
+        sim.schedule_replan(at, lambda: None)
+    sim.run()
+    assert sim.events_processed == 0
+
+
 def test_succeed_wakes_its_waiter_after_the_actions_already_due():
     sim = Simulator()
     gates = []
