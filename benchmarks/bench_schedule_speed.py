@@ -44,6 +44,7 @@ from repro.kpn.graph import FifoSpec, ProcessNetwork, TaskSpec
 from repro.apps.synthetic import sink_program, source_program
 from repro.mem import cwalker
 from repro.mem.hierarchy import HierarchyConfig
+from repro.rtos.task import OP_STREAMS
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -198,7 +199,14 @@ def _collect(engines, n_tokens: int = N_TOKENS) -> dict:
 
 
 def measure_paper_run(engine: Optional[str] = None) -> dict:
-    """One ``PAPER_WORKLOAD`` run; ``None`` runs the default engine."""
+    """One ``PAPER_WORKLOAD`` run; ``None`` runs the default engine.
+
+    The op-stream table is emptied first, so every run steps its
+    programs: a later run of the same network in one process would
+    replay the ops the first one recorded
+    (:class:`~repro.rtos.task.OpStreams`).
+    """
+    OP_STREAMS.clear()
     name, kwargs = PAPER_WORKLOAD
     tile = Platform(workload_builder(name, **kwargs)(), CakeConfig(),
                     engine=engine)
@@ -251,7 +259,7 @@ def test_paper_scale_default_engine_gate():
     """The default engine must price a paper-scale run bit-identically
     to the reference engine and >= PAPER_GATE_MIN_SPEEDUP x faster,
     median against median over ``PAPER_GATE_RUNS`` interleaved timed
-    runs."""
+    runs, each from an empty op-stream table."""
     # The untimed warm-up runs carry the identity checks.
     default = measure_paper_run()
     reference = measure_paper_run("reference")

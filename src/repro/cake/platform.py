@@ -13,11 +13,12 @@
 ``run()`` executes until the application finishes (every task program
 returned) and returns a :class:`~repro.cake.metrics.RunMetrics`.
 
-A profiling sweep passes ``streams``, its op streams for the run
-(:class:`~repro.rtos.task.OpStreams`): each task then replays the ops
-it yielded in the sweep's earlier run with the same seed instead of
-stepping its program again, or records them.  A run that returns keeps
-what it recorded; a run that raises keeps nothing.
+Every run goes through the process's op-stream table
+(:data:`~repro.rtos.task.OP_STREAMS`): each task started with the run
+replays the ops it yielded in an earlier run in this process with the
+same seed and a matching context, instead of stepping its program
+again, or records them.  A run that returns keeps what it recorded; a
+run that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.mem.partition import OwnerRegistry, OwnerResolver, PartitionMode
 from repro.rtos.cachectl import CacheController
 from repro.rtos.scheduler import Scheduler
 from repro.rtos.shmalloc import build_memory_layout
-from repro.rtos.task import RunStreams, Task, TaskState
+from repro.rtos.task import OP_STREAMS, Task, TaskState
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngHub
 
@@ -56,7 +57,6 @@ class Platform:
         placement: str = "scatter",
         engine: Optional[str] = None,
         deferred: Sequence[str] = (),
-        streams: Optional[RunStreams] = None,
     ):
         self.network = network
         self.config = config if config is not None else CakeConfig()
@@ -145,7 +145,6 @@ class Platform:
                 f"deferred tasks not in the network: {sorted(unknown)}"
             )
         self._deferred = tuple(deferred)
-        self._streams = streams
         self._started = False
 
     # -- execution -----------------------------------------------------------
@@ -178,7 +177,10 @@ class Platform:
         if self._started:
             raise SchedulingError("Platform.run() may only be called once")
         self._started = True
-        self.scheduler.start_all(skip=self._deferred, streams=self._streams)
+        hierarchy = self.config.hierarchy
+        streams = OP_STREAMS.run(hierarchy.engine, hierarchy.run_key,
+                                 self.config.seed)
+        self.scheduler.start_all(skip=self._deferred, streams=streams)
         self.sim.run()
         blocked = self.scheduler.blocked_tasks()
         if blocked:
@@ -186,8 +188,7 @@ class Platform:
             raise SchedulingError(
                 f"deadlock: tasks blocked forever on FIFO ops: {names}"
             )
-        if self._streams is not None:
-            self._streams.keep()
+        streams.keep()
         return self.collect_metrics()
 
     # -- results ----------------------------------------------------------

@@ -17,10 +17,11 @@ partitioned cache are independent of the total set count.
 The runs of one sweep differ only in the L2's set count and partition
 map, which no task program sees: they build the same network, lay it
 out alike and seed every task's RNG stream alike.  So each task yields
-the same ops in every run with the same seed.  The sweep records each
-task's ops in its first run and replays them in the later ones
-(:class:`~repro.rtos.task.OpStreams`), within a fixed memory budget;
-the table lives for one :func:`profile_miss_curves` call.
+the same ops in every run with the same seed.  The sweep's first run
+records each task's ops in the process's op-stream table
+(:class:`~repro.rtos.task.OpStreams`), and its later runs replay them,
+as do the shared baseline and the partitioned validation of the same
+workload and seed, within one memory budget per process.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.core.misscurve import MissCurve
 from repro.errors import OptimizationError
 from repro.kpn.graph import ProcessNetwork
 from repro.mem.partition import PartitionMode
-from repro.rtos.task import OpStreams
 
 __all__ = [
     "ProfileResult",
@@ -190,7 +190,6 @@ def profile_miss_curves(
     buffers = buffer_units(reference, config.unit_bytes, fifo_policy)
     buffers_total = sum(buffers.values())
 
-    streams = OpStreams(config.hierarchy.run_key)
     for size in sizes:
         for repeat in range(repeats):
             network = network_builder()
@@ -200,8 +199,7 @@ def profile_miss_curves(
             if repeats > 1:
                 run_config = replace(run_config, seed=config.seed + repeat)
             platform = Platform(
-                network, run_config, mode=PartitionMode.SET_PARTITIONED,
-                streams=streams.run(run_config.seed),
+                network, run_config, mode=PartitionMode.SET_PARTITIONED
             )
             allocation = dict(buffers)
             for item in items:

@@ -79,6 +79,7 @@ from repro.exp.scenario import (
 from repro.exp.store import SCHEMA_VERSION, ResultStore, ScenarioRecord
 from repro.mem.partition import PartitionMode
 from repro.patterns import memo as pattern_memo
+from repro.rtos.task import OP_STREAMS
 
 __all__ = [
     "AsyncBackend",
@@ -102,10 +103,14 @@ _PAYLOADS: Dict[tuple, Dict[str, Any]] = {}
 
 
 def clear_caches() -> None:
-    """Drop the process-wide memo tables: measurement payloads and the
-    pattern kit's traffic batches (:mod:`repro.patterns.memo`)."""
+    """Drop the process-wide memo tables: measurement payloads, the
+    pattern kit's traffic batches (:mod:`repro.patterns.memo`) and the
+    op streams that platform runs replay
+    (:data:`~repro.rtos.task.OP_STREAMS`).  Call it before a test or a
+    timing that needs them cold."""
     _PAYLOADS.clear()
     pattern_memo.clear()
+    OP_STREAMS.clear()
 
 
 def _compute_profile(scenario: Scenario) -> ProfileResult:
@@ -570,9 +575,11 @@ class AsyncBackend(ExecutionBackend):
 
     The pool is created per :meth:`map` call with ``concurrency``
     threads, and keeps at most ``concurrency`` calls unfinished (see
-    :func:`_stream_window`).  The simulation core keeps all state
-    per-platform (each ``MemorySystem`` owns its own C walker state),
-    so concurrent scenarios do not interact -- and because records are
+    :func:`_stream_window`).  The simulation core keeps its mutable
+    state per-platform (each ``MemorySystem`` owns its own C walker
+    state); platforms share only the process-wide tables of read-only
+    batches and recorded op streams, behind their locks.  So
+    concurrent scenarios do not interact -- and because records are
     pure functions of their scenarios, the fingerprint matches the
     serial one.
     """

@@ -20,9 +20,11 @@ A program must yield the same ops whenever it runs with the same
 context: the same params, the same region bounds
 (:meth:`TaskContext.region_bounds`) and an RNG stream with the same
 seed.  So it reads nothing else that can change between runs: not the
-clock, not a FIFO's fill level, not the cache.  A profiling sweep
-relies on this: it records each task's ops once and replays them in
-its later runs (:class:`~repro.rtos.task.OpStreams`).
+clock, not a FIFO's fill level, not the cache.  Every platform run
+relies on this: a task's ops, recorded in the first run of its context
+in a process, are replayed in the later ones -- the other sizes of a
+profiling sweep, the baseline, the validation
+(:class:`~repro.rtos.task.OpStreams`).
 """
 
 from __future__ import annotations

@@ -711,15 +711,16 @@ class MemorySystem:
         key = (intervals, intervals.version, self.set_map.version,
                self.way_map._version)
         if key != state.bound or not 0 <= task_owner < state.n_owners:
-            tables = self._bind_tables(state)
-            owners = [task_owner, *tables[0][2].tolist()]
+            # Checked on the Python ints, before any int64 array holds
+            # them: an owner outside int64 falls back like any other.
+            owners = [task_owner, *(owner for _, _, owner in intervals)]
             lowest, highest = min(owners), max(owners)
             if lowest < 0 or highest >= MAX_DENSE_OWNERS:
                 self._fall_back()
                 return None
             if highest >= state.n_owners:
                 state.grow(highest)
-            state.bind(key, tables)
+            state.bind(key, self._bind_tables(state))
         instructions = int(batch.instructions)
         _, _, runs_ptr, n_runs = runs
         state.walker.walk_batch(

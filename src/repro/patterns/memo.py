@@ -50,9 +50,13 @@ __all__ = ["BUDGET_BYTES", "STREAM_BUDGET_BYTES", "MemoInfo", "cached",
 #: Array bytes (addresses plus write flags) the table holds at most.
 BUDGET_BYTES = 4 << 20
 
-#: Bytes the op streams that one profiling sweep records keep alive at
-#: most (:class:`repro.rtos.task.OpStreams`).  A task whose stream would
-#: pass it runs its program again in the sweep's later runs.
+#: Bytes the op streams that platform runs record keep alive at most,
+#: in the whole process (:class:`repro.rtos.task.OpStreams`).  Past it
+#: the least recently replayed streams are evicted, except those the
+#: keeping run replayed; a stream that alone passes it is not kept, so
+#: its task steps its program in every run.
+#: Read each time a stream is recorded or kept, so a patched value (0
+#: turns replay off) holds from the next run on.
 STREAM_BUDGET_BYTES = 8 << 20
 
 

@@ -112,7 +112,7 @@ class Scheduler:
 
         Tasks named in ``skip`` stay NEW; they join later through
         :meth:`attach` (online arrivals) or never (rejected arrivals).
-        ``streams`` goes to :meth:`Task.start` (profiling sweeps only).
+        ``streams``, the run's op streams, goes to :meth:`Task.start`.
         """
         deferred = set(skip)
         for task in self.tasks:

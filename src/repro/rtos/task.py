@@ -1,8 +1,10 @@
-"""Task control blocks, and the op streams a profiling sweep replays."""
+"""Task control blocks, and the op streams every platform run replays."""
 
 from __future__ import annotations
 
 import enum
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -12,7 +14,8 @@ from repro.kpn.ops import Compute, Op
 from repro.kpn.process import TaskContext
 from repro.patterns import memo
 
-__all__ = ["OpStreams", "RunStreams", "Task", "TaskState", "TaskStats"]
+__all__ = ["OP_STREAMS", "OpStreams", "RunStreams", "Task", "TaskState",
+           "TaskStats"]
 
 
 class TaskState(enum.Enum):
@@ -73,9 +76,9 @@ class Task:
     def start(self, streams: Optional["RunStreams"] = None) -> None:
         """Instantiate the program generator; task becomes READY.
 
-        Only a profiling sweep passes ``streams``, its op streams for
-        this run: the task then replays the ops it recorded in an
-        earlier run, or records them as its program yields them.
+        With ``streams``, the platform run's op streams, the task
+        replays the ops an earlier run recorded, or records them as its
+        program yields them; without, it steps its program.
         """
         if self._generator is not None:
             raise SchedulingError(f"task {self.name!r} started twice")
@@ -113,103 +116,162 @@ _OP_BYTES = 64
 
 
 class OpStreams:
-    """The op streams that one profiling sweep records and replays.
+    """The op streams this process records and replays.
 
-    A sweep (:func:`~repro.core.profiling.profile_miss_curves`) runs the
-    same network once per candidate size, with the same layout and
-    seed, so every task yields the same ops in every run: the contract
-    of :mod:`repro.kpn.process`.  Each task's ops are recorded in the
-    sweep's first run and replayed, instead of stepping the program, in
-    its later runs with the same seed.  Streams are keyed by task name
-    and seed, and a stream is replayed only to a task whose context
-    matches the recording's: the same program function and params, and
-    the same bounds of every region the task can name.  Otherwise the
-    program runs.
+    The paper's method runs each application many times with the same
+    task programs: once per profiled size
+    (:func:`~repro.core.profiling.profile_miss_curves`), then as the
+    shared baseline and as the partitioned validation.  Under the
+    contract of :mod:`repro.kpn.process`, a task run again with the same
+    context yields the same ops.  So every platform run goes through
+    one table per process (:data:`OP_STREAMS`): a task replays the ops
+    that an earlier run recorded under its name and seed when its
+    context matches the recording's -- the same program function and
+    params, and the same bounds of every region the task can name -- and
+    records them as its program yields them otherwise.  Deferred
+    arrivals (:meth:`~repro.rtos.scheduler.Scheduler.attach`) always
+    step their programs.
+
+    Streams are keyed by the hierarchy engine, the line geometry
+    (:attr:`~repro.mem.hierarchy.HierarchyConfig.run_key`), the task's
+    name, seed, program and region bounds; a recording whose params
+    differ from the kept stream's replaces it.  On the compiled engine,
+    a recorded ``Compute`` op whose batch kept its runs is held as a
+    runs-only batch (:meth:`~repro.mem.trace.AccessBatch.runs_only`)
+    once the runner walked it, so a held stream costs its runs, not its
+    addresses.  The reference engine's streams hold the programs' own
+    batches: the oracle walk never sees a runs-only batch.
 
     A stream is kept only when its program returned in a run that
     returned (:meth:`RunStreams.keep`, which
-    :meth:`~repro.cake.platform.Platform.run` calls), and only while the
-    kept streams hold at most
-    :data:`~repro.patterns.memo.STREAM_BUDGET_BYTES`.  A recorded
-    ``Compute`` op whose batch kept its runs on the compiled engine is
-    held as a runs-only batch
-    (:meth:`~repro.mem.trace.AccessBatch.runs_only`) once the runner
-    walked it, so a held stream costs its runs, not its addresses.
+    :meth:`~repro.cake.platform.Platform.run` calls).  The kept streams
+    hold at most :data:`~repro.patterns.memo.STREAM_BUDGET_BYTES`, read
+    each time a stream is recorded or kept.  To keep a stream past it,
+    the least recently replayed streams are evicted, but never one that
+    the keeping run replayed: a stream that does not fit without those
+    is dropped, so a sweep's later runs replay the same streams rather
+    than evict each other's in turn.  A stream that alone passes the
+    budget is never kept.  A lock guards lookups, keeps and evictions:
+    :class:`~repro.exp.runner.AsyncBackend` runs platforms on threads of
+    one process.  :func:`repro.exp.clear_caches` empties the table.
     """
 
-    def __init__(self, run_key: tuple):
-        #: The line geometry of the sweep's walks
-        #: (:attr:`~repro.mem.hierarchy.HierarchyConfig.run_key`): only
-        #: runs kept under it stand in for a batch.
-        self.run_key = run_key
-        self.budget_bytes = memo.STREAM_BUDGET_BYTES
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: (engine, run key, task name, seed, program, region bounds)
+        #: -> (params, ops, bytes), least recently replayed first.
+        self._kept: "OrderedDict[tuple, Tuple[dict, List[Op], int]]" = \
+            OrderedDict()
         #: Bytes the kept streams hold.
         self.nbytes = 0
-        self._kept: Dict[Tuple[str, int], Tuple[tuple, List[Op]]] = {}
-        #: Keys whose stream did not fit the budget: their programs run.
-        self._refused: set = set()
 
-    def run(self, seed: int) -> "RunStreams":
-        """The streams of one platform run with ``seed``."""
-        return RunStreams(self, seed)
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def run(self, engine: str, run_key: tuple, seed: int) -> "RunStreams":
+        """The streams of one platform run on ``engine`` with ``seed``."""
+        return RunStreams(self, engine, run_key, seed)
+
+    def clear(self) -> None:
+        """Drop every kept stream."""
+        with self._lock:
+            self._kept.clear()
+            self.nbytes = 0
+
+    def _replay(self, key: tuple, params: dict) -> Optional[List[Op]]:
+        """The ops kept under ``key`` if they were recorded with equal
+        ``params``, else ``None``."""
+        with self._lock:
+            kept = self._kept.get(key)
+            if kept is None or not _same(kept[0], params):
+                return None
+            self._kept.move_to_end(key)
+            return kept[1]
+
+    def _keep(self, finished: list, replayed: set) -> None:
+        """Keep ``(key, params, recording)`` streams, in order, each
+        after evicting the least recently replayed streams past the
+        budget -- but none of the ``replayed`` keys, whose streams the
+        keeping run replayed: a recording that does not fit without
+        them is dropped."""
+        budget = memo.STREAM_BUDGET_BYTES
+        kept = self._kept
+        with self._lock:
+            for key, params, recording in finished:
+                if recording.nbytes > budget:
+                    continue
+                replaced = kept.pop(key, None)
+                if replaced is not None:
+                    self.nbytes -= replaced[2]
+                while self.nbytes + recording.nbytes > budget:
+                    oldest = next(iter(kept))
+                    if oldest in replayed:
+                        break
+                    self.nbytes -= kept.pop(oldest)[2]
+                else:
+                    kept[key] = (params, recording.ops, recording.nbytes)
+                    self.nbytes += recording.nbytes
 
 
 class RunStreams:
     """One platform run's share of an :class:`OpStreams` table."""
 
-    def __init__(self, table: OpStreams, seed: int):
+    def __init__(self, table: OpStreams, engine: str, run_key: tuple,
+                 seed: int):
         self.table = table
         self.seed = seed
-        self._finished: List[Tuple[Tuple[str, int], tuple, "_Recording"]] = []
+        self._prefix = (engine, run_key)
+        #: The geometry whose runs stand in for a recorded batch; none
+        #: on the reference engine, which walks the programs' batches.
+        self._runs_key = run_key if engine == "compiled" else None
+        self._finished: List[Tuple[tuple, dict, "_Recording"]] = []
+        #: Keys of the streams this run replayed.
+        self._replayed: set = set()
 
     def program(self, task: Task) -> Iterator[Op]:
         """The task's ops in this run: replayed, or its program's."""
-        table = self.table
-        key = (task.name, self.seed)
         program, context = task.spec.program, task.context
-        signature = (program, dict(context.params), context.region_bounds())
-        kept = table._kept.get(key)
-        if kept is not None:
-            if _same(kept[0], signature):
-                return iter(kept[1])
-        elif key not in table._refused:
-            return self._record(key, signature, program(context))
-        return program(context)
+        key = (*self._prefix, task.name, self.seed, program,
+               context.region_bounds())
+        params = dict(context.params)
+        ops = self.table._replay(key, params)
+        if ops is not None:
+            self._replayed.add(key)
+            return iter(ops)
+        return self._record(key, params, program(context))
 
     def keep(self) -> None:
         """Keep the streams this run recorded, in the order they
-        finished, while they fit the budget.  Called once the run
-        returned: the streams of a run that raised are never kept."""
-        table = self.table
-        for key, signature, recording in self._finished:
-            if table.nbytes + recording.nbytes <= table.budget_bytes:
-                table._kept[key] = (signature, recording.ops)
-                table.nbytes += recording.nbytes
-            else:
-                table._refused.add(key)
+        finished.  Called once the run returned: the streams of a run
+        that raised are never kept."""
+        self.table._keep(self._finished, self._replayed)
         self._finished = []
 
-    def _record(self, key, signature, program) -> Iterator[Op]:
+    def _record(self, key, params, program) -> Iterator[Op]:
         """The program's ops, recorded until they pass the budget."""
-        table = self.table
-        recording = _Recording(table.run_key)
+        budget = memo.STREAM_BUDGET_BYTES
+        recording = _Recording(self._runs_key)
         for op in program:
             recording.add(op)
-            if table.nbytes + recording.nbytes > table.budget_bytes:
-                table._refused.add(key)
+            if recording.nbytes > budget:
                 yield op
                 yield from program
                 return
             yield op
         recording.settle()
-        self._finished.append((key, signature, recording))
+        self._finished.append((key, params, recording))
+
+
+#: The process's op-stream table: every platform run replays and
+#: records through it.
+OP_STREAMS = OpStreams()
 
 
 class _Recording:
     """One task's ops in the order it yields them, each walked batch
-    held as its runs alone."""
+    held as its runs alone when ``run_key`` is given."""
 
-    def __init__(self, run_key: tuple):
+    def __init__(self, run_key: Optional[tuple]):
         self.run_key = run_key
         self.ops: List[Op] = []
         self.nbytes = 0
@@ -246,10 +308,10 @@ class _Recording:
             self.nbytes += batch.addrs.nbytes + batch.writes.nbytes
 
 
-def _same(recorded: tuple, signature: tuple) -> bool:
-    """Whether two task contexts match (params that cannot be compared
+def _same(recorded: dict, params: dict) -> bool:
+    """Whether two tasks' params match (params that cannot be compared
     do not)."""
     try:
-        return bool(recorded == signature)
+        return bool(recorded == params)
     except (TypeError, ValueError):
         return False

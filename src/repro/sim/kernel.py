@@ -12,11 +12,11 @@ same time and priority run in scheduling order.  An action is one of:
 - a *replan* (:meth:`Simulator.schedule_replan`), at an absolute time,
   URGENT.
 
-A process is a Python generator.  It yields either a delay (a number
-``>= 0``) or an :class:`Event`, and the kernel resumes it when the
-delay has passed or the event succeeded.  A finished process schedules
-nothing; an exception raised in one leaves :meth:`Simulator.run` at
-once.
+A process is a Python generator.  It yields either a delay (a finite
+number ``>= 0``) or an :class:`Event`, and the kernel resumes it when
+the delay has passed or the event succeeded.  A finished process
+schedules nothing; an exception raised in one leaves
+:meth:`Simulator.run` at once.
 """
 
 from __future__ import annotations
@@ -97,20 +97,21 @@ class Simulator:
 
     def process(self, generator: Generator) -> None:
         """Start ``generator`` now, before the other actions due now."""
+        inf = math.inf
 
         def resume() -> None:
             try:
                 yielded = next(generator)
             except StopIteration:
                 return
-            if isinstance(yielded, (int, float)) and yielded >= 0:
+            if isinstance(yielded, (int, float)) and 0 <= yielded < inf:
                 self._schedule(self._now + yielded, NORMAL, resume)
             elif isinstance(yielded, Event):
                 yielded._waiter = resume
             else:
                 raise SimulationError(
                     f"a process yielded {yielded!r}: expected a delay >= 0 "
-                    f"or an Event"
+                    f"and finite, or an Event"
                 )
 
         self._schedule(self._now, URGENT, resume)

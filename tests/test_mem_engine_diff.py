@@ -24,7 +24,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigurationError, MemoryModelError
 from repro.mem import cwalker
@@ -696,6 +696,7 @@ _OWNER_IDS = st.one_of(
     st.integers(MAX_DENSE_OWNERS + 1, 10**9),
     st.just(-1),                                # never from the registry
     st.integers(-10**9, -2),
+    st.sampled_from([2**63, -2**63 - 1]),       # outside int64
 )
 #: Interval slots of the steps below: slot k is [(4 + k) << 20, +8 KiB).
 _SLOTS = 4
@@ -711,6 +712,8 @@ _TABLE_STEPS = st.lists(st.one_of(
                                   PartitionMode.WAY_PARTITIONED])
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(steps=_TABLE_STEPS)
+@example(steps=[("add", 0, 2**63), ("walk", 1, 0)])
+@example(steps=[("add", 0, -2**63 - 1), ("walk", 1, 0)])
 def test_owner_ids_are_checked_where_the_tables_are_bound(mode, steps):
     """Interval adds and removes between batches of any task owner.  The
     compiled engine walks bit-identically to the reference; it covers

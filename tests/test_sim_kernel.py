@@ -111,6 +111,24 @@ def test_unhandled_failure_propagates_from_run():
     assert log == []  # run() left at once, before the action due next
 
 
+@pytest.mark.parametrize("delay", [float("inf"), float("nan")])
+def test_non_finite_delay_rejected(delay):
+    """Regression: ``inf >= 0`` is true, so an infinite delay was
+    queued and moved ``now`` to infinity once the heap reached it."""
+    sim = Simulator()
+    log = []
+
+    def proc():
+        yield delay
+        log.append("resumed")
+
+    sim.process(proc())
+    with pytest.raises(SimulationError, match="expected a delay"):
+        sim.run()
+    assert sim.now == 0.0
+    assert log == []
+
+
 def test_yielding_non_event_is_an_error():
     sim = Simulator()
 
