@@ -16,7 +16,11 @@ reference engine's throughput on this workload (recorded in
 runs one paper-scale MPEG-2 decode end to end on the default engine
 and on ``reference``: identical RunMetrics, and the default engine at
 least ``PAPER_GATE_MIN_SPEEDUP`` x faster -- it fails if the default
-engine silently demotes to its reference fallback.
+engine silently demotes to its reference fallback.  A third gate
+counts, on each paper application, the runs the two engines probe: the
+compiled engine folds each L1 set's revisits within a batch into one
+run, so it must probe at most ``FOLD_GATE_MAX_RATIO`` of the reference
+engine's runs, with identical RunMetrics.
 
 Run the gate with::
 
@@ -44,6 +48,7 @@ from repro.kpn.graph import FifoSpec, ProcessNetwork, TaskSpec
 from repro.apps.synthetic import sink_program, source_program
 from repro.mem import cwalker
 from repro.mem.hierarchy import HierarchyConfig
+from repro.mem.trace import AccessBatch
 from repro.rtos.task import OP_STREAMS
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -90,6 +95,18 @@ PAPER_GATE_MIN_SPEEDUP = 7.0
 #: Timed ``PAPER_WORKLOAD`` runs per engine, interleaved after one
 #: untimed warm-up run per engine; the gate compares their medians.
 PAPER_GATE_RUNS = 3
+
+#: The paper's applications at one frame, for the fold's count gate.
+FOLD_WORKLOADS = (("two_jpeg_canny", {"scale": "paper", "frames": 1}),
+                  PAPER_WORKLOAD)
+
+#: The compiled engine folds every run on the line its L1 set last saw
+#: earlier in the batch into that run, so one platform run of each
+#: ``FOLD_WORKLOADS`` app walks at most this share of the runs the
+#: reference engine walks.  The counts are deterministic: 166,265 of
+#: 493,765 (0.34) for JPEG+Canny and 294,551 of 630,584 (0.47) for
+#: MPEG-2; without the fold both read 1.0.
+FOLD_GATE_MAX_RATIO = 0.55
 
 
 def _walker_program(ctx):
@@ -221,6 +238,42 @@ def measure_paper_run(engine: Optional[str] = None) -> dict:
     }
 
 
+def count_walked_runs(workload, engine: str, monkeypatch) -> tuple:
+    """One run of ``workload`` on ``engine`` from an empty op-stream
+    table: the runs its walks probed, and its RunMetrics payload.
+
+    The compiled engine's runs are the ``n_runs`` of its C walks, the
+    reference engine's the runs :meth:`AccessBatch.runs` gives it.
+    """
+    probed = []
+    if engine == "compiled":
+        walker = cwalker.load()
+        walk = walker.walk_batch
+
+        def counted(*args):
+            probed.append(args[6])
+            return walk(*args)
+
+        monkeypatch.setattr(walker, "walk_batch", counted)
+    else:
+        runs = AccessBatch.runs
+
+        def counted(batch, line_shift):
+            result = runs(batch, line_shift)
+            probed.append(result[0].shape[0])
+            return result
+
+        monkeypatch.setattr(AccessBatch, "runs", counted)
+    OP_STREAMS.clear()
+    name, kwargs = workload
+    try:
+        metrics = Platform(workload_builder(name, **kwargs)(), CakeConfig(),
+                           engine=engine).run()
+    finally:
+        monkeypatch.undo()
+    return sum(probed), run_metrics_to_payload(metrics)
+
+
 def write_schedule_artifact(report: dict) -> Path:
     """Persist ``BENCH_schedule.json`` under ``benchmarks/results/``."""
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -282,6 +335,32 @@ def test_paper_scale_default_engine_gate():
         f"over the reference engine is below the {PAPER_GATE_MIN_SPEEDUP}x "
         f"gate (seconds per run: default {seconds[None]}, "
         f"reference {seconds['reference']})"
+    )
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("workload", FOLD_WORKLOADS,
+                         ids=[name for name, _ in FOLD_WORKLOADS])
+def test_folded_walk_probes_fewer_runs(workload, monkeypatch):
+    """The compiled engine walks at most ``FOLD_GATE_MAX_RATIO`` of
+    the reference engine's runs on each paper app, with identical
+    RunMetrics."""
+    if cwalker.load() is None:
+        pytest.skip("no C compiler: the compiled engine walks unfolded "
+                    "runs on its reference fallback")
+    compiled, compiled_payload = count_walked_runs(workload, "compiled",
+                                                   monkeypatch)
+    reference, reference_payload = count_walked_runs(workload, "reference",
+                                                     monkeypatch)
+    assert compiled_payload == reference_payload, (
+        "RunMetrics of the compiled and reference engines diverge -- "
+        "differential failure, not a perf question"
+    )
+    ratio = compiled / reference
+    assert ratio <= FOLD_GATE_MAX_RATIO, (
+        f"the compiled walk probed {compiled:,} runs against the "
+        f"reference walk's {reference:,} ({ratio:.3f}), above the "
+        f"{FOLD_GATE_MAX_RATIO} gate"
     )
 
 

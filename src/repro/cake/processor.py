@@ -11,7 +11,7 @@ it.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -69,6 +69,9 @@ class CpuRunner:
         self.config = config
         self.metrics = CpuMetrics()
         self._rt_bss = rt_bss_region
+        #: Owner id -> the task's dispatch-switch batch, taken from the
+        #: memo table at the task's first dispatch on this CPU.
+        self._switch_batches: Dict[int, AccessBatch] = {}
         self._current: Optional[Task] = None
         sim.process(self._run())
 
@@ -79,11 +82,13 @@ class CpuRunner:
         result = self.mem.execute_batch(
             self.cpu_id, task.owner_id, batch, self.sim.now
         )
-        task.stats.instructions += result.instructions
-        task.stats.cycles += result.cycles
-        self.metrics.busy_cycles += result.cycles
-        self.metrics.instructions += result.instructions
-        return result.cycles
+        cycles, instructions = result.cycles, result.instructions
+        stats, metrics = task.stats, self.metrics
+        stats.instructions += instructions
+        stats.cycles += cycles
+        metrics.busy_cycles += cycles
+        metrics.instructions += instructions
+        return cycles
 
     @staticmethod
     def _wake_readers(fifo: FifoChannel, scheduler: Scheduler) -> None:
@@ -111,12 +116,12 @@ class CpuRunner:
         """The dispatch cost: RTOS traffic + fixed stall."""
         self.metrics.switch_cycles += self.config.switch_cycles
         if self._rt_bss is not None:
-            self.mem.execute_batch(
-                self.cpu_id,
-                task.owner_id,
-                cached(_switch_batch, self._rt_bss, task.owner_id),
-                self.sim.now,
-            )
+            owner = task.owner_id
+            batch = self._switch_batches.get(owner)
+            if batch is None:
+                batch = cached(_switch_batch, self._rt_bss, owner)
+                self._switch_batches[owner] = batch
+            self.mem.execute_batch(self.cpu_id, owner, batch, self.sim.now)
         yield self.config.switch_cycles
 
     # -- the CPU loop --------------------------------------------------------

@@ -14,9 +14,11 @@
  * One op takes three steps:
  *
  *   1. `walker_coalesce` turns the batch's raw addresses and write
- *      flags into runs (maximal stretches on one cache line).  It
- *      touches no state, so the caller can keep the runs of a batch it
- *      walks again;
+ *      flags into runs (maximal stretches on one cache line), and
+ *      folds every run on the line that its L1 set last saw earlier in
+ *      the batch into that earlier run: such a run hits and moves
+ *      nothing, so the fold walks the same.  It touches no state, so
+ *      the caller can keep the runs of a batch it walks again;
  *   2. `walker_bind` stores the interval, set and way tables and the
  *      per-owner counters in the state, only when one of them changed;
  *      the caller has checked every owner id against the counters;
@@ -44,7 +46,6 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 #define L2_MODE_LRU 0
 #define L2_MODE_FIFO 1
@@ -256,6 +257,25 @@ static inline void count_eviction(int64_t *stats, int64_t *matrix,
     matrix[evictor * n_owners + victim]++;
 }
 
+/* Shift slots [0, k) of one set's row one place down and put `line`,
+ * `owner` and `dirty` in slot 0: an LRU move to the front (a hit at
+ * slot k) or a fill (k resident lines).  One loop over the three
+ * parallel rows: rows hold a few ways, where three memmove calls cost
+ * more than the moves. */
+static inline void move_to_front(int64_t *row, int64_t *orow, uint8_t *drow,
+                                 int64_t k, int64_t line, int64_t owner,
+                                 uint8_t dirty)
+{
+    for (; k > 0; k--) {
+        row[k] = row[k - 1];
+        orow[k] = orow[k - 1];
+        drow[k] = drow[k - 1];
+    }
+    row[0] = line;
+    orow[0] = owner;
+    drow[0] = dirty;
+}
+
 /* THE replay body: walk one run -- `count` accesses to `line` by
  * `owner` -- against the state.  l2_mode picks the set-associative
  * LRU/FIFO walk or the way-managed column cache (hit on any way,
@@ -281,16 +301,11 @@ static void walk_run(walker_state *st, walk_ctx *c, int64_t line,
     }
     if (k < len) {
         if (k > 0) {
-            int64_t own = orow[k];
-            uint8_t dir = drow[k];
-            memmove(row + 1, row, k * sizeof(int64_t));
-            memmove(orow + 1, orow, k * sizeof(int64_t));
-            memmove(drow + 1, drow, k * sizeof(uint8_t));
-            row[0] = line;
-            orow[0] = own;
-            drow[0] = dir;
+            move_to_front(row, orow, drow, k, line, orow[k],
+                          (uint8_t)(drow[k] | write));
+        } else if (write) {
+            drow[0] = 1;
         }
-        if (write) drow[0] = 1;
         return;
     }
 
@@ -310,12 +325,7 @@ static void walk_run(walker_state *st, walk_ctx *c, int64_t line,
         }
         len--;
     }
-    memmove(row + 1, row, len * sizeof(int64_t));
-    memmove(orow + 1, orow, len * sizeof(int64_t));
-    memmove(drow + 1, drow, len * sizeof(uint8_t));
-    row[0] = line;
-    orow[0] = owner;
-    drow[0] = (uint8_t)write;
+    move_to_front(row, orow, drow, len, line, owner, (uint8_t)write);
     c->l1_len[si] = len + 1;
 
     /* ---- dirty L1 victim written back through the L2 --------------- */
@@ -396,17 +406,11 @@ static void walk_run(walker_state *st, walk_ctx *c, int64_t line,
         }
         if (k < len2) {
             if (st->l2_mode == L2_MODE_LRU && k > 0) {
-                int64_t own = orow2[k];
-                uint8_t dir = drow2[k];
-                memmove(row2 + 1, row2, k * sizeof(int64_t));
-                memmove(orow2 + 1, orow2, k * sizeof(int64_t));
-                memmove(drow2 + 1, drow2, k * sizeof(uint8_t));
-                row2[0] = line;
-                orow2[0] = own;
-                drow2[0] = dir;
-                k = 0;
+                move_to_front(row2, orow2, drow2, k, line, orow2[k],
+                              (uint8_t)(drow2[k] | write));
+            } else if (write) {
+                drow2[k] = 1;
             }
-            if (write) drow2[k] = 1;
             return;
         }
         if (len2 >= l2_ways) {
@@ -416,12 +420,7 @@ static void walk_run(walker_state *st, walk_ctx *c, int64_t line,
                            orow2[len2 - 1], victim_dirty);
             len2--;
         }
-        memmove(row2 + 1, row2, len2 * sizeof(int64_t));
-        memmove(orow2 + 1, orow2, len2 * sizeof(int64_t));
-        memmove(drow2 + 1, drow2, len2 * sizeof(uint8_t));
-        row2[0] = line;
-        orow2[0] = owner;
-        drow2[0] = (uint8_t)write;
+        move_to_front(row2, orow2, drow2, len2, line, owner, (uint8_t)write);
         st->l2_len[l2i] = len2 + 1;
     }
 
@@ -476,16 +475,35 @@ static int64_t bus_price(walker_state *st, int64_t cpu, int64_t n,
 }
 
 /* Coalesce `n` accesses -- byte addresses `addrs` and one flag byte per
- * access in `writes` (any non-zero byte is a store) -- into runs:
- * maximal stretches on one line.  `runs` has room for `n` runs (2n
+ * access in `writes` (any non-zero byte is a store) -- into runs, then
+ * fold each L1 set's revisits.  `runs` has room for `n` runs (2n
  * int64); run k is the line, then count << 2 | sfill << 1 | write_any.
- * A write-only run touching a whole line's worth of words
- * (`full_line_count`) is a store fill: it fills the line without a
- * fetch (write-validate).  Touches no state.  Returns the run count,
- * or -1 when an address is negative. */
+ * Touches no state.  Returns the run count, or -1 when an address is
+ * negative.
+ *
+ * Coalescing makes maximal stretches on one line.  A write-only run
+ * touching a whole line's worth of words (`full_line_count`) is a
+ * store fill: it fills the line without a fetch (write-validate).
+ *
+ * Folding: a run on the line that its L1 set (of `l1_sets`, a power of
+ * two) last saw earlier in the batch, with only runs of other sets
+ * between, finds that line in slot 0 of the set on the batch's CPU.
+ * It hits and moves nothing, and its owner is the earlier run's, so
+ * adding its count to the earlier run walks the same -- unless it
+ * writes and the earlier run does not: the earlier run's write flag
+ * is what its L1 fill and its L2 access used, so that run is kept.  A
+ * merged run keeps the earlier run's flags.  A run is also kept when
+ * the run after it is on the line of the last run kept and could not
+ * fold into it (it writes, that run does not): folding would leave two
+ * adjacent runs on one line, which a runs-only batch could not rebuild
+ * (repro.mem.trace).  With that rule no two adjacent kept runs share a
+ * line, and folding the result again folds nothing, so coalescing a
+ * runs-only batch's rebuilt accesses gives back its runs.  `last` is
+ * scratch of one slot per L1 set. */
 int64_t walker_coalesce(const int64_t *addrs, const uint8_t *writes,
                         int64_t n, int64_t line_shift,
-                        int64_t full_line_count, int64_t *runs)
+                        int64_t full_line_count, int64_t l1_sets,
+                        int64_t *last, int64_t *runs)
 {
     int64_t n_runs = 0, i, j;
     for (i = 0; i < n; i = j) {
@@ -503,7 +521,31 @@ int64_t walker_coalesce(const int64_t *addrs, const uint8_t *writes,
         runs[2 * n_runs + 1] = (j - i) << 2 | sfill << 1 | write_any;
         n_runs++;
     }
-    return n_runs;
+
+    /* Fold in place: kept run k is written at or before run i. */
+    const int64_t set_mask = l1_sets - 1;
+    int64_t kept = 0;
+    for (i = 0; i < l1_sets; i++) last[i] = -1;
+    for (i = 0; i < n_runs; i++) {
+        int64_t line = runs[2 * i], info = runs[2 * i + 1];
+        int64_t *slot = last + (line & set_mask);
+        int64_t t = *slot;
+        if (t >= 0 && runs[2 * t] == line
+            && (!(info & 1) || (runs[2 * t + 1] & 1))) {
+            const int64_t *tail = runs + 2 * (kept - 1);
+            const int64_t *next = runs + 2 * (i + 1);
+            if (!(i + 1 < n_runs && next[0] == tail[0]
+                  && (next[1] & 1) && !(tail[1] & 1))) {
+                runs[2 * t + 1] += info & ~(int64_t)3;
+                continue;
+            }
+        }
+        *slot = kept;
+        runs[2 * kept] = line;
+        runs[2 * kept + 1] = info;
+        kept++;
+    }
+    return kept;
 }
 
 /* Store the walk's per-call inputs in the state; they stay in use until

@@ -7,10 +7,12 @@ around a C walk costs hundreds of microseconds per op.  This module
 compiles the C routines (``_walker.c``, shipped next to this file)
 with the system compiler the first time they are needed and binds them
 through :mod:`ctypes`.  ``coalesce`` turns a batch into line runs
-once (the caller keeps the runs of a read-only batch), ``bind`` stores
-the interval, set and way tables and the counters in the C state when
-they change, and one ``walk_batch`` call then walks an op's runs:
-owner resolution, set mapping, the walk and the per-owner statistics.
+once (the caller keeps the runs of a read-only batch) and folds each
+L1 set's revisits within the batch into the set's earlier run, which
+walks the same with fewer probes; ``bind`` stores the interval, set
+and way tables and the counters in the C state when they change, and
+one ``walk_batch`` call then walks an op's runs: owner resolution, set
+mapping, the walk and the per-owner statistics.
 ``walk_batch`` returns nothing: the caller keeps the task owner and
 every bound interval owner within the counters.
 Everything degrades gracefully: no compiler, a failed
@@ -95,9 +97,9 @@ class CWalker:
 
     The persistent-handle API of the ``compiled`` engine (see
     :mod:`repro.mem.hierarchy`): ``state_new`` / ``state_free`` own the
-    C state; ``coalesce`` turns raw addresses into runs and touches no
-    state; ``bind`` stores the per-call tables and counters in the
-    state; and ``walk_batch`` walks and prices one op's runs and
+    C state; ``coalesce`` turns raw addresses into folded runs and
+    touches no state; ``bind`` stores the per-call tables and counters
+    in the state; and ``walk_batch`` walks and prices one op's runs and
     counts their per-owner statistics.
     """
 
@@ -177,6 +179,7 @@ def _bind() -> Optional[CWalker]:
     coalesce.argtypes = [
         ptr, ptr, i64,              # addrs, writes, n
         i64, i64,                   # line_shift, full_line_count
+        i64, ptr,                   # l1_sets, per-set scratch
         ptr,                        # runs[2n]
     ]
     bind.restype = None

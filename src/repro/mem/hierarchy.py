@@ -23,21 +23,25 @@ Two engines implement the walk:
 
 - ``engine="compiled"`` (the default) -- the C tier.  A persistent
   C-side state handle (:class:`_CompiledState`) keeps every L1, the
-  shared L2 (including the way-partitioned column cache), the DRAM
-  bank timers, the bus demand model and per-owner statistics counters
+  shared L2 (including the way-partitioned column cache), the DRAM bank
+  timers, the bus demand model and per-owner statistics counters
   resident between calls.  A batch's raw addresses and write flags
-  become line runs in one C coalescing call, on its first walk only
-  when the batch is read-only: such a batch keeps its runs for the
-  line geometry (see
-  :class:`~repro.mem.trace.AccessBatch`).  The interval table, the
-  partition maps and the counters are bound into the C state when
-  they change, and the owner ids are checked there: every interval
-  owner and the task owner must fit the counters, which grow to cover
-  them.  Then every batch, whatever its size, is one C walk over its
-  runs that resolves each run's owner through the interval table,
-  translates the L2 set index, walks, and counts the per-owner
-  statistics.  The walk allocates nothing and checks nothing, so it
-  cannot refuse a batch.  The contract for reading state:
+  become line runs in one C coalescing call, on its first walk only when
+  the batch is read-only: such a batch keeps its runs for the line
+  geometry and the L1 set count (see
+  :class:`~repro.mem.trace.AccessBatch`).  The call also folds every run
+  on the line that its L1 set last saw earlier in the batch into that
+  earlier run: such a run hits in slot 0 and moves nothing, so the C
+  walk probes fewer runs than the reference walk and counts the same
+  statistics.  The interval table, the partition maps and the counters
+  are bound into the C state when they change, and the owner ids are
+  checked there: every interval owner and the task owner must fit the
+  counters, which grow to cover them.  Then every batch, whatever its
+  size, is one C walk over its runs that resolves each run's owner
+  through the interval table, translates the L2 set index, walks, and
+  counts the per-owner statistics.  The walk allocates nothing and
+  checks nothing, so it cannot refuse a batch.  The contract for reading
+  state:
 
   * :attr:`MemorySystem.l2_stats` is always current (reading it folds
     the C-side L2 counters in);
@@ -148,13 +152,15 @@ class HierarchyConfig:
     @property
     def run_key(self) -> tuple:
         """What a batch's runs depend on besides the batch: the line
-        shift and the accesses that make a store fill (one per 4-byte
-        word of a line).  The compiled engine keeps runs under it."""
+        shift, the accesses that make a store fill (one per 4-byte word
+        of a line) and the L1 set count, within which the compiled
+        engine folds revisits.  The compiled engine keeps runs under
+        it."""
         geometry = self.l1_geometry
-        return (geometry.line_shift, geometry.line_size // 4)
+        return (geometry.line_shift, geometry.line_size // 4, geometry.sets)
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchResult:
     """Cost and traffic of executing one access batch."""
 
@@ -283,6 +289,8 @@ class _CompiledState:
         self.out_ptr = self.out.ctypes.data
         #: The key of the runs a batch keeps (:meth:`coalesce`).
         self.run_key = config.run_key
+        #: The coalescing's scratch: one slot per L1 set.
+        self.last_run = np.empty(l1_geometry.sets, dtype=np.int64)
         #: The set table of conventional indexing over the whole L2
         #: (one default row), for every mode but set partitioning.
         self.natural_table = np.array(
@@ -318,8 +326,12 @@ class _CompiledState:
     def coalesce(self, batch: AccessBatch) -> Optional[tuple]:
         """The batch as line runs: ``(key, runs, pointer, n_runs)``.
 
-        One C call, which touches no state; a read-only batch keeps the
-        result.  ``None`` when an address is negative.
+        One C call, which touches no state.  It folds every run on the
+        line its L1 set last saw earlier in the batch into that earlier
+        run (see ``walker_coalesce``), so there are fewer runs than
+        :meth:`~repro.mem.trace.AccessBatch.runs` gives, and they walk
+        the same.  A read-only batch keeps the result.  ``None`` when an
+        address is negative.
         """
         # The C coalescing reads contiguous int64 addresses and one flag
         # byte per access; both conversions are no-ops for the usual
@@ -330,10 +342,11 @@ class _CompiledState:
             writes = np.ascontiguousarray(writes, dtype=np.bool_)
         n = addrs.shape[0]
         buffer = np.empty((n, 2), dtype=np.int64)
-        line_shift, full_line_count = self.run_key
+        line_shift, full_line_count, l1_sets = self.run_key
         n_runs = self.walker.coalesce(
             addrs.ctypes.data, writes.ctypes.data, n,
-            line_shift, full_line_count, buffer.ctypes.data,
+            line_shift, full_line_count, l1_sets,
+            self.last_run.ctypes.data, buffer.ctypes.data,
         )
         if n_runs < 0:
             return None
@@ -687,19 +700,22 @@ class MemorySystem:
         """One C walk over the batch's runs; ``None`` when unsupported.
 
         The runs come from the batch when it kept them for this line
-        geometry, else from one C coalescing call, which raises the
-        negative-address :class:`MemoryModelError` before any state
-        changes.  The tables are bound when one changed or the task
-        owner lies beyond the counters; that slow path checks the task
-        owner and every interval owner and grows the counters to cover
-        them.  Unsupported means: the compiled tier is down (no C
-        walker, a failed state allocation) or one of those owner ids
-        lies outside ``[0, MAX_DENSE_OWNERS)``.  Both send this system
-        to the reference walk for good, before any state changes.
+        geometry and L1 set count, else from one C coalescing call,
+        which raises the negative-address :class:`MemoryModelError`
+        before any state changes.  The tables are bound when one
+        changed or the task owner lies beyond the counters; that slow
+        path checks the task owner and every interval owner and grows
+        the counters to cover them.  Unsupported means: the compiled
+        tier is down (no C walker, a failed state allocation) or one of
+        those owner ids lies outside ``[0, MAX_DENSE_OWNERS)``.  Both
+        send this system to the reference walk for good, before any
+        state changes.
         """
-        state = self._compiled_state()
+        state = self._compiled
         if state is None:
-            return None
+            state = self._compiled_state()
+            if state is None:
+                return None
         runs = batch._runs
         if runs is None or runs[0] != state.run_key:
             runs = state.coalesce(batch)
@@ -708,7 +724,7 @@ class MemorySystem:
                     f"negative address in a batch on cpu {cpu_id}"
                 )
         intervals = self.resolver.intervals
-        key = (intervals, intervals.version, self.set_map.version,
+        key = (intervals, intervals._version, self.set_map._version,
                self.way_map._version)
         if key != state.bound or not 0 <= task_owner < state.n_owners:
             # Checked on the Python ints, before any int64 array holds
@@ -722,10 +738,9 @@ class MemorySystem:
                 state.grow(highest)
             state.bind(key, self._bind_tables(state))
         instructions = int(batch.instructions)
-        _, _, runs_ptr, n_runs = runs
         state.walker.walk_batch(
-            state.handle, cpu_id, task_owner, instructions, float(now),
-            runs_ptr, n_runs, state.out_ptr,
+            state.handle, cpu_id, task_owner, instructions, now,
+            runs[2], runs[3], state.out_ptr,
         )
         (cycles, l1_misses, dram_reads, dram_writes, bus_cycles,
          store_fills, read_conflicts, write_conflicts) = state.out.tolist()
@@ -734,16 +749,11 @@ class MemorySystem:
         traffic.line_reads += dram_reads
         traffic.line_writes += dram_writes
         traffic.bank_conflicts += read_conflicts + write_conflicts
+        # Positional: cycles, instructions, accesses, L1 misses, L2
+        # accesses, L2 misses, DRAM lines, bus cycles, store fills.
         return BatchResult(
-            cycles=cycles,
-            instructions=instructions,
-            accesses=batch.n_accesses,
-            l1_misses=l1_misses,
-            l2_accesses=l1_misses,
-            l2_misses=dram_reads,
-            dram_lines=dram_reads + dram_writes,
-            bus_cycles=bus_cycles,
-            store_fills=store_fills,
+            cycles, instructions, batch.n_accesses, l1_misses, l1_misses,
+            dram_reads, dram_reads + dram_writes, bus_cycles, store_fills,
         )
 
     def _execute_batch_reference(

@@ -62,10 +62,17 @@ class IntervalTable:
         """Register ``[base, end)`` as belonging to ``owner``.
 
         Overlapping intervals are rejected: a byte of shared memory
-        belongs to exactly one buffer.
+        belongs to exactly one buffer.  So are bounds outside
+        ``0 <= base < end < 2**63``: addresses are non-negative, and
+        the compiled engine holds the bounds as int64.
         """
         if end <= base:
             raise MemoryModelError(f"empty interval [{base:#x}, {end:#x})")
+        if base < 0 or end >= 2**63:
+            raise MemoryModelError(
+                f"interval [{base:#x}, {end:#x}): bounds must satisfy "
+                f"0 <= base < end < 2**63"
+            )
         idx = bisect_right(self._bases, base)
         if idx > 0 and self._ends[idx - 1] > base:
             raise MemoryModelError(

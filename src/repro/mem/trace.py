@@ -8,13 +8,19 @@ instruction and stall cycles per miss).
 The cache walker consumes batches as *runs*: maximal stretches of
 back-to-back accesses that touch the same cache line.  For streaming
 multimedia traffic this coalesces roughly ``line_size / element_size``
-accesses into one cache probe.  The reference walk coalesces with
-:meth:`AccessBatch.runs`; the compiled engine coalesces the same way in
-C, once per read-only batch: such a batch keeps its runs for later
-walks, and :meth:`AccessBatch.runs_only` turns it into a batch of those
-runs alone.  Coalescing is exact with respect to hit/miss counting:
-within a run, the first access decides hit or miss and the remaining
-``n - 1`` accesses are guaranteed hits in the same cache level.
+accesses into one cache probe.  Coalescing is exact with respect to
+hit/miss counting: within a run, the first access decides hit or miss
+and the remaining ``n - 1`` accesses are guaranteed hits in the same
+cache level.
+
+The reference walk coalesces with :meth:`AccessBatch.runs`.  The
+compiled engine coalesces the same way in C, once per read-only batch,
+and then folds further: a run on the line that its L1 set last saw
+earlier in the batch, with only lines of other sets between, hits in
+slot 0 of that set, so its count joins the earlier run (the
+observation behind trace stripping).  A read-only batch keeps those
+runs for later walks, and :meth:`AccessBatch.runs_only` turns it into a
+batch of the runs alone.
 """
 
 from __future__ import annotations
@@ -205,8 +211,10 @@ class _RunsBatch(AccessBatch):
     built from the runs on every read, which coalesce back to the same
     lines, counts, write flags and store fills: ``count`` accesses at
     the line's first byte, every one a store in a store-fill run and
-    only the first in any other written run.  Copies and pickles are
-    ordinary batches over those arrays.
+    only the first in any other written run.  That holds for the folded
+    runs too: no two adjacent ones share a line, and folding them again
+    folds nothing.  Copies and pickles are ordinary batches over those
+    arrays.
     """
 
     def __init__(self, runs: tuple, n_accesses: int, instructions: int):
@@ -227,7 +235,7 @@ class _RunsBatch(AccessBatch):
         return self._n_accesses
 
     def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        (line_shift, _), runs = self._runs[:2]
+        (line_shift, _, _), runs = self._runs[:2]
         info = runs[:, 1]
         counts = info >> 2
         addrs = np.repeat(runs[:, 0] << line_shift, counts)

@@ -20,9 +20,12 @@ distinct batch once per process:
   Nor are the line runs the compiled engine keeps on a walked batch
   (:class:`~repro.mem.trace.AccessBatch`), so this table needs to know
   nothing of the memory system.  They are small: at the end of a
-  perfbench run at seed 20050307 the entries held 111 KB of runs on
-  ``cold_paper`` (438 entries holding 3.9 MiB of arrays), 127 KB on
-  ``warm_paper`` and 7 KB on ``warm_grid``.
+  perfbench session at seed 20050307 the entries held 111 KB of runs
+  on ``cold_paper`` (438 entries holding 3.9 MiB of arrays), 146 KB on
+  ``warm_paper`` and 7 KB on ``warm_grid``.  The compiled engine's
+  fold of each L1 set's revisits (:mod:`repro.mem.hierarchy`) leaves
+  them as they were: on ``cold_paper`` the batches walked straight
+  from this table fold nothing.
 - A builder that raises leaves no entry.
 - Every batch comes back with read-only ``addrs`` and ``writes``:
   callers share it, so build a new array rather than write into one.

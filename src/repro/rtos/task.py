@@ -78,7 +78,9 @@ class Task:
 
         With ``streams``, the platform run's op streams, the task
         replays the ops an earlier run recorded, or records them as its
-        program yields them; without, it steps its program.
+        program yields them (unless the table dropped its last
+        recording and has not freed room since); without, it steps its
+        program.
         """
         if self._generator is not None:
             raise SchedulingError(f"task {self.name!r} started twice")
@@ -132,15 +134,18 @@ class OpStreams:
     arrivals (:meth:`~repro.rtos.scheduler.Scheduler.attach`) always
     step their programs.
 
-    Streams are keyed by the hierarchy engine, the line geometry
+    Streams are keyed by the hierarchy engine, the line geometry and
+    the L1 set count
     (:attr:`~repro.mem.hierarchy.HierarchyConfig.run_key`), the task's
     name, seed, program and region bounds; a recording whose params
     differ from the kept stream's replaces it.  On the compiled engine,
     a recorded ``Compute`` op whose batch kept its runs is held as a
     runs-only batch (:meth:`~repro.mem.trace.AccessBatch.runs_only`)
-    once the runner walked it, so a held stream costs its runs, not its
-    addresses.  The reference engine's streams hold the programs' own
-    batches: the oracle walk never sees a runs-only batch.
+    once the runner walked it, so a held stream costs its runs, folded
+    within each L1 set, not its addresses: a one-frame paper session
+    holds 2.3 MB for both applications' 28 streams.  The reference
+    engine's streams hold the programs' own batches: the oracle walk
+    never sees a runs-only batch.
 
     A stream is kept only when its program returned in a run that
     returned (:meth:`RunStreams.keep`, which
@@ -151,7 +156,11 @@ class OpStreams:
     the keeping run replayed: a stream that does not fit without those
     is dropped, so a sweep's later runs replay the same streams rather
     than evict each other's in turn.  A stream that alone passes the
-    budget is never kept.  A lock guards lookups, keeps and evictions:
+    budget is never kept.  The table remembers the keys of the streams
+    it dropped: their tasks step their programs without recording until
+    the table next frees room (an eviction, a replacement or
+    :meth:`clear`), since a recording would be dropped again.  A lock
+    guards lookups, keeps and evictions:
     :class:`~repro.exp.runner.AsyncBackend` runs platforms on threads of
     one process.  :func:`repro.exp.clear_caches` empties the table.
     """
@@ -162,6 +171,8 @@ class OpStreams:
         #: -> (params, ops, bytes), least recently replayed first.
         self._kept: "OrderedDict[tuple, Tuple[dict, List[Op], int]]" = \
             OrderedDict()
+        #: Keys of the streams dropped since the table last freed room.
+        self._refused: set = set()
         #: Bytes the kept streams hold.
         self.nbytes = 0
 
@@ -173,18 +184,20 @@ class OpStreams:
         return RunStreams(self, engine, run_key, seed)
 
     def clear(self) -> None:
-        """Drop every kept stream."""
+        """Drop every kept stream, and forget the dropped ones."""
         with self._lock:
             self._kept.clear()
+            self._refused.clear()
             self.nbytes = 0
 
-    def _replay(self, key: tuple, params: dict) -> Optional[List[Op]]:
+    def _replay(self, key: tuple, params: dict):
         """The ops kept under ``key`` if they were recorded with equal
-        ``params``, else ``None``."""
+        ``params``; else ``None``, or :data:`_REFUSED` when a recording
+        under ``key`` was dropped since the table last freed room."""
         with self._lock:
             kept = self._kept.get(key)
             if kept is None or not _same(kept[0], params):
-                return None
+                return _REFUSED if key in self._refused else None
             self._kept.move_to_end(key)
             return kept[1]
 
@@ -193,21 +206,26 @@ class OpStreams:
         after evicting the least recently replayed streams past the
         budget -- but none of the ``replayed`` keys, whose streams the
         keeping run replayed: a recording that does not fit without
-        them is dropped."""
+        them is dropped, and so is one that passed the budget (``None``).
+        Freeing room forgets the dropped keys."""
         budget = memo.STREAM_BUDGET_BYTES
         kept = self._kept
         with self._lock:
             for key, params, recording in finished:
-                if recording.nbytes > budget:
+                if recording is None or recording.nbytes > budget:
+                    self._refused.add(key)
                     continue
                 replaced = kept.pop(key, None)
                 if replaced is not None:
                     self.nbytes -= replaced[2]
+                    self._refused.clear()
                 while self.nbytes + recording.nbytes > budget:
                     oldest = next(iter(kept))
                     if oldest in replayed:
+                        self._refused.add(key)
                         break
                     self.nbytes -= kept.pop(oldest)[2]
+                    self._refused.clear()
                 else:
                     kept[key] = (params, recording.ops, recording.nbytes)
                     self.nbytes += recording.nbytes
@@ -235,6 +253,8 @@ class RunStreams:
                context.region_bounds())
         params = dict(context.params)
         ops = self.table._replay(key, params)
+        if ops is _REFUSED:
+            return program(context)
         if ops is not None:
             self._replayed.add(key)
             return iter(ops)
@@ -256,11 +276,16 @@ class RunStreams:
             if recording.nbytes > budget:
                 yield op
                 yield from program
+                self._finished.append((key, params, None))
                 return
             yield op
         recording.settle()
         self._finished.append((key, params, recording))
 
+
+#: What :meth:`OpStreams._replay` returns for a key whose recording was
+#: dropped: step the program, record nothing.
+_REFUSED = object()
 
 #: The process's op-stream table: every platform run replays and
 #: records through it.

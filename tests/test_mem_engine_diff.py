@@ -44,9 +44,9 @@ from repro.patterns.streams import stream
 C_AVAILABLE = cwalker.load() is not None
 
 
-def build_system(engine, mode, l2_policy="lru", line_size=64):
+def build_system(engine, mode, l2_policy="lru", line_size=64, l1_sets=4):
     config = HierarchyConfig(
-        l1_geometry=CacheGeometry(sets=4, ways=2, line_size=line_size),
+        l1_geometry=CacheGeometry(sets=l1_sets, ways=2, line_size=line_size),
         l2_geometry=CacheGeometry(sets=32, ways=4, line_size=line_size),
         engine=engine,
         l2_policy=l2_policy,
@@ -352,7 +352,7 @@ def _walked_runs_only(batches):
     compact = []
     for batch in batches:
         first.execute_batch(0, 1, batch, 0.0)
-        assert batch._runs is not None
+        _assert_folded(batch)
         compact.append(batch.runs_only())
     return compact
 
@@ -362,7 +362,9 @@ def _walked_runs_only(batches):
 @given(stretches=_STRETCHES)
 def test_runs_only_arrays_coalesce_to_the_same_runs(stretches):
     """The arrays a runs-only batch builds coalesce back to its runs,
-    in C and in numpy: same lines, counts, write flags, store fills."""
+    in C and in numpy: same lines, counts, write flags, store fills.
+    The C coalescing folds, so the numpy runs of the rebuilt arrays are
+    the reference fold of the original's numpy runs."""
     batch = _stretch_batch(stretches, 1 << 22)
     (compact,) = _walked_runs_only([batch])
     assert compact._runs is batch._runs
@@ -373,13 +375,12 @@ def test_runs_only_arrays_coalesce_to_the_same_runs(stretches):
         AccessBatch(compact.addrs, compact.writes, compact.instructions)
     )
     assert np.array_equal(rebuilt[1], batch._runs[1])
-    full_line_count = state.run_key[1]
-    want = coalesce_runs(batch.addrs, batch.writes, 6)
+    _, full_line_count, l1_sets = state.run_key
+    want = _reference_fold(coalesce_runs(batch.addrs, batch.writes, 6),
+                           l1_sets, full_line_count)
     got = compact.runs(6)
-    for index in range(3):
-        assert np.array_equal(got[index], want[index])
-    assert np.array_equal(got[3] & (got[1] >= full_line_count),
-                          want[3] & (want[1] >= full_line_count))
+    assert [column.tolist() for column in got[:3]] == want[:3]
+    assert (got[3] & (got[1] >= full_line_count)).tolist() == want[3]
 
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
@@ -419,6 +420,202 @@ def test_copies_of_a_runs_only_batch_are_ordinary_batches():
         assert np.array_equal(duplicate.addrs, compact.addrs)
         assert np.array_equal(duplicate.writes, compact.writes)
         assert duplicate.instructions == batch.instructions
+
+
+# -- folding: a run on the line its L1 set last saw joins that run ------------
+
+
+def _reference_fold(runs, l1_sets, full_line_count):
+    """The compiled engine's fold of ``coalesce_runs``' unfolded runs,
+    one run at a time, as ``[lines, counts, writes, store fills]``.
+
+    A run joins the run that its L1 set last kept when that run is on
+    its line -- unless it writes and that run does not, or the run
+    after it is on the line of the last run kept and could not join
+    that one.  A merged run keeps its flags.
+    """
+    lines, counts, write_any, write_all = (a.tolist() for a in runs)
+    kept = []  # [line, count, write, store fill]
+    last = {}  # L1 set -> index into kept
+    for i, line in enumerate(lines):
+        write = write_any[i]
+        target = last.get(line % l1_sets)
+        if (target is not None and kept[target][0] == line
+                and (kept[target][2] or not write)):
+            tail = kept[-1]
+            blocked = (i + 1 < len(lines) and lines[i + 1] == tail[0]
+                       and write_any[i + 1] and not tail[2])
+            if not blocked:
+                kept[target][1] += counts[i]
+                continue
+        last[line % l1_sets] = len(kept)
+        kept.append([line, counts[i], write,
+                     write_all[i] and counts[i] >= full_line_count])
+    return [list(column) for column in zip(*kept)] or [[], [], [], []]
+
+
+def _assert_folded(batch, l1_sets=4):
+    """The runs ``batch`` kept are the reference fold of its runs, and
+    no two adjacent ones share a line."""
+    key, runs = batch._runs[:2]
+    lines, info = runs[:, 0].tolist(), runs[:, 1].tolist()
+    assert all(a != b for a, b in zip(lines, lines[1:])), lines
+    want = _reference_fold(coalesce_runs(batch.addrs, batch.writes, key[0]),
+                           l1_sets, key[1])
+    assert [lines, [x >> 2 for x in info], [bool(x & 1) for x in info],
+            [bool(x & 2) for x in info]] == want
+
+
+#: Stretches over three lines of each of build_system's four L1 sets
+#: (two ways each), so that runs revisit the line their set last saw,
+#: and other lines of the set between: the set, which of its lines, how
+#: many accesses (16 stores make a store fill), how they write and
+#: whether the line is in the shared buffer or the task's region.
+_REVISITS = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(1, 20),
+        st.sampled_from(["load", "store", "first", "mixed"]),
+        st.booleans(),
+    ),
+    max_size=50,
+)
+
+
+def _revisit_batch(stretches, private_base):
+    return _stretch_batch([(set_index + 4 * k, count, kind, shared)
+                           for set_index, k, count, kind, shared
+                           in stretches], private_base)
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("mode", list(PartitionMode))
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(per_task=st.lists(st.tuples(_REVISITS, _REVISITS), min_size=1,
+                         max_size=3))
+def test_folded_runs_walk_like_the_reference(mode, per_task):
+    """Batches full of revisits within an L1 set: the compiled engine
+    walks their folded runs bit-identically to the reference engine's
+    unfolded walk, and so do their runs-only forms on both engines."""
+    batches = [_revisit_batch(stretches, task << 22)
+               for pair in per_task
+               for task, stretches in enumerate(pair, start=1)]
+    reference = build_system("reference", mode)
+    compiled = build_system("compiled", mode)
+    held = {engine: build_system(engine, mode)
+            for engine in HierarchyConfig.ENGINES}
+    for step, batch in enumerate(batches):
+        cpu, task, now = step % 2, 1 + step % 2, step * 500.0
+        want = reference.execute_batch(cpu, task, batch, now)
+        assert compiled.execute_batch(cpu, task, batch, now) == want, step
+        _assert_folded(batch)
+        for mem in held.values():
+            assert mem.execute_batch(cpu, task, batch.runs_only(), now) \
+                == want, (step, mem.config.engine)
+    for mem in (compiled, *held.values()):
+        assert_systems_identical(reference, mem, (mode, mem.config.engine))
+    assert compiled.effective_engine == "compiled"
+
+
+def _lines_batch(stretches):
+    """A read-only batch of ``(line, count, kind)`` stretches in task
+    1's private region (64-byte lines, four L1 sets)."""
+    return _stretch_batch([(line, count, kind, False)
+                           for line, count, kind in stretches], _KEPT_BASE)
+
+
+#: Hand-made batches, the runs the compiled engine keeps for each, as
+#: ``(line offset, count, write, store fill)``, and the rule they show.
+#: Lines 0, 4 and 8 share L1 set 0; line 1 is in set 1.
+_FOLD_CASES = {
+    "revisits": (
+        [(0, 3, "load"), (1, 2, "load"), (0, 4, "load"), (1, 1, "load"),
+         (0, 2, "load"), (1, 5, "load")],
+        [(0, 9, False, False), (1, 8, False, False)],
+    ),
+    "write-onto-a-read-run": (
+        [(0, 3, "load"), (1, 2, "load"), (0, 1, "store"), (1, 2, "load")],
+        [(0, 3, False, False), (1, 4, False, False), (0, 1, True, False)],
+    ),
+    "write-onto-a-written-run": (
+        [(0, 3, "first"), (1, 2, "load"), (0, 2, "mixed"), (1, 1, "load")],
+        [(0, 5, True, False), (1, 3, False, False)],
+    ),
+    "next-run-cannot-join-the-tail": (
+        [(0, 3, "load"), (1, 2, "load"), (0, 4, "load"), (1, 1, "store")],
+        [(0, 3, False, False), (1, 2, False, False), (0, 4, False, False),
+         (1, 1, True, False)],
+    ),
+    "next-run-joins-the-tail": (
+        [(0, 3, "load"), (1, 2, "first"), (0, 4, "load"), (1, 1, "store")],
+        [(0, 7, False, False), (1, 3, True, False)],
+    ),
+    "store-fill-then-reads": (
+        [(0, 16, "store"), (1, 2, "load"), (0, 5, "load"), (1, 3, "load")],
+        [(0, 21, True, True), (1, 5, False, False)],
+    ),
+    "another-line-of-the-set-between": (
+        [(0, 2, "load"), (4, 2, "load"), (0, 2, "load"), (8, 2, "load"),
+         (0, 2, "load")],
+        [(0, 2, False, False), (4, 2, False, False), (0, 2, False, False),
+         (8, 2, False, False), (0, 2, False, False)],
+    ),
+}
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+@pytest.mark.parametrize("mode", list(PartitionMode))
+@pytest.mark.parametrize("case", list(_FOLD_CASES))
+def test_fold_cases(mode, case):
+    """Each hand-made batch keeps exactly the runs listed, its runs-only
+    form rebuilds them, and it walks like the reference before, between
+    and after a batch that reads every line of the cases again."""
+    stretches, runs = _FOLD_CASES[case]
+    batch = _lines_batch(stretches)
+    again = _lines_batch([(line, 1, "load") for line in (0, 1, 4, 8)])
+    reference = build_system("reference", mode)
+    compiled = build_system("compiled", mode)
+    for step, walked in enumerate((batch, again, batch, again)):
+        _walk_both(reference, compiled, 0, 1, walked, step * 500.0)
+    _assert_folded(batch)
+    first = _KEPT_BASE >> 6
+    lines, info = batch._runs[1].T.tolist()
+    assert [(line - first, x >> 2, bool(x & 1), bool(x & 2))
+            for line, x in zip(lines, info)] == runs
+    lines, counts, writes, _ = batch.runs_only().runs(6)
+    assert list(zip((lines - first).tolist(), counts.tolist(),
+                    writes.tolist())) == [run[:3] for run in runs]
+    assert_systems_identical(reference, compiled, case)
+
+
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_a_kept_batch_flips_between_l1_set_counts():
+    """The fold depends on the L1 set count: at eight sets, lines 0, 4
+    and 12 (x 64 B) fall in two sets, so the later runs on line 0 fold;
+    at four sets they share one set and nothing folds.  Walked
+    alternately, from eight sets, one batch keeps the runs of the set
+    count it was walked at last."""
+    systems = {
+        sets: (build_system("reference", PartitionMode.SHARED,
+                            l1_sets=sets),
+               build_system("compiled", PartitionMode.SHARED, l1_sets=sets))
+        for sets in (4, 8)
+    }
+    kept = _lines_batch([(0, 2, "load"), (4, 2, "load"), (0, 2, "load"),
+                         (12, 2, "load"), (0, 1, "load"), (8, 1, "load")])
+    n_runs = {}
+    for step in range(6):
+        sets = (8, 4)[step % 2]
+        reference, compiled = systems[sets]
+        _walk_both(reference, compiled, step % 2, 1, kept, step * 500.0)
+        assert kept._runs[0] == compiled._compiled.run_key
+        _assert_folded(kept, l1_sets=sets)
+        n_runs[sets] = kept._runs[3]
+    assert n_runs == {8: 4, 4: 6}
+    for sets, (reference, compiled) in systems.items():
+        assert_systems_identical(reference, compiled, sets)
+        assert compiled.effective_engine == "compiled"
 
 
 #: Task 1's private region of the kept batches below.

@@ -103,3 +103,17 @@ def test_lookup_many_empty_table():
 
     table = IntervalTable()
     assert (table.lookup_many(np.array([1, 2, 3])) == -1).all()
+
+
+@pytest.mark.parametrize("base,end", [
+    (-4096, 0), (-1, 64), (2**63, 2**63 + 4096), (2**63 - 64, 2**63),
+])
+def test_bounds_outside_int64_addresses_rejected(base, end):
+    """Addresses are non-negative and the compiled engine binds the
+    table as int64, so both engines would disagree on such a bound."""
+    table = IntervalTable()
+    with pytest.raises(MemoryModelError, match="2\\*\\*63"):
+        table.add(base, end, owner=3)
+    assert len(table) == 0 and table.version == 0
+    table.add(2**63 - 64, 2**63 - 1, owner=3)
+    assert table.lookup(2**63 - 2) == 3

@@ -9,6 +9,7 @@ run steps every program.  Every program builds its ops through
 stepped.
 """
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -34,7 +35,7 @@ from repro.mem import cwalker
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.trace import _RunsBatch
 from repro.patterns import memo
-from repro.rtos.task import OP_STREAMS, TaskState
+from repro.rtos.task import OP_STREAMS, RunStreams, TaskState
 
 C_AVAILABLE = cwalker.load() is not None
 BUDGET = memo.STREAM_BUDGET_BYTES
@@ -183,6 +184,64 @@ def test_a_run_never_evicts_the_streams_it_replayed(sweep, steps):
     assert len(stepped) == len(scenario.method.sizes) == 4
     assert len(stepped[0]) == 4
     assert set() < stepped[3] == stepped[2] <= stepped[1] < stepped[0]
+
+
+@pytest.fixture
+def recorded(monkeypatch, steps):
+    """Per platform run (alongside ``steps``): the tasks that recorded
+    their ops, and the tasks the table refused after the run."""
+    log = []
+    record, run = RunStreams._record, Platform.run
+
+    def logged_record(self, key, params, program):
+        log[-1][0].add(key[2])
+        return record(self, key, params, program)
+
+    def logged_run(self):
+        log.append((set(), set()))
+        metrics = run(self)
+        log[-1][1].update(key[2] for key in OP_STREAMS._refused)
+        return metrics
+
+    monkeypatch.setattr(RunStreams, "_record", logged_record)
+    monkeypatch.setattr(Platform, "run", logged_run)
+    return log
+
+
+def test_a_dropped_stream_is_not_recorded_until_room_frees(sweep, steps,
+                                                           recorded):
+    """Past the budget, a task whose recording was dropped steps its
+    program without recording in the sweep's later runs, with the same
+    profile.  A run that evicts frees room: the table forgets the
+    refusals, and the task records again; so does clearing it."""
+    scenario = build_grid()[0]
+    _, _, table = sweep(scenario.build_method().profile)
+    budget = table.nbytes * 3 // 4
+    recorded.clear()
+    trimmed, _, _ = sweep(scenario.build_method().profile, budget)
+    stepped = [set(tasks) for _, tasks in steps]
+    refused = recorded[1][1]
+    assert refused and not recorded[0][1]
+    assert refused <= recorded[1][0] and refused <= stepped[1]
+    for (record, refusals), tasks in zip(recorded[2:], stepped[2:]):
+        assert record == set() and refusals == refused
+        assert tasks == refused
+
+    # Another seed replays nothing, so its recordings evict freely.
+    config = scenario.effective_cake
+    Platform(scenario.workload.build()(),
+             dataclasses.replace(config, seed=config.seed + 1)).run()
+    assert not OP_STREAMS._refused
+    recorded.clear()
+    assert scenario.build_method().profile() == trimmed
+    assert refused <= recorded[0][0]
+
+    regenerated, _, _ = sweep(scenario.build_method().profile, budget=0)
+    assert trimmed == regenerated
+    recorded.clear()
+    sweep(scenario.build_method().profile)
+    assert len(recorded[0][0]) == 4 and not recorded[0][1]
+    assert held().streams == 4
 
 
 def _greedy_sink(ctx):
