@@ -20,7 +20,12 @@ engine silently demotes to its reference fallback.  A third gate
 counts, on each paper application, the runs the two engines probe: the
 compiled engine folds each L1 set's revisits within a batch into one
 run, so it must probe at most ``FOLD_GATE_MAX_RATIO`` of the reference
-engine's runs, with identical RunMetrics.
+engine's runs, with identical RunMetrics.  A fourth gate counts, on
+each paper application, the objects one profiling platform build
+allocates at the smallest and the largest size of the default menu:
+the cache models keep per-set state only for sets that hold a line, so
+a build adds at most ``BUILD_GATE_MAX_OBJECTS`` objects at 16,384 L2
+sets as at 2,048.
 
 Run the gate with::
 
@@ -31,6 +36,7 @@ or standalone (measures every engine tier and writes the artifact)::
     PYTHONPATH=src python benchmarks/bench_schedule_speed.py
 """
 
+import gc
 import json
 import platform as platform_mod
 import statistics
@@ -42,12 +48,19 @@ import pytest
 
 from repro.cake.config import CakeConfig
 from repro.cake.platform import Platform
+from repro.core.allocation import buffer_units
+from repro.core.profiling import (
+    _virtual_sets,
+    default_sizes,
+    optimized_item_names,
+)
 from repro.exp.scenario import run_metrics_to_payload
 from repro.exp.workloads import workload_builder
 from repro.kpn.graph import FifoSpec, ProcessNetwork, TaskSpec
 from repro.apps.synthetic import sink_program, source_program
 from repro.mem import cwalker
 from repro.mem.hierarchy import HierarchyConfig
+from repro.mem.partition import PartitionMode
 from repro.mem.trace import AccessBatch
 from repro.rtos.task import OP_STREAMS
 
@@ -107,6 +120,13 @@ FOLD_WORKLOADS = (("two_jpeg_canny", {"scale": "paper", "frames": 1}),
 #: 493,765 (0.34) for JPEG+Canny and 294,551 of 630,584 (0.47) for
 #: MPEG-2; without the fold both read 1.0.
 FOLD_GATE_MAX_RATIO = 0.55
+
+#: One profiling platform build of a ``FOLD_WORKLOADS`` app, at the
+#: smallest or the largest size of the default menu (an L2 of 2,048 or
+#: 16,384 sets), adds at most this many objects the garbage collector
+#: tracks.  The counts read 404-417 at both sizes; with one Python list
+#: per cache set they read 2,543-2,562 and 16,879-16,898.
+BUILD_GATE_MAX_OBJECTS = 1000
 
 
 def _walker_program(ctx):
@@ -274,6 +294,41 @@ def count_walked_runs(workload, engine: str, monkeypatch) -> tuple:
     return sum(probed), run_metrics_to_payload(metrics)
 
 
+def count_build_objects(workload, largest: bool) -> tuple:
+    """The L2 set count of ``workload``'s profiling platform at the
+    smallest (or the ``largest``) size of the default menu, and the
+    objects the garbage collector tracks that one build of it adds.
+
+    Built as :func:`~repro.core.profiling.profile_miss_curves` builds
+    it, from a network built beforehand, with the collector off.
+    """
+    name, kwargs = workload
+    builder = workload_builder(name, **kwargs)
+    config = CakeConfig()
+    reference = builder()
+    items = optimized_item_names(reference)
+    buffers_total = sum(buffer_units(reference, config.unit_bytes).values())
+    sizes = default_sizes(config.n_allocation_units)
+    size = sizes[-1] if largest else sizes[0]
+    run_config = config.with_l2_sets(
+        _virtual_sets(config, len(items), size, buffers_total)
+    )
+    # A first build loads what any build needs once per process.
+    Platform(builder(), run_config, mode=PartitionMode.SET_PARTITIONED)
+    network = builder()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        platform = Platform(network, run_config,
+                            mode=PartitionMode.SET_PARTITIONED)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    del platform
+    return run_config.hierarchy.l2_geometry.sets, added
+
+
 def write_schedule_artifact(report: dict) -> Path:
     """Persist ``BENCH_schedule.json`` under ``benchmarks/results/``."""
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -361,6 +416,23 @@ def test_folded_walk_probes_fewer_runs(workload, monkeypatch):
         f"the compiled walk probed {compiled:,} runs against the "
         f"reference walk's {reference:,} ({ratio:.3f}), above the "
         f"{FOLD_GATE_MAX_RATIO} gate"
+    )
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("largest", [False, True],
+                         ids=["smallest_size", "largest_size"])
+@pytest.mark.parametrize("workload", FOLD_WORKLOADS,
+                         ids=[name for name, _ in FOLD_WORKLOADS])
+def test_profiling_build_allocates_no_per_set_state(workload, largest):
+    """One profiling platform build adds at most
+    ``BUILD_GATE_MAX_OBJECTS`` tracked objects, at the default menu's
+    smallest and largest size alike."""
+    sets, added = count_build_objects(workload, largest)
+    assert added <= BUILD_GATE_MAX_OBJECTS, (
+        f"one profiling platform build with a {sets:,}-set L2 added "
+        f"{added:,} tracked objects, above the {BUILD_GATE_MAX_OBJECTS:,} "
+        f"gate"
     )
 
 

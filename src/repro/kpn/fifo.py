@@ -15,6 +15,8 @@ the payload.  It depends only on the buffer, the admin block, the ring
 pointer, the byte count and the direction, so it is memoised
 (:mod:`repro.patterns.memo`) and shared read-only by every transfer
 with the same pointers -- a channel cycles through a handful of them.
+The channel builds the part of the memo key its transfers share (the
+buffer region and the admin block's address) once.
 
 The channel itself enforces KPN synchronisation state (token counts);
 blocking/waking of tasks is orchestrated by the CPU runner, which parks
@@ -32,7 +34,7 @@ from repro.errors import NetworkError
 from repro.kpn.graph import FifoSpec
 from repro.mem.address import Region
 from repro.mem.trace import AccessBatch
-from repro.patterns.memo import cached
+from repro.patterns.memo import cached_keyed, call_key
 from repro.patterns.streams import ring
 
 __all__ = ["FifoChannel", "FifoStats"]
@@ -96,6 +98,11 @@ class FifoChannel:
         self.buffer_region = buffer_region
         self.admin_region = admin_region
         self.admin_offset = admin_offset
+        self._admin_base = admin_region.base + admin_offset
+        #: The memo key of every transfer up to the ring pointer: a
+        #: transfer adds only the pointer, byte count and direction.
+        self._key = call_key(_transfer_batch, buffer_region,
+                             self._admin_base)
         self.tokens = 0
         self.read_ptr = 0
         self.write_ptr = 0
@@ -127,9 +134,13 @@ class FifoChannel:
     # -- traffic -----------------------------------------------------------
 
     def _transfer(self, head: int, n: int, write: bool) -> AccessBatch:
-        return cached(_transfer_batch, self.buffer_region,
-                      self.admin_region.base + self.admin_offset, head,
-                      n * self.spec.token_bytes, write)
+        nbytes = n * self.spec.token_bytes
+        return cached_keyed(
+            self._key + ((type(head), head), (type(nbytes), nbytes),
+                         (type(write), write)),
+            _transfer_batch, self.buffer_region, self._admin_base, head,
+            nbytes, write,
+        )
 
     def read_batch(self, n: int) -> AccessBatch:
         """Traffic of consuming ``n`` tokens (call only when readable)."""

@@ -5,9 +5,10 @@ Two cache classes share one statistics implementation:
 - :class:`SetAssociativeCache` -- the main model.  Hit probes are O(1):
   a dict maps each resident line address to the set index it lives in,
   so membership is one hash lookup instead of a scan over the ways.
-  Each set additionally keeps a plain Python list of line addresses in
-  recency order (index 0 = MRU) -- the array-based LRU/FIFO order used
-  for victim selection (the tail is the victim for both policies).
+  Each set that holds a line additionally keeps a plain Python list of
+  line addresses in recency order (index 0 = MRU) -- the array-based
+  LRU/FIFO order used for victim selection (the tail is the victim for
+  both policies).
   The *set index is supplied by the caller*, because under the paper's
   partitioning scheme the index is computed by translating the
   conventional index field through a per-owner table
@@ -23,6 +24,20 @@ Two cache classes share one statistics implementation:
 - :class:`WayManagedCache` -- the column-caching baseline ([10], [8] in
   the paper).  Sets are arrays of explicit ways; an owner may *hit* on
   any way but may only *allocate* into the ways it owns.
+
+A cache costs what it holds.  Both models keep per-set state (the
+recency list, or the way model's slot rows) only for the sets that hold
+a line: a set gets it at its first fill and loses it when an
+invalidation empties it.  So building a cache allocates nothing per
+set, whatever its set count -- the profiling sweep's virtual L2s reach
+16,384 sets, and the compiled engine, which holds the contents in C,
+fills the Python models only when it syncs them back.
+:meth:`~SetAssociativeCache.export_state`,
+:meth:`~SetAssociativeCache.import_state` and the invalidations walk
+the sets that hold lines, not every set (the exported arrays are the
+one full-size part, which numpy fills in one pass).  A set index
+outside ``[0, sets)`` raises :class:`~repro.errors.MemoryModelError`
+in ``access``, ``probe_writeback`` and ``set_contents`` of both models.
 
 Both record, per owner id: accesses, hits, misses, evictions suffered
 and writebacks, plus an eviction-attribution matrix ``(evictor,
@@ -160,8 +175,20 @@ class CacheStats:
         )
 
 
+def _set_index_error(cache, set_index: int) -> MemoryModelError:
+    return MemoryModelError(
+        f"{cache.name}: set index {set_index} outside "
+        f"[0, {cache.geometry.sets})"
+    )
+
+
 class SetAssociativeCache:
     """Set-associative cache with externally supplied set indices.
+
+    A set gets its recency list at its first fill and loses it when an
+    invalidation empties it, so a cache holds no per-set object for a
+    set without a line.  A set index outside ``[0, sets)`` raises
+    :class:`~repro.errors.MemoryModelError`.
 
     Parameters
     ----------
@@ -190,8 +217,9 @@ class SetAssociativeCache:
         self.policy = policy
         self.name = name
         self.stats = CacheStats()
-        # One recency-ordered list of line addresses per set (0 = MRU).
-        self._sets: List[List[int]] = [[] for _ in range(geometry.sets)]
+        # Set index -> its recency-ordered line addresses (0 = MRU), for
+        # the sets that hold a line.
+        self._sets: Dict[int, List[int]] = {}
         # line address -> set index it is resident in: the O(1) hit probe.
         self._where: Dict[int, int] = {}
         # line address -> owner id, for eviction attribution.
@@ -212,7 +240,9 @@ class SetAssociativeCache:
 
     def set_contents(self, set_index: int) -> tuple:
         """Snapshot of the lines of one set in recency order."""
-        return tuple(self._sets[set_index])
+        if not 0 <= set_index < self.geometry.sets:
+            raise _set_index_error(self, set_index)
+        return tuple(self._sets.get(set_index, ()))
 
     # -- the hot path --------------------------------------------------------
 
@@ -232,7 +262,8 @@ class SetAssociativeCache:
         is ``(victim_line, victim_owner, victim_dirty)`` when the fill
         displaced a line.
         """
-        lines = self._sets[set_index]
+        if not 0 <= set_index < self.geometry.sets:
+            raise _set_index_error(self, set_index)
         stats = self.stats.per_owner.get(owner)
         if stats is None:
             stats = OwnerStats()
@@ -242,9 +273,11 @@ class SetAssociativeCache:
         if self._where.get(line_addr) == set_index:
             # Hit -- one dict probe, no scan over the ways.
             stats.hits += n
-            if self.policy == "lru" and lines[0] != line_addr:
-                lines.remove(line_addr)
-                lines.insert(0, line_addr)
+            if self.policy == "lru":
+                lines = self._sets[set_index]
+                if lines[0] != line_addr:
+                    lines.remove(line_addr)
+                    lines.insert(0, line_addr)
             if write:
                 self._dirty.add(line_addr)
             return True, None
@@ -253,6 +286,9 @@ class SetAssociativeCache:
         stats.misses += 1
         stats.hits += n - 1
 
+        lines = self._sets.get(set_index)
+        if lines is None:
+            lines = self._sets[set_index] = []
         evicted: Optional[Tuple[int, int, bool]] = None
         if len(lines) >= self.geometry.ways:
             victim = self._select_victim(lines)
@@ -292,6 +328,8 @@ class SetAssociativeCache:
         victim-write path.  Does not touch recency order and is not
         counted as a demand access.
         """
+        if not 0 <= set_index < self.geometry.sets:
+            raise _set_index_error(self, set_index)
         if self._where.get(line_addr) == set_index:
             self._dirty.add(line_addr)
             return True
@@ -313,8 +351,7 @@ class SetAssociativeCache:
         )
         for _line, owner in flushed:
             self.stats.owner(owner).writebacks += 1
-        for lines in self._sets:
-            lines.clear()
+        self._sets.clear()
         self._where.clear()
         self._owner_of.clear()
         self._dirty.clear()
@@ -329,16 +366,17 @@ class SetAssociativeCache:
         """
         victims = [line for line, who in self._owner_of.items() if who == owner]
         flushed = sorted(line for line in victims if line in self._dirty)
+        sets = self._sets
         for line in victims:
             self._owner_of.pop(line)
-            self._where.pop(line)
+            set_index = self._where.pop(line)
             self._dirty.discard(line)
+            lines = sets[set_index]
+            lines.remove(line)
+            if not lines:
+                del sets[set_index]
         if flushed:
             self.stats.owner(owner).writebacks += len(flushed)
-        if victims:
-            victim_set = set(victims)
-            for lines in self._sets:
-                lines[:] = [line for line in lines if line not in victim_set]
         return flushed
 
     # -- bulk state exchange with the C walker -------------------------------
@@ -348,8 +386,8 @@ class SetAssociativeCache:
 
         Returns ``(lines, owners, dirty, lens)``: per set, ``ways``
         slots in recency order (slot 0 = MRU, unused slots hold -1 /
-        zero), plus the per-set occupancy.  See
-        :mod:`repro.mem.cwalker`.
+        zero), plus the per-set occupancy.  Only the sets that hold a
+        line are walked.  See :mod:`repro.mem.cwalker`.
         """
         geometry = self.geometry
         ways = geometry.ways
@@ -360,9 +398,7 @@ class SetAssociativeCache:
         lens = np.zeros(geometry.sets, dtype=np.int32)
         owner_of = self._owner_of
         dirty_set = self._dirty
-        for set_index, slist in enumerate(self._sets):
-            if not slist:
-                continue
+        for set_index, slist in self._sets.items():
             lens[set_index] = len(slist)
             base = set_index * ways
             for k, line in enumerate(slist):
@@ -373,30 +409,26 @@ class SetAssociativeCache:
         return lines, owners, dirty, lens
 
     def import_state(self, lines, owners, dirty, lens) -> None:
-        """Rebuild the dict/list state from :meth:`export_state` arrays."""
-        ways = self.geometry.ways
-        lines_l = lines.tolist()
-        owners_l = owners.tolist()
-        dirty_l = dirty.tolist()
-        lens_l = lens.tolist()
-        sets = self._sets
-        where: Dict[int, int] = {}
-        owner_of: Dict[int, int] = {}
-        dirty_set: set = set()
-        for set_index in range(self.geometry.sets):
-            count = lens_l[set_index]
-            base = set_index * ways
-            slist = lines_l[base:base + count]
-            sets[set_index] = slist
-            for k in range(count):
-                line = slist[k]
-                where[line] = set_index
-                owner_of[line] = owners_l[base + k]
-                if dirty_l[base + k]:
-                    dirty_set.add(line)
-        self._where = where
-        self._owner_of = owner_of
-        self._dirty = dirty_set
+        """Rebuild the dict/list state from :meth:`export_state` arrays.
+
+        Only the sets with a nonzero occupancy get a list.
+        """
+        held = np.flatnonzero(lens)
+        counts = lens[held].astype(np.int64)
+        starts = np.cumsum(counts) - counts
+        # The occupied slots, set by set in recency order.
+        slots = (np.repeat(held * self.geometry.ways - starts, counts)
+                 + np.arange(counts.sum()))
+        resident = lines[slots].tolist()
+        self._where = dict(zip(resident, np.repeat(held, counts).tolist()))
+        self._owner_of = dict(zip(resident, owners[slots].tolist()))
+        self._dirty = set(lines[slots[dirty[slots] != 0]].tolist())
+        self._sets = {
+            set_index: resident[start:start + count]
+            for set_index, start, count in zip(
+                held.tolist(), starts.tolist(), counts.tolist()
+            )
+        }
 
     def __repr__(self) -> str:
         return (
@@ -413,20 +445,39 @@ class WayManagedCache:
     allocate into (its *columns*).  This reproduces the granularity
     restriction the paper criticises: with a 4-way cache at most four
     owners can have exclusive space.
+
+    A set gets its slot rows at its first fill and loses them when an
+    invalidation empties it, as in :class:`SetAssociativeCache`; a set
+    index outside ``[0, sets)`` raises
+    :class:`~repro.errors.MemoryModelError`.
     """
 
     def __init__(self, geometry: CacheGeometry, name: str = "way-cache"):
         self.geometry = geometry
         self.name = name
         self.stats = CacheStats()
-        sets, ways = geometry.sets, geometry.ways
-        self._line: List[List[Optional[int]]] = [
-            [None] * ways for _ in range(sets)
-        ]
-        self._owner: List[List[int]] = [[0] * ways for _ in range(sets)]
-        self._stamp: List[List[int]] = [[0] * ways for _ in range(sets)]
+        # Set index -> its ``(lines, owners, stamps)`` rows, one slot
+        # per way, for the sets that hold a line.  Rows start empty:
+        # line None, owner 0, stamp 0.
+        self._slots: Dict[
+            int, Tuple[List[Optional[int]], List[int], List[int]]
+        ] = {}
         self._dirty: set = set()
         self._clock = 0
+
+    def set_contents(self, set_index: int) -> tuple:
+        """Snapshot of one set's occupied slots: ``(way, line, owner,
+        stamp)`` in way order."""
+        if not 0 <= set_index < self.geometry.sets:
+            raise _set_index_error(self, set_index)
+        rows = self._slots.get(set_index)
+        if rows is None:
+            return ()
+        slot_lines, owner_row, stamp_row = rows
+        return tuple(
+            (way, line, owner_row[way], stamp_row[way])
+            for way, line in enumerate(slot_lines) if line is not None
+        )
 
     def access(
         self,
@@ -440,15 +491,23 @@ class WayManagedCache:
         """Access with an allocation-way restriction; see class docs."""
         if not alloc_ways:
             raise MemoryModelError(f"owner {owner} has no allocation ways")
+        if not 0 <= set_index < self.geometry.sets:
+            raise _set_index_error(self, set_index)
         self._clock += 1
-        slot_lines = self._line[set_index]
         stats = self.stats.owner(owner)
         stats.accesses += n
 
+        rows = self._slots.get(set_index)
+        if rows is None:
+            ways = self.geometry.ways
+            rows = self._slots[set_index] = (
+                [None] * ways, [0] * ways, [0] * ways
+            )
+        slot_lines, owner_row, stamp_row = rows
         for way, resident in enumerate(slot_lines):
             if resident == line_addr:
                 stats.hits += n
-                self._stamp[set_index][way] = self._clock
+                stamp_row[way] = self._clock
                 if write:
                     self._dirty.add(line_addr)
                 return True, None
@@ -463,12 +522,12 @@ class WayManagedCache:
                 victim_way = way
                 break
         if victim_way is None:
-            victim_way = min(alloc_ways, key=lambda w: self._stamp[set_index][w])
+            victim_way = min(alloc_ways, key=stamp_row.__getitem__)
 
         evicted: Optional[Tuple[int, int, bool]] = None
         old_line = slot_lines[victim_way]
         if old_line is not None:
-            old_owner = self._owner[set_index][victim_way]
+            old_owner = owner_row[victim_way]
             old_dirty = old_line in self._dirty
             self._dirty.discard(old_line)
             if old_dirty:
@@ -481,18 +540,20 @@ class WayManagedCache:
             evicted = (old_line, old_owner, old_dirty)
 
         slot_lines[victim_way] = line_addr
-        self._owner[set_index][victim_way] = owner
-        self._stamp[set_index][victim_way] = self._clock
+        owner_row[victim_way] = owner
+        stamp_row[victim_way] = self._clock
         if write:
             self._dirty.add(line_addr)
         return False, evicted
 
     def probe_writeback(self, line_addr: int, set_index: int, owner: int) -> bool:
         """Non-allocating write-back probe (see SetAssociativeCache)."""
-        for resident in self._line[set_index]:
-            if resident == line_addr:
-                self._dirty.add(line_addr)
-                return True
+        if not 0 <= set_index < self.geometry.sets:
+            raise _set_index_error(self, set_index)
+        rows = self._slots.get(set_index)
+        if rows is not None and line_addr in rows[0]:
+            self._dirty.add(line_addr)
+            return True
         return False
 
     def invalidate_all(self) -> List[Tuple[int, int]]:
@@ -503,12 +564,11 @@ class WayManagedCache:
         in address order.
         """
         flushed: List[Tuple[int, int]] = []
-        for set_index, slot_lines in enumerate(self._line):
+        for slot_lines, owner_row, _stamp_row in self._slots.values():
             for way, line in enumerate(slot_lines):
                 if line is not None and line in self._dirty:
-                    flushed.append((line, self._owner[set_index][way]))
-            slot_lines[:] = [None] * self.geometry.ways
-            self._stamp[set_index] = [0] * self.geometry.ways
+                    flushed.append((line, owner_row[way]))
+        self._slots.clear()
         flushed.sort()
         for _line, owner in flushed:
             self.stats.owner(owner).writebacks += 1
@@ -521,13 +581,13 @@ class WayManagedCache:
         Mirrors :meth:`SetAssociativeCache.invalidate_owner`: returns
         the owner's dirty line addresses in address order, counted in
         the owner's ``writebacks``; the caller writes them back.
-        Emptied slots reset their stamp to 0, preserving the
-        empty-slot-stamp invariant of :meth:`export_state`.
+        Emptied slots reset their owner and stamp to 0, preserving the
+        empty-slot-stamp invariant of :meth:`export_state`, and a set
+        left without a line loses its rows.
         """
         flushed: List[int] = []
-        for set_index, slot_lines in enumerate(self._line):
-            owner_row = self._owner[set_index]
-            stamp_row = self._stamp[set_index]
+        for set_index, rows in list(self._slots.items()):
+            slot_lines, owner_row, stamp_row = rows
             for way, line in enumerate(slot_lines):
                 if line is None or owner_row[way] != owner:
                     continue
@@ -537,6 +597,8 @@ class WayManagedCache:
                 slot_lines[way] = None
                 owner_row[way] = 0
                 stamp_row[way] = 0
+            if slot_lines.count(None) == len(slot_lines):
+                del self._slots[set_index]
         flushed.sort()
         if flushed:
             self.stats.owner(owner).writebacks += len(flushed)
@@ -549,11 +611,13 @@ class WayManagedCache:
 
         Returns ``(lines, owners, dirty, stamps, clock)``: per set,
         ``ways`` explicit slots (empty slots hold line -1), the
-        recency stamps, and the global stamp clock.  Empty slots carry
-        stamp 0 -- which is exactly their reference value, since slots
-        only start empty or become empty through :meth:`invalidate_all`
-        / :meth:`invalidate_owner` (all reset stamps to 0) and victim
-        selection never reads the stamp of an empty slot.
+        recency stamps, and the global stamp clock.  Only the sets that
+        hold a line are walked.  Empty slots carry stamp 0 -- which is
+        exactly their reference value, since a set's rows start with
+        stamp 0, slots only become empty through :meth:`invalidate_all`
+        / :meth:`invalidate_owner` (which drop the rows or reset the
+        stamp to 0), and victim selection never reads the stamp of an
+        empty slot.
         """
         geometry = self.geometry
         ways = geometry.ways
@@ -563,10 +627,9 @@ class WayManagedCache:
         dirty = np.zeros(n_slots, dtype=np.uint8)
         stamps = np.zeros(n_slots, dtype=np.int64)
         dirty_set = self._dirty
-        for set_index, slot_lines in enumerate(self._line):
+        for set_index, rows in self._slots.items():
+            slot_lines, owner_row, stamp_row = rows
             base = set_index * ways
-            owner_row = self._owner[set_index]
-            stamp_row = self._stamp[set_index]
             for way, line in enumerate(slot_lines):
                 if line is None:
                     continue
@@ -578,24 +641,33 @@ class WayManagedCache:
         return lines, owners, dirty, stamps, self._clock
 
     def import_state(self, lines, owners, dirty, stamps, clock) -> None:
-        """Rebuild the slot state from :meth:`export_state` arrays."""
+        """Rebuild the slot state from :meth:`export_state` arrays.
+
+        Only the sets with an occupied slot get rows: the C walk never
+        empties a slot, so an all-empty set still holds the stamp 0
+        its rows would start with.
+        """
         ways = self.geometry.ways
-        lines_l = lines.tolist()
-        owners_l = owners.tolist()
-        dirty_l = dirty.tolist()
-        stamps_l = stamps.tolist()
+        line_rows = lines.reshape(-1, ways)
+        held = np.flatnonzero((line_rows != -1).any(axis=1))
+        slots: Dict[int, Tuple[List[Optional[int]], List[int], List[int]]] = {}
         dirty_set: set = set()
-        for set_index in range(self.geometry.sets):
-            base = set_index * ways
-            self._line[set_index] = [
-                None if lines_l[base + way] == -1 else lines_l[base + way]
-                for way in range(ways)
-            ]
-            self._owner[set_index] = owners_l[base:base + ways]
-            self._stamp[set_index] = stamps_l[base:base + ways]
-            for way in range(ways):
-                if dirty_l[base + way]:
-                    dirty_set.add(lines_l[base + way])
+        for set_index, row, owner_row, stamp_row, dirty_row in zip(
+            held.tolist(),
+            line_rows[held].tolist(),
+            owners.reshape(-1, ways)[held].tolist(),
+            stamps.reshape(-1, ways)[held].tolist(),
+            dirty.reshape(-1, ways)[held].tolist(),
+        ):
+            slots[set_index] = (
+                [None if line == -1 else line for line in row],
+                owner_row,
+                stamp_row,
+            )
+            for line, is_dirty in zip(row, dirty_row):
+                if is_dirty:
+                    dirty_set.add(line)
+        self._slots = slots
         self._dirty = dirty_set
         self._clock = int(clock)
 

@@ -13,7 +13,10 @@ distinct batch once per process:
 - The key is the builder, each region argument's ``(base, size)`` and
   every other argument together with its type, so ``stream(r, 0,
   512.0)`` never aliases ``stream(r, 0, 512)``.  Region names do not
-  enter the key: a batch depends on addresses alone.
+  enter the key: a batch depends on addresses alone.  :func:`call_key`
+  builds it; :func:`cached_keyed` takes a key built ahead, so a caller
+  whose calls share most of their arguments (a FIFO channel's
+  transfers) builds that prefix once.
 - The table holds at most :data:`BUDGET_BYTES` of arrays and evicts the
   least recently used batches past that.  Per-entry bookkeeping (the
   key, the batch object) is not counted: a few hundred bytes an entry.
@@ -48,7 +51,7 @@ from repro.mem.address import Region
 from repro.mem.trace import AccessBatch
 
 __all__ = ["BUDGET_BYTES", "STREAM_BUDGET_BYTES", "MemoInfo", "cached",
-           "clear", "info"]
+           "cached_keyed", "call_key", "clear", "info"]
 
 #: Array bytes (addresses plus write flags) the table holds at most.
 BUDGET_BYTES = 4 << 20
@@ -72,6 +75,18 @@ class MemoInfo(NamedTuple):
     bytes: int
 
 
+def call_key(builder: Callable[..., AccessBatch], *args) -> tuple:
+    """The table's key for ``builder(*args)``: the builder, then each
+    region argument's ``(Region, base, size)`` and every other argument
+    as ``(type, value)``.  A prefix of the arguments gives a prefix of
+    the key."""
+    return (builder,) + tuple([
+        (Region, arg.base, arg.size) if isinstance(arg, Region)
+        else (type(arg), arg)
+        for arg in args
+    ])
+
+
 def _nbytes(batch: AccessBatch) -> int:
     return batch.addrs.nbytes + batch.writes.nbytes
 
@@ -88,11 +103,13 @@ class _BatchTable:
 
     def cached(self, builder: Callable[..., AccessBatch], *args) -> AccessBatch:
         """``builder(*args)``, built once per distinct key."""
-        key = (builder,) + tuple([
-            (Region, arg.base, arg.size) if isinstance(arg, Region)
-            else (type(arg), arg)
-            for arg in args
-        ])
+        return self.cached_keyed(call_key(builder, *args), builder, *args)
+
+    def cached_keyed(self, key: tuple, builder: Callable[..., AccessBatch],
+                     *args) -> AccessBatch:
+        """``builder(*args)`` under ``key``, which must equal
+        ``call_key(builder, *args)``: a caller that repeats most of a
+        call builds that part of the key once."""
         with self._lock:
             self._lookups += 1
             batch = self._batches.get(key)
@@ -134,5 +151,6 @@ class _BatchTable:
 
 _TABLE = _BatchTable()
 cached = _TABLE.cached
+cached_keyed = _TABLE.cached_keyed
 info = _TABLE.info
 clear = _TABLE.clear

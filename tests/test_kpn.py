@@ -15,8 +15,10 @@ from repro.kpn import (
     TaskSpec,
     WriteToken,
 )
-from repro.kpn.fifo import ADMIN_BLOCK_BYTES
+from repro.kpn.fifo import ADMIN_BLOCK_BYTES, _transfer_batch
 from repro.mem.address import Region, RegionKind
+from repro.patterns import memo
+from repro.patterns.memo import cached
 
 
 def dummy_program(ctx):
@@ -155,6 +157,22 @@ def test_fifo_ring_pointer_wraps():
         fifo.commit_read(1)
     assert fifo.read_ptr == fifo.write_ptr
     assert fifo.read_ptr < fifo.buffer_region.size
+
+
+def test_fifo_transfer_is_the_batch_cached_builds():
+    # The channel's pre-built key prefix is the one cached() makes:
+    # both find the same table entry, whichever comes first.
+    memo.clear()
+    fifo = make_channel()
+    admin = fifo.admin_region.base + fifo.admin_offset
+    written = fifo.write_batch(2)
+    assert written is cached(_transfer_batch, fifo.buffer_region, admin,
+                             0, 128, True)
+    fifo.commit_write(2)
+    read = cached(_transfer_batch, fifo.buffer_region, admin, 0, 128, False)
+    assert fifo.read_batch(2) is read
+    assert memo.info()[:3] == (4, 2, 2)
+    memo.clear()
 
 
 def test_fifo_write_batch_is_stores():

@@ -111,21 +111,16 @@ def assert_systems_identical(reference, other, context):
             assert (reference.l2.set_contents(set_index)
                     == other.l2.set_contents(set_index)), (context, set_index)
     else:
-        # Way-managed L2: same occupied slots, owners, stamps, clock.
-        # (Owner/stamp of an *empty* slot is dead state the model never
-        # reads; the engines may differ there.)
+        # Way-managed L2: same occupied slots (way, line, owner, stamp)
+        # per set, dirty lines and clock.  (Owner/stamp of an *empty*
+        # slot is dead state the model never reads; the engines may
+        # differ there.)
         ref_way, other_way = reference.l2_way, other.l2_way
-        assert ref_way._line == other_way._line, context
         assert ref_way._dirty == other_way._dirty, context
         assert ref_way._clock == other_way._clock, context
-        for si, slot_lines in enumerate(ref_way._line):
-            for way, line in enumerate(slot_lines):
-                if line is None:
-                    continue
-                assert (ref_way._owner[si][way]
-                        == other_way._owner[si][way]), (context, si, way)
-                assert (ref_way._stamp[si][way]
-                        == other_way._stamp[si][way]), (context, si, way)
+        for set_index in range(ref_way.geometry.sets):
+            assert (ref_way.set_contents(set_index)
+                    == other_way.set_contents(set_index)), (context, set_index)
 
 
 def run_differential(mode, l2_policy, seed, engine, between=None,

@@ -11,6 +11,7 @@ import pytest
 from repro.errors import MemoryModelError
 from repro.exp import clear_caches, run_scenario
 from repro.exp.smoke import build_grid
+from repro.kpn.fifo import FifoChannel, _transfer_batch
 from repro.mem.address import Region, RegionKind
 from repro.mem.trace import AccessBatch
 from repro.patterns import memo
@@ -426,3 +427,28 @@ def test_memo_hit_ratio_of_a_pipeline_scenario(empty_table):
     info = memo.info()
     assert info.lookups > 0
     assert info.hits / info.lookups >= 0.9
+
+
+def test_channel_keys_leave_the_table_as_cached_keys_do(empty_table,
+                                                       monkeypatch):
+    # A FIFO channel builds the shared part of its transfers' key once;
+    # routing every transfer through cached() instead must make the
+    # same lookups, hits, entries, bytes and keys.
+    def table():
+        run_scenario(build_grid()[0], cache=False)
+        state = memo.info(), set(memo._TABLE._batches)
+        clear_caches()
+        return state
+
+    keyed = table()
+
+    def through_cached(channel, head, n, write):
+        return memo.cached(
+            _transfer_batch, channel.buffer_region,
+            channel.admin_region.base + channel.admin_offset, head,
+            n * channel.spec.token_bytes, write,
+        )
+
+    monkeypatch.setattr(FifoChannel, "_transfer", through_cached)
+    assert table() == keyed
+    assert keyed[0].lookups > 0
