@@ -52,7 +52,7 @@ class RunMetrics:
     l2_cross_evictions: int = 0
     #: DRAM lines moved (for the power model).
     dram_lines: int = 0
-    #: The hierarchy engine that walked the run, after every fallback
+    #: The hierarchy engine that walked the run
     #: (``MemorySystem.effective_engine``); ``None`` when restored from
     #: a payload.  Execution metadata: engines are bit-identical, so it
     #: takes no part in comparisons and no payload carries it.

@@ -177,8 +177,8 @@ class Platform:
         if self._started:
             raise SchedulingError("Platform.run() may only be called once")
         self._started = True
-        hierarchy = self.config.hierarchy
-        streams = OP_STREAMS.run(hierarchy.engine, hierarchy.run_key,
+        streams = OP_STREAMS.run(self.mem.effective_engine,
+                                 self.config.hierarchy.run_key,
                                  self.config.seed)
         self.scheduler.start_all(skip=self._deferred, streams=streams)
         self.sim.run()

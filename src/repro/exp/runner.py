@@ -291,8 +291,9 @@ def execute_scenario(
         "wall_s": time.time() - started,
         "created_unix": started,
         "engine": scenario.effective_cake.hierarchy.engine,
-        # What actually walked the measured run after every fallback;
-        # None when that run came from a cache, not a simulation here.
+        # What actually walked the measured run (reference for a
+        # compiled engine without a C walker); None when that run came
+        # from a cache, not a simulation here.
         "effective_engine": measured.effective_engine,
     }
     if replan_wall_s is not None:

@@ -21,7 +21,7 @@
  *      the caller can keep the runs of a batch it walks again;
  *   2. `walker_bind` stores the interval, set and way tables and the
  *      per-owner counters in the state, only when one of them changed;
- *      the caller has checked every owner id against the counters;
+ *      the caller has grown the counters to cover every owner id;
  *   3. `walk_batch` walks the runs, resolving each run's owner through
  *      the interval table, in exactly the state sequence of the
  *      reference engine:
@@ -492,14 +492,9 @@ static int64_t bus_price(walker_state *st, int64_t cpu, int64_t n,
  * adding its count to the earlier run walks the same -- unless it
  * writes and the earlier run does not: the earlier run's write flag
  * is what its L1 fill and its L2 access used, so that run is kept.  A
- * merged run keeps the earlier run's flags.  A run is also kept when
- * the run after it is on the line of the last run kept and could not
- * fold into it (it writes, that run does not): folding would leave two
- * adjacent runs on one line, which a runs-only batch could not rebuild
- * (repro.mem.trace).  With that rule no two adjacent kept runs share a
- * line, and folding the result again folds nothing, so coalescing a
- * runs-only batch's rebuilt accesses gives back its runs.  `last` is
- * scratch of one slot per L1 set. */
+ * merged run keeps the earlier run's flags.  Two kept runs in a row may
+ * share a line; they walk exactly as they stand.  `last` is scratch of
+ * one slot per L1 set. */
 int64_t walker_coalesce(const int64_t *addrs, const uint8_t *writes,
                         int64_t n, int64_t line_shift,
                         int64_t full_line_count, int64_t l1_sets,
@@ -532,13 +527,8 @@ int64_t walker_coalesce(const int64_t *addrs, const uint8_t *writes,
         int64_t t = *slot;
         if (t >= 0 && runs[2 * t] == line
             && (!(info & 1) || (runs[2 * t + 1] & 1))) {
-            const int64_t *tail = runs + 2 * (kept - 1);
-            const int64_t *next = runs + 2 * (i + 1);
-            if (!(i + 1 < n_runs && next[0] == tail[0]
-                  && (next[1] & 1) && !(tail[1] & 1))) {
-                runs[2 * t + 1] += info & ~(int64_t)3;
-                continue;
-            }
+            runs[2 * t + 1] += info & ~(int64_t)3;
+            continue;
         }
         *slot = kept;
         runs[2 * kept] = line;

@@ -15,10 +15,10 @@ one ``walk_batch`` call then walks an op's runs: owner resolution, set
 mapping, the walk and the per-owner statistics.
 ``walk_batch`` returns nothing: the caller keeps the task owner and
 every bound interval owner within the counters.
-Everything degrades gracefully: no compiler, a failed
-compilation or an unwritable build directory simply mean :func:`load`
-returns ``None`` and the compiled engine falls back to the reference
-walk.
+A missing C walker is the one thing that degrades gracefully: no
+compiler, a failed compilation or an unwritable build directory simply
+mean :func:`load` returns ``None``, and a compiled-engine memory system
+built then takes the reference walk for its whole life.
 
 The compiled object is cached under ``<package>/_build/`` keyed by the
 source content hash, so recompilation happens only when ``_walker.c``
@@ -122,7 +122,7 @@ def load() -> Optional[CWalker]:
     The first call pays the (cached) compilation; later calls return
     the memoised binding.  Concurrent first calls all wait for that one
     compilation.  Set ``REPRO_NO_CWALKER=1`` to disable the C tier,
-    e.g. to run the default engine on its reference fallback.
+    e.g. to run the default engine on the reference walk.
     """
     global _walker, _load_attempted
     if _load_attempted:

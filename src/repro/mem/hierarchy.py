@@ -34,14 +34,13 @@ Two engines implement the walk:
   earlier run: such a run hits in slot 0 and moves nothing, so the C
   walk probes fewer runs than the reference walk and counts the same
   statistics.  The interval table, the partition maps and the counters
-  are bound into the C state when they change, and the owner ids are
-  checked there: every interval owner and the task owner must fit the
-  counters, which grow to cover them.  Then every batch, whatever its
-  size, is one C walk over its runs that resolves each run's owner
-  through the interval table, translates the L2 set index, walks, and
-  counts the per-owner statistics.  The walk allocates nothing and
-  checks nothing, so it cannot refuse a batch.  The contract for reading
-  state:
+  are bound into the C state when they change or the task owner lies
+  beyond the counters, which then grow to cover the task owner and
+  every interval owner.  Then every batch, whatever its size, is one C
+  walk over its runs that resolves each run's owner through the
+  interval table, translates the L2 set index, walks, and counts the
+  per-owner statistics.  The walk allocates nothing and checks nothing,
+  so it cannot refuse a batch.  The contract for reading state:
 
   * :attr:`MemorySystem.l2_stats` is always current (reading it folds
     the C-side L2 counters in);
@@ -55,19 +54,17 @@ Two engines implement the walk:
     the next call re-exports it.
 - ``engine="reference"`` -- one method call per run into the cache
   models.  Slow but obviously faithful; it is the differential-testing
-  oracle and the compiled engine's fallback.
+  oracle, and what the compiled engine walks without a C walker.
 
 Both engines produce bit-identical statistics, which the differential
-test suite asserts.  The compiled engine falls back to the reference
-walk when no C compiler is available (or ``REPRO_NO_CWALKER`` is set)
-and when the C state cannot be allocated.  A negative owner
-id degrades it to the reference walk too -- the owner registry never
-produces one -- and so does an owner id of :data:`MAX_DENSE_OWNERS` or
-more, which the dense C counters do not cover.  Both are checked where
-the tables are bound, on the task owner and every interval owner,
-before the C walk touches any state.  Every fallback is for good, and
-:attr:`MemorySystem.effective_engine` reports the engine that walks
-after it.
+test suite asserts.  Owner ids are checked where they enter, against
+:data:`repro.mem.intervals.MAX_OWNERS` (the reach of the dense C
+counters), so the C walk never meets one it cannot count.  The compiled
+engine walks in C exactly when a C walker loaded (a C compiler is
+available and ``REPRO_NO_CWALKER`` is unset), else on the reference
+walk, as :attr:`MemorySystem.effective_engine` reports for the
+system's life.  A C state that cannot be allocated raises
+:class:`MemoryError`.
 """
 
 from __future__ import annotations
@@ -83,6 +80,7 @@ from repro.errors import ConfigurationError, MemoryModelError
 from repro.mem import cwalker
 from repro.mem.bus import BusConfig, SharedBus
 from repro.mem.cache import CacheGeometry, SetAssociativeCache, WayManagedCache
+from repro.mem.intervals import MAX_OWNERS
 from repro.mem.memory import DramConfig, MainMemory
 from repro.mem.partition import (
     OwnerResolver,
@@ -93,12 +91,6 @@ from repro.mem.partition import (
 from repro.mem.trace import AccessBatch
 
 __all__ = ["BatchResult", "HierarchyConfig", "MemorySystem"]
-
-#: Owner ids the compiled engine's dense per-owner counters cover: the
-#: eviction matrices take ``(n_cpus + 1) x MAX_DENSE_OWNERS**2`` int64
-#: counters at most (40 MiB for four CPUs).  A larger task or interval
-#: owner id sends the engine to the reference walk.
-MAX_DENSE_OWNERS = 1024
 
 
 @dataclass(frozen=True)
@@ -122,8 +114,8 @@ class HierarchyConfig:
     l2_policy: str = "lru"
     #: ``"compiled"`` (persistent C state, one C call per batch; the
     #: default) or ``"reference"`` (per-run method calls; the
-    #: differential-testing oracle the compiled engine falls back to).
-    #: See the module docstring.
+    #: differential-testing oracle, and the compiled engine's walk
+    #: without a C walker).  See the module docstring.
     engine: str = "compiled"
 
     ENGINES = ("reference", "compiled")
@@ -481,10 +473,11 @@ class MemorySystem:
         self.bus = SharedBus(config.bus, n_cpus=n_cpus)
         #: Lazily built persistent C state (engine="compiled" only).
         self._compiled: Optional[_CompiledState] = None
-        #: Whether batches try the C tier.  Cleared for good when the C
-        #: state cannot be allocated or the task owner or an interval
-        #: owner lies outside ``[0, MAX_DENSE_OWNERS)``.
-        self._use_compiled = config.engine == "compiled"
+        #: The C walker that walks every batch, or ``None``: the engine
+        #: is reference, or no C walker loaded.  Fixed for good.
+        self._walker = (
+            cwalker.load() if config.engine == "compiled" else None
+        )
 
     # -- configuration -----------------------------------------------------
 
@@ -573,35 +566,14 @@ class MemorySystem:
         if self._compiled is not None:
             self._compiled.sync_down(self)
 
-    def _fall_back(self) -> None:
-        """Walk on the reference engine for good, from up-to-date models."""
-        self.quiesce()
-        self._use_compiled = False
-
     @property
     def effective_engine(self) -> str:
-        """The engine that walks the next batch, after every fallback.
+        """The engine that walks every batch of this system.
 
-        ``"compiled"`` or ``"reference"``: the requested
-        :attr:`HierarchyConfig.engine` unless the compiled tier is down
-        (no C walker, a failed state allocation, an owner id outside
-        ``[0, MAX_DENSE_OWNERS)``) -- then ``"reference"``.
+        ``"compiled"`` when the requested :attr:`HierarchyConfig.engine`
+        is compiled and a C walker loaded, else ``"reference"``.
         """
-        if self._use_compiled and cwalker.load() is not None:
-            return "compiled"
-        return "reference"
-
-    def _compiled_state(self) -> Optional[_CompiledState]:
-        """The live persistent C state, (re)built on demand.
-
-        ``None`` unless :attr:`effective_engine` is ``"compiled"``.
-        """
-        if self._compiled is None and self.effective_engine == "compiled":
-            try:
-                self._compiled = _CompiledState(self, cwalker.load())
-            except MemoryError:
-                self._use_compiled = False
-        return self._compiled
+        return "reference" if self._walker is None else "compiled"
 
     def _bind_tables(self, state: _CompiledState) -> tuple:
         """The walk's per-call tables, as :meth:`_CompiledState.bind`
@@ -677,16 +649,20 @@ class MemorySystem:
 
         Returns the :class:`BatchResult` with the cycle cost; caches,
         bus and DRAM state advance as side effects.  Dispatches to the
-        engine selected by :attr:`HierarchyConfig.engine`.
+        engine that :attr:`effective_engine` names.  A ``cpu_id`` out of
+        range, or a ``task_owner`` outside ``[0, MAX_OWNERS)``, raises
+        :class:`MemoryModelError` before any state changes.
         """
         if not 0 <= cpu_id < self.n_cpus:
             raise MemoryModelError(f"cpu {cpu_id} out of range")
-        if self._use_compiled:
-            result = self._execute_batch_compiled(
+        if not 0 <= task_owner < MAX_OWNERS:
+            raise MemoryModelError(
+                f"task owner id {task_owner} outside [0, {MAX_OWNERS})"
+            )
+        if self._walker is not None:
+            return self._execute_batch_compiled(
                 cpu_id, task_owner, batch, now
             )
-            if result is not None:
-                return result
         return self._execute_batch_reference(cpu_id, task_owner, batch, now)
 
     #: Placeholder for the removed multi-entry segment walk: the
@@ -696,26 +672,22 @@ class MemorySystem:
 
     def _execute_batch_compiled(
         self, cpu_id: int, task_owner: int, batch: AccessBatch, now: float
-    ) -> Optional[BatchResult]:
-        """One C walk over the batch's runs; ``None`` when unsupported.
+    ) -> BatchResult:
+        """One C walk over the batch's runs.
 
-        The runs come from the batch when it kept them for this line
-        geometry and L1 set count, else from one C coalescing call,
-        which raises the negative-address :class:`MemoryModelError`
-        before any state changes.  The tables are bound when one
-        changed or the task owner lies beyond the counters; that slow
-        path checks the task owner and every interval owner and grows
-        the counters to cover them.  Unsupported means: the compiled
-        tier is down (no C walker, a failed state allocation) or one of
-        those owner ids lies outside ``[0, MAX_DENSE_OWNERS)``.  Both
-        send this system to the reference walk for good, before any
-        state changes.
+        The C state is built at the first batch, and again at the first
+        after a :meth:`quiesce`.  The runs come from the batch when it
+        kept them for this line geometry and L1 set count, else from
+        one C coalescing call, which raises the negative-address
+        :class:`MemoryModelError` before any state changes.  The tables
+        are bound when one changed or the task owner lies beyond the
+        counters; that slow path grows the counters to the larger of
+        the task owner and the largest owner in the bound interval
+        table, all of them in range by the owner checks.
         """
         state = self._compiled
         if state is None:
-            state = self._compiled_state()
-            if state is None:
-                return None
+            state = self._compiled = _CompiledState(self, self._walker)
         runs = batch._runs
         if runs is None or runs[0] != state.run_key:
             runs = state.coalesce(batch)
@@ -726,17 +698,13 @@ class MemorySystem:
         intervals = self.resolver.intervals
         key = (intervals, intervals._version, self.set_map._version,
                self.way_map._version)
-        if key != state.bound or not 0 <= task_owner < state.n_owners:
-            # Checked on the Python ints, before any int64 array holds
-            # them: an owner outside int64 falls back like any other.
-            owners = [task_owner, *(owner for _, _, owner in intervals)]
-            lowest, highest = min(owners), max(owners)
-            if lowest < 0 or highest >= MAX_DENSE_OWNERS:
-                self._fall_back()
-                return None
+        if key != state.bound or task_owner >= state.n_owners:
+            tables = self._bind_tables(state)
+            # Row 2 of the interval array holds the interval owners.
+            highest = max(task_owner, int(tables[0][2].max(initial=0)))
             if highest >= state.n_owners:
                 state.grow(highest)
-            state.bind(key, self._bind_tables(state))
+            state.bind(key, tables)
         instructions = int(batch.instructions)
         state.walker.walk_batch(
             state.handle, cpu_id, task_owner, instructions, now,

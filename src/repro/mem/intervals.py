@@ -12,6 +12,9 @@ parallel lists.  The reference walk calls :meth:`IntervalTable.lookup`
 (a binary search) once per run; the compiled engine binds
 :meth:`IntervalTable.as_array` into its C state whenever
 :attr:`IntervalTable.version` changes, and searches it there.
+
+An owner id is an integer in ``[0, MAX_OWNERS)``: every call through
+which one enters the memory system checks it before any state changes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,19 @@ import numpy as np
 
 from repro.errors import MemoryModelError
 
-__all__ = ["IntervalTable"]
+__all__ = ["IntervalTable", "MAX_OWNERS", "check_owner"]
+
+#: One past the largest owner id.  The compiled engine counts per-owner
+#: statistics in dense counters: its eviction matrices take
+#: ``(n_cpus + 1) x MAX_OWNERS**2`` int64 counters at most (40 MiB for
+#: four CPUs).  The owner registry hands out ids from 0.
+MAX_OWNERS = 1024
+
+
+def check_owner(owner: int, error=MemoryModelError) -> None:
+    """Raise ``error`` unless ``owner`` lies in ``[0, MAX_OWNERS)``."""
+    if not 0 <= owner < MAX_OWNERS:
+        raise error(f"owner id {owner} outside [0, {MAX_OWNERS})")
 
 
 class IntervalTable:
@@ -64,8 +79,10 @@ class IntervalTable:
         Overlapping intervals are rejected: a byte of shared memory
         belongs to exactly one buffer.  So are bounds outside
         ``0 <= base < end < 2**63``: addresses are non-negative, and
-        the compiled engine holds the bounds as int64.
+        the compiled engine holds the bounds as int64; and so is an
+        owner outside ``[0, MAX_OWNERS)``.
         """
+        check_owner(owner)
         if end <= base:
             raise MemoryModelError(f"empty interval [{base:#x}, {end:#x})")
         if base < 0 or end >= 2**63:
@@ -108,8 +125,8 @@ class IntervalTable:
         """Vectorised :meth:`lookup` over an address array.
 
         Returns an ``int64`` array of owner ids with ``-1`` where an
-        address falls in no interval (owner ids are non-negative by
-        construction, see :class:`repro.mem.partition.OwnerRegistry`).
+        address falls in no interval (:meth:`add` takes only
+        non-negative owners).
         One ``searchsorted`` replaces a per-access binary search.  The
         compiled hierarchy engine no longer calls this -- its C walk
         searches :meth:`as_array` itself -- so this is the vectorised

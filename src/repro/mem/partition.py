@@ -12,6 +12,8 @@ Concretely:
 - :class:`OwnerRegistry` assigns small integer ids to the memory-active
   entities (tasks, FIFOs, frame buffers, shared data/bss regions, the
   RTOS).  Id 0 (:data:`OWNER_SHARED`) means "no exclusive partition".
+  The maps below take only ids in ``[0, MAX_OWNERS)``
+  (:data:`repro.mem.intervals.MAX_OWNERS`).
 - :class:`OwnerResolver` maps one access to its owner: the interval
   table of shared buffers is consulted first, then the task-id register
   of the issuing CPU -- exactly the paper's lookup order.
@@ -30,7 +32,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.mem.intervals import IntervalTable
+from repro.mem.intervals import IntervalTable, check_owner
 
 __all__ = [
     "OWNER_SHARED",
@@ -203,6 +205,7 @@ class SetPartitionMap:
 
     def assign(self, owner: int, base: int, n_sets: int) -> SetPartition:
         """Give ``owner`` the exclusive sets ``[base, base + n_sets)``."""
+        check_owner(owner, PartitionError)
         if owner == OWNER_SHARED:
             raise PartitionError("cannot assign a partition to the shared pool")
         partition = SetPartition(owner=owner, base=base, n_sets=n_sets)
@@ -228,6 +231,7 @@ class SetPartitionMap:
         e.g. two instances of the same decoder sharing one code
         partition.  The target must hold a real partition (no chains).
         """
+        check_owner(owner, PartitionError)
         if owner == OWNER_SHARED:
             raise PartitionError("cannot alias the shared pool")
         if target not in self._partitions:
@@ -364,6 +368,7 @@ class WayPartitionMap:
 
     def assign(self, owner: int, ways: Iterable[int]) -> Tuple[int, ...]:
         """Give ``owner`` exclusive allocation rights to ``ways``."""
+        check_owner(owner, PartitionError)
         way_tuple = tuple(sorted(set(int(w) for w in ways)))
         if not way_tuple:
             raise PartitionError("an owner needs at least one way")

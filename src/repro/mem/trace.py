@@ -18,9 +18,10 @@ compiled engine coalesces the same way in C, once per read-only batch,
 and then folds further: a run on the line that its L1 set last saw
 earlier in the batch, with only lines of other sets between, hits in
 slot 0 of that set, so its count joins the earlier run (the
-observation behind trace stripping).  A read-only batch keeps those
-runs for later walks, and :meth:`AccessBatch.runs_only` turns it into a
-batch of the runs alone.
+observation behind trace stripping) unless it writes and that run does
+not.  A read-only batch keeps those runs for later walks, and
+:meth:`AccessBatch.runs_only` turns it into a batch of the runs alone,
+which only the compiled engine walks: it has no addresses.
 """
 
 from __future__ import annotations
@@ -118,8 +119,18 @@ class AccessBatch:
         """Build a batch from addresses and an optional write mask.
 
         ``writes`` may be ``None`` (all loads), a scalar bool, or an
-        array-like of the same length as ``addrs``.
+        array-like of the same length as ``addrs``.  Like the
+        constructor, it rejects addresses that are not integers (floats,
+        bools, objects such as ints beyond 64 bits) rather than cast
+        them; an empty input, whatever its dtype, is an empty batch.
         """
+        given = np.asarray(addrs)
+        if given.dtype.kind not in "iu" and given.size:
+            raise MemoryModelError(
+                f"addresses must be integers, got dtype {given.dtype}"
+            )
+        # Cast from the input itself: a Python int past int64 raises
+        # here rather than wrap through the uint64 numpy infers for it.
         addr_arr = np.asarray(addrs, dtype=_ADDR_DTYPE)
         if writes is None:
             write_arr = np.zeros(addr_arr.shape, dtype=bool)
@@ -187,9 +198,11 @@ class AccessBatch:
         """This batch as the runs it kept, without its address arrays.
 
         The result has the same kept runs, access count and instruction
-        count, and walks bit-identically on both engines (see
-        :class:`_RunsBatch`).  A batch that kept no runs -- never walked
-        on the compiled engine, or writable -- is returned as it is.
+        count, and walks bit-identically on the compiled engine at the
+        line geometry and L1 set count it kept them for; nothing else
+        can walk it (see :class:`_RunsBatch`).  A batch that kept no
+        runs -- never walked on the compiled engine, or writable -- is
+        returned as it is.
         """
         if self._runs is None:
             return self
@@ -206,15 +219,12 @@ class AccessBatch:
 class _RunsBatch(AccessBatch):
     """A walked batch reduced to the runs it kept (:meth:`runs_only`).
 
-    The compiled engine walks the runs as they are.  Whatever reads
-    ``addrs`` or ``writes`` (the reference walk, a test) gets arrays
-    built from the runs on every read, which coalesce back to the same
-    lines, counts, write flags and store fills: ``count`` accesses at
-    the line's first byte, every one a store in a store-fill run and
-    only the first in any other written run.  That holds for the folded
-    runs too: no two adjacent ones share a line, and folding them again
-    folds nothing.  Copies and pickles are ordinary batches over those
-    arrays.
+    The compiled engine walks the runs as they are, at the key they were
+    kept under.  The batch has no addresses: reading ``addrs`` or
+    ``writes`` raises :class:`~repro.errors.MemoryModelError`, and so
+    does whatever needs them -- the reference walk (at :meth:`runs`,
+    before any state changes), a compiled walk at another key, a copy,
+    a pickle.
     """
 
     def __init__(self, runs: tuple, n_accesses: int, instructions: int):
@@ -224,28 +234,25 @@ class _RunsBatch(AccessBatch):
 
     @property
     def addrs(self) -> np.ndarray:
-        return self._arrays()[0]
+        raise MemoryModelError("a runs-only batch has no addresses")
 
     @property
     def writes(self) -> np.ndarray:
-        return self._arrays()[1]
+        raise MemoryModelError("a runs-only batch has no write flags")
 
     @property
     def n_accesses(self) -> int:
         return self._n_accesses
 
-    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        (line_shift, _, _), runs = self._runs[:2]
-        info = runs[:, 1]
-        counts = info >> 2
-        addrs = np.repeat(runs[:, 0] << line_shift, counts)
-        writes = np.repeat((info & 2).astype(bool), counts)
-        starts = np.cumsum(counts) - counts
-        writes[starts[(info & 3) == 1]] = True
-        return addrs, writes
-
     def __reduce__(self):
-        return AccessBatch, (self.addrs, self.writes, self.instructions)
+        raise MemoryModelError(
+            "a runs-only batch cannot be copied or pickled"
+        )
+
+    def __repr__(self) -> str:
+        return (f"_RunsBatch(n_accesses={self._n_accesses}, "
+                f"n_runs={self._runs[3]}, "
+                f"instructions={self.instructions})")
 
 
 def coalesce_runs(

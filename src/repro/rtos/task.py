@@ -134,18 +134,19 @@ class OpStreams:
     arrivals (:meth:`~repro.rtos.scheduler.Scheduler.attach`) always
     step their programs.
 
-    Streams are keyed by the hierarchy engine, the line geometry and
-    the L1 set count
+    Streams are keyed by the engine that walks the run
+    (:attr:`~repro.mem.hierarchy.MemorySystem.effective_engine`, not
+    the requested one), the line geometry and the L1 set count
     (:attr:`~repro.mem.hierarchy.HierarchyConfig.run_key`), the task's
     name, seed, program and region bounds; a recording whose params
-    differ from the kept stream's replaces it.  On the compiled engine,
-    a recorded ``Compute`` op whose batch kept its runs is held as a
+    differ from the kept stream's replaces it.  When the run walks in
+    C, a recorded ``Compute`` op whose batch kept its runs is held as a
     runs-only batch (:meth:`~repro.mem.trace.AccessBatch.runs_only`)
     once the runner walked it, so a held stream costs its runs, folded
     within each L1 set, not its addresses: a one-frame paper session
-    holds 2.3 MB for both applications' 28 streams.  The reference
-    engine's streams hold the programs' own batches: the oracle walk
-    never sees a runs-only batch.
+    holds 2.3 MB for both applications' 28 streams.  Streams of runs
+    on the reference walk hold the programs' own batches: a runs-only
+    batch has no addresses, and only the C walk can walk it.
 
     A stream is kept only when its program returned in a run that
     returned (:meth:`RunStreams.keep`, which
@@ -180,7 +181,8 @@ class OpStreams:
         return len(self._kept)
 
     def run(self, engine: str, run_key: tuple, seed: int) -> "RunStreams":
-        """The streams of one platform run on ``engine`` with ``seed``."""
+        """The streams of one platform run with ``seed`` that walks on
+        ``engine`` (the memory system's effective engine)."""
         return RunStreams(self, engine, run_key, seed)
 
     def clear(self) -> None:

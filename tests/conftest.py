@@ -9,6 +9,24 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+try:
+    from hypothesis import settings
+except ImportError:  # pragma: no cover - the property tests need it
+    pass
+else:
+    # Tier-1 runs the same examples on every run: no random draws, no
+    # replay of earlier failures from a database, and no deadline (the
+    # shared hosts' speed drifts).  A test's own settings give only its
+    # example count.  ``--hypothesis-profile=fuzz`` draws fresh examples
+    # instead, for a longer exploring run.
+    settings.register_profile(
+        "tier1", derandomize=True, deadline=None, database=None
+    )
+    settings.register_profile(
+        "fuzz", derandomize=False, deadline=None, database=None
+    )
+    settings.load_profile("tier1")
+
 
 @pytest.fixture
 def run_into_closed_pipe():

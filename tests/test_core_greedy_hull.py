@@ -58,7 +58,7 @@ def test_greedy_repair_spends_stranded_budget():
     assert greedy.total_misses == 400.0
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(capacity=st.integers(2, 40), data=st.data())
 def test_property_greedy_feasible_and_reasonable(capacity, data):
     """Greedy always returns a feasible solution, never worse than the

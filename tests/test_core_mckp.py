@@ -91,7 +91,7 @@ def test_items_from_curves_samples_menu():
     assert items[0].choices == ((1, 10.0), (2, 10.0), (4, 2.0))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     n_items=st.integers(1, 4),
     capacity=st.integers(1, 20),

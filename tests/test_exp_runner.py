@@ -229,8 +229,9 @@ def test_set_mode_record_contents():
 
 def test_records_report_requested_and_effective_engine(monkeypatch):
     """timing.engine is the engine the scenario asked for;
-    timing.effective_engine is the one that walked its measured run
-    after every fallback.  Neither enters the fingerprint."""
+    timing.effective_engine is the one that walked its measured run:
+    reference when no C walker loaded.  Neither enters the
+    fingerprint."""
     from repro.mem import cwalker
 
     c_tier = "compiled" if cwalker.load() is not None else "reference"

@@ -445,7 +445,7 @@ _PROPERTIES = [
 if HAVE_HYPOTHESIS:
 
     @pytest.mark.parametrize("prop", _PROPERTIES, ids=lambda p: p.__name__)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(rnd=st.randoms(use_true_random=False))
     def test_identity_properties(prop, rnd):
         prop(rnd)

@@ -315,7 +315,7 @@ def _geometry(sets_log, ways):
     return CacheGeometry(sets=1 << sets_log, ways=ways, line_size=64)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(policy=st.sampled_from(SetAssociativeCache.REPLACEMENT_POLICIES),
        sets_log=st.integers(0, 3), ways=st.integers(1, 3), ops=_OPS)
 def test_set_associative_matches_the_dense_model(policy, sets_log, ways, ops):
@@ -346,7 +346,7 @@ def test_set_associative_matches_the_dense_model(policy, sets_log, ways, ops):
         assert_same(sparse, dense, (step, op))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(sets_log=st.integers(0, 3), ways=st.integers(1, 4),
        columns=st.lists(st.sets(st.integers(0, 3), min_size=1),
                         min_size=len(OWNERS), max_size=len(OWNERS)),

@@ -1,8 +1,8 @@
 """Differential tests: the compiled engine against the oracle.
 
 The compiled engine (persistent C state handle + one ``walk_batch``
-call per batch) and its reference fallback must produce
-*bit-identical* statistics to the reference engine:
+call per batch), and the reference walk it takes without a C walker,
+must produce *bit-identical* statistics to the reference engine:
 every ``BatchResult``, every per-owner ``OwnerStats`` at both cache
 levels, the eviction-attribution matrices, DRAM traffic and bus
 accounting.  The streams below mix reads and writes, random and
@@ -26,16 +26,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import ConfigurationError, MemoryModelError
+from repro.errors import ConfigurationError, MemoryModelError, PartitionError
 from repro.mem import cwalker
 from repro.mem.address import Region, RegionKind
 from repro.mem.cache import CacheGeometry
-from repro.mem.hierarchy import (
-    MAX_DENSE_OWNERS,
-    HierarchyConfig,
-    MemorySystem,
-    _CompiledState,
-)
+from repro.mem.hierarchy import HierarchyConfig, MemorySystem, _CompiledState
+from repro.mem.intervals import MAX_OWNERS
 from repro.mem.partition import PartitionMode
 from repro.mem.trace import AccessBatch, coalesce_runs
 from repro.patterns import memo
@@ -353,68 +349,64 @@ def _walked_runs_only(batches):
 
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(stretches=_STRETCHES)
-def test_runs_only_arrays_coalesce_to_the_same_runs(stretches):
-    """The arrays a runs-only batch builds coalesce back to its runs,
-    in C and in numpy: same lines, counts, write flags, store fills.
-    The C coalescing folds, so the numpy runs of the rebuilt arrays are
-    the reference fold of the original's numpy runs."""
-    batch = _stretch_batch(stretches, 1 << 22)
-    (compact,) = _walked_runs_only([batch])
-    assert compact._runs is batch._runs
-    assert (compact.n_accesses, compact.instructions) \
-        == (batch.n_accesses, batch.instructions)
-    state = build_system("compiled", PartitionMode.SHARED)._compiled_state()
-    rebuilt = state.coalesce(
-        AccessBatch(compact.addrs, compact.writes, compact.instructions)
-    )
-    assert np.array_equal(rebuilt[1], batch._runs[1])
-    _, full_line_count, l1_sets = state.run_key
-    want = _reference_fold(coalesce_runs(batch.addrs, batch.writes, 6),
-                           l1_sets, full_line_count)
-    got = compact.runs(6)
-    assert [column.tolist() for column in got[:3]] == want[:3]
-    assert (got[3] & (got[1] >= full_line_count)).tolist() == want[3]
-
-
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
 @pytest.mark.parametrize("mode", list(PartitionMode))
-@settings(max_examples=15, derandomize=True, deadline=None)
+@settings(max_examples=15)
 @given(per_task=st.lists(st.tuples(_STRETCHES, _STRETCHES), min_size=1,
                          max_size=3))
 def test_runs_only_batches_walk_like_their_originals(mode, per_task):
-    """On each engine, a system walking the runs-only batches ends
+    """A compiled system walking the runs-only batches ends
     bit-identical to one walking their originals."""
     batches = [_stretch_batch(stretches, task << 22)
                for pair in per_task
                for task, stretches in enumerate(pair, start=1)]
     compact = _walked_runs_only(batches)
-    for engine in HierarchyConfig.ENGINES:
-        original = build_system(engine, mode)
-        runs_only = build_system(engine, mode)
-        for step, (batch, held) in enumerate(zip(batches, compact)):
-            cpu, task = step % 2, 1 + step % 2
-            assert original.execute_batch(cpu, task, batch, step * 500.0) \
-                == runs_only.execute_batch(cpu, task, held, step * 500.0)
-        original.sync_state()
-        assert_systems_identical(original, runs_only, (mode, engine))
-        assert runs_only.effective_engine == engine
+    original = build_system("compiled", mode)
+    runs_only = build_system("compiled", mode)
+    for step, (batch, held) in enumerate(zip(batches, compact)):
+        cpu, task = step % 2, 1 + step % 2
+        assert original.execute_batch(cpu, task, batch, step * 500.0) \
+            == runs_only.execute_batch(cpu, task, held, step * 500.0)
+    original.sync_state()
+    assert_systems_identical(original, runs_only, mode)
+    assert runs_only.effective_engine == "compiled"
 
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-def test_copies_of_a_runs_only_batch_are_ordinary_batches():
+def test_a_runs_only_batch_walks_in_c_and_nowhere_else():
+    """A runs-only batch has no addresses: reading them, walking it on
+    the reference engine or at another line size or L1 set count,
+    copying and pickling it all raise ``MemoryModelError``, and the
+    refused walks change no state.  Its repr reads no address."""
     batch = _kept_batch(3)
     assert batch.runs_only() is batch  # not walked yet: no runs to keep
     (compact,) = _walked_runs_only([batch])
-    copies = [copy.copy(compact), copy.deepcopy(compact),
-              pickle.loads(pickle.dumps(compact))]
-    for duplicate in copies:
-        assert type(duplicate) is AccessBatch
-        assert duplicate._runs is None
-        assert np.array_equal(duplicate.addrs, compact.addrs)
-        assert np.array_equal(duplicate.writes, compact.writes)
-        assert duplicate.instructions == batch.instructions
+    assert (compact.n_accesses, len(compact), compact.instructions) \
+        == (batch.n_accesses, batch.n_accesses, batch.instructions)
+    assert repr(compact) == (
+        f"_RunsBatch(n_accesses={batch.n_accesses}, "
+        f"n_runs={batch._runs[3]}, instructions={batch.instructions})"
+    )
+    forbidden = {
+        "addrs": lambda: compact.addrs,
+        "writes": lambda: compact.writes,
+        "runs": lambda: compact.runs(6),
+        "copy": lambda: copy.copy(compact),
+        "deepcopy": lambda: copy.deepcopy(compact),
+        "pickle": lambda: pickle.dumps(compact),
+    }
+    for call in forbidden.values():
+        with pytest.raises(MemoryModelError):
+            call()
+    for engine, line_size, l1_sets in (("reference", 64, 4),
+                                       ("compiled", 32, 4),
+                                       ("compiled", 64, 8)):
+        mem = build_system(engine, PartitionMode.SHARED,
+                           line_size=line_size, l1_sets=l1_sets)
+        with pytest.raises(MemoryModelError):
+            mem.execute_batch(0, 1, compact, 0.0)
+        untouched = build_system("reference", PartitionMode.SHARED,
+                                 line_size=line_size, l1_sets=l1_sets)
+        assert_systems_identical(untouched, mem, (engine, line_size, l1_sets))
 
 
 # -- folding: a run on the line its L1 set last saw joins that run ------------
@@ -425,9 +417,8 @@ def _reference_fold(runs, l1_sets, full_line_count):
     one run at a time, as ``[lines, counts, writes, store fills]``.
 
     A run joins the run that its L1 set last kept when that run is on
-    its line -- unless it writes and that run does not, or the run
-    after it is on the line of the last run kept and could not join
-    that one.  A merged run keeps its flags.
+    its line -- unless it writes and that run does not.  A merged run
+    keeps its flags.
     """
     lines, counts, write_any, write_all = (a.tolist() for a in runs)
     kept = []  # [line, count, write, store fill]
@@ -437,12 +428,8 @@ def _reference_fold(runs, l1_sets, full_line_count):
         target = last.get(line % l1_sets)
         if (target is not None and kept[target][0] == line
                 and (kept[target][2] or not write)):
-            tail = kept[-1]
-            blocked = (i + 1 < len(lines) and lines[i + 1] == tail[0]
-                       and write_any[i + 1] and not tail[2])
-            if not blocked:
-                kept[target][1] += counts[i]
-                continue
+            kept[target][1] += counts[i]
+            continue
         last[line % l1_sets] = len(kept)
         kept.append([line, counts[i], write,
                      write_all[i] and counts[i] >= full_line_count])
@@ -450,11 +437,9 @@ def _reference_fold(runs, l1_sets, full_line_count):
 
 
 def _assert_folded(batch, l1_sets=4):
-    """The runs ``batch`` kept are the reference fold of its runs, and
-    no two adjacent ones share a line."""
+    """The runs ``batch`` kept are the reference fold of its runs."""
     key, runs = batch._runs[:2]
     lines, info = runs[:, 0].tolist(), runs[:, 1].tolist()
-    assert all(a != b for a, b in zip(lines, lines[1:])), lines
     want = _reference_fold(coalesce_runs(batch.addrs, batch.writes, key[0]),
                            l1_sets, key[1])
     assert [lines, [x >> 2 for x in info], [bool(x & 1) for x in info],
@@ -486,31 +471,29 @@ def _revisit_batch(stretches, private_base):
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
 @pytest.mark.parametrize("mode", list(PartitionMode))
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25)
 @given(per_task=st.lists(st.tuples(_REVISITS, _REVISITS), min_size=1,
                          max_size=3))
 def test_folded_runs_walk_like_the_reference(mode, per_task):
     """Batches full of revisits within an L1 set: the compiled engine
-    walks their folded runs bit-identically to the reference engine's
-    unfolded walk, and so do their runs-only forms on both engines."""
+    walks their folded runs, and their runs-only forms, bit-identically
+    to the reference engine's unfolded walk."""
     batches = [_revisit_batch(stretches, task << 22)
                for pair in per_task
                for task, stretches in enumerate(pair, start=1)]
     reference = build_system("reference", mode)
     compiled = build_system("compiled", mode)
-    held = {engine: build_system(engine, mode)
-            for engine in HierarchyConfig.ENGINES}
+    held = build_system("compiled", mode)
     for step, batch in enumerate(batches):
         cpu, task, now = step % 2, 1 + step % 2, step * 500.0
         want = reference.execute_batch(cpu, task, batch, now)
         assert compiled.execute_batch(cpu, task, batch, now) == want, step
         _assert_folded(batch)
-        for mem in held.values():
-            assert mem.execute_batch(cpu, task, batch.runs_only(), now) \
-                == want, (step, mem.config.engine)
-    for mem in (compiled, *held.values()):
-        assert_systems_identical(reference, mem, (mode, mem.config.engine))
-    assert compiled.effective_engine == "compiled"
+        assert held.execute_batch(cpu, task, batch.runs_only(), now) \
+            == want, step
+    for mem in (compiled, held):
+        assert_systems_identical(reference, mem, mode)
+        assert mem.effective_engine == "compiled"
 
 
 def _lines_batch(stretches):
@@ -539,8 +522,7 @@ _FOLD_CASES = {
     ),
     "next-run-cannot-join-the-tail": (
         [(0, 3, "load"), (1, 2, "load"), (0, 4, "load"), (1, 1, "store")],
-        [(0, 3, False, False), (1, 2, False, False), (0, 4, False, False),
-         (1, 1, True, False)],
+        [(0, 7, False, False), (1, 2, False, False), (1, 1, True, False)],
     ),
     "next-run-joins-the-tail": (
         [(0, 3, "load"), (1, 2, "first"), (0, 4, "load"), (1, 1, "store")],
@@ -563,25 +545,27 @@ _FOLD_CASES = {
 @pytest.mark.parametrize("mode", list(PartitionMode))
 @pytest.mark.parametrize("case", list(_FOLD_CASES))
 def test_fold_cases(mode, case):
-    """Each hand-made batch keeps exactly the runs listed, its runs-only
-    form rebuilds them, and it walks like the reference before, between
-    and after a batch that reads every line of the cases again."""
+    """Each hand-made batch keeps exactly the runs listed, and it and
+    its runs-only form walk like the reference before, between and
+    after a batch that reads every line of the cases again."""
     stretches, runs = _FOLD_CASES[case]
     batch = _lines_batch(stretches)
     again = _lines_batch([(line, 1, "load") for line in (0, 1, 4, 8)])
     reference = build_system("reference", mode)
     compiled = build_system("compiled", mode)
+    held = build_system("compiled", mode)
     for step, walked in enumerate((batch, again, batch, again)):
-        _walk_both(reference, compiled, 0, 1, walked, step * 500.0)
+        now = step * 500.0
+        want = reference.execute_batch(0, 1, walked, now)
+        assert compiled.execute_batch(0, 1, walked, now) == want, step
+        assert held.execute_batch(0, 1, walked.runs_only(), now) == want, step
     _assert_folded(batch)
     first = _KEPT_BASE >> 6
     lines, info = batch._runs[1].T.tolist()
     assert [(line - first, x >> 2, bool(x & 1), bool(x & 2))
             for line, x in zip(lines, info)] == runs
-    lines, counts, writes, _ = batch.runs_only().runs(6)
-    assert list(zip((lines - first).tolist(), counts.tolist(),
-                    writes.tolist())) == [run[:3] for run in runs]
-    assert_systems_identical(reference, compiled, case)
+    for mem in (compiled, held):
+        assert_systems_identical(reference, mem, case)
 
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
@@ -853,39 +837,14 @@ def test_owner_ids_beyond_the_first_counter_capacity(mode):
     assert_systems_identical(reference, compiled, "grown counters")
 
 
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-def test_a_negative_interval_owner_under_an_in_range_task_owner():
-    """The task owner fits the counters but an interval owner is
-    negative: the first batch after that interval is added goes to the
-    reference walk before any state changes, although none of its runs
-    falls in the interval, and the system stays bit-identical."""
-    reference = build_system("reference", PartitionMode.SHARED)
-    compiled = build_system("compiled", PartitionMode.SHARED)
-    rng = np.random.default_rng(6)
-    for step in range(3):
-        task = 1 + step % 2
-        _walk_both(reference, compiled, step % 2, task,
-                   _private_batch(rng, task << 22), step * 500.0)
-    assert compiled.effective_engine == "compiled"
-    for mem in (reference, compiled):
-        mem.resolver.intervals.add(3 << 20, (3 << 20) + 8192, -5)
-    _walk_both(reference, compiled, 1, 2,
-               _private_batch(rng, 2 << 22), 1500.0)
-    assert compiled.effective_engine == "reference"
-    late = AccessBatch.concat([_private_batch(rng, 1 << 22),
-                               _private_batch(rng, 3 << 20)])
-    _walk_both(reference, compiled, 0, 1, late, 2000.0)
-    assert_systems_identical(reference, compiled, "negative interval owner")
-
-
-#: Owner ids by how the compiled engine must treat them; each edge of
-#: ``[0, MAX_DENSE_OWNERS)`` is drawn as often as a whole class.
+#: Owner ids by how the entry points must treat them; each edge of
+#: ``[0, MAX_OWNERS)`` is drawn as often as a whole class.
 _OWNER_IDS = st.one_of(
     st.integers(0, 63),                         # the first counters
-    st.integers(64, MAX_DENSE_OWNERS - 2),      # the counters grow
-    st.just(MAX_DENSE_OWNERS - 1),              # the last dense id
-    st.just(MAX_DENSE_OWNERS),                  # beyond the dense counters
-    st.integers(MAX_DENSE_OWNERS + 1, 10**9),
+    st.integers(64, MAX_OWNERS - 2),            # the counters grow
+    st.just(MAX_OWNERS - 1),                    # the last owner id
+    st.just(MAX_OWNERS),                        # the first refused one
+    st.integers(MAX_OWNERS + 1, 10**9),
     st.just(-1),                                # never from the registry
     st.integers(-10**9, -2),
     st.sampled_from([2**63, -2**63 - 1]),       # outside int64
@@ -899,31 +858,35 @@ _TABLE_STEPS = st.lists(st.one_of(
 ), min_size=1, max_size=12)
 
 
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
 @pytest.mark.parametrize("mode", [PartitionMode.SHARED,
                                   PartitionMode.WAY_PARTITIONED])
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(steps=_TABLE_STEPS)
 @example(steps=[("add", 0, 2**63), ("walk", 1, 0)])
 @example(steps=[("add", 0, -2**63 - 1), ("walk", 1, 0)])
 def test_owner_ids_are_checked_where_the_tables_are_bound(mode, steps):
-    """Interval adds and removes between batches of any task owner.  The
-    compiled engine walks bit-identically to the reference; it covers
-    every bound owner at the batch that binds it, and it takes the
-    reference walk from the first batch at which the bound table or
-    the task owner holds an id outside ``[0, MAX_DENSE_OWNERS)``.  Set
-    partitioning is left out: there a line's set follows its owner, so
-    re-attributing resident lines breaks the model's contract."""
+    """Interval adds and removes between batches of any task owner.  An
+    add or a walk with an owner outside ``[0, MAX_OWNERS)`` raises on
+    both engines before any state changes; the others walk
+    bit-identically, and on the C walk the counters cover every bound
+    owner from the batch that binds it.  Set partitioning is left out:
+    there a line's set follows its owner, so re-attributing resident
+    lines breaks the model's contract."""
     reference = build_system("reference", mode)
     compiled = build_system("compiled", mode)
     table = {}  # slot -> interval owner (7 and 8 are build_system's)
-    fallen = False
     for i, step in enumerate(steps):
         if step[0] == "add" and step[1] not in table:
-            table[step[1]] = step[2]
+            base = (4 + step[1]) << 20
+            if 0 <= step[2] < MAX_OWNERS:
+                table[step[1]] = step[2]
+                for mem in (reference, compiled):
+                    mem.resolver.intervals.add(base, base + 8192, step[2])
+                continue
             for mem in (reference, compiled):
-                base = (4 + step[1]) << 20
-                mem.resolver.intervals.add(base, base + 8192, step[2])
+                with pytest.raises(MemoryModelError):
+                    mem.resolver.intervals.add(base, base + 8192, step[2])
+                assert len(mem.resolver.intervals) == 2 + len(table)
         elif step[0] == "remove" and step[1] in table:
             del table[step[1]]
             for mem in (reference, compiled):
@@ -932,71 +895,112 @@ def test_owner_ids_are_checked_where_the_tables_are_bound(mode, steps):
             task = step[1]
             batch = _private_batch(np.random.default_rng(i),
                                    (4 + step[2]) << 20)
-            _walk_both(reference, compiled, i % 2, task, batch, i * 500.0)
-            owners = [task, 7, 8, *table.values()]
-            fallen = fallen or not all(
-                0 <= owner < MAX_DENSE_OWNERS for owner in owners
-            )
-            if fallen:
-                assert compiled.effective_engine == "reference", i
-            else:
-                assert compiled.effective_engine == "compiled", i
-                assert compiled._compiled.n_owners > max(owners), i
+            if 0 <= task < MAX_OWNERS:
+                _walk_both(reference, compiled, i % 2, task, batch, i * 500.0)
+                if C_AVAILABLE:
+                    assert compiled._compiled.n_owners \
+                        > max(task, 7, 8, *table.values()), i
+                continue
+            for mem in (reference, compiled):
+                with pytest.raises(MemoryModelError):
+                    mem.execute_batch(i % 2, task, batch, i * 500.0)
     assert_systems_identical(reference, compiled, steps)
+    assert compiled.effective_engine \
+        == ("compiled" if C_AVAILABLE else "reference")
 
 
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-@pytest.mark.parametrize("owner", [MAX_DENSE_OWNERS, 10**9])
-@pytest.mark.parametrize("source", ["task", "interval"])
-def test_owner_ids_beyond_the_dense_counters_take_the_reference_walk(
-    owner, source,
+#: The calls through which an owner id enters a memory system, and the
+#: partition mode each one is tried in.
+_ENTRY_MODES = {
+    "interval": PartitionMode.SHARED,
+    "set-assign": PartitionMode.SET_PARTITIONED,
+    "set-alias": PartitionMode.SET_PARTITIONED,
+    "way-assign": PartitionMode.WAY_PARTITIONED,
+    "task": PartitionMode.SHARED,
+}
+
+
+def _enter(entry, mem, owner, now):
+    """Hand ``owner`` to ``mem`` through ``entry``: the interval table
+    (over 3 MiB + 8 KiB), a partition map, or as the task owner of a
+    batch in the owner's own region at ``3 << 22``, whose result this
+    returns."""
+    if entry == "interval":
+        mem.resolver.intervals.add(3 << 20, (3 << 20) + 8192, owner)
+    elif entry == "set-assign":
+        mem.set_map.assign(owner, base=11, n_sets=5)
+    elif entry == "set-alias":
+        mem.set_map.alias(owner, 7)
+    elif entry == "way-assign":
+        mem.way_map.assign(owner, (3,))
+    else:
+        batch = AccessBatch.from_addresses((3 << 22) + 64 * np.arange(40))
+        return mem.execute_batch(1, owner, batch, now)
+    return None
+
+
+def _owner_state(mem):
+    """Everything the entry points write, with the tables' versions."""
+    return (list(mem.resolver.intervals), mem.resolver.intervals.version,
+            mem.set_map.partitions, dict(mem.set_map._aliases),
+            mem.set_map.version, dict(mem.way_map._ways_of),
+            mem.way_map._version)
+
+
+@pytest.mark.parametrize("engine", HierarchyConfig.ENGINES)
+@pytest.mark.parametrize("entry", list(_ENTRY_MODES))
+@pytest.mark.parametrize("owner", [-1, MAX_OWNERS, 10**9, 2**63,
+                                   -2**63 - 1])
+def test_an_owner_outside_the_range_is_refused_where_it_enters(
+    engine, entry, owner,
 ):
-    """Ids no dense counter table covers send the compiled engine to
-    the reference walk for good -- bit-identically, and it says so."""
-    reference = build_system("reference", PartitionMode.SHARED)
-    compiled = build_system("compiled", PartitionMode.SHARED)
-    if source == "interval":
-        for mem in (reference, compiled):
-            mem.resolver.intervals.add(3 << 20, (3 << 20) + 8192, owner)
-    rng = np.random.default_rng(4)
+    """Each entry point raises for an owner outside ``[0, MAX_OWNERS)``
+    -- ``PartitionError`` from the partition maps, else
+    ``MemoryModelError`` -- on both engines, before any state changes:
+    through batches before and after the call, the system stays
+    identical to a reference system that never saw it."""
+    mode = _ENTRY_MODES[entry]
+    mem = build_system(engine, mode)
+    untouched = build_system("reference", mode)
+    rng = np.random.default_rng(5)
+    for step in range(6):
+        now = step * 500.0
+        if step == 3:
+            before = _owner_state(mem)
+            error = PartitionError if entry.startswith(("set", "way")) \
+                else MemoryModelError
+            with pytest.raises(error, match=str(MAX_OWNERS)):
+                _enter(entry, mem, owner, now)
+            assert _owner_state(mem) == before
+        batch = generate_batch(rng, step, 1 + step % 2)
+        _walk_both(untouched, mem, step % 2, 1 + step % 2, batch, now)
+    assert_systems_identical(untouched, mem, (entry, owner))
+
+
+@pytest.mark.parametrize("engine", HierarchyConfig.ENGINES)
+@pytest.mark.parametrize("entry", list(_ENTRY_MODES))
+def test_the_last_owner_id_enters_everywhere(engine, entry):
+    """Owner ``MAX_OWNERS - 1`` enters through each entry point and
+    walks bit-identically to the reference engine, as the task owner of
+    its own batches; on the C walk the counters grow to cover it."""
+    mode = _ENTRY_MODES[entry]
+    reference = build_system("reference", mode)
+    mem = build_system(engine, mode)
+    last = MAX_OWNERS - 1
+    rng = np.random.default_rng(9)
     for step in range(8):
-        if step % 4 == 3:
-            task = owner if source == "task" else 1
-            base = 3 << 22 if source == "task" else 3 << 20
+        now = step * 500.0
+        if step == 3:
+            assert _enter(entry, mem, last, now) \
+                == _enter(entry, reference, last, now)
+        if step >= 3 and step % 2:
+            task, batch = last, _private_batch(rng, 3 << 22)
         else:
-            task, base = 1 + step % 2, (1 + step % 2) << 22
-        batch = _private_batch(rng, base)
-        assert compiled.execute_batch(0, task, batch, step * 500.0) \
-            == reference.execute_batch(0, task, batch, step * 500.0)
-    assert compiled.effective_engine == "reference"
-    assert compiled._compiled is None
-    assert_systems_identical(reference, compiled, (owner, source))
-
-
-@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
-def test_compiled_engine_survives_negative_owner_fallback():
-    """A negative *task* owner takes the oracle path mid-run; the
-    compiled tier must hand its resident state down first and
-    re-export after, so mixed positive/negative batches stay
-    bit-identical.  (Negative ids never leave the owner registry; a
-    negative task owner is the supported out-of-contract escape hatch
-    every engine funnels to the reference walk.)"""
-    reference = build_system("reference", PartitionMode.SHARED)
-    compiled = build_system("compiled", PartitionMode.SHARED)
-    rng = np.random.default_rng(21)
-    for step in range(9):
-        if step % 3 == 2:
-            # Private traffic issued on behalf of a negative owner.
-            addrs = (1 << 24) + (rng.integers(0, 1 << 16, 300) & ~3)
-            batch = AccessBatch.from_addresses(addrs)
-            task = -3
-        else:
-            task = 1 + step % 2
-            batch = generate_batch(rng, step, task)
-        assert compiled.execute_batch(0, task, batch, step * 500.0) == \
-            reference.execute_batch(0, task, batch, step * 500.0), step
-    assert_systems_identical(reference, compiled, "negative owners")
-    assert compiled.effective_engine == "reference"
+            task, batch = 1, _private_batch(rng, 3 << 20)
+        _walk_both(reference, mem, step % 2, task, batch, now + 250.0)
+    if mem.effective_engine == "compiled":
+        assert mem._compiled.n_owners > last
+    assert_systems_identical(reference, mem, entry)
 
 
 def test_compiled_engine_without_c_walker_runs_reference(monkeypatch):
@@ -1006,7 +1010,6 @@ def test_compiled_engine_without_c_walker_runs_reference(monkeypatch):
     reference = build_system("reference", PartitionMode.SET_PARTITIONED)
     compiled = build_system("compiled", PartitionMode.SET_PARTITIONED)
     assert compiled.effective_engine == "reference"
-    assert compiled._compiled_state() is None
     rng = np.random.default_rng(11)
     for step in range(6):
         task = 1 + step % 2
@@ -1018,25 +1021,23 @@ def test_compiled_engine_without_c_walker_runs_reference(monkeypatch):
     assert_systems_identical(reference, compiled, "no C walker")
 
 
-def test_compiled_engine_after_failed_state_allocation_runs_reference(
-    monkeypatch,
-):
-    """A C state that cannot be allocated sends the compiled engine to
-    the reference walk for good -- bit-identically -- and says so."""
+@pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
+def test_compiled_engine_after_failed_state_allocation_raises(monkeypatch):
+    """A C state that cannot be allocated raises ``MemoryError`` out of
+    every batch that needs one, before any state changes; the engine
+    stays compiled and takes no other walk."""
     def no_memory(self, mem, walker):
         raise MemoryError("walker_state_new failed")
 
     monkeypatch.setattr(_CompiledState, "__init__", no_memory)
     reference = build_system("reference", PartitionMode.SET_PARTITIONED)
     compiled = build_system("compiled", PartitionMode.SET_PARTITIONED)
-    rng = np.random.default_rng(13)
-    for step in range(6):
-        task = 1 + step % 2
-        batch = generate_batch(rng, step, task)
-        assert compiled.execute_batch(step % 2, task, batch, step * 500.0) \
-            == reference.execute_batch(step % 2, task, batch, step * 500.0)
+    batch = generate_batch(np.random.default_rng(13), 0, 1)
+    for step in range(2):
+        with pytest.raises(MemoryError):
+            compiled.execute_batch(0, 1, batch, step * 500.0)
     assert compiled._compiled is None
-    assert compiled.effective_engine == "reference"
+    assert compiled.effective_engine == "compiled"
     assert_systems_identical(reference, compiled, "failed allocation")
 
 

@@ -1,9 +1,11 @@
 """Tests for owner registry, resolver and partition maps."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import PartitionError
-from repro.mem.intervals import IntervalTable
+from repro.errors import MemoryModelError, PartitionError
+from repro.mem.intervals import MAX_OWNERS, IntervalTable
 from repro.mem.partition import (
     OWNER_SHARED,
     OwnerRegistry,
@@ -116,8 +118,6 @@ def test_way_map_assign_and_defaults():
 
 
 def test_resolve_many_matches_scalar_resolve():
-    import numpy as np
-
     table = IntervalTable()
     table.add(0, 128, owner=4)
     resolver = OwnerResolver(table)
@@ -129,9 +129,44 @@ def test_resolve_many_matches_scalar_resolve():
     assert (empty.resolve_many(addrs, task_owner=2) == 2).all()
 
 
-def test_map_index_many_matches_scalar_map_index():
-    import numpy as np
+#: Interval owners around both edges of ``[0, MAX_OWNERS)``, and
+#: outside int64: ``IntervalTable.add`` accepts only the in-range ones.
+_ANY_OWNER = st.one_of(
+    st.integers(-10, -1),
+    st.integers(0, 63),
+    st.integers(MAX_OWNERS - 2, MAX_OWNERS + 2),
+    st.sampled_from([-2**63 - 1, 2**63]),
+)
 
+
+@settings(max_examples=100)
+@given(
+    intervals=st.lists(
+        st.tuples(st.integers(0, 40), st.integers(1, 8), _ANY_OWNER),
+        max_size=10,
+    ),
+    task_owner=st.integers(0, MAX_OWNERS - 1),
+)
+def test_resolve_many_equals_resolve_for_every_accepted_table(
+    intervals, task_owner,
+):
+    """Whatever intervals ``add`` accepts, the vectorised resolution
+    gives every address the owner the scalar one does.  ``resolve_many``
+    reads a negative owner as "no interval", so ``add`` must refuse
+    one."""
+    table = IntervalTable()
+    for base, length, owner in intervals:
+        try:
+            table.add(64 * base, 64 * (base + length), owner)
+        except MemoryModelError:
+            pass  # an overlap, or an owner outside the range
+    resolver = OwnerResolver(table)
+    addrs = np.arange(0, 64 * 50, 32)
+    assert resolver.resolve_many(addrs, task_owner).tolist() \
+        == [resolver.resolve(int(addr), task_owner) for addr in addrs]
+
+
+def test_map_index_many_matches_scalar_map_index():
     pmap = SetPartitionMap(total_sets=64)
     pmap.assign(owner=1, base=0, n_sets=8)
     pmap.assign(owner=2, base=8, n_sets=5)  # non-power-of-two

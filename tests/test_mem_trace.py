@@ -15,6 +15,22 @@ def test_from_addresses_defaults():
     assert batch.instructions == int(np.ceil(3 / AccessBatch.MEM_REF_FRACTION))
 
 
+@pytest.mark.parametrize("addrs", [
+    [1.5, 64.9], np.array([0.0, 64.0]), [True, False], [2**64],
+], ids=["floats", "float-array", "bools", "beyond-64-bits"])
+def test_from_addresses_rejects_non_integer_addresses(addrs):
+    """Like the constructor, the factory refuses to cast: floats would
+    silently truncate (1.5 and 64.9 read 1 and 64)."""
+    with pytest.raises(MemoryModelError, match="must be integers"):
+        AccessBatch.from_addresses(addrs)
+
+
+def test_from_addresses_of_an_empty_list():
+    """``np.asarray([])`` is float64, and an empty batch all the same."""
+    batch = AccessBatch.from_addresses([])
+    assert batch.n_accesses == 0 and batch.addrs.dtype == np.int64
+
+
 def test_from_addresses_scalar_write_flag():
     batch = AccessBatch.from_addresses([0, 4], writes=True)
     assert batch.writes.all()

@@ -338,7 +338,7 @@ _items = st.lists(
 ).map(lambda drawn: [(kind, i, arg) for i, (kind, arg) in enumerate(drawn)])
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_items)
 def test_kernel_matches_a_list_based_reference_scheduler(items):
     assert kernel_trace(items) == reference_trace(items)
