@@ -52,9 +52,14 @@ Two engines implement the walk:
   * direct edits to Python-side cache state come after
     :meth:`MemorySystem.quiesce`, which syncs and drops the C state so
     the next call re-exports it.
-- ``engine="reference"`` -- one method call per run into the cache
-  models.  Slow but obviously faithful; it is the differential-testing
-  oracle, and what the compiled engine walks without a C walker.
+- ``engine="reference"`` -- one loop over the batch's runs that calls
+  the cache models step by step in the order of ``walk_run`` in
+  ``_walker.c``: resolve the owner, probe the L1, write a dirty L1
+  victim back through the L2 (or to DRAM), make one L2 access (a
+  demand access or a store fill), send a dirty L2 victim to DRAM, then
+  undo the store fill's miss or add the demand's stall and DRAM read.
+  Slow but obviously faithful; it is the differential-testing oracle,
+  and what the compiled engine walks without a C walker.
 
 Both engines produce bit-identical statistics, which the differential
 test suite asserts.  Owner ids are checked where they enter, against
@@ -72,7 +77,7 @@ from __future__ import annotations
 import ctypes
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -113,7 +118,7 @@ class HierarchyConfig:
     #: ``"fifo"`` (the way-partitioned L2 has its own).
     l2_policy: str = "lru"
     #: ``"compiled"`` (persistent C state, one C call per batch; the
-    #: default) or ``"reference"`` (per-run method calls; the
+    #: default) or ``"reference"`` (one Python loop over the runs; the
     #: differential-testing oracle, and the compiled engine's walk
     #: without a C walker).  See the module docstring.
     engine: str = "compiled"
@@ -206,20 +211,19 @@ class _CompiledState:
         self.l1_dirty = np.concatenate([p[2] for p in l1_parts])
         self.l1_len = np.concatenate([p[3] for p in l1_parts])
 
-        if mem.l2 is not None:
-            lines, owners, dirty, lens = mem.l2.export_state()
+        l2 = mem.l2
+        if mem.mode is PartitionMode.WAY_PARTITIONED:
+            lines, owners, dirty, stamps, clock = l2.export_state()
+            lens = np.zeros(l2_geometry.sets, dtype=np.int32)
+            mode = cwalker.L2_MODE_WAY
+        else:
+            lines, owners, dirty, lens = l2.export_state()
             stamps = np.zeros(1, dtype=np.int64)
             clock = 0
             mode = (
-                cwalker.L2_MODE_LRU if mem.l2.policy == "lru"
+                cwalker.L2_MODE_LRU if l2.policy == "lru"
                 else cwalker.L2_MODE_FIFO
             )
-            l2_cache = mem.l2
-        else:
-            lines, owners, dirty, stamps, clock = mem.l2_way.export_state()
-            lens = np.zeros(l2_geometry.sets, dtype=np.int32)
-            mode = cwalker.L2_MODE_WAY
-            l2_cache = mem.l2_way
         self.l2_mode = mode
         self.l2_lines = lines
         self.l2_owners = owners
@@ -228,7 +232,7 @@ class _CompiledState:
         self.l2_stamp = stamps
         self.way_clock = np.array([clock], dtype=np.int64)
         #: Every cache in counter order: the L1s by cpu id, then the L2.
-        self.caches = [*mem.l1s, l2_cache]
+        self.caches = [*mem.l1s, l2]
 
         dram = config.dram
         bank_free = mem.memory._bank_free_at
@@ -405,14 +409,14 @@ class _CompiledState:
                 self.l1_dirty[i * span:(i + 1) * span],
                 self.l1_len[i * self.l1_sets:(i + 1) * self.l1_sets],
             )
-        if mem.l2 is not None:
+        if self.l2_mode == cwalker.L2_MODE_WAY:
             mem.l2.import_state(
-                self.l2_lines, self.l2_owners, self.l2_dirty, self.l2_len
-            )
-        else:
-            mem.l2_way.import_state(
                 self.l2_lines, self.l2_owners, self.l2_dirty,
                 self.l2_stamp, int(self.way_clock[0]),
+            )
+        else:
+            mem.l2.import_state(
+                self.l2_lines, self.l2_owners, self.l2_dirty, self.l2_len
             )
         bank_free = mem.memory._bank_free_at
         for bank, value in enumerate(self.bank_free.tolist()):
@@ -459,14 +463,15 @@ class MemorySystem:
             SetAssociativeCache(config.l1_geometry, name=f"l1.cpu{i}")
             for i in range(n_cpus)
         ]
+        #: The shared L2: the column cache in way mode, else the
+        #: set-associative cache with the configured policy.
+        self.l2: Union[SetAssociativeCache, WayManagedCache]
         if mode is PartitionMode.WAY_PARTITIONED:
-            self.l2_way = WayManagedCache(config.l2_geometry, name="l2")
-            self.l2 = None
+            self.l2 = WayManagedCache(config.l2_geometry, name="l2")
         else:
             self.l2 = SetAssociativeCache(
                 config.l2_geometry, policy=config.l2_policy, name="l2"
             )
-            self.l2_way = None
         self.set_map = SetPartitionMap(config.l2_geometry.sets)
         self.way_map = WayPartitionMap(config.l2_geometry.ways)
         self.memory = MainMemory(config.dram)
@@ -483,15 +488,14 @@ class MemorySystem:
 
     @property
     def l2_stats(self):
-        """Per-owner stats of the L2 (whichever implementation is live).
+        """Per-owner stats of the L2.
 
         Always current: on the compiled engine, reading it first folds
         the C-side L2 counters into the returned stats.
         """
         if self._compiled is not None:
             self._compiled.flush_stats((self.n_cpus,))
-        cache = self.l2 if self.l2 is not None else self.l2_way
-        return cache.stats
+        return self.l2.stats
 
     def repartition(self, now: float = 0.0) -> int:
         """Flush and invalidate every cache level; returns the writebacks.
@@ -504,9 +508,7 @@ class MemorySystem:
         """
         self.quiesce()
         flushed = 0
-        caches = list(self.l1s)
-        caches.append(self.l2 if self.l2 is not None else self.l2_way)
-        for cache in caches:
+        for cache in (*self.l1s, self.l2):
             for line, _owner in cache.invalidate_all():
                 self.memory.access(line, True, now)
                 flushed += 1
@@ -541,9 +543,7 @@ class MemorySystem:
         """
         self.quiesce()
         flushed = 0
-        caches = list(self.l1s)
-        caches.append(self.l2 if self.l2 is not None else self.l2_way)
-        for cache in caches:
+        for cache in (*self.l1s, self.l2):
             for owner in sorted(set(owners)):
                 for line in cache.invalidate_owner(owner):
                     self.memory.access(line, True, now)
@@ -650,8 +650,9 @@ class MemorySystem:
         Returns the :class:`BatchResult` with the cycle cost; caches,
         bus and DRAM state advance as side effects.  Dispatches to the
         engine that :attr:`effective_engine` names.  A ``cpu_id`` out of
-        range, or a ``task_owner`` outside ``[0, MAX_OWNERS)``, raises
-        :class:`MemoryModelError` before any state changes.
+        range, a ``task_owner`` outside ``[0, MAX_OWNERS)`` or a NaN
+        ``now`` raises :class:`MemoryModelError` before any state
+        changes.
         """
         if not 0 <= cpu_id < self.n_cpus:
             raise MemoryModelError(f"cpu {cpu_id} out of range")
@@ -659,6 +660,10 @@ class MemorySystem:
             raise MemoryModelError(
                 f"task owner id {task_owner} outside [0, {MAX_OWNERS})"
             )
+        if now != now:
+            # NaN: the Python bus clamps it to no elapsed time, the C
+            # bus would keep it in the demand.
+            raise MemoryModelError(f"batch time is NaN on cpu {cpu_id}")
         if self._walker is not None:
             return self._execute_batch_compiled(
                 cpu_id, task_owner, batch, now
@@ -705,7 +710,7 @@ class MemorySystem:
             if highest >= state.n_owners:
                 state.grow(highest)
             state.bind(key, tables)
-        instructions = int(batch.instructions)
+        instructions = batch.instructions
         state.walker.walk_batch(
             state.handle, cpu_id, task_owner, instructions, now,
             runs[2], runs[3], state.out_ptr,
@@ -727,172 +732,107 @@ class MemorySystem:
     def _execute_batch_reference(
         self, cpu_id: int, task_owner: int, batch: AccessBatch, now: float
     ) -> BatchResult:
-        """The oracle walk: one cache-model method call per run."""
+        """The oracle walk: ``walk_run`` of ``_walker.c``, step by step.
+
+        One loop body per run of :meth:`AccessBatch.runs`:
+
+        1. resolve the owner: the interval table's, else the task's;
+        2. probe the L1 (which fills on a miss); a hit ends the run;
+        3. send a dirty L1 victim through the L2's non-allocating
+           ``probe_writeback``, or to DRAM when the L2 does not hold it;
+        4. make one L2 access: a store fill (a write-only run covering
+           the whole line, installed dirty without a fetch -- the L2 is
+           the tile's communication point, where a consumer on another
+           CPU finds the data) or a demand access;
+        5. send a dirty L2 victim to DRAM (traffic, no stall);
+        6. undo the store fill's miss -- an allocation that transfers
+           nothing from memory is an access and a hit -- or add the
+           demand's L2 hit stall and, on a miss, its DRAM read.
+
+        The bus prices the batch's transfers at the end: one per L1
+        miss and one per dirty L1 victim.
+        """
         config = self.config
-        l1 = self.l1s[cpu_id]
         line_shift = config.l1_geometry.line_shift
         l1_mask = config.l1_geometry.index_mask
         l2_mask = config.l2_geometry.index_mask
-        resolve = self.resolver.resolve
-        set_partitioned = self.mode is PartitionMode.SET_PARTITIONED
-        way_partitioned = self.mode is PartitionMode.WAY_PARTITIONED
-        translate = self.set_map.map_index
-        ways_of = self.way_map.ways_of
-
-        result = BatchResult(
-            instructions=batch.instructions, accesses=batch.n_accesses
-        )
-        stall_cycles = 0.0
-        transfers = 0
-        # A write-only run touching at least this many spots filled the
-        # whole line, so the allocation needs no fetch (write-validate).
+        # A write-only run of one access per 4-byte word covers its line.
         full_line_count = config.l1_geometry.line_size // 4
+        l2_hit_cycles = config.l2_hit_cycles
+        resolve = self.resolver.resolve
+        l1_access = self.l1s[cpu_id].access
+        l2 = self.l2
+        dram = self.memory.access
+        if self.mode is PartitionMode.SET_PARTITIONED:
+            l2_index = self.set_map.map_index
+        else:
+            def l2_index(_owner: int, line: int) -> int:
+                return line & l2_mask
+        ways_of = (
+            self.way_map.ways_of
+            if self.mode is PartitionMode.WAY_PARTITIONED else None
+        )
 
-        line_addrs, counts, write_any, write_all = batch.runs(line_shift)
-        if line_addrs.shape[0] and int(line_addrs.min()) < 0:
+        lines, counts, write_any, write_all = batch.runs(line_shift)
+        if lines.shape[0] and int(lines.min()) < 0:
             raise MemoryModelError(
                 f"negative address in a batch on cpu {cpu_id}"
             )
-        for i in range(line_addrs.shape[0]):
-            line = int(line_addrs[i])
-            count = int(counts[i])
-            write = bool(write_any[i])
+        l1_misses = l2_misses = dram_lines = store_fills = 0
+        stall = transfers = 0
+        for line, count, write, write_only in zip(
+            lines.tolist(), counts.tolist(),
+            write_any.tolist(), write_all.tolist(),
+        ):
             owner = resolve(line << line_shift, task_owner)
 
-            l1_hit, l1_evicted = l1.access(
-                line, line & l1_mask, write, owner, n=count
-            )
-            if l1_hit:
+            hit, victim = l1_access(line, line & l1_mask, write, owner, count)
+            if hit:
                 continue
-            result.l1_misses += 1
+            l1_misses += 1
             transfers += 1
 
-            # Dirty L1 victim is written back into the L2 first.  The
-            # write-back is non-allocating: it updates the L2 copy when
-            # present and otherwise goes straight to DRAM.
-            if l1_evicted is not None and l1_evicted[2]:
-                wb_line, wb_owner = l1_evicted[0], l1_evicted[1]
-                if way_partitioned:
-                    wb_hit = self.l2_way.probe_writeback(
-                        wb_line, wb_line & l2_mask, wb_owner
-                    )
-                else:
-                    wb_index = (
-                        translate(wb_owner, wb_line)
-                        if set_partitioned
-                        else wb_line & l2_mask
-                    )
-                    wb_hit = self.l2.probe_writeback(wb_line, wb_index, wb_owner)
-                if not wb_hit:
-                    self.memory.access(wb_line, True, now)
-                    result.dram_lines += 1
+            if victim is not None and victim[2]:
+                victim_line, victim_owner = victim[0], victim[1]
                 transfers += 1
+                if not l2.probe_writeback(
+                    victim_line, l2_index(victim_owner, victim_line),
+                    victim_owner,
+                ):
+                    dram(victim_line, True, now)
+                    dram_lines += 1
 
-            # Full-line streaming stores allocate without a DRAM fetch
-            # (write-validate).  The line is installed dirty in the L2
-            # as well -- the L2 is the tile's communication point, so a
-            # consumer on another CPU finds the producer's data there.
-            # The allocation counts as an access but not as a miss.
-            if bool(write_all[i]) and count >= full_line_count:
-                result.store_fills += 1
-                self._l2_store_fill(
-                    line, owner, l2_mask, set_partitioned, way_partitioned,
-                    translate, ways_of, now, result,
+            index = l2_index(owner, line)
+            if ways_of is None:
+                hit, victim = l2.access(line, index, write, owner)
+            else:
+                hit, victim = l2.access(
+                    line, index, write, owner, ways_of(owner)
                 )
-                continue
 
-            # The demand fill.
-            l2_hit = self._l2_access(
-                line,
-                owner,
-                write,
-                l2_mask,
-                set_partitioned,
-                way_partitioned,
-                translate,
-                ways_of,
-                now,
-                result,
-            )
-            stall_cycles += config.l2_hit_cycles
-            if not l2_hit:
-                stall_cycles += self.memory.access(line, False, now)
-                result.dram_lines += 1
+            if victim is not None and victim[2]:
+                dram(victim[0], True, now)
+                dram_lines += 1
+
+            if write_only and count >= full_line_count:
+                store_fills += 1
+                if not hit:
+                    stats = l2.stats.owner(owner)
+                    stats.misses -= 1
+                    stats.hits += 1
+            else:
+                stall += l2_hit_cycles
+                if not hit:
+                    l2_misses += 1
+                    stall += dram(line, False, now)
+                    dram_lines += 1
 
         bus_cycles = self.bus.price_transfers(cpu_id, transfers, now)
-        result.bus_cycles = bus_cycles
-        result.cycles = int(
-            round(batch.instructions * config.issue_cpi)
-            + int(stall_cycles)
-            + bus_cycles
+        instructions = batch.instructions
+        # Positional: cycles, instructions, accesses, L1 misses, L2
+        # accesses, L2 misses, DRAM lines, bus cycles, store fills.
+        return BatchResult(
+            round(instructions * config.issue_cpi) + stall + bus_cycles,
+            instructions, batch.n_accesses, l1_misses, l1_misses,
+            l2_misses, dram_lines, bus_cycles, store_fills,
         )
-        return result
-
-    def _l2_store_fill(
-        self,
-        line: int,
-        owner: int,
-        l2_mask: int,
-        set_partitioned: bool,
-        way_partitioned: bool,
-        translate,
-        ways_of,
-        now: float,
-        result: BatchResult,
-    ) -> None:
-        """Install a fully written line in the L2 without fetching.
-
-        Uses the normal allocation path (so evictions and their
-        attribution happen as usual) but cancels the miss/DRAM-read
-        accounting: a write-validated allocation transfers nothing from
-        memory.
-        """
-        result.l2_accesses += 1
-        if way_partitioned:
-            cache = self.l2_way
-            hit, evicted = cache.access(
-                line, line & l2_mask, True, owner, ways_of(owner)
-            )
-        else:
-            cache = self.l2
-            index = translate(owner, line) if set_partitioned else line & l2_mask
-            hit, evicted = cache.access(line, index, True, owner)
-        if not hit:
-            # Not a demand miss: undo the miss counting of access().
-            stats = cache.stats.owner(owner)
-            stats.misses -= 1
-            stats.hits += 1
-        if evicted is not None and evicted[2]:
-            self.memory.access(evicted[0], True, now)
-            result.dram_lines += 1
-
-    def _l2_access(
-        self,
-        line: int,
-        owner: int,
-        write: bool,
-        l2_mask: int,
-        set_partitioned: bool,
-        way_partitioned: bool,
-        translate,
-        ways_of,
-        now: float,
-        result: BatchResult,
-    ) -> bool:
-        """One L2 probe; handles translation, way masks and writebacks."""
-        result.l2_accesses += 1
-        if way_partitioned:
-            hit, evicted = self.l2_way.access(
-                line, line & l2_mask, write, owner, ways_of(owner)
-            )
-        else:
-            index = translate(owner, line) if set_partitioned else line & l2_mask
-            hit, evicted = self.l2.access(line, index, write, owner)
-        if not hit:
-            result.l2_misses += 1
-        if evicted is not None and evicted[2]:
-            # Dirty L2 victim goes to DRAM; traffic only, no CPU stall.
-            self.memory.access(evicted[0], True, now)
-            result.dram_lines += 1
-        return hit
-

@@ -121,26 +121,6 @@ class IntervalTable:
             return self._owners[idx]
         return None
 
-    def lookup_many(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`lookup` over an address array.
-
-        Returns an ``int64`` array of owner ids with ``-1`` where an
-        address falls in no interval (:meth:`add` takes only
-        non-negative owners).
-        One ``searchsorted`` replaces a per-access binary search.  The
-        compiled hierarchy engine no longer calls this -- its C walk
-        searches :meth:`as_array` itself -- so this is the vectorised
-        oracle behind :meth:`~repro.mem.partition.OwnerResolver.resolve_many`.
-        """
-        addrs = np.asarray(addrs)
-        if not self._bases:
-            return np.full(addrs.shape, -1, dtype=np.int64)
-        bases, ends, owners = self.as_array()
-        idx = np.searchsorted(bases, addrs, side="right") - 1
-        clipped = np.maximum(idx, 0)
-        inside = (idx >= 0) & (addrs < ends[clipped])
-        return np.where(inside, owners[clipped], np.int64(-1))
-
     def clear(self) -> None:
         """Drop every interval (used when the OS reprograms the table)."""
         self._bases.clear()

@@ -29,8 +29,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import PartitionError
 from repro.mem.intervals import IntervalTable, check_owner
 
@@ -111,18 +109,10 @@ class OwnerResolver:
         buffer_owner = self.intervals.lookup(addr)
         return buffer_owner if buffer_owner is not None else task_owner
 
-    def resolve_many(self, addrs: np.ndarray, task_owner: int) -> np.ndarray:
-        """Vectorised :meth:`resolve` over an address array.
-
-        One interval-table lookup for the whole batch; addresses outside
-        every interval fall back to ``task_owner``.
-        """
-        if not len(self.intervals):
-            return np.full(np.shape(addrs), task_owner, dtype=np.int64)
-        buffer_owners = self.intervals.lookup_many(addrs)
-        return np.where(
-            buffer_owners >= 0, buffer_owners, np.int64(task_owner)
-        )
+    #: Placeholder for the removed vectorised resolution: the
+    #: repository benchmark's traced run (``perfbench/scenarios.py``)
+    #: still wraps this attribute by name.  Nothing calls it.
+    resolve_many = None
 
 
 @dataclass(frozen=True)
@@ -164,12 +154,6 @@ class SetPartition:
         if self.is_power_of_two:
             return self.base + (line_addr & (self.n_sets - 1))
         return self.base + (line_addr % self.n_sets)
-
-    def translate_many(self, line_addrs: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`translate` over a line-address array."""
-        if self.is_power_of_two:
-            return self.base + (line_addrs & (self.n_sets - 1))
-        return self.base + (line_addrs % self.n_sets)
 
 
 class SetPartitionMap:
@@ -309,32 +293,10 @@ class SetPartitionMap:
             return line_addr & (self.total_sets - 1)
         return partition.translate(line_addr)
 
-    def map_index_many(
-        self, owners: np.ndarray, line_addrs: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised :meth:`map_index` over parallel owner/line arrays.
-
-        Applies the default mapping (pool or conventional indexing) to
-        everything, then overwrites the positions of each partitioned or
-        aliased owner with its translation.  One pass per *distinct*
-        owner in the batch, which is tiny next to the batch length.
-        """
-        owners = np.asarray(owners)
-        line_addrs = np.asarray(line_addrs)
-        if self._default_pool is not None:
-            result = np.asarray(
-                self._default_pool.translate_many(line_addrs), dtype=np.int64
-            )
-        else:
-            result = (line_addrs & (self.total_sets - 1)).astype(np.int64)
-        if self._partitions or self._aliases:
-            for owner in np.unique(owners):
-                partition = self.effective_partition(int(owner))
-                if partition is None:
-                    continue
-                mask = owners == owner
-                result[mask] = partition.translate_many(line_addrs[mask])
-        return result
+    #: Placeholder for the removed vectorised translation: the
+    #: repository benchmark's traced run (``perfbench/scenarios.py``)
+    #: still wraps this attribute by name.  Nothing calls it.
+    map_index_many = None
 
     def validate_disjoint(self) -> None:
         """Check pairwise disjointness (assign() enforces it; belt+braces)."""

@@ -26,6 +26,7 @@ which only the compiled engine walks: it has no addresses.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
@@ -61,13 +62,16 @@ class AccessBatch:
     ----------
     addrs:
         Byte addresses, in program order: an integer array (any integer
-        dtype); the memory system rejects negative addresses.
+        dtype) of addresses below ``2**63``; the memory system rejects
+        negative addresses.
     writes:
         Boolean array, ``True`` where the reference is a store.
     instructions:
-        Number of instructions this batch stands for.  Defaults (in the
-        factories) to ``ceil(len(addrs) / mem_ref_fraction)`` so that a
-        typical multimedia instruction mix of ~35 % memory references is
+        Number of instructions this batch stands for: an integer in
+        ``[0, 2**63)`` (any type ``operator.index`` takes, kept as a
+        Python ``int``; a float raises).  Defaults (in the factories) to
+        ``ceil(len(addrs) / mem_ref_fraction)`` so that a typical
+        multimedia instruction mix of ~35 % memory references is
         preserved.
     """
 
@@ -95,8 +99,26 @@ class AccessBatch:
             raise MemoryModelError("addrs and writes must have the same shape")
         if self.addrs.ndim != 1:
             raise MemoryModelError("AccessBatch arrays must be one-dimensional")
-        if self.instructions < 0:
-            raise MemoryModelError("instruction count cannot be negative")
+        dtype = self.addrs.dtype
+        if (dtype.kind == "u" and dtype.itemsize == 8 and self.addrs.size
+                and self.addrs.max() >= 2**63):
+            # Only uint64 holds such an address: the compiled engine
+            # reads addresses as int64.
+            raise MemoryModelError("addresses must lie below 2**63")
+        # Both engines price the count as an exact integer (the C walk
+        # takes an int64), so a float is refused rather than truncated.
+        try:
+            instructions = operator.index(self.instructions)
+        except TypeError:
+            raise MemoryModelError(
+                f"instruction count must be an integer, got "
+                f"{self.instructions!r}"
+            ) from None
+        if not 0 <= instructions < 2**63:
+            raise MemoryModelError(
+                f"instruction count {instructions} outside [0, 2**63)"
+            )
+        object.__setattr__(self, "instructions", instructions)
 
     # -- factories ---------------------------------------------------------
 

@@ -449,15 +449,11 @@ def _big_system(engine, mode):
     return mem
 
 
-def _l2(mem):
-    return mem.l2 if mem.l2 is not None else mem.l2_way
-
-
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
 @pytest.mark.parametrize("mode", list(PartitionMode))
 def test_large_l2_holds_per_set_state_only_for_resident_lines(mode):
     mem = _big_system("compiled", mode)
-    caches = [*mem.l1s, _l2(mem)]
+    caches = [*mem.l1s, mem.l2]
     assert all(per_set_state(cache) == set() for cache in caches)
 
     rng = np.random.default_rng(5)
@@ -472,8 +468,8 @@ def test_large_l2_holds_per_set_state_only_for_resident_lines(mode):
 
     mem.sync_state()
     state = mem._compiled
-    l2 = _l2(mem)
-    if mem.l2 is not None:
+    l2 = mem.l2
+    if mode is not PartitionMode.WAY_PARTITIONED:
         held = set(np.flatnonzero(state.l2_len).tolist())
         assert held == set(l2._where.values())
     else:

@@ -99,7 +99,7 @@ def assert_systems_identical(reference, other, context):
     assert reference.bus.total_transfers == other.bus.total_transfers, context
     assert (reference.bus.total_surcharge_cycles
             == other.bus.total_surcharge_cycles), context
-    if reference.l2 is not None:
+    if reference.mode is not PartitionMode.WAY_PARTITIONED:
         # Same resident lines, owners and dirty bits, per set.
         assert reference.l2._owner_of == other.l2._owner_of, context
         assert reference.l2._dirty == other.l2._dirty, context
@@ -111,7 +111,7 @@ def assert_systems_identical(reference, other, context):
         # per set, dirty lines and clock.  (Owner/stamp of an *empty*
         # slot is dead state the model never reads; the engines may
         # differ there.)
-        ref_way, other_way = reference.l2_way, other.l2_way
+        ref_way, other_way = reference.l2, other.l2
         assert ref_way._dirty == other_way._dirty, context
         assert ref_way._clock == other_way._clock, context
         for set_index in range(ref_way.geometry.sets):
@@ -746,6 +746,11 @@ def _as_int32(batch):
                        writes=batch.writes, instructions=batch.instructions)
 
 
+def _as_uint64(batch):
+    return AccessBatch(addrs=batch.addrs.astype(np.uint64),
+                       writes=batch.writes, instructions=batch.instructions)
+
+
 def _as_strided(batch):
     """Every array a non-contiguous view; writes as truthy int8s."""
     n = batch.n_accesses
@@ -759,8 +764,8 @@ def _as_strided(batch):
 
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
 @pytest.mark.parametrize("mode", list(PartitionMode))
-@pytest.mark.parametrize("convert", [_as_int32, _as_strided],
-                         ids=["int32", "strided"])
+@pytest.mark.parametrize("convert", [_as_int32, _as_uint64, _as_strided],
+                         ids=["int32", "uint64", "strided"])
 def test_compiled_engine_reads_any_integer_layout(mode, convert):
     """Regression: the C walk read the addresses as contiguous int64
     whatever their dtype, so an int32 batch crashed the interpreter.
@@ -797,6 +802,70 @@ def test_negative_addresses_rejected_before_any_state_changes(engine):
     # Without a C walker the compiled engine has run the reference walk
     # from the start.
     assert mem.effective_engine == (engine if C_AVAILABLE else "reference")
+
+
+def _line_batch(base, n_lines=64):
+    """``n_lines`` loads, one per line from ``base``."""
+    return AccessBatch.from_addresses(base + 64 * np.arange(n_lines))
+
+
+@pytest.mark.parametrize("count", [2.9, np.float64(7.7), 100.0, -1, 2**63])
+def test_a_float_or_out_of_range_instruction_count_is_refused(count):
+    """Regression: the reference walk priced a float count as it stood
+    (2.9: 1,274 cycles, 2.9 instructions) and the compiled engine
+    truncated it (1,273 cycles, 2 instructions).  The count must be an
+    integer the C walk's int64 holds."""
+    with pytest.raises(MemoryModelError, match="instruction count"):
+        AccessBatch(addrs=np.arange(0, 640, 4), writes=np.zeros(160, bool),
+                    instructions=count)
+
+
+@pytest.mark.parametrize("count", [np.int64(7), np.uint16(300), 2**62])
+def test_an_integer_instruction_count_of_any_type_walks_identically(count):
+    batch = AccessBatch(addrs=np.arange(0, 640, 4),
+                        writes=np.zeros(160, bool), instructions=count)
+    assert type(batch.instructions) is int and batch.instructions == count
+    results = [
+        MemorySystem(1, HierarchyConfig(engine=engine))
+        .execute_batch(0, 0, batch, 0.0)
+        for engine in HierarchyConfig.ENGINES
+    ]
+    assert results[0] == results[1]
+    assert type(results[1].instructions) is int
+
+
+def test_an_address_at_or_above_2_63_is_refused():
+    """Regression: a uint64 address at or above ``2**63`` walked on the
+    reference engine, and the compiled engine refused it as a negative
+    address.  Only uint64 holds one; below it, uint64 walks
+    bit-identically (``test_compiled_engine_reads_any_integer_layout``)."""
+    for addr in (2**63, 2**63 + 64, 2**64 - 1):
+        with pytest.raises(MemoryModelError, match="2\\*\\*63"):
+            AccessBatch(addrs=np.array([64, addr], dtype=np.uint64),
+                        writes=np.zeros(2, bool), instructions=1)
+    below = AccessBatch(addrs=np.array([2**63 - 1], dtype=np.uint64),
+                        writes=np.zeros(1, bool), instructions=1)
+    assert below.n_accesses == 1
+
+
+def test_a_nan_batch_time_is_refused_before_any_state_changes():
+    """Regression: the Python bus clamps a NaN elapsed time to none,
+    and the C bus kept the NaN in its demand: after a batch on CPU 1, a
+    batch on CPU 0 at a NaN time walked 8,197 cycles on the reference
+    engine and 8,677 on the compiled one.  Both engines now raise
+    before any state changes, and an infinite time walks identically."""
+    systems = [MemorySystem(2, HierarchyConfig(engine=engine))
+               for engine in HierarchyConfig.ENGINES]
+    for mem in systems:
+        mem.execute_batch(1, 0, _line_batch(0), 10.0)
+        with pytest.raises(MemoryModelError, match="NaN"):
+            mem.execute_batch(0, 0, _line_batch(1 << 20), float("nan"))
+    assert_systems_identical(*systems, "nan")
+    reference, other = systems
+    assert reference.bus._demand[0] == 0.0
+    assert reference.l1s[0].stats.per_owner == {}
+    _walk_both(reference, other, 0, 0, _line_batch(1 << 20), float("inf"))
+    assert_systems_identical(reference, other, "inf")
 
 
 def _private_batch(rng, base):

@@ -86,25 +86,6 @@ def test_property_lookup_matches_linear_scan(spec):
         assert table.lookup(addr) == expected
 
 
-def test_lookup_many_matches_scalar_lookup():
-    import numpy as np
-
-    table = IntervalTable()
-    table.add(100, 200, owner=3)
-    table.add(400, 420, owner=5)
-    addrs = np.array([0, 99, 100, 199, 200, 399, 400, 419, 420, 10_000])
-    got = table.lookup_many(addrs)
-    expected = [table.lookup(int(a)) for a in addrs]
-    assert [None if g == -1 else int(g) for g in got.tolist()] == expected
-
-
-def test_lookup_many_empty_table():
-    import numpy as np
-
-    table = IntervalTable()
-    assert (table.lookup_many(np.array([1, 2, 3])) == -1).all()
-
-
 @pytest.mark.parametrize("base,end", [
     (-4096, 0), (-1, 64), (2**63, 2**63 + 4096), (2**63 - 64, 2**63),
 ])

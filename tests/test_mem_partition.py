@@ -1,11 +1,9 @@
 """Tests for owner registry, resolver and partition maps."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.errors import MemoryModelError, PartitionError
-from repro.mem.intervals import MAX_OWNERS, IntervalTable
+from repro.errors import PartitionError
+from repro.mem.intervals import IntervalTable
 from repro.mem.partition import (
     OWNER_SHARED,
     OwnerRegistry,
@@ -115,76 +113,6 @@ def test_way_map_assign_and_defaults():
         wmap.assign(owner=3, ways=(4,))
     with pytest.raises(PartitionError):
         wmap.assign(owner=3, ways=())
-
-
-def test_resolve_many_matches_scalar_resolve():
-    table = IntervalTable()
-    table.add(0, 128, owner=4)
-    resolver = OwnerResolver(table)
-    addrs = np.array([0, 64, 128, 4096])
-    got = resolver.resolve_many(addrs, task_owner=9)
-    assert got.tolist() == [resolver.resolve(int(a), 9) for a in addrs]
-    # Empty-table shortcut: everything falls back to the task owner.
-    empty = OwnerResolver()
-    assert (empty.resolve_many(addrs, task_owner=2) == 2).all()
-
-
-#: Interval owners around both edges of ``[0, MAX_OWNERS)``, and
-#: outside int64: ``IntervalTable.add`` accepts only the in-range ones.
-_ANY_OWNER = st.one_of(
-    st.integers(-10, -1),
-    st.integers(0, 63),
-    st.integers(MAX_OWNERS - 2, MAX_OWNERS + 2),
-    st.sampled_from([-2**63 - 1, 2**63]),
-)
-
-
-@settings(max_examples=100)
-@given(
-    intervals=st.lists(
-        st.tuples(st.integers(0, 40), st.integers(1, 8), _ANY_OWNER),
-        max_size=10,
-    ),
-    task_owner=st.integers(0, MAX_OWNERS - 1),
-)
-def test_resolve_many_equals_resolve_for_every_accepted_table(
-    intervals, task_owner,
-):
-    """Whatever intervals ``add`` accepts, the vectorised resolution
-    gives every address the owner the scalar one does.  ``resolve_many``
-    reads a negative owner as "no interval", so ``add`` must refuse
-    one."""
-    table = IntervalTable()
-    for base, length, owner in intervals:
-        try:
-            table.add(64 * base, 64 * (base + length), owner)
-        except MemoryModelError:
-            pass  # an overlap, or an owner outside the range
-    resolver = OwnerResolver(table)
-    addrs = np.arange(0, 64 * 50, 32)
-    assert resolver.resolve_many(addrs, task_owner).tolist() \
-        == [resolver.resolve(int(addr), task_owner) for addr in addrs]
-
-
-def test_map_index_many_matches_scalar_map_index():
-    pmap = SetPartitionMap(total_sets=64)
-    pmap.assign(owner=1, base=0, n_sets=8)
-    pmap.assign(owner=2, base=8, n_sets=5)  # non-power-of-two
-    pmap.alias(3, 2)
-    pmap.set_default_pool(base=32, n_sets=32)
-    rng_lines = np.arange(0, 2048, 17)
-    for owner in (1, 2, 3, 4, OWNER_SHARED):
-        owners = np.full(rng_lines.shape, owner)
-        got = pmap.map_index_many(owners, rng_lines)
-        expected = [pmap.map_index(owner, int(line)) for line in rng_lines]
-        assert got.tolist() == expected
-    # Mixed-owner arrays hit every translation in one call.
-    owners = np.array([1, 2, 3, 4, 0, 1, 2])
-    lines = np.array([5, 13, 99, 1000, 77, 64, 6])
-    got = pmap.map_index_many(owners, lines)
-    assert got.tolist() == [
-        pmap.map_index(int(o), int(line)) for o, line in zip(owners, lines)
-    ]
 
 
 def test_effective_partition_resolves_aliases():
