@@ -28,13 +28,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cake.config import CakeConfig
 from repro.cake.metrics import RunMetrics
-from repro.cake.processor import CpuRunner
+from repro.cake.processor import CpuRunner, _switch_batch
 from repro.errors import SchedulingError
 from repro.kpn.fifo import FifoChannel
 from repro.kpn.graph import ProcessNetwork
 from repro.kpn.process import TaskContext
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.partition import OwnerRegistry, OwnerResolver, PartitionMode
+from repro.patterns.memo import cached
 from repro.rtos.cachectl import CacheController
 from repro.rtos.scheduler import Scheduler
 from repro.rtos.shmalloc import build_memory_layout
@@ -95,6 +96,7 @@ class Platform:
 
         self.tasks: List[Task] = []
         self._task_by_name: Dict[str, Task] = {}
+        rt_bss = self.layout.shared_regions["rt.bss"]
         for name, spec in network.tasks.items():
             owner = self.registry.register(
                 CacheController.task_owner_name(name)
@@ -107,7 +109,8 @@ class Platform:
                 shared_regions=self.layout.shared_regions,
                 frame_regions=self.layout.frame_regions,
             )
-            task = Task(spec, owner, context)
+            task = Task(spec, owner, context,
+                        switch_batch=cached(_switch_batch, rt_bss, owner))
             self.tasks.append(task)
             self._task_by_name[name] = task
 
@@ -131,12 +134,8 @@ class Platform:
         self.scheduler = Scheduler(
             self.sim, self.tasks, self.config.n_cpus, policy=self.config.scheduling
         )
-        rt_bss = self.layout.shared_regions["rt.bss"]
         self.cpus = [
-            CpuRunner(
-                i, self.sim, self.mem, self.scheduler, self.config,
-                rt_bss_region=rt_bss,
-            )
+            CpuRunner(i, self.sim, self.mem, self.scheduler, self.config)
             for i in range(self.config.n_cpus)
         ]
         unknown = set(deferred) - set(self._task_by_name)
@@ -182,6 +181,8 @@ class Platform:
                                  self.config.seed)
         self.scheduler.start_all(skip=self._deferred, streams=streams)
         self.sim.run()
+        for cpu in self.cpus:
+            cpu.finish()
         blocked = self.scheduler.blocked_tasks()
         if blocked:
             names = ", ".join(t.name for t in blocked)

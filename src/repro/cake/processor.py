@@ -7,11 +7,16 @@ enforces the round-robin quantum.  FIFO blocking follows KPN semantics:
 a read from an empty FIFO (or write to a full one) parks the task on the
 channel; the runner that later completes the matching operation wakes
 it.
+
+A runner with nothing to run idles until the scheduler wakes it; it
+never returns.  The run is over when the kernel's heap is empty, and
+:meth:`~repro.cake.platform.Platform.run` then calls
+:meth:`CpuRunner.finish` on every runner.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +28,6 @@ from repro.kpn.ops import Compute, Delay, ReadToken, WriteToken
 from repro.mem.address import Region
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.trace import AccessBatch
-from repro.patterns.memo import cached
 from repro.rtos.scheduler import Scheduler
 from repro.rtos.task import Task, TaskState
 from repro.sim.kernel import Simulator
@@ -40,7 +44,8 @@ def _switch_batch(region: Region, owner_id: int) -> AccessBatch:
     Touches the task's control block inside ``rt.bss``, so the switch
     traffic lands in the RTOS's cache partition -- the reason the
     run-time system has its own rows in Tables 1/2.  The same for every
-    dispatch of a task, so memoised per ``(rt.bss, owner)``.
+    dispatch of a task, so memoised per ``(rt.bss, owner)``: the
+    platform looks it up once per task (:attr:`Task.switch_batch`).
     """
     offset = (owner_id * TCB_BYTES) % max(1, region.size - TCB_BYTES)
     addrs = region.base + offset + np.arange(TCB_BYTES // 4, dtype=np.int64) * 4
@@ -60,7 +65,6 @@ class CpuRunner:
         mem: MemorySystem,
         scheduler: Scheduler,
         config: CakeConfig,
-        rt_bss_region: Optional[Region] = None,
     ):
         self.cpu_id = cpu_id
         self.sim = sim
@@ -68,12 +72,19 @@ class CpuRunner:
         self.scheduler = scheduler
         self.config = config
         self.metrics = CpuMetrics()
-        self._rt_bss = rt_bss_region
-        #: Owner id -> the task's dispatch-switch batch, taken from the
-        #: memo table at the task's first dispatch on this CPU.
-        self._switch_batches: Dict[int, AccessBatch] = {}
         self._current: Optional[Task] = None
-        sim.process(self._run())
+        self._process = self._run()
+        sim.process(self._process)
+
+    def finish(self) -> None:
+        """End the run on this CPU, once the kernel's heap is empty.
+
+        Counts the idle stretch the runner is in up to ``sim.now`` and
+        closes its process: its suspended frame and the scheduler's
+        pending wake-up would otherwise hold each other, and the memory
+        system with them, in a reference cycle.
+        """
+        self._process.close()
 
     # -- helpers ------------------------------------------------------------
 
@@ -115,13 +126,9 @@ class CpuRunner:
     def _pay_switch(self, task: Task):
         """The dispatch cost: RTOS traffic + fixed stall."""
         self.metrics.switch_cycles += self.config.switch_cycles
-        if self._rt_bss is not None:
-            owner = task.owner_id
-            batch = self._switch_batches.get(owner)
-            if batch is None:
-                batch = cached(_switch_batch, self._rt_bss, owner)
-                self._switch_batches[owner] = batch
-            self.mem.execute_batch(self.cpu_id, owner, batch, self.sim.now)
+        if task.switch_batch is not None:
+            self.mem.execute_batch(self.cpu_id, task.owner_id,
+                                   task.switch_batch, self.sim.now)
         yield self.config.switch_cycles
 
     # -- the CPU loop --------------------------------------------------------
@@ -133,12 +140,12 @@ class CpuRunner:
         while True:
             task = scheduler.next_task(self.cpu_id)
             if task is None:
-                if (scheduler.live_tasks == 0
-                        and not scheduler.expecting_arrivals()):
-                    return
                 idle_start = sim.now
-                yield scheduler.wait_for_work(self.cpu_id)
-                self.metrics.idle_cycles += sim.now - idle_start
+                try:
+                    yield scheduler.wait_for_work(self.cpu_id)
+                finally:
+                    # Also when finish() closes the process here.
+                    self.metrics.idle_cycles += sim.now - idle_start
                 continue
 
             if (task is not self._current and self._current is not None
@@ -169,8 +176,7 @@ class CpuRunner:
                 elif op_type is ReadToken:
                     fifo = task.context.port(op.port)
                     if fifo.can_read(op.tokens):
-                        batch = fifo.read_batch(op.tokens)
-                        fifo.commit_read(op.tokens)
+                        batch = fifo.read(op.tokens)
                         self._wake_writers(fifo, scheduler)
                         cycles = self._execute(task, batch)
                         task.stats.fifo_reads += op.tokens
@@ -187,8 +193,7 @@ class CpuRunner:
                 elif op_type is WriteToken:
                     fifo = task.context.port(op.port)
                     if fifo.can_write(op.tokens):
-                        batch = fifo.write_batch(op.tokens)
-                        fifo.commit_write(op.tokens)
+                        batch = fifo.write(op.tokens)
                         self._wake_readers(fifo, scheduler)
                         cycles = self._execute(task, batch)
                         task.stats.fifo_writes += op.tokens

@@ -22,9 +22,10 @@ The engine composes three pieces:
    operational.
 2. **Transactional replan** -- the transition is a replan action
    (:meth:`~repro.sim.kernel.Simulator.schedule_replan`): it is queued
-   up front, so the run stays alive until it fires, and it runs at
-   URGENT priority, so every op at or after the transition time sees
-   the new partition maps on both engines.  Map mutations go through
+   up front, so the run lasts until it fires (a CPU with nothing to
+   run idles until then), and it runs at URGENT priority, so every op
+   at or after the transition time sees the new partition maps on both
+   engines.  Map mutations go through
    :class:`~repro.rtos.cachectl.CacheController`.  Both engines read
    the maps on every batch, so an arrival leaves the compiled engine's
    C state in place.  Departures flush only the leavers
@@ -388,7 +389,7 @@ class DynamicScenario:
         budget = available - headroom
         floor = len(items) * min(profile.sizes)
         if budget < floor:
-            # Headroom is advisory: an oversized arrival reservation
+            # Headroom is advisory: oversized headroom for arrivals
             # must not starve the resident application below a minimal
             # feasible plan -- that arrival is rejected at join time
             # instead ("capacity").
@@ -496,10 +497,6 @@ class DynamicScenario:
 
         def reject(reason: str) -> TransitionOutcome:
             outcome.reason = reason
-            # Release the arrival reservation even on rejection, or the
-            # runners would idle forever waiting for tasks that never
-            # come.
-            platform.scheduler.arrival_handled()
             return outcome
 
         buffers = {
@@ -552,7 +549,6 @@ class DynamicScenario:
         }
         for name in net.tasks:
             platform.attach_task(qualified(group, name))
-        platform.scheduler.arrival_handled()
         outcome.admitted = True
         return outcome
 
@@ -636,15 +632,12 @@ class DynamicScenario:
         )
         self._initial_layout(base_net)
 
-        joins = sum(1 for t in self.transitions if t.action == "join")
-        if joins:
-            # Keep the runners alive across a quiet base: without the
-            # reservation they would exit the moment live tasks hit 0.
-            self.platform.scheduler.expect_arrivals(joins)
         for spec in self.transitions:
             # Queued now, before the run starts, at URGENT priority:
             # the action runs before any runner resume at the
-            # transition time, on both engines identically.
+            # transition time, on both engines identically.  The run
+            # lasts until the last one fired: CPUs with nothing to run
+            # idle until then.
             self.platform.sim.schedule_replan(
                 spec.at, lambda spec=spec: self._on_transition(spec)
             )

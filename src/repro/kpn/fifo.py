@@ -18,9 +18,12 @@ with the same pointers -- a channel cycles through a handful of them.
 The channel builds the part of the memo key its transfers share (the
 buffer region and the admin block's address) once.
 
-The channel itself enforces KPN synchronisation state (token counts);
-blocking/waking of tasks is orchestrated by the CPU runner, which parks
-blocked tasks on ``waiting_readers`` / ``waiting_writers``.
+A transfer is one call, :meth:`FifoChannel.read` or
+:meth:`FifoChannel.write`: it checks the token count, takes the batch at
+the ring pointer, then advances the pointer and the count.  The channel
+enforces KPN synchronisation state (token counts); blocking/waking of
+tasks is orchestrated by the CPU runner, which parks blocked tasks on
+``waiting_readers`` / ``waiting_writers``.
 """
 
 from __future__ import annotations
@@ -142,34 +145,23 @@ class FifoChannel:
             nbytes, write,
         )
 
-    def read_batch(self, n: int) -> AccessBatch:
-        """Traffic of consuming ``n`` tokens (call only when readable)."""
+    def read(self, n: int) -> AccessBatch:
+        """Consume ``n`` tokens; returns the transfer's traffic."""
         if not self.can_read(n):
             raise NetworkError(f"fifo {self.spec.name!r}: read of {n} underflows")
-        return self._transfer(self.read_ptr, n, False)
-
-    def write_batch(self, n: int) -> AccessBatch:
-        """Traffic of producing ``n`` tokens (call only when writable)."""
-        if not self.can_write(n):
-            raise NetworkError(f"fifo {self.spec.name!r}: write of {n} overflows")
-        return self._transfer(self.write_ptr, n, True)
-
-    # -- commits -----------------------------------------------------------
-
-    def commit_read(self, n: int) -> None:
-        """Consume ``n`` tokens (state change only)."""
-        if not self.can_read(n):
-            raise NetworkError(f"fifo {self.spec.name!r}: read of {n} underflows")
+        batch = self._transfer(self.read_ptr, n, False)
         self.tokens -= n
         self.read_ptr = (
             self.read_ptr + n * self.spec.token_bytes
         ) % self.buffer_region.size
         self.stats.tokens_consumed += n
+        return batch
 
-    def commit_write(self, n: int) -> None:
-        """Produce ``n`` tokens (state change only)."""
+    def write(self, n: int) -> AccessBatch:
+        """Produce ``n`` tokens; returns the transfer's traffic."""
         if not self.can_write(n):
             raise NetworkError(f"fifo {self.spec.name!r}: write of {n} overflows")
+        batch = self._transfer(self.write_ptr, n, True)
         self.tokens += n
         self.write_ptr = (
             self.write_ptr + n * self.spec.token_bytes
@@ -177,6 +169,7 @@ class FifoChannel:
         self.stats.tokens_produced += n
         if self.tokens > self.stats.max_occupancy:
             self.stats.max_occupancy = self.tokens
+        return batch
 
     def __repr__(self) -> str:
         return (

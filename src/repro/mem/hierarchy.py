@@ -650,9 +650,10 @@ class MemorySystem:
         Returns the :class:`BatchResult` with the cycle cost; caches,
         bus and DRAM state advance as side effects.  Dispatches to the
         engine that :attr:`effective_engine` names.  A ``cpu_id`` out of
-        range, a ``task_owner`` outside ``[0, MAX_OWNERS)`` or a NaN
-        ``now`` raises :class:`MemoryModelError` before any state
-        changes.
+        range, a ``task_owner`` outside ``[0, MAX_OWNERS)``, a NaN
+        ``now`` or issue cycles (``instructions x issue_cpi``) of
+        ``2**62`` or more raise :class:`MemoryModelError` before any
+        state changes.
         """
         if not 0 <= cpu_id < self.n_cpus:
             raise MemoryModelError(f"cpu {cpu_id} out of range")
@@ -664,6 +665,13 @@ class MemorySystem:
             # NaN: the Python bus clamps it to no elapsed time, the C
             # bus would keep it in the demand.
             raise MemoryModelError(f"batch time is NaN on cpu {cpu_id}")
+        if batch.instructions * self.config.issue_cpi >= 2**62:
+            # The C walk rounds the issue cycles into an int64 and adds
+            # the stall and bus cycles; the bound leaves room for both.
+            raise MemoryModelError(
+                f"{batch.instructions} instructions at issue CPI "
+                f"{self.config.issue_cpi} reach 2**62 cycles"
+            )
         if self._walker is not None:
             return self._execute_batch_compiled(
                 cpu_id, task_owner, batch, now

@@ -171,11 +171,13 @@ class AccessBatch:
         """Concatenate batches in order, summing instruction counts.
 
         The new arrays are read-only, so the result keeps its runs.
+        The addresses are joined as int64, whatever the parts' integer
+        dtypes: every part's addresses lie below ``2**63``.
         """
         batches = list(batches)
         if not batches:
             return cls.empty()
-        addrs = np.concatenate([b.addrs for b in batches])
+        addrs = np.concatenate([b.addrs for b in batches], dtype=_ADDR_DTYPE)
         writes = np.concatenate([b.writes for b in batches])
         addrs.flags.writeable = False
         writes.flags.writeable = False

@@ -10,7 +10,11 @@ Two policies, matching the two regimes the paper discusses in §3.1:
   system ("task migration and dynamic scheduling are allowed").
 
 Within a CPU, scheduling is cooperative round-robin with a cycle
-quantum, enforced by the CPU runner.
+quantum, enforced by the CPU runner.  A CPU with nothing to run waits
+on :meth:`Scheduler.wait_for_work` until a task becomes ready; it never
+decides that the run is over.  The run ends when the event heap is
+empty (:meth:`~repro.sim.kernel.Simulator.run`), which already holds
+every scheduled arrival.
 """
 
 from __future__ import annotations
@@ -45,8 +49,6 @@ class Scheduler:
         self.policy = policy
         self.n_cpus = n_cpus
         self.tasks: List[Task] = list(tasks)
-        self._live = 0
-        self._expected_arrivals = 0
         self._global_queue: Deque[Task] = deque()
         self._cpu_queues: List[Deque[Task]] = [deque() for _ in range(n_cpus)]
         self._assignment: Dict[str, int] = {}
@@ -78,7 +80,8 @@ class Scheduler:
     @property
     def live_tasks(self) -> int:
         """Tasks that have started and not finished."""
-        return self._live
+        return sum(task.state not in (TaskState.NEW, TaskState.DONE)
+                   for task in self.tasks)
 
     def has_ready(self, cpu: int) -> bool:
         """True when ``next_task(cpu)`` would return a task."""
@@ -93,15 +96,6 @@ class Scheduler:
         with an empty ready queue the running task keeps the CPU.
         """
         return quantum_left <= 0 and self.has_ready(cpu)
-
-    def expecting_arrivals(self) -> bool:
-        """True while future task arrivals are reserved.
-
-        CPU runners stay alive (idle) instead of exiting when the live
-        count drains to zero, so a task attached later still finds a
-        processor to run on.
-        """
-        return self._expected_arrivals > 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -119,25 +113,8 @@ class Scheduler:
             if task.name in deferred:
                 continue
             task.start(streams)
-            self._live += 1
             self._enqueue(task)
         self._wake_cpus()
-
-    def expect_arrivals(self, count: int = 1) -> None:
-        """Reserve ``count`` future arrivals (see :meth:`expecting_arrivals`)."""
-        self._expected_arrivals += count
-
-    def arrival_handled(self) -> None:
-        """Release one arrival reservation (attached *or* rejected).
-
-        Rejections must release too, and wake idle CPUs: with no live
-        tasks and no reservations left the runners may now exit.
-        """
-        if self._expected_arrivals <= 0:
-            raise SchedulingError("arrival_handled() without expect_arrivals()")
-        self._expected_arrivals -= 1
-        if self._expected_arrivals == 0 and self._live == 0:
-            self._wake_cpus()
 
     def attach(self, task: Task) -> None:
         """Start a deferred task mid-run and enqueue it as ready."""
@@ -146,7 +123,6 @@ class Scheduler:
                 f"cannot attach task {task.name!r} in state {task.state.value}"
             )
         task.start()
-        self._live += 1
         self._enqueue(task)
         self._wake_cpus()
 
@@ -198,11 +174,8 @@ class Scheduler:
         self._wake_cpus()
 
     def task_done(self, task: Task) -> None:
-        """Account a finished task; wakes idle CPUs when none are left."""
+        """Mark a task finished."""
         task.state = TaskState.DONE
-        self._live -= 1
-        if self._live == 0:
-            self._wake_cpus()
 
     def wait_for_work(self, cpu: int) -> Event:
         """Event that fires when this CPU should re-check its queue."""

@@ -12,6 +12,7 @@ from repro.errors import SchedulingError
 from repro.kpn.graph import TaskSpec
 from repro.kpn.ops import Compute, Op
 from repro.kpn.process import TaskContext
+from repro.mem.trace import AccessBatch
 from repro.patterns import memo
 
 __all__ = ["OP_STREAMS", "OpStreams", "RunStreams", "Task", "TaskState",
@@ -51,10 +52,14 @@ class TaskStats:
 class Task:
     """A runnable instance of a :class:`~repro.kpn.graph.TaskSpec`."""
 
-    def __init__(self, spec: TaskSpec, owner_id: int, context: TaskContext):
+    def __init__(self, spec: TaskSpec, owner_id: int, context: TaskContext,
+                 switch_batch: Optional[AccessBatch] = None):
         self.spec = spec
         self.owner_id = owner_id
         self.context = context
+        #: RTOS traffic of dispatching this task after another one;
+        #: with ``None`` a switch costs the fixed stall alone.
+        self.switch_batch = switch_batch
         self.state = TaskState.NEW
         self.stats = TaskStats()
         #: CPU the task last ran on (for migration accounting).

@@ -1,5 +1,8 @@
 """Integration tests for the platform: scheduling + memory + KPN."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.apps.synthetic import make_pipeline
@@ -38,6 +41,24 @@ def test_run_twice_rejected():
     platform.run()
     with pytest.raises(SchedulingError):
         platform.run()
+
+
+def test_a_finished_platform_needs_no_cycle_collection():
+    """The runners end a run idle, each suspended on a wake-up that the
+    scheduler holds.  ``run`` closes them, so the platform, its memory
+    system and its runners go with the last reference to them."""
+    gc.collect()
+    gc.disable()
+    try:
+        platform = Platform(make_pipeline(n_tokens=8), small_config())
+        platform.run()
+        refs = [weakref.ref(obj) for obj in (
+            platform, platform.mem, platform.scheduler, *platform.cpus,
+        )]
+        del platform
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_deadlock_detected():

@@ -13,6 +13,7 @@ map mutations).
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cake.config import CakeConfig
 from repro.cake.platform import Platform
@@ -123,9 +124,17 @@ def profiles():
     }
 
 
+def assert_cpu_time_adds_up(metrics):
+    """Every CPU spends the whole run busy, switching or idle."""
+    for cpu in metrics.cpus:
+        assert (cpu.busy_cycles + cpu.switch_cycles + cpu.idle_cycles
+                == metrics.elapsed_cycles), vars(cpu)
+
+
 def run_all_engines(transitions, join_builders, profile_map, cake=None):
     """Run one dynamic configuration on both engines and assert the
-    metrics, epoch records and transition outcomes are byte-identical."""
+    metrics, epoch records and transition outcomes are byte-identical,
+    and that each CPU's time adds up to the run's."""
     results = {}
     for engine in ENGINES:
         dynamic = DynamicScenario(
@@ -137,6 +146,7 @@ def run_all_engines(transitions, join_builders, profile_map, cake=None):
             engine=engine,
         )
         result = dynamic.run(profiles=profile_map)
+        assert_cpu_time_adds_up(result.metrics)
         results[engine] = (
             run_metrics_to_payload(result.metrics),
             result.epoch_payloads(),
@@ -446,6 +456,65 @@ def test_join_at_time_zero(profiles):
     assert epochs[-1]["task_cycles"]["late.stage0"] > 0
 
 
+def test_cpus_idle_until_a_mark_after_the_last_task(profiles):
+    """Regression: the runners exited with the last task, so a mark at
+    1e9 cycles ended the run there while each CPU's busy, switch and
+    idle cycles added up to the ~412,000 cycles before.  The runners
+    now idle until the event heap is empty."""
+    metrics, epochs, _ = run_all_engines(
+        (TransitionSpec(at=1e9, action="mark"),), {}, {"": profiles["base"]},
+    )
+    assert metrics["elapsed_cycles"] == 1e9
+    assert [epoch["end"] for epoch in epochs] == [1e9, 1e9]
+    assert all(cpu["idle_cycles"] > 0.99e9 for cpu in metrics["cpus"])
+
+
+#: Two join groups of the late pipeline.  The base alone finishes near
+#: 412,000 cycles, so transition times fall before and after it.
+_GROUPS = ("g1", "g2")
+_AT = st.one_of(st.integers(0, 1_200_000), st.just(10**9)).map(float)
+
+
+@st.composite
+def _schedules(draw):
+    """Joins (some over a budget that rejects them), leaves and marks at
+    random times; a group may leave before it joins, or never join."""
+    transitions = []
+    for group in _GROUPS:
+        if draw(st.booleans()):
+            transitions.append(TransitionSpec(
+                at=draw(_AT), action="join", group=group,
+                budget=draw(st.sampled_from([None, 1.0])),
+                workload=WorkloadSpec("pipeline", LATE_KWARGS),
+            ))
+        if draw(st.booleans()):
+            transitions.append(
+                TransitionSpec(at=draw(_AT), action="leave", group=group)
+            )
+    transitions += [TransitionSpec(at=at, action="mark")
+                    for at in draw(st.lists(_AT, max_size=2))]
+    return tuple(transitions)
+
+
+@settings(max_examples=15)
+@given(transitions=_schedules())
+def test_random_transition_schedules_across_engines(profiles, transitions):
+    """Whatever the schedule, the engines agree on metrics, epochs and
+    outcomes, and every CPU's busy, switch and idle cycles add up to
+    the run's elapsed cycles (``run_all_engines`` checks both)."""
+    metrics, epochs, outcomes = run_all_engines(
+        transitions,
+        {group: _late_builder() for group in _GROUPS},
+        {"": profiles["base"], **{group: profiles["late"]
+                                  for group in _GROUPS}},
+    )
+    assert len(outcomes) == len(transitions)
+    assert len(epochs) == len(transitions) + 1
+    assert epochs[-1]["end"] == metrics["elapsed_cycles"] >= max(
+        (spec.at for spec in transitions), default=0.0
+    )
+
+
 # -- admission control and warm arrivals ---------------------------------------
 
 
@@ -511,8 +580,9 @@ def test_budget_rejection_records_reason_and_never_attaches(profiles):
 
 def test_capacity_rejection_when_arena_is_exhausted(profiles):
     """A joiner whose buffers alone exceed the free arena is rejected
-    with reason ``capacity`` -- and the run still completes (the
-    arrival reservation is released on rejection too)."""
+    with reason ``capacity`` -- and the run still completes: its
+    deferred tasks stay NEW, and the runners idle until the event heap
+    is empty."""
 
     def fat_joiner() -> ProcessNetwork:
         def producer(ctx):

@@ -1,5 +1,7 @@
 """Tests for the process-network description and FIFO channels."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import NetworkError
@@ -114,33 +116,44 @@ def make_channel(capacity=4, token=64):
 def test_fifo_read_write_state_machine():
     fifo = make_channel()
     assert fifo.can_write(4) and not fifo.can_read(1)
-    fifo.commit_write(3)
+    fifo.write(3)
     assert fifo.tokens == 3
     assert fifo.can_read(3) and not fifo.can_read(4)
-    fifo.commit_read(2)
+    fifo.read(2)
     assert fifo.tokens == 1
     assert fifo.stats.tokens_produced == 3
     assert fifo.stats.tokens_consumed == 2
     assert fifo.stats.max_occupancy == 3
 
 
+def _assert_refused(fifo, transfer, n, message):
+    """``transfer(n)`` raises before the channel's tokens, ring pointers
+    or stats change, and looks up no batch."""
+    def state():
+        return (fifo.tokens, fifo.read_ptr, fifo.write_ptr,
+                dataclasses.astuple(fifo.stats))
+
+    before, lookups = state(), memo.info().lookups
+    with pytest.raises(NetworkError, match=message):
+        transfer(n)
+    assert state() == before
+    assert memo.info().lookups == lookups
+
+
 def test_fifo_overflow_underflow_rejected():
     fifo = make_channel(capacity=2)
-    with pytest.raises(NetworkError):
-        fifo.commit_read(1)
-    fifo.commit_write(2)
-    with pytest.raises(NetworkError):
-        fifo.commit_write(1)
-    with pytest.raises(NetworkError):
-        fifo.write_batch(1)
-    with pytest.raises(NetworkError):
-        make_channel().read_batch(1)
+    _assert_refused(fifo, fifo.read, 1, "underflows")
+    fifo.write(2)
+    fifo.read(1)
+    fifo.write(1)
+    _assert_refused(fifo, fifo.write, 1, "overflows")
+    _assert_refused(fifo, fifo.read, 3, "underflows")
 
 
 def test_fifo_batches_touch_payload_and_admin():
     fifo = make_channel(capacity=4, token=64)
-    fifo.commit_write(1)
-    batch = fifo.read_batch(1)
+    fifo.write(1)
+    batch = fifo.read(1)
     payload = (batch.addrs >= 0x4000) & (batch.addrs < 0x4000 + 256)
     admin = (batch.addrs >= 0x8000 + 64) & (
         batch.addrs < 0x8000 + 64 + ADMIN_BLOCK_BYTES
@@ -153,31 +166,34 @@ def test_fifo_batches_touch_payload_and_admin():
 def test_fifo_ring_pointer_wraps():
     fifo = make_channel(capacity=4, token=64)
     for _ in range(6):
-        fifo.commit_write(1)
-        fifo.commit_read(1)
-    assert fifo.read_ptr == fifo.write_ptr
-    assert fifo.read_ptr < fifo.buffer_region.size
+        fifo.write(1)
+        fifo.read(1)
+    # 6 tokens of 64 bytes went round a 256-byte ring.
+    assert fifo.read_ptr == fifo.write_ptr == 6 * 64 % 256
+    assert fifo.buffer_region.size == 256
 
 
 def test_fifo_transfer_is_the_batch_cached_builds():
     # The channel's pre-built key prefix is the one cached() makes:
-    # both find the same table entry, whichever comes first.
+    # both find the same table entry, whichever comes first, at the
+    # ring's start and once the pointers have moved on.
     memo.clear()
     fifo = make_channel()
     admin = fifo.admin_region.base + fifo.admin_offset
-    written = fifo.write_batch(2)
-    assert written is cached(_transfer_batch, fifo.buffer_region, admin,
-                             0, 128, True)
-    fifo.commit_write(2)
-    read = cached(_transfer_batch, fifo.buffer_region, admin, 0, 128, False)
-    assert fifo.read_batch(2) is read
-    assert memo.info()[:3] == (4, 2, 2)
+    for head in (0, 128):
+        written = fifo.write(2)
+        assert written is cached(_transfer_batch, fifo.buffer_region, admin,
+                                 head, 128, True)
+        read = cached(_transfer_batch, fifo.buffer_region, admin, head, 128,
+                      False)
+        assert fifo.read(2) is read
+    assert memo.info()[:3] == (8, 4, 4)
     memo.clear()
 
 
-def test_fifo_write_batch_is_stores():
+def test_fifo_write_is_stores():
     fifo = make_channel()
-    batch = fifo.write_batch(1)
+    batch = fifo.write(1)
     payload_mask = (batch.addrs >= 0x4000) & (batch.addrs < 0x8000)
     assert payload_mask.any()
     assert batch.writes[payload_mask].all()

@@ -699,6 +699,27 @@ def test_concat_returns_read_only_arrays():
         merged.writes[0] = True
 
 
+def test_concat_joins_int64_and_uint64_parts():
+    """Regression: ``np.concatenate`` promoted an int64 part and a
+    valid uint64 part to float64, and the result raised.  The parts
+    join as int64, read-only, and walk bit-identically on both
+    engines."""
+    merged = AccessBatch.concat([
+        AccessBatch.from_addresses([0, 4096]),
+        AccessBatch(addrs=np.array([64, 2**40], dtype=np.uint64),
+                    writes=np.array([True, False]), instructions=1),
+    ])
+    assert merged.addrs.dtype == np.int64
+    assert merged.addrs.tolist() == [0, 4096, 64, 2**40]
+    assert merged.writes.tolist() == [False, False, True, False]
+    assert not merged.addrs.flags.writeable
+    assert not merged.writes.flags.writeable
+    reference, compiled = (MemorySystem(1, HierarchyConfig(engine=engine))
+                           for engine in HierarchyConfig.ENGINES)
+    _walk_both(reference, compiled, 0, 0, merged, 0.0)
+    assert_systems_identical(reference, compiled, "concat")
+
+
 @pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler available")
 def test_threads_walk_one_memo_batch_at_two_line_sizes():
     """The pattern memo shares a batch between scenario threads, and
@@ -832,6 +853,47 @@ def test_an_integer_instruction_count_of_any_type_walks_identically(count):
     ]
     assert results[0] == results[1]
     assert type(results[1].instructions) is int
+
+
+def _issue_bound_system(engine):
+    return MemorySystem(1, HierarchyConfig(engine=engine, issue_cpi=4.0))
+
+
+def _issue_batch(instructions):
+    return AccessBatch(addrs=np.arange(0, 64, 4), writes=np.zeros(16, bool),
+                       instructions=instructions)
+
+
+@pytest.mark.parametrize("engine", HierarchyConfig.ENGINES)
+@pytest.mark.parametrize("instructions", [2**60, 2**62, 2**63 - 1])
+def test_issue_cycles_of_2_62_or_more_are_refused(engine, instructions):
+    """Regression: the C walk rounds ``instructions x issue_cpi`` into
+    an int64, so 2**62 instructions at issue CPI 4.0 walked
+    -9,223,372,036,854,775,682 cycles there and
+    18,446,744,073,709,551,742 on the reference engine.  Both engines
+    now raise before any state changes once the issue cycles reach
+    2**62, which leaves the C walk room for stall and bus cycles."""
+    mem = _issue_bound_system(engine)
+    with pytest.raises(MemoryModelError, match="2\\*\\*62"):
+        mem.execute_batch(0, 0, _issue_batch(instructions), 0.0)
+    mem.sync_state()
+    assert mem.l1s[0].stats.per_owner == {}
+    assert mem.l2_stats.per_owner == {}
+    assert mem.l1s[0].resident_lines == 0 and mem.l2.resident_lines == 0
+    assert mem.memory.traffic.total_lines == 0
+    assert mem.bus.total_transfers == 0
+
+
+def test_issue_cycles_just_below_2_62_walk_identically():
+    reference, compiled = (_issue_bound_system(engine)
+                           for engine in HierarchyConfig.ENGINES)
+    # 4.0 x (2**60 - 2**8) = 2**62 - 2**10, exact in a double.
+    batch = _issue_batch(2**60 - 2**8)
+    _walk_both(reference, compiled, 0, 0, batch, 0.0)
+    assert_systems_identical(reference, compiled, "below 2**62")
+    result = reference.execute_batch(0, 0, batch, 1e6)
+    assert 2**62 - 2**10 <= result.cycles < 2**62
+    assert compiled.execute_batch(0, 0, batch, 1e6) == result
 
 
 def test_an_address_at_or_above_2_63_is_refused():
